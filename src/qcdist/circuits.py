@@ -439,12 +439,21 @@ def instance_to_json(inst: ProblemInstance) -> dict:
 
 
 def instance_from_json(obj: dict, cap: int = DIM_CAP) -> ProblemInstance:
+    if not isinstance(obj, dict):
+        raise ValueError(f"instance JSON must be an object, got {type(obj).__name__}")
     try:
-        q0 = parse_circuit(obj["q0"], cap=cap)
-        q1 = parse_circuit(obj["q1"], cap=cap)
+        texts = [obj["q0"], obj["q1"]]
         kind = obj["kind"]
         a = float(obj["a"])
         b = float(obj["b"])
     except KeyError as exc:
         raise ValueError(f"instance JSON missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"instance JSON promise constants must be numbers: {exc}") from exc
+    for key, text in zip(("q0", "q1"), texts):
+        if not isinstance(text, str):
+            raise ValueError(
+                f"instance JSON field {key!r} must be circuit text, got {type(text).__name__}"
+            )
+    q0, q1 = (parse_circuit(text, cap=cap) for text in texts)
     return ProblemInstance(q0, q1, kind, a, b)

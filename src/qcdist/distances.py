@@ -168,15 +168,18 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _seesaw(ch0: Channel, ch1: Channel, ref_dim: int, rng, max_iters: int, rel_tol: float):
-    """One seesaw run; returns (value, psi, measurement, converged, history)."""
+    """One seesaw run; returns (value, psi, measurement, converged, history).
+
+    ``value`` is the Helstrom value at the returned ``psi``, whose
+    measurement is ``measurement``; it can sit up to MONOTONE_SLACK below
+    ``max(history)``.
+    """
     dim = ch0.dim_in * ref_dim
     psi = _random_unit(rng, dim)
-    evaluated = psi
     prev = -np.inf
     converged = False
     history: list[float] = []
-    m = np.zeros((ch0.dim_out * ref_dim,) * 2, dtype=np.complex128)
-    for _ in range(max_iters):
+    for _ in range(max_iters):  # OptimizerConfig guarantees max_iters >= 1
         evaluated = psi
         rho = np.outer(psi, psi.conj())
         delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
@@ -195,7 +198,7 @@ def _seesaw(ch0: Channel, ch1: Channel, ref_dim: int, rng, max_iters: int, rel_t
         k = (k + dag(k)) / 2
         _, vecs = spectral(k)
         psi = vecs[:, 0]
-    return max(history) if history else 0.0, evaluated, m, converged, history
+    return history[-1], evaluated, m, converged, history
 
 
 def diamond_norm(

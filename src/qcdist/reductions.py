@@ -21,6 +21,7 @@ a fixed basis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,6 +414,11 @@ def tensor_power(q0: Circuit, q1: Circuit, k: int, cap: int = DIM_CAP) -> tuple[
     )
 
 
+#: Natural log of the largest (b/2)^(-r) evaluated as a float; one below
+#: the overflow point leaves room for the rounding of the power.
+_LOG_POW_MAX = math.log(sys.float_info.max) - 1
+
+
 @dataclass(eq=False)
 class PolarizationParams:
     """Promise constants plus the derived stage sizes of the pipeline.
@@ -439,6 +445,15 @@ class PolarizationParams:
         # The epsilon guards keep exact integer ratios from rounding up.
         ratio = math.log(16 * self.n) / math.log(self.a**2 / (2 * self.b))
         self.r = math.ceil(ratio - 1e-9)
+        # s is sized in log space first: (b/2)^(-r) overflows a float long
+        # before the precision parameter looks unreasonable.
+        log_pow = -self.r * math.log(self.b / 2)
+        if log_pow > _LOG_POW_MAX:
+            log10_s = (log_pow - math.log(4)) / math.log(10)
+            raise SizeCapError(
+                f"precision {self.n} derives a tensor power of s ~ 10^{log10_s:.0f} "
+                f"copies (r = {self.r}); no size cap admits it"
+            )
         self.s = math.floor((self.b / 2) ** (-self.r) / 4 + 1e-9)
         self.t = (self.n + 2) // 2
 

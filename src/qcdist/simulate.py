@@ -5,6 +5,16 @@ The Choi matrix convention is J(Phi) = sum_ij Phi(|i><j|) (x) |i><j| with
 the output factor first and no normalization, so a trace-preserving map has
 tr_out J = I_in and an admissible map has J >= 0.  Kraus operators are
 recovered from scaled Choi eigenvectors.
+
+``choi_of`` picks its walk from observable widths.  It walks a stack of r
+Kraus operators of shape (r, 2^live, 2^n_in), starting from the identity;
+decohere and trace split each operator in two, and the halves that are
+exactly zero are dropped.  The first time r exceeds
+D = 2^live * 2^n_in, the stack is folded into the D x D matrix
+sum_k vec(K_k) vec(K_k)^dagger and the remaining gates run as one density
+walk with n_in reference qubits.  A circuit whose widest point has
+live + n_in > log2(cap) would put that matrix over the cap, so it is
+instead simulated once per input matrix unit |i><j| at its own width.
 """
 
 from __future__ import annotations
@@ -63,18 +73,18 @@ def require_density(rho, tol_herm=TOL_HERM, tol_trace=TOL_TRACE, tol_psd=TOL_PSD
     return rho
 
 
+def _act(u: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Apply the matrix u to the given qubit axes of the tensor t."""
+    a = len(axes)
+    t = np.tensordot(u.reshape([2] * (2 * a)), t, axes=(list(range(a, 2 * a)), axes))
+    return np.moveaxis(t, list(range(a)), axes)
+
+
 def _apply_unitary(rho: np.ndarray, u: np.ndarray, wires, n: int) -> np.ndarray:
     """Conjugate rho (n qubits) by u acting on the given wires."""
-    a = len(wires)
     dim = 2**n
-    t = rho.reshape([2] * (2 * n))
-    u_t = u.reshape([2] * (2 * a))
-    rows = list(wires)
-    t = np.tensordot(u_t, t, axes=(list(range(a, 2 * a)), rows))
-    t = np.moveaxis(t, list(range(a)), rows)
-    cols = [n + w for w in wires]
-    t = np.tensordot(u_t.conj(), t, axes=(list(range(a, 2 * a)), cols))
-    t = np.moveaxis(t, list(range(a)), cols)
+    t = _act(u, rho.reshape([2] * (2 * n)), list(wires))
+    t = _act(u.conj(), t, [n + w for w in wires])
     return t.reshape(dim, dim)
 
 
@@ -103,15 +113,19 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CA
     """
     replay_liveness(c, cap=cap)
     rho = as_matrix(rho)
-    live = c.n_in
-    total = live + ref_qubits
+    total = c.n_in + ref_qubits
     if rho.shape != (2**total, 2**total):
         raise ValueError(
             f"input operator is {rho.shape}, expected side {2**total} "
             f"for {c.n_in} input wires and {ref_qubits} reference qubits"
         )
-    max_wires = int(math.log2(cap))
-    for g in c.gates:
+    return _run_gates(rho, c.gates, c.n_in, ref_qubits, int(math.log2(cap)))
+
+
+def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, max_wires: int) -> np.ndarray:
+    """Density-matrix walk of ``gates`` over ``live`` wires then ``ref_qubits``."""
+    total = live + ref_qubits
+    for g in gates:
         if g.kind == "unitary":
             rho = _apply_unitary(rho, g.matrix, g.wires, total)
         elif g.kind == "decohere":
@@ -190,12 +204,10 @@ def _choi_to_kraus(choi: np.ndarray, n_in: int, n_out: int, tol_cp: float = TOL_
 
 
 def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
+    """sum_k vec(A_k) vec(A_k)^dagger as one matmul over the stacked operators."""
     d = 2 ** (n_in + n_out)
-    j = np.zeros((d, d), dtype=np.complex128)
-    for a in kraus:
-        vec = a.reshape(-1)
-        j += np.outer(vec, vec.conj())
-    return j
+    v = np.asarray(kraus, dtype=np.complex128).reshape(len(kraus), d)
+    return v.T @ v.conj()
 
 
 def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
@@ -235,22 +247,14 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
     return ch
 
 
-def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
-    """Extract the circuit's channel as a Choi matrix.
+def _matrix_unit_choi(c: Circuit, cap: int) -> np.ndarray:
+    """Choi matrix from one density walk per input matrix unit |i><j|, j >= i.
 
-    Runs the circuit once per input basis matrix unit |i><j| with j >= i
-    (the j < i blocks follow from Phi(X^dagger) = Phi(X)^dagger), which
-    keeps every simulation at the circuit's own width instead of doubling
-    it with reference qubits.  The result is checked for complete
-    positivity and trace preservation; a failure beyond tolerance is a
-    simulator bug, not a property of the circuit, and raises
-    InternalConsistencyError.
+    The j < i blocks follow from Phi(X^dagger) = Phi(X)^dagger, so every
+    walk stays at the circuit's own width.
     """
-    n = c.n_in
-    m = c.n_out
-    din = 2**n
-    dout = 2**m
-    linalg.check_cap(dout * din, cap, "Choi matrix")
+    din = 2**c.n_in
+    dout = 2**c.n_out
     blocks = np.zeros((dout, din, dout, din), dtype=np.complex128)
     for i in range(din):
         for j in range(i, din):
@@ -260,7 +264,76 @@ def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
             blocks[:, i, :, j] = out
             if j != i:
                 blocks[:, j, :, i] = dag(out)
-    choi = blocks.reshape(dout * din, dout * din)
+    return blocks.reshape(dout * din, dout * din)
+
+
+def _kraus_walk_choi(c: Circuit, max_wires: int) -> np.ndarray:
+    """Choi matrix from one walk of a Kraus stack, finished densely if needed.
+
+    The stack K has shape (r, 2^live, 2^n_in) and starts as the identity.
+    A unitary acts on the live axes; decohere and trace split every
+    operator in two on the gate's bit, keeping the nonzero halves; ancilla
+    appends a |0> axis.  Once r exceeds D = 2^live * 2^n_in the stack
+    outweighs the D x D matrix sum_k vec(K_k) vec(K_k)^dagger it stands
+    for, so that matrix is formed once and the remaining gates run as a
+    density walk with n_in reference qubits.
+    """
+    n = c.n_in
+    din = 2**n
+    k = np.eye(din, dtype=np.complex128)[None]
+    live = n
+    for idx, g in enumerate(c.gates):
+        r = k.shape[0]
+        if g.kind == "unitary":
+            t = _act(g.matrix, k.reshape((r,) + (2,) * live + (din,)), [1 + w for w in g.wires])
+            k = t.reshape(r, 2**live, din)
+        elif g.kind == "decohere":
+            w = g.wires[0]
+            t = k.reshape(r, 2**w, 2, -1)
+            split = np.zeros((2,) + t.shape, dtype=np.complex128)
+            split[0, :, :, 0] = t[:, :, 0]
+            split[1, :, :, 1] = t[:, :, 1]
+            k = split.reshape(2 * r, 2**live, din)
+        elif g.kind == "ancilla":
+            grown = np.zeros((r, 2**live, 2, din), dtype=np.complex128)
+            grown[:, :, 0] = k
+            live += 1
+            k = grown.reshape(r, 2**live, din)
+        elif g.kind == "trace":
+            t = k.reshape(r, 2 ** g.wires[0], 2, -1)
+            live -= 1
+            k = np.moveaxis(t, 2, 0).reshape(2 * r, 2**live, din)
+        else:
+            raise ValueError(f"unknown gate kind {g.kind!r}")
+        if g.kind in ("decohere", "trace"):
+            # a split on a bit still in a basis state leaves exact zeros
+            k = k[k.reshape(k.shape[0], -1).any(axis=1)]
+        if k.shape[0] > 2**live * din:
+            rho = _choi_from_kraus(k, n, live)
+            return _run_gates(rho, c.gates[idx + 1 :], live, n, max_wires)
+    return _choi_from_kraus(k, n, live)
+
+
+def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
+    """Extract the circuit's channel as a Choi matrix.
+
+    One walk of a Kraus stack from the identity, finished as a density walk
+    with n_in reference qubits once the stack outgrows it; a circuit too
+    wide for that reference walk under ``cap`` is run once per input
+    matrix unit instead (module docstring).  The result is checked for
+    complete positivity and trace preservation; a failure beyond tolerance
+    is a simulator bug, not a property of the circuit, and raises
+    InternalConsistencyError.
+    """
+    counts = replay_liveness(c, cap=cap)
+    n = c.n_in
+    m = counts[-1]
+    linalg.check_cap(2 ** (m + n), cap, "Choi matrix")
+    max_wires = int(math.log2(cap))
+    if max(counts) + n > max_wires:
+        choi = _matrix_unit_choi(c, cap)
+    else:
+        choi = _kraus_walk_choi(c, max_wires)
     choi = (choi + dag(choi)) / 2
     ch = Channel(n, m, choi, _choi_to_kraus(choi, n, m))
     problems = _check_channel(ch)

@@ -136,6 +136,40 @@ def test_reduce_polarize_derived_params_exit_3(workdir, capsys):
     assert out["certificate"]["s"] == 1024
 
 
+def test_reduce_polarize_astronomical_precision_exit_3(workdir, capsys):
+    # a=1, b=0.49 gives r = 822 and (b/2)^-r beyond any float
+    inst = ProblemInstance(identity_circuit(), decohere_circuit(), "QCD", 1.0, 0.49)
+    path = workdir / "inst_tight.json"
+    path.write_text(dumps(instance_to_json(inst)))
+    code, out = run_cli(
+        capsys, "reduce", "polarize", path, "--precision", 1000000, "--out", workdir / "sx"
+    )
+    assert code == 3
+    assert out["error"] == "size_cap"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["circuit id inputs 1\\nend\\n"]',
+        '{"q0": 3, "q1": "circuit id inputs 1\\nend\\n", "kind": "QCD", "a": 1, "b": 0.5}',
+        '{"q0": "circuit id inputs 1\\nend\\n", "q1": ["x"], "kind": "QCD", "a": 1, "b": 0.5}',
+        '{"q0": "circuit id inputs 1\\nend\\n", "q1": "circuit id inputs 1\\nend\\n", '
+        '"kind": "QCD", "a": [1], "b": 0.5}',
+    ],
+    ids=["top_level_list", "q0_number", "q1_list", "a_list"],
+)
+def test_malformed_instance_json_exit_2(workdir, capsys, text):
+    path = workdir / "malformed.json"
+    path.write_text(text)
+    for argv in (["reduce", "ci2qcd", path, "--out", workdir], ["protocol", path]):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: instance JSON")
+
+
 def test_reduce_polarize_override(workdir, capsys):
     out_dir = workdir / "sout"
     code, out = run_cli(

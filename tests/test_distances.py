@@ -20,6 +20,7 @@ from helpers import (
     depolarizing_circuit,
     identity_circuit,
     purification,
+    random_11_circuit,
     random_density,
     random_state,
     z_circuit,
@@ -126,6 +127,21 @@ def test_diamond_witness_is_self_consistent():
     assert np.abs(m - m.conj().T).max() < 1e-9
     achieved = 2 * np.trace(m @ delta).real - np.trace(delta).real
     assert abs(achieved - w.value) < 1e-9
+
+
+def test_diamond_value_is_helstrom_value_at_witness():
+    # The last seesaw iterate can sit a few ulps below the best one, so the
+    # reported value must come from the returned psi, not from the history.
+    rng = np.random.default_rng(2)
+    ch0 = choi_of(random_11_circuit(rng, "a"))
+    ch1 = choi_of(random_11_circuit(rng, "b"))
+    for seed in range(8):
+        w = diamond_norm(ch0, ch1, OptimizerConfig(restarts=1, seed=seed))
+        rho = np.outer(w.psi, w.psi.conj())
+        delta = channel_apply_ext(ch0, rho, 2) - channel_apply_ext(ch1, rho, 2)
+        m, value = helstrom((delta + delta.conj().T) / 2)
+        assert value == w.value
+        assert np.array_equal(m, w.measurement)
 
 
 def test_diamond_norm_against_grid_oracle():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcdist.circuits import parse_circuit
+from qcdist import simulate as simulate_mod
+from qcdist.circuits import (
+    Circuit,
+    ancilla_gate,
+    decohere_gate,
+    parse_circuit,
+    trace_gate,
+    unitary_gate,
+)
 from qcdist.distances import trace_norm
 from qcdist.simulate import (
     Channel,
@@ -26,6 +35,7 @@ from helpers import (
     random_density,
     random_hermitian,
     random_state,
+    random_unitary,
     z_circuit,
 )
 
@@ -207,3 +217,121 @@ def test_channel_from_choi_validates():
     assert len(ch.kraus) == 2
     with pytest.raises(ValueError, match="admissible"):
         channel_from_choi(1, 1, np.eye(4, dtype=complex))  # not trace preserving
+
+
+def _matrix_unit_reference(c, cap=4096):
+    j = simulate_mod._matrix_unit_choi(c, cap)
+    return (j + j.conj().T) / 2
+
+
+def _spy(monkeypatch, name):
+    """Record the calls made to a module-level function of simulate."""
+    calls = []
+    real = getattr(simulate_mod, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_mod, name, spy)
+    return calls
+
+
+def test_kraus_walk_matches_matrix_units_below_switch(monkeypatch):
+    # two inputs widened to four live wires (D = 64 before the trace, 32
+    # after); two decoheres and one trace keep the stack at r <= 8
+    rng = np.random.default_rng(11)
+    circuits = []
+    for _ in range(5):
+        u2 = lambda a, b: unitary_gate(random_unitary(rng, 4), (a, b))
+        gates = [ancilla_gate(), ancilla_gate(), u2(0, 2), u2(3, 1), decohere_gate(2),
+                 u2(1, 2), decohere_gate(0), u2(3, 0), trace_gate(1), u2(2, 0)]
+        circuits.append(Circuit("low", 2, gates))
+    refs = [_matrix_unit_reference(c) for c in circuits]
+    switches = _spy(monkeypatch, "_run_gates")
+    for c, ref in zip(circuits, refs):
+        ch = choi_of(c)
+        assert np.abs(ch.choi - ref).max() < 1e-12
+    assert switches == []
+
+
+def test_kraus_walk_drops_exact_zero_halves(monkeypatch):
+    # tracing a fresh ancilla leaves one half of every operator exactly zero;
+    # kept, those halves would double r forty times and force the switch
+    rng = np.random.default_rng(14)
+    gates = [unitary_gate(random_unitary(rng, 2), (0,))]
+    for _ in range(20):
+        gates += [ancilla_gate(), decohere_gate(1), trace_gate(1)]
+    c = Circuit("fresh", 1, gates)
+    switches = _spy(monkeypatch, "_run_gates")
+    ch = choi_of(c)
+    assert switches == []
+    assert len(ch.kraus) == 1
+    assert np.abs(ch.choi - choi_of(Circuit("u", 1, gates[:1])).choi).max() < 1e-12
+
+
+def test_kraus_walk_switches_to_density_walk_past_d(monkeypatch):
+    # decohere-heavy: ten decoheres on two live wires (D = 8) push r past D
+    rng = np.random.default_rng(12)
+    gates = [ancilla_gate()]
+    for _ in range(5):
+        gates += [unitary_gate(random_unitary(rng, 4), (0, 1)), decohere_gate(0), decohere_gate(1)]
+    gates.append(trace_gate(1))
+    c = Circuit("heavy", 1, gates)
+    ref = _matrix_unit_reference(c)
+    switches = _spy(monkeypatch, "_run_gates")
+    ch = choi_of(c)
+    assert np.abs(ch.choi - ref).max() < 1e-12
+    assert len(switches) == 1
+    assert 0 < len(switches[0][1]) < len(gates)  # the walk switched mid-circuit
+
+
+def test_over_cap_width_falls_back_to_matrix_units(monkeypatch):
+    # widest point 4 live wires + 2 inputs = 6 > log2(32)
+    rng = np.random.default_rng(13)
+    gates = [ancilla_gate(), ancilla_gate(),
+             unitary_gate(random_unitary(rng, 8), (0, 2, 3)), decohere_gate(3),
+             unitary_gate(random_unitary(rng, 4), (1, 3)), trace_gate(3), trace_gate(0)]
+    c = Circuit("wide", 2, gates)
+    walked = choi_of(c).choi
+    walks = _spy(monkeypatch, "simulate")
+    ch = choi_of(c, cap=32)
+    assert len(walks) == 4 * 5 // 2  # one per matrix unit |i><j|, j >= i
+    assert np.abs(ch.choi - walked).max() < 1e-12
+
+
+@st.composite
+def small_circuits(draw, max_in=3, max_live=5):
+    """Valid circuits on at most ``max_in`` inputs and ``max_live`` live wires."""
+    n_in = draw(st.integers(0, max_in))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live, gates = n_in, []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["ancilla"] if live < max_live else []
+        if live >= 1:
+            kinds += ["u1", "decohere", "trace"]
+        if live >= 2:
+            kinds.append("u2")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "ancilla":
+            gates.append(ancilla_gate())
+            live += 1
+        elif kind == "u2":
+            wires = draw(st.lists(st.integers(0, live - 1), min_size=2, max_size=2, unique=True))
+            gates.append(unitary_gate(random_unitary(rng, 4), wires))
+        else:
+            w = draw(st.integers(0, live - 1))
+            if kind == "u1":
+                gates.append(unitary_gate(random_unitary(rng, 2), (w,)))
+            elif kind == "decohere":
+                gates.append(decohere_gate(w))
+            else:
+                gates.append(trace_gate(w))
+                live -= 1
+    return Circuit("gen", n_in, gates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_circuits())
+def test_kraus_walk_matches_matrix_units_property(c):
+    assert np.abs(choi_of(c).choi - _matrix_unit_reference(c)).max() < 1e-12
