@@ -27,7 +27,7 @@ plus = np.full((2, 2), 0.5, dtype=complex)
 print("\n|+><+| goes to:")
 print(np.round(apply(circuit, plus), 6))
 
-# The channel object carries the Choi matrix and Kraus operators.
+# The channel object is its Choi matrix; Kraus operators are extracted from it.
 channel = choi_of(circuit)
 print("\nChoi matrix (output factor first):")
 print(np.round(channel.choi.real, 6))

@@ -42,9 +42,10 @@ from .simulate import (
     Channel,
     InternalConsistencyError,
     NotCompletelyPositiveError,
-    adjoint_apply,
+    adjoint_apply_ext,
     apply,
     apply_extended,
+    channel_apply_ext,
     channel_from_choi,
     channel_mix,
     channel_tensor,

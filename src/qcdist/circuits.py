@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DIM_CAP, SizeCapError, as_matrix, dag
+from .linalg import DIM_CAP, SizeCapError, as_matrix, check_wires, dag
 from .jsonutil import format_float
 
 TOL_UNITARY = 1e-9
@@ -51,17 +51,17 @@ STANDARD_GATES: dict[str, np.ndarray] = {
 
 
 class CircuitError(ValueError):
-    """Base class for circuit IR failures."""
-
-
-class CircuitParseError(CircuitError):
-    """Syntax or structural failure while parsing circuit text."""
+    """Base class for circuit IR failures; ``line`` is the source line, if any."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class CircuitParseError(CircuitError):
+    """Syntax or structural failure while parsing circuit text."""
 
 
 class LivenessError(CircuitError):
@@ -69,20 +69,11 @@ class LivenessError(CircuitError):
 
     def __init__(self, message: str, wire: int | None = None, line: int | None = None):
         self.wire = wire
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message, line)
 
 
 class UnitarityError(CircuitError):
     """A unitary gate's matrix fails U^dagger U = I within tolerance."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +162,7 @@ def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = No
     """
     live = c.n_in
     counts = [live]
-    max_wires = int(math.log2(cap))
-    if live > max_wires:
-        raise SizeCapError(
-            f"{live} input wires exceed the cap of {max_wires} (2^{max_wires} = {cap})"
-        )
+    check_wires(live, cap, "input wires")
     for idx, g in enumerate(c.gates):
         line = lines[idx] if lines is not None else None
         where = f"gate {idx + 1}" if line is None else "gate"
@@ -188,10 +175,7 @@ def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = No
                 )
         if g.kind == "ancilla":
             live += 1
-            if live > max_wires:
-                raise SizeCapError(
-                    f"{live} live wires exceed the cap of {max_wires} (2^{max_wires} = {cap})"
-                )
+            check_wires(live, cap)
         elif g.kind == "trace":
             live -= 1
         counts.append(live)
@@ -201,18 +185,14 @@ def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = No
 def validate(c: Circuit, cap: int = DIM_CAP) -> list[str]:
     """Structural validation report; empty iff the circuit is valid.
 
-    Checks gate shapes, wire distinctness, unitarity, liveness bookkeeping,
-    and the dimension cap.  Never raises; admissibility of the realized
-    channel is checked downstream via the Choi matrix.
+    Checks gate shapes, wire distinctness and unitarity gate by gate, then
+    liveness and the dimension cap through :func:`replay_liveness`.  Never
+    raises; admissibility of the realized channel is checked downstream
+    via the Choi matrix.
     """
     report: list[str] = []
     if c.n_in < 0:
         report.append(f"n_in is negative: {c.n_in}")
-        return report
-    live = c.n_in
-    max_wires = int(math.log2(cap))
-    if live > max_wires:
-        report.append(f"{live} input wires exceed the cap of {max_wires}")
         return report
     for idx, g in enumerate(c.gates):
         tag = f"gate {idx + 1} ({g.kind})"
@@ -237,20 +217,10 @@ def validate(c: Circuit, cap: int = DIM_CAP) -> list[str]:
                 report.append(f"{tag}: takes exactly one wire, got {g.wires}")
         else:
             report.append(f"{tag}: unknown gate kind {g.kind!r}")
-            continue
-        bad = [w for w in g.wires if w < 0 or w >= live]
-        if bad:
-            report.append(
-                f"{tag}: references wire {bad[0]} but only wires 0..{live - 1} are live"
-            )
-            return report
-        if g.kind == "ancilla":
-            live += 1
-            if live > max_wires:
-                report.append(f"{tag}: {live} live wires exceed the cap of {max_wires}")
-                return report
-        elif g.kind == "trace":
-            live -= 1
+    try:
+        replay_liveness(c, cap)
+    except (LivenessError, SizeCapError) as exc:
+        report.append(str(exc))
     return report
 
 

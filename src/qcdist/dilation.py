@@ -15,13 +15,12 @@ relies on this shared layout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, Gate, named_gate, unitary_gate
-from .linalg import DIM_CAP, SizeCapError, as_matrix, partial_trace
+from .linalg import DIM_CAP, as_matrix, check_wires, partial_trace
 from .simulate import simulate
 
 SWAP = np.array(
@@ -65,7 +64,6 @@ def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
     garbage: list[int] = []
     next_fresh = n
     gates: list[Gate] = []
-    max_wires = int(math.log2(cap))
     for g in c.gates:
         if g.kind == "unitary":
             gates.append(
@@ -82,10 +80,7 @@ def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
             next_fresh += 1
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-        if next_fresh > max_wires:
-            raise SizeCapError(
-                f"dilation needs {next_fresh} wires, exceeding the cap of {max_wires}"
-            )
+        check_wires(next_fresh, cap, "dilation wires")
     n_wires = next_fresh
     k = n_wires - n
     m = len(mapping)

@@ -12,6 +12,8 @@ sides <= 256 leaves ample headroom for the defaults below.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TOL_HERM = 1e-9
@@ -36,6 +38,20 @@ def check_cap(dim: int, cap: int = DIM_CAP, context: str = "matrix") -> None:
             f"{context} dimension {dim} exceeds the cap {cap}; "
             "refusing rather than truncating"
         )
+
+
+def check_wires(wires: int, cap: int = DIM_CAP, context: str = "live wires") -> int:
+    """Refuse ``wires`` qubits if their matrix side 2^wires would exceed ``cap``.
+
+    Returns the wire limit floor(log2(cap)).  The check is arithmetic, so
+    callers make it before allocating anything of that width.
+    """
+    limit = int(math.log2(cap))
+    if wires > limit:
+        raise SizeCapError(
+            f"{wires} {context} exceed the cap of {limit} wires (2^{limit} = {cap})"
+        )
+    return limit
 
 
 def as_matrix(x) -> np.ndarray:

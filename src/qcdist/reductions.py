@@ -32,11 +32,12 @@ from .circuits import (
     ancilla_gate,
     decohere_gate,
     named_gate,
+    replay_liveness,
     trace_gate,
     unitary_gate,
 )
 from .dilation import SWAP, DilatedCircuit, dilate
-from .linalg import DIM_CAP, SizeCapError
+from .linalg import DIM_CAP, SizeCapError, check_wires
 
 
 class ConstructionError(ValueError):
@@ -222,20 +223,14 @@ class _WireTracker:
     """
 
     def __init__(self, n_in: int, cap: int = DIM_CAP):
+        check_wires(n_in, cap, "input wires")
         self.gates: list[Gate] = []
         self.pos: dict[object, int] = {i: i for i in range(n_in)}
         self.live = n_in
-        self.max_wires = int(math.log2(cap))
-        if n_in > self.max_wires:
-            raise SizeCapError(
-                f"{n_in} input wires exceed the cap of {self.max_wires}"
-            )
+        self.cap = cap
 
     def ancilla(self, handle) -> None:
-        if self.live + 1 > self.max_wires:
-            raise SizeCapError(
-                f"{self.live + 1} live wires exceed the cap of {self.max_wires}"
-            )
+        check_wires(self.live + 1, self.cap)
         self.gates.append(ancilla_gate())
         self.pos[handle] = self.live
         self.live += 1
@@ -354,6 +349,11 @@ def mix_with_parity(pairs, odd: bool, name: str, cap: int = DIM_CAP) -> Circuit:
     return Circuit(name, n_total, tuple(tracker.gates))
 
 
+def _end_width(q0: Circuit, q1: Circuit, cap: int) -> int:
+    """Widest end of either circuit: a k-fold composition holds k times this."""
+    return max(max(q.n_in, replay_liveness(q, cap)[-1]) for q in (q0, q1))
+
+
 def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Circuit, Circuit]:
     """Even/odd parity mixtures of r-fold branch products of (q0, q1).
 
@@ -365,6 +365,8 @@ def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Ci
         raise ConstructionError(f"parity order must be >= 1, got {r}")
     if r == 1:
         return q0, q1
+    # every block's outputs and the parity wire are live before the last trace
+    check_wires(r * _end_width(q0, q1, cap) + 1, cap, f"wires of a {r}-block parity mixture")
     pairs = [(q0, q1)] * r
     return (
         mix_with_parity(pairs, odd=False, name="p0", cap=cap),
@@ -408,6 +410,7 @@ def tensor_power(q0: Circuit, q1: Circuit, k: int, cap: int = DIM_CAP) -> tuple[
         raise ConstructionError(f"tensor power must be >= 1, got {k}")
     if k == 1:
         return q0, q1
+    check_wires(k * _end_width(q0, q1, cap), cap, f"wires of {k} copies")
     return (
         _tensor_copies(q0, k, "t0", cap),
         _tensor_copies(q1, k, "t1", cap),

@@ -3,8 +3,11 @@
 Wires are qubits with wire 0 most significant in the computational basis.
 The Choi matrix convention is J(Phi) = sum_ij Phi(|i><j|) (x) |i><j| with
 the output factor first and no normalization, so a trace-preserving map has
-tr_out J = I_in and an admissible map has J >= 0.  Kraus operators are
-recovered from scaled Choi eigenvectors.
+tr_out J = I_in and an admissible map has J >= 0.  A ``Channel`` is its Choi
+matrix and nothing else.  Its action with a reference system,
+(Phi (x) I)(X), and the adjoint action are one matmul each against J with
+its axes permuted (``_contract``); Kraus operators are recovered from
+scaled Choi eigenvectors only on request (``kraus_of``).
 
 ``choi_of`` picks its walk from observable widths.  It walks a stack of r
 Kraus operators of shape (r, 2^live, 2^n_in), starting from the identity;
@@ -30,8 +33,8 @@ from .linalg import (
     TOL_HERM,
     TOL_PSD,
     TOL_TRACE,
-    SizeCapError,
     as_matrix,
+    check_wires,
     dag,
     herm_defect,
     partial_trace,
@@ -119,10 +122,10 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CA
             f"input operator is {rho.shape}, expected side {2**total} "
             f"for {c.n_in} input wires and {ref_qubits} reference qubits"
         )
-    return _run_gates(rho, c.gates, c.n_in, ref_qubits, int(math.log2(cap)))
+    return _run_gates(rho, c.gates, c.n_in, ref_qubits, cap)
 
 
-def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, max_wires: int) -> np.ndarray:
+def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> np.ndarray:
     """Density-matrix walk of ``gates`` over ``live`` wires then ``ref_qubits``."""
     total = live + ref_qubits
     for g in gates:
@@ -131,10 +134,7 @@ def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, max_wires: in
         elif g.kind == "decohere":
             rho = _decohere(rho, g.wires[0], total)
         elif g.kind == "ancilla":
-            if total + 1 > max_wires:
-                raise SizeCapError(
-                    f"{total + 1} qubits mid-circuit exceed the cap of {max_wires}"
-                )
+            check_wires(total + 1, cap, "qubits mid-circuit")
             rho = _insert_zero_qubit(rho, live, total)
             live += 1
             total += 1
@@ -173,12 +173,11 @@ def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int, cap: int = DIM_
 
 @dataclass(eq=False)
 class Channel:
-    """Concrete superoperator: Choi matrix plus derived Kraus operators."""
+    """Concrete superoperator on qubits, held as its Choi matrix."""
 
     n_in: int
     n_out: int
     choi: np.ndarray
-    kraus: tuple[np.ndarray, ...]
 
     @property
     def dim_in(self) -> int:
@@ -189,20 +188,6 @@ class Channel:
         return 2**self.n_out
 
 
-def _choi_to_kraus(choi: np.ndarray, n_in: int, n_out: int, tol_cp: float = TOL_PSD):
-    din, dout = 2**n_in, 2**n_out
-    w, v = spectral(choi)
-    if w[-1] < -tol_cp:
-        raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {w[-1]:.3e}; the map is not completely positive"
-        )
-    ops = []
-    for i in range(len(w)):
-        if w[i] > KRAUS_EIG_CUTOFF:
-            ops.append(math.sqrt(w[i]) * v[:, i].reshape(dout, din))
-    return tuple(ops)
-
-
 def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
     """sum_k vec(A_k) vec(A_k)^dagger as one matmul over the stacked operators."""
     d = 2 ** (n_in + n_out)
@@ -211,6 +196,7 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
 
 
 def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
+    """Hermiticity, complete positivity and trace preservation of the Choi matrix."""
     problems = []
     d = herm_defect(ch.choi)
     if d > tol:
@@ -223,14 +209,6 @@ def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
     tp_defect = float(np.abs(tp - np.eye(ch.dim_in)).max())
     if tp_defect > tol:
         problems.append(f"not trace preserving: tr_out(choi) deviates by {tp_defect:.3e}")
-    ksum = sum(dag(a) @ a for a in ch.kraus) if ch.kraus else np.zeros((ch.dim_in,) * 2)
-    ksum_defect = float(np.abs(ksum - np.eye(ch.dim_in)).max())
-    if ksum_defect > tol:
-        problems.append(f"Kraus completeness deviates by {ksum_defect:.3e}")
-    rebuild = _choi_from_kraus(ch.kraus, ch.n_in, ch.n_out)
-    rb_defect = float(np.abs(rebuild - ch.choi).max())
-    if rb_defect > tol:
-        problems.append(f"Kraus rebuild of Choi deviates by {rb_defect:.3e}")
     return problems
 
 
@@ -240,7 +218,7 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
     d = 2 ** (n_in + n_out)
     if choi.shape != (d, d):
         raise ValueError(f"Choi matrix is {choi.shape}, expected {(d, d)}")
-    ch = Channel(n_in, n_out, choi, _choi_to_kraus(choi, n_in, n_out))
+    ch = Channel(n_in, n_out, choi)
     problems = _check_channel(ch)
     if problems:
         raise ValueError("not an admissible channel: " + "; ".join(problems))
@@ -267,7 +245,7 @@ def _matrix_unit_choi(c: Circuit, cap: int) -> np.ndarray:
     return blocks.reshape(dout * din, dout * din)
 
 
-def _kraus_walk_choi(c: Circuit, max_wires: int) -> np.ndarray:
+def _kraus_walk_choi(c: Circuit, cap: int) -> np.ndarray:
     """Choi matrix from one walk of a Kraus stack, finished densely if needed.
 
     The stack K has shape (r, 2^live, 2^n_in) and starts as the identity.
@@ -310,7 +288,7 @@ def _kraus_walk_choi(c: Circuit, max_wires: int) -> np.ndarray:
             k = k[k.reshape(k.shape[0], -1).any(axis=1)]
         if k.shape[0] > 2**live * din:
             rho = _choi_from_kraus(k, n, live)
-            return _run_gates(rho, c.gates[idx + 1 :], live, n, max_wires)
+            return _run_gates(rho, c.gates[idx + 1 :], live, n, cap)
     return _choi_from_kraus(k, n, live)
 
 
@@ -329,13 +307,12 @@ def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), cap, "Choi matrix")
-    max_wires = int(math.log2(cap))
-    if max(counts) + n > max_wires:
+    # the reference walk would hold the widest point plus n reference qubits
+    if max(counts) + n > check_wires(max(counts), cap):
         choi = _matrix_unit_choi(c, cap)
     else:
-        choi = _kraus_walk_choi(c, max_wires)
-    choi = (choi + dag(choi)) / 2
-    ch = Channel(n, m, choi, _choi_to_kraus(choi, n, m))
+        choi = _kraus_walk_choi(c, cap)
+    ch = Channel(n, m, (choi + dag(choi)) / 2)
     problems = _check_channel(ch)
     if problems:
         raise InternalConsistencyError(
@@ -345,71 +322,77 @@ def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
 
 
 def kraus_of(ch: Channel) -> list[np.ndarray]:
-    """Kraus operators from scaled eigenvectors of the Choi matrix."""
-    return list(_choi_to_kraus(ch.choi, ch.n_in, ch.n_out))
+    """Kraus operators A_k from scaled eigenvectors of the Choi matrix.
+
+    The only place Kraus operators are produced.  A Choi eigenvalue below
+    -TOL_PSD raises NotCompletelyPositiveError; eigenvalues up to
+    KRAUS_EIG_CUTOFF are dropped.  The operators are then checked to be
+    complete (sum_k A_k^dagger A_k = I) and to rebuild J, and a deviation
+    beyond TOL_CHANNEL raises InternalConsistencyError.
+    """
+    w, v = spectral(ch.choi)
+    if w[-1] < -TOL_PSD:
+        raise NotCompletelyPositiveError(
+            f"Choi matrix has eigenvalue {w[-1]:.3e}; the map is not completely positive"
+        )
+    keep = w > KRAUS_EIG_CUTOFF
+    ops = list((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, ch.dim_out, ch.dim_in))
+    ksum = sum((dag(a) @ a for a in ops), np.zeros((ch.dim_in, ch.dim_in)))
+    ksum_defect = float(np.abs(ksum - np.eye(ch.dim_in)).max())
+    rb_defect = float(np.abs(_choi_from_kraus(ops, ch.n_in, ch.n_out) - ch.choi).max())
+    if max(ksum_defect, rb_defect) > TOL_CHANNEL:
+        raise InternalConsistencyError(
+            f"Kraus operators deviate: completeness by {ksum_defect:.3e}, "
+            f"rebuild of Choi by {rb_defect:.3e}"
+        )
+    return ops
 
 
-def channel_apply(ch: Channel, x) -> np.ndarray:
-    """Phi(x) = sum_i A_i x A_i^dagger; linear, defined for any operator x."""
+def _contract(j4: np.ndarray, x, ref_dim: int) -> np.ndarray:
+    """out[(o r), (p s)] = sum_ij j4[o, i, p, j] x[(i r), (j s)], as one matmul.
+
+    The kernel j4 is permuted to (o p, i j) and multiplied against x
+    permuted to (i j, r s).
+    """
+    dout, din = j4.shape[:2]
     x = as_matrix(x)
-    if x.shape != (ch.dim_in, ch.dim_in):
-        raise ValueError(f"operator is {x.shape}, channel input dim is {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-    for a in ch.kraus:
-        out += a @ x @ dag(a)
-    return out
+    if x.shape != (din * ref_dim, din * ref_dim):
+        raise ValueError(f"operator is {x.shape}, expected side {din * ref_dim}")
+    k = j4.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+    xs = x.reshape(din, ref_dim, din, ref_dim).transpose(0, 2, 1, 3).reshape(din * din, -1)
+    out = (k @ xs).reshape(dout, dout, ref_dim, ref_dim)
+    return out.transpose(0, 2, 1, 3).reshape(dout * ref_dim, dout * ref_dim)
 
 
 def channel_apply_ext(ch: Channel, x, ref_dim: int) -> np.ndarray:
-    """(Phi (x) I_ref)(x) for an operator on input (x) reference."""
-    x = as_matrix(x)
-    side = ch.dim_in * ref_dim
-    if x.shape != (side, side):
-        raise ValueError(f"operator is {x.shape}, expected side {side}")
-    if not ch.kraus:
-        return np.zeros((ch.dim_out * ref_dim,) * 2, dtype=np.complex128)
-    k = np.stack(ch.kraus)
-    x4 = x.reshape(ch.dim_in, ref_dim, ch.dim_in, ref_dim)
-    out = np.einsum("koi,irjs,kpj->orps", k, x4, k.conj(), optimize=True)
-    return out.reshape(ch.dim_out * ref_dim, ch.dim_out * ref_dim)
-
-
-def adjoint_apply(ch: Channel, m) -> np.ndarray:
-    """Dual action Phi^dagger(M) = sum_i A_i^dagger M A_i (unital for TP maps)."""
-    m = as_matrix(m)
-    if m.shape != (ch.dim_out, ch.dim_out):
-        raise ValueError(f"operator is {m.shape}, channel output dim is {ch.dim_out}")
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=np.complex128)
-    for a in ch.kraus:
-        out += dag(a) @ m @ a
-    return out
+    """(Phi (x) I_ref)(x) for any operator x on input (x) reference."""
+    return _contract(ch.choi.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in), x, ref_dim)
 
 
 def adjoint_apply_ext(ch: Channel, m, ref_dim: int) -> np.ndarray:
-    """(Phi^dagger (x) I_ref)(M) for an operator on output (x) reference."""
-    m = as_matrix(m)
-    side = ch.dim_out * ref_dim
-    if m.shape != (side, side):
-        raise ValueError(f"operator is {m.shape}, expected side {side}")
-    if not ch.kraus:
-        return np.zeros((ch.dim_in * ref_dim,) * 2, dtype=np.complex128)
-    k = np.stack(ch.kraus)
-    m4 = m.reshape(ch.dim_out, ref_dim, ch.dim_out, ref_dim)
-    out = np.einsum("koi,orps,kpj->irjs", k.conj(), m4, k, optimize=True)
-    return out.reshape(ch.dim_in * ref_dim, ch.dim_in * ref_dim)
+    """(Phi^dagger (x) I_ref)(M) for any operator M on output (x) reference.
+
+    Phi^dagger(M) = sum_k A_k^dagger M A_k has the kernel conj(J) with the
+    input and output axes swapped.
+    """
+    j4 = ch.choi.conj().reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return _contract(j4.transpose(1, 0, 3, 2), m, ref_dim)
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
     """Parallel composition Phi (x) Psi (first channel on the leading qubits)."""
-    kraus = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
     n_in = a.n_in + b.n_in
     n_out = a.n_out + b.n_out
-    linalg.check_cap(2 ** (n_in + n_out), context="tensored Choi")
-    return Channel(n_in, n_out, _choi_from_kraus(kraus, n_in, n_out), kraus)
+    side = 2 ** (n_in + n_out)
+    linalg.check_cap(side, context="tensored Choi")
+    # kron(Ja, Jb) is ordered (oa ia ob ib); the Choi convention wants (oa ob ia ib)
+    k = np.kron(a.choi, b.choi).reshape((a.dim_out, a.dim_in, b.dim_out, b.dim_in) * 2)
+    choi = k.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
+    return Channel(n_in, n_out, choi)
 
 
 def channel_mix(channels, weights) -> Channel:
-    """Convex mixture of channels of equal type."""
+    """Convex mixture of channels of equal type: the weighted sum of Choi matrices."""
     channels = list(channels)
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
@@ -419,8 +402,7 @@ def channel_mix(channels, weights) -> Channel:
     n_in, n_out = channels[0].n_in, channels[0].n_out
     if any(ch.n_in != n_in or ch.n_out != n_out for ch in channels):
         raise ValueError("mixed channels must agree on type")
-    choi = sum(w * ch.choi for w, ch in zip(weights, channels))
-    return Channel(n_in, n_out, choi, _choi_to_kraus(choi, n_in, n_out))
+    return Channel(n_in, n_out, sum(w * ch.choi for w, ch in zip(weights, channels)))
 
 
 def density_to_json(rho) -> dict:

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from qcdist.simulate import kraus_of
+
 
 def hyperspherical_grid(dim, n_theta=5, n_phase=6):
     """Deterministic grid of unit vectors in C^dim.
@@ -54,8 +56,8 @@ def grid_max_output_tnorm(ch0, ch1, states=None):
     din = ch0.dim_in
     if states is None:
         states = hyperspherical_grid(din * din)
-    rho0 = _apply_ext_batch(ch0.kraus, states, din, din)
-    rho1 = _apply_ext_batch(ch1.kraus, states, din, din)
+    rho0 = _apply_ext_batch(kraus_of(ch0), states, din, din)
+    rho1 = _apply_ext_batch(kraus_of(ch1), states, din, din)
     w = np.linalg.eigvalsh(rho0 - rho1)
     values = np.abs(w).sum(axis=1)
     best = int(np.argmax(values))

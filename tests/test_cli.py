@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qcdist import reductions, simulate
 from qcdist.cli import main
 from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
 from qcdist.jsonutil import dumps
@@ -46,6 +47,19 @@ def test_validate_liveness_failure(workdir, capsys):
     assert code == 1
     assert not out["valid"]
     assert any("wire" in v for v in out["violations"])
+
+
+def test_validate_non_cp_channel_is_a_violation(workdir, capsys, monkeypatch):
+    # trace preserving but not completely positive: Choi eigenvalues 2.5 and -0.5
+    choi = np.zeros((4, 4), dtype=complex)
+    choi[0, 0] = choi[3, 3] = 1.0
+    choi[0, 3] = choi[3, 0] = 1.5
+    monkeypatch.setattr(simulate, "_kraus_walk_choi", lambda c, cap: choi)
+    code, out = run_cli(capsys, "validate", workdir / "id.circ")
+    assert code == 1
+    assert out["valid"] is False
+    assert len(out["violations"]) == 1
+    assert "not completely positive" in out["violations"][0]
 
 
 def test_validate_corrupted_unitary(workdir, capsys):
@@ -143,6 +157,20 @@ def test_reduce_polarize_astronomical_precision_exit_3(workdir, capsys):
     path.write_text(dumps(instance_to_json(inst)))
     code, out = run_cli(
         capsys, "reduce", "polarize", path, "--precision", 1000000, "--out", workdir / "sx"
+    )
+    assert code == 3
+    assert out["error"] == "size_cap"
+
+
+@pytest.mark.parametrize("kind", ["tensor", "parity"])
+def test_reduce_huge_count_exit_3_before_building(workdir, capsys, monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before anything is built")
+
+    monkeypatch.setattr(reductions, "_WireTracker", refuse)
+    monkeypatch.setattr(reductions, "dilate", refuse)
+    code, out = run_cli(
+        capsys, "reduce", kind, workdir / "inst.json", "--count", 100000000, "--out", workdir / "big"
     )
     assert code == 3
     assert out["error"] == "size_cap"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcdist import reductions
 from qcdist.circuits import Circuit, parse_circuit, serialize_circuit, unitary_gate, validate
 from qcdist.dilation import dilate, dilated_unitary
 from qcdist.distances import OptimizerConfig, diamond_norm, max_image_fidelity
@@ -291,3 +292,20 @@ def test_emitted_circuits_revalidate():
         back = parse_circuit(serialize_circuit(c))
         assert validate(back) == []
         choi_of(back)  # admissibility asserted internally
+
+
+def test_tensor_and_parity_refuse_width_by_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before anything is built")
+
+    monkeypatch.setattr(reductions, "_WireTracker", refuse)
+    monkeypatch.setattr(reductions, "dilate", refuse)
+    q0, q1 = identity_circuit(), decohere_circuit()
+    with pytest.raises(SizeCapError):
+        tensor_power(q0, q1, 10**6)
+    with pytest.raises(SizeCapError):
+        parity_mix(q0, q1, 10**6)
+    # a circuit without inputs still holds all k of its outputs at the end
+    prep = parse_circuit("circuit prep inputs 0\nancilla\ngate H 0\nend\n")
+    with pytest.raises(SizeCapError):
+        tensor_power(prep, prep, 10**6)

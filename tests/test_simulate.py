@@ -15,10 +15,10 @@ from qcdist.distances import trace_norm
 from qcdist.simulate import (
     Channel,
     NotCompletelyPositiveError,
-    adjoint_apply,
+    adjoint_apply_ext,
     apply,
     apply_extended,
-    channel_apply,
+    channel_apply_ext,
     channel_from_choi,
     channel_mix,
     choi_of,
@@ -125,13 +125,13 @@ def test_mixture_of_identity_and_z_acts_like_decohere():
     rho = random_density(rng, 2)
     z = np.diag([1.0, -1.0])
     expect = 0.5 * rho + 0.5 * z @ rho @ z
-    assert np.abs(channel_apply(mix, rho) - expect).max() < 1e-12
-    rebuilt = sum(a @ rho @ a.conj().T for a in mix.kraus)
+    assert np.abs(channel_apply_ext(mix, rho, 1) - expect).max() < 1e-12
+    rebuilt = sum(a @ rho @ a.conj().T for a in kraus_of(mix))
     assert np.abs(rebuilt - expect).max() < 1e-12
 
 
 def test_kraus_rejects_negative_choi():
-    bad = Channel(1, 1, -np.eye(4, dtype=complex), ())
+    bad = Channel(1, 1, -np.eye(4, dtype=complex))
     with pytest.raises(NotCompletelyPositiveError):
         kraus_of(bad)
 
@@ -140,11 +140,11 @@ def test_adjoint_identity_and_unitality():
     rng = np.random.default_rng(4)
     ch = choi_of(identity_circuit())
     m = random_hermitian(rng, 2)
-    assert np.abs(adjoint_apply(ch, m) - m).max() < 1e-12
+    assert np.abs(adjoint_apply_ext(ch, m, 1) - m).max() < 1e-12
     c = random_circuit(rng, 2, 5)
     ch2 = choi_of(c)
     eye_out = np.eye(ch2.dim_out, dtype=complex)
-    assert np.abs(adjoint_apply(ch2, eye_out) - np.eye(ch2.dim_in)).max() < 1e-9
+    assert np.abs(adjoint_apply_ext(ch2, eye_out, 1) - np.eye(ch2.dim_in)).max() < 1e-9
 
 
 def test_adjoint_duality():
@@ -154,8 +154,8 @@ def test_adjoint_duality():
         ch = choi_of(c)
         rho = random_density(rng, ch.dim_in)
         m = random_hermitian(rng, ch.dim_out)
-        lhs = np.trace(m @ channel_apply(ch, rho))
-        rhs = np.trace(adjoint_apply(ch, m) @ rho)
+        lhs = np.trace(m @ channel_apply_ext(ch, rho, 1))
+        rhs = np.trace(adjoint_apply_ext(ch, m, 1) @ rho)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -174,7 +174,7 @@ def test_apply_agrees_with_choi_reconstruction():
         c = random_circuit(rng, 1, 6)
         ch = choi_of(c)
         rho = random_density(rng, 2)
-        assert np.abs(apply(c, rho) - channel_apply(ch, rho)).max() < 1e-10
+        assert np.abs(apply(c, rho) - channel_apply_ext(ch, rho, 1)).max() < 1e-10
 
 
 def test_apply_extended_reference_growth_consistency():
@@ -195,8 +195,6 @@ def test_trace_preservation_gives_unit_output_tnorm():
         c = random_circuit(rng, 1, 5)
         ch = choi_of(c)
         psi = random_state(rng, 2 * ch.dim_in)
-        from qcdist.simulate import channel_apply_ext
-
         out = channel_apply_ext(ch, np.outer(psi, psi.conj()), 2)
         assert abs(trace_norm(out) - 1.0) < 1e-9
 
@@ -214,7 +212,7 @@ def test_density_json_roundtrip():
 
 def test_channel_from_choi_validates():
     ch = channel_from_choi(1, 1, np.diag([1.0, 0, 0, 1.0]).astype(complex))
-    assert len(ch.kraus) == 2
+    assert len(kraus_of(ch)) == 2
     with pytest.raises(ValueError, match="admissible"):
         channel_from_choi(1, 1, np.eye(4, dtype=complex))  # not trace preserving
 
@@ -266,7 +264,7 @@ def test_kraus_walk_drops_exact_zero_halves(monkeypatch):
     switches = _spy(monkeypatch, "_run_gates")
     ch = choi_of(c)
     assert switches == []
-    assert len(ch.kraus) == 1
+    assert len(kraus_of(ch)) == 1
     assert np.abs(ch.choi - choi_of(Circuit("u", 1, gates[:1])).choi).max() < 1e-12
 
 
@@ -335,3 +333,28 @@ def small_circuits(draw, max_in=3, max_live=5):
 @given(small_circuits())
 def test_kraus_walk_matches_matrix_units_property(c):
     assert np.abs(choi_of(c).choi - _matrix_unit_reference(c)).max() < 1e-12
+
+
+def _kraus_sum(ops, x, ref_dim, adjoint=False):
+    """sum_k (A_k (x) I) x (A_k (x) I)^dagger, or its adjoint form, term by term."""
+    out = 0
+    for a in ops:
+        big = np.kron(a, np.eye(ref_dim))
+        out = out + (big.conj().T @ x @ big if adjoint else big @ x @ big.conj().T)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_circuits(), st.sampled_from([1, 2, 4]), st.integers(0, 2**32 - 1))
+def test_contraction_matches_kraus_sum_property(c, ref_dim, seed):
+    ch = choi_of(c)
+    ops = kraus_of(ch)
+    rng = np.random.default_rng(seed)
+    side_in, side_out = ch.dim_in * ref_dim, ch.dim_out * ref_dim
+    x = rng.standard_normal((side_in, side_in)) + 1j * rng.standard_normal((side_in, side_in))
+    m = rng.standard_normal((side_out, side_out)) + 1j * rng.standard_normal((side_out, side_out))
+    phi_x = channel_apply_ext(ch, x, ref_dim)
+    adj_m = adjoint_apply_ext(ch, m, ref_dim)
+    assert np.abs(phi_x - _kraus_sum(ops, x, ref_dim)).max() < 1e-12
+    assert np.abs(adj_m - _kraus_sum(ops, m, ref_dim, adjoint=True)).max() < 1e-12
+    assert abs(np.trace(m @ phi_x) - np.trace(adj_m @ x)) < 1e-12
