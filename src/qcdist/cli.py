@@ -179,6 +179,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     inst = instance_from_json(_load_json(args.instance), cap=args.cap)
     cfg = _config(args)
     strat, witness = optimal_prover_witness(inst.q0, inst.q1, cfg)

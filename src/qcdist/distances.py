@@ -256,9 +256,13 @@ def max_image_fidelity(
     n = q0.n_in
     d0 = dilate(q0)
     d1 = dilate(q1)
+    l = max(d0.l, d1.l)
+    din = 2**n
+    dout = 2**q0.n_out
+    dfg = (2**l) * din  # garbage (x) reference
+    linalg.check_cap(dout * dfg, context="image-fidelity ambient space")
     w0 = dilated_isometry(d0)
     w1 = dilated_isometry(d1)
-    l = max(d0.l, d1.l)
     if l > d0.l:
         ket = np.zeros((2 ** (l - d0.l), 1), dtype=np.complex128)
         ket[0, 0] = 1.0
@@ -267,10 +271,6 @@ def max_image_fidelity(
         ket = np.zeros((2 ** (l - d1.l), 1), dtype=np.complex128)
         ket[0, 0] = 1.0
         w1 = np.kron(w1, ket)
-    din = 2**n
-    dout = 2**q0.n_out
-    dfg = (2**l) * din  # garbage (x) reference
-    linalg.check_cap(dout * dfg, context="image-fidelity ambient space")
     a0 = np.kron(w0, np.eye(din, dtype=np.complex128))
     a1 = np.kron(w1, np.eye(din, dtype=np.complex128))
     best = None

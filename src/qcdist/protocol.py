@@ -8,9 +8,12 @@ binary projector and answers j; the verifier accepts iff i = j.
 Acceptance probabilities are computed exactly on density matrices (the
 protocol's final message is a single classical bit, so intermediate
 collapse is unobservable); Monte Carlo sampling exists to exercise the
-operational reading.  Trial t draws from the PCG64 stream spawned as
-SeedSequence(seed, spawn_key=(t,)), so trials are independent and the
-tally is reproducible for any execution order.
+operational reading.  Trials run in blocks of ``_BLOCK``: block b draws
+from the PCG64 stream SeedSequence(seed, spawn_key=(b,)), first its
+verifier coins, then its prover uniforms, one per trial each.  Blocks are
+independent, so the tally is reproducible for a fixed seed and the same
+for any order in which blocks run, and memory stays O(_BLOCK) for any
+trial count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .circuits import Circuit
 from .distances import DiamondWitness, OptimizerConfig, diamond_norm, trace_norm
 from .linalg import as_matrix, as_state, dag
 from .simulate import apply_extended, choi_of
+
+#: Trials per random stream; block b of a run uses spawn key (b,).
+_BLOCK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -111,6 +117,14 @@ def acceptance_probability(q0: Circuit, q1: Circuit, strat: ProverStrategy) -> f
     return float(min(max(p, 0.0), 1.0))
 
 
+def _block_accepts(seed: int, block: int, n: int, p_answer0: tuple[float, float]) -> int:
+    """Accepting trials among the n trials of one block."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    coins = rng.integers(0, 2, n)
+    answer0 = rng.random(n) < np.asarray(p_answer0)[coins]
+    return int(np.count_nonzero(answer0 == (coins == 0)))
+
+
 def run_protocol(
     q0: Circuit,
     q1: Circuit,
@@ -120,9 +134,13 @@ def run_protocol(
 ) -> ProtocolResult:
     """Exact acceptance probability plus a Monte Carlo tally.
 
-    Per trial the verifier's coin and the prover's outcome are drawn from
-    that trial's own random stream; outcome probabilities tr(M rho_i) are
-    computed exactly rather than by simulating collapse.
+    Trials run in blocks of ``_BLOCK`` (the last one shorter).  Block b
+    draws from its own stream, SeedSequence(seed, spawn_key=(b,)): the
+    verifier's coins i with ``integers(0, 2, n)``, then the prover's
+    uniforms u with ``random(n)``.  The prover answers 0 iff
+    u < tr(M rho_i), and a trial accepts iff that answer is i.  Outcome
+    probabilities tr(M rho_i) are computed exactly rather than by
+    simulating collapse.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -135,13 +153,10 @@ def run_protocol(
         float(np.real(np.trace(m @ rho1))),
     )
     p_exact = 0.5 * p_answer0[0] + 0.5 * (1.0 - p_answer0[1])
-    accepts = 0
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(trials):
-        rng = np.random.Generator(np.random.PCG64(child))
-        i = int(rng.integers(0, 2))
-        j = 0 if rng.random() < p_answer0[i] else 1
-        accepts += int(i == j)
+    accepts = sum(
+        _block_accepts(seed, b, min(_BLOCK, trials - start), p_answer0)
+        for b, start in enumerate(range(0, trials, _BLOCK))
+    )
     return ProtocolResult(
         p_accept_exact=float(min(max(p_exact, 0.0), 1.0)),
         trials=trials,

@@ -311,11 +311,16 @@ def mix_with_parity(pairs, odd: bool, name: str, cap: int = DIM_CAP) -> Circuit:
     r = len(pairs)
     if r < 1:
         raise ConstructionError("need at least one circuit pair")
+    # one join per distinct pair: parity_mix repeats the same pair r times
+    joined_by_pair: dict[tuple[int, int], DilatedCircuit] = {}
     joins = []
     for a, b in pairs:
         if (a.n_in, a.n_out) != (b.n_in, b.n_out):
             raise ConstructionError("each pair must agree on type")
-        joins.append(controlled_join(dilate(a), dilate(b)))
+        key = (id(a), id(b))
+        if key not in joined_by_pair:
+            joined_by_pair[key] = controlled_join(dilate(a), dilate(b))
+        joins.append(joined_by_pair[key])
     n_total = sum(p[0].n_in for p in pairs)
     tracker = _WireTracker(n_total, cap)
     offsets = []
@@ -354,6 +359,24 @@ def _end_width(q0: Circuit, q1: Circuit, cap: int) -> int:
     return max(max(q.n_in, replay_liveness(q, cap)[-1]) for q in (q0, q1))
 
 
+def _parity_width(width: int, r: int, cap: int) -> int:
+    """End width of an r-block parity mixture of pairs of end width ``width``.
+
+    Refuses by arithmetic when the mixture would exceed the cap: every
+    block's outputs and the parity wire are live before the last trace.
+    """
+    if r > 1:
+        check_wires(r * width + 1, cap, f"wires of a {r}-block parity mixture")
+    return r * width
+
+
+def _tensor_width(width: int, k: int, cap: int) -> int:
+    """End width of k copies of a pair of end width ``width``, refused over the cap."""
+    if k > 1:
+        check_wires(k * width, cap, f"wires of {k} copies")
+    return k * width
+
+
 def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Circuit, Circuit]:
     """Even/odd parity mixtures of r-fold branch products of (q0, q1).
 
@@ -365,8 +388,7 @@ def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Ci
         raise ConstructionError(f"parity order must be >= 1, got {r}")
     if r == 1:
         return q0, q1
-    # every block's outputs and the parity wire are live before the last trace
-    check_wires(r * _end_width(q0, q1, cap) + 1, cap, f"wires of a {r}-block parity mixture")
+    _parity_width(_end_width(q0, q1, cap), r, cap)
     pairs = [(q0, q1)] * r
     return (
         mix_with_parity(pairs, odd=False, name="p0", cap=cap),
@@ -410,7 +432,7 @@ def tensor_power(q0: Circuit, q1: Circuit, k: int, cap: int = DIM_CAP) -> tuple[
         raise ConstructionError(f"tensor power must be >= 1, got {k}")
     if k == 1:
         return q0, q1
-    check_wires(k * _end_width(q0, q1, cap), cap, f"wires of {k} copies")
+    _tensor_width(_end_width(q0, q1, cap), k, cap)
     return (
         _tensor_copies(q0, k, "t0", cap),
         _tensor_copies(q1, k, "t1", cap),
@@ -543,6 +565,9 @@ def polarize(
     if min(r, s, t) < 1:
         raise ConstructionError(f"stage sizes must be >= 1, got {(r, s, t)}")
     try:
+        # all three stage widths are refused by arithmetic before any is built
+        width = _parity_width(_end_width(q0, q1, cap), r, cap)
+        _parity_width(_tensor_width(width, s, cap), t, cap)
         c0, c1 = parity_mix(q0, q1, r, cap)
         c0, c1 = tensor_power(c0, c1, s, cap)
         c0, c1 = parity_mix(c0, c1, t, cap)

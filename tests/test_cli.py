@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcdist import reductions, simulate
+from qcdist import cli, reductions, simulate
 from qcdist.cli import main
 from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
 from qcdist.jsonutil import dumps
@@ -235,6 +235,19 @@ def test_protocol_identical_circuits(workdir, capsys):
     code, out = run_cli(capsys, "protocol", path, "--trials", 10000, "--restarts", 4)
     assert code == 0
     assert abs(out["estimate"] - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_protocol_bad_trials_exit_2_before_seesaw(workdir, capsys, monkeypatch, trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trial count must be checked before the seesaw")
+
+    monkeypatch.setattr(cli, "optimal_prover_witness", refuse)
+    code = main(["protocol", str(workdir / "inst.json"), "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be >= 1")
 
 
 def test_unknown_flag_rejected(workdir):

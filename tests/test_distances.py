@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcdist import distances
 from qcdist.distances import (
     OptimizerConfig,
     _seesaw,
@@ -12,6 +13,8 @@ from qcdist.distances import (
     trace_norm,
     witness_to_json,
 )
+from qcdist.linalg import SizeCapError
+from qcdist.reductions import parity_mix
 from qcdist.simulate import channel_apply_ext, choi_of
 
 from helpers import (
@@ -254,3 +257,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(rel_tol=0.0)
+
+
+def test_max_image_fidelity_checks_cap_before_isometry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before the isometry is built")
+
+    monkeypatch.setattr(distances, "dilated_isometry", refuse)
+    p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 3)
+    with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
+        max_image_fidelity(p0, p1)

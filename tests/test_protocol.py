@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qcdist import protocol
 from qcdist.distances import OptimizerConfig, diamond_norm
 from qcdist.protocol import (
+    _BLOCK,
     ProverStrategy,
     acceptance_probability,
     optimal_prover,
@@ -124,3 +126,57 @@ def test_result_json_fields():
         "dnorm_witness_value",
         "seed",
     }
+
+
+@pytest.fixture(scope="module")
+def decohere_prover():
+    q0, q1 = identity_circuit(), decohere_circuit()
+    return q0, q1, optimal_prover(q0, q1, CFG)
+
+
+def reference_accepts(q0, q1, strat, trials, seed):
+    """The block-stream contract, one trial at a time, blocks in reverse order."""
+    rho = protocol._output_pair(q0, q1, strat)
+    p_answer0 = [float(np.real(np.trace(strat.measurement @ r))) for r in rho]
+    starts = list(range(0, trials, _BLOCK))
+    accepts = 0
+    for b in reversed(range(len(starts))):
+        n = min(_BLOCK, trials - starts[b])
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        coins = rng.integers(0, 2, n)
+        uniforms = rng.random(n)
+        for i, u in zip(coins.tolist(), uniforms.tolist()):
+            j = 0 if u < p_answer0[i] else 1
+            accepts += int(i == j)
+    return accepts
+
+
+@pytest.mark.parametrize("trials", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_block_streams_reproducible_and_in_range(decohere_prover, trials):
+    q0, q1, strat = decohere_prover
+    a = run_protocol(q0, q1, strat, trials, seed=17)
+    b = run_protocol(q0, q1, strat, trials, seed=17)
+    assert 0 <= a.accepts <= trials
+    assert a.accepts == b.accepts
+    assert a.estimate == a.accepts / trials
+
+
+@pytest.mark.parametrize("trials", [_BLOCK + 1, 3 * _BLOCK + 5])
+def test_tally_is_sum_of_blocks_in_any_order(decohere_prover, trials):
+    q0, q1, strat = decohere_prover
+    res = run_protocol(q0, q1, strat, trials, seed=23)
+    assert res.accepts == reference_accepts(q0, q1, strat, trials, seed=23)
+
+
+def test_perfect_case_accepts_across_block_boundary():
+    strat = optimal_prover(identity_circuit(), z_circuit(), CFG)
+    res = run_protocol(identity_circuit(), z_circuit(), strat, 2 * _BLOCK + 3, seed=5)
+    assert res.accepts == res.trials
+
+
+def test_million_trials_within_five_sigma(decohere_prover):
+    q0, q1, strat = decohere_prover
+    n = 10**6
+    res = run_protocol(q0, q1, strat, n, seed=29)
+    p = res.p_accept_exact
+    assert abs(res.accepts - n * p) <= 5 * np.sqrt(n * p * (1 - p))

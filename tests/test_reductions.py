@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,51 @@ def test_tensor_and_parity_refuse_width_by_arithmetic(monkeypatch):
     prep = parse_circuit("circuit prep inputs 0\nancilla\ngate H 0\nend\n")
     with pytest.raises(SizeCapError):
         tensor_power(prep, prep, 10**6)
+
+
+def unshared_parity_mix(q0, q1, r):
+    """parity_mix with a distinct copy of the pair per block, so every block joins anew."""
+    pairs = [(dataclasses.replace(q0), dataclasses.replace(q1)) for _ in range(r)]
+    return (
+        mix_with_parity(pairs, odd=False, name="p0"),
+        mix_with_parity(pairs, odd=True, name="p1"),
+    )
+
+
+def test_parity_mix_joins_each_distinct_pair_once(monkeypatch):
+    calls = []
+
+    def counting_join(p0, p1):
+        calls.append(1)
+        return controlled_join(p0, p1)
+
+    q0, q1 = identity_circuit(), decohere_circuit()
+    expected = [serialize_circuit(c) for c in unshared_parity_mix(q0, q1, 4)]
+    monkeypatch.setattr(reductions, "controlled_join", counting_join)
+    shared = parity_mix(q0, q1, 4)
+    assert len(calls) == 2  # one per mixture, not one per block
+    assert [serialize_circuit(c) for c in shared] == expected
+
+
+def test_polarize_emits_the_unshared_pipeline():
+    params = PolarizationParams(n=1, a=1.0, b=0.25)
+    q0, q1 = identity_circuit(), decohere_circuit()
+    s0, s1, _ = polarize(q0, q1, params, override=(2, 2, 1))
+    t0, t1 = tensor_power(*unshared_parity_mix(q0, q1, 2), 2)
+    assert serialize_circuit(s0) == serialize_circuit(Circuit("s0", t0.n_in, t0.gates))
+    assert serialize_circuit(s1) == serialize_circuit(Circuit("s1", t1.n_in, t1.gates))
+
+
+@pytest.mark.parametrize("override", [(2, 100, 1), (2, 2, 5), None], ids=["tensor", "parity", "derived"])
+def test_polarize_refuses_every_stage_by_arithmetic(monkeypatch, override):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before anything is built")
+
+    monkeypatch.setattr(reductions, "dilate", refuse)
+    monkeypatch.setattr(reductions, "controlled_join", refuse)
+    monkeypatch.setattr(reductions, "_WireTracker", refuse)
+    params = PolarizationParams(n=1, a=1.0, b=0.25)
+    with pytest.raises(SizeCapError) as info:
+        polarize(identity_circuit(), decohere_circuit(), params, override=override)
+    cert = info.value.certificate
+    assert (cert["r"], cert["s"], cert["t"]) == (override or (params.r, params.s, params.t))
