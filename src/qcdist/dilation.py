@@ -11,6 +11,9 @@ positions 0..m-1 and the garbage wires to positions m..m+l-1, so every
 dilation of a type-(n, m) circuit presents the same output/garbage wire
 partition.  The reduction that exchanges the roles of output and garbage
 relies on this shared layout.
+
+``stinespring_isometry`` is the minimal dilation, W = sum_k A_k (x) |k>:
+its environment is the Kraus rank, at most d_in * d_out, not 2^l.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, named_gate, unitary_gate
-from .linalg import DIM_CAP, as_matrix, check_wires, partial_trace
-from .simulate import simulate
+from .linalg import DIM_CAP, check_wires
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -108,42 +110,12 @@ def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
     )
 
 
-def dilated_apply(d: DilatedCircuit, rho: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
-    """Run the dilation on rho (x) |0^k><0^k| and trace out the garbage."""
-    rho = as_matrix(rho)
-    state = rho
-    for _ in range(d.k):
-        state = np.kron(state, np.array([[1, 0], [0, 0]], dtype=np.complex128))
-    state = simulate(d.unitary_circuit, state, 0, cap)
-    n_wires = d.n_wires
-    return partial_trace(state, [2] * n_wires, list(range(d.n_out)))
+def stinespring_isometry(kraus, env_dim: int | None = None) -> np.ndarray:
+    """W[o, k, i] = A_k[o, i], shape (d_out, r, d_in), from a Kraus stack.
 
-
-def expand_unitary_matrix(u: np.ndarray, wires, n: int) -> np.ndarray:
-    """Embed a gate matrix into the full 2^n space on the given wires."""
-    a = len(wires)
-    rest = [q for q in range(n) if q not in wires]
-    order = list(wires) + rest
-    full = np.kron(u, np.eye(2 ** (n - a), dtype=np.complex128))
-    idx = np.arange(2**n)
-    shifts = np.array([n - 1 - q for q in order])
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    weights = 1 << np.arange(n - 1, -1, -1)
-    pi = bits @ weights
-    return full[np.ix_(pi, pi)]
-
-
-def dilated_unitary(d: DilatedCircuit) -> np.ndarray:
-    """Full matrix of the dilation's unitary circuit."""
-    n = d.n_wires
-    u = np.eye(2**n, dtype=np.complex128)
-    for g in d.unitary_circuit.gates:
-        u = expand_unitary_matrix(g.matrix, g.wires, n) @ u
-    return u
-
-
-def dilated_isometry(d: DilatedCircuit) -> np.ndarray:
-    """The isometry W = U (I (x) |0^k>) from the input space to output (x) garbage."""
-    u = dilated_unitary(d)
-    cols = np.arange(2**d.n_in) * (2**d.k)
-    return u[:, cols]
+    ``W.reshape(-1, d_in)`` maps the input into output (x) environment.
+    ``env_dim`` pads the stack with zero operators to a shared environment.
+    """
+    ops = np.asarray(kraus, dtype=np.complex128)
+    pad = 0 if env_dim is None else env_dim - len(ops)  # np.pad refuses pad < 0
+    return np.pad(ops, ((0, pad), (0, 0), (0, 0))).transpose(1, 0, 2)

@@ -16,14 +16,18 @@ H (x) G:
 
 Both half-steps exactly maximize the objective 2 tr(M Delta) in their own
 block, so the objective is monotone nondecreasing; restarts guard against
-local optima.
+local optima.  Steps (a) and (c) are each one contraction with J_0 - J_1;
+the reported value is recomputed from the two channels.
 
 Maximum image fidelity.  F(Q_0(rho_0), Q_1(rho_1)) is maximized over mixed
 inputs by parametrizing each rho_i through a purification psi_i on
-H (x) G and writing the fidelity through dilation isometries W_i as
-max_V |<psi_1| W_1^dagger (I (x) V) W_0 |psi_0>| over unitaries V on the
-garbage-and-reference space.  Alternating the three blocks (V by SVD, each
-psi_i by normalization) again gives closed-form monotone updates.
+H (x) G.  With the Stinespring isometries W_i = sum_k A_k (x) |k> of the
+Kraus operators, padded with zero operators to one environment E of size
+r = max(r_0, r_1), Uhlmann's theorem gives the fidelity as
+max_V |<psi_1| W_1^dagger (I (x) V) W_0 |psi_0>| over unitaries V on
+E (x) G.  Alternating the three blocks (V by SVD, each psi_i by
+normalization) again gives closed-form monotone updates, each a few
+reshaped matmuls.
 """
 
 from __future__ import annotations
@@ -37,19 +41,21 @@ from .linalg import (
     TOL_PSD,
     as_state,
     dag,
-    partial_trace,
     psd_sqrt,
     singular_values,
     spectral,
 )
 from .circuits import Circuit
-from .dilation import dilate, dilated_isometry
+from .dilation import stinespring_isometry
 from .simulate import (
     Channel,
     InternalConsistencyError,
-    adjoint_apply_ext,
+    _contract,
+    _kernel,
     apply,
     channel_apply_ext,
+    choi_of,
+    kraus_of,
     require_density,
 )
 
@@ -167,22 +173,28 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _seesaw(ch0: Channel, ch1: Channel, ref_dim: int, rng, max_iters: int, rel_tol: float):
+def _difference_kernels(ch0: Channel, ch1: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """``_contract`` kernels of Phi_0 - Phi_1 and its adjoint: both actions
+    are linear in J, so one contraction with J0 - J1 replaces two."""
+    j = ch0.choi - ch1.choi
+    return _kernel(j, ch0.dim_in, ch0.dim_out), _kernel(j, ch0.dim_in, ch0.dim_out, adjoint=True)
+
+
+def _seesaw(forward, adjoint, ref_dim: int, rng, max_iters: int, rel_tol: float):
     """One seesaw run; returns (value, psi, measurement, converged, history).
 
     ``value`` is the Helstrom value at the returned ``psi``, whose
     measurement is ``measurement``; it can sit up to MONOTONE_SLACK below
     ``max(history)``.
     """
-    dim = ch0.dim_in * ref_dim
+    dim = forward.shape[1] * ref_dim
     psi = _random_unit(rng, dim)
     prev = -np.inf
     converged = False
     history: list[float] = []
     for _ in range(max_iters):  # OptimizerConfig guarantees max_iters >= 1
         evaluated = psi
-        rho = np.outer(psi, psi.conj())
-        delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
+        delta = _contract(forward, np.outer(psi, psi.conj()), ref_dim)
         delta = (delta + dag(delta)) / 2
         m, value = helstrom(delta)
         history.append(value)
@@ -194,7 +206,7 @@ def _seesaw(ch0: Channel, ch1: Channel, ref_dim: int, rng, max_iters: int, rel_t
             converged = True
             break
         prev = value
-        k = adjoint_apply_ext(ch0, m, ref_dim) - adjoint_apply_ext(ch1, m, ref_dim)
+        k = _contract(adjoint, m, ref_dim)
         k = (k + dag(k)) / 2
         _, vecs = spectral(k)
         psi = vecs[:, 0]
@@ -224,12 +236,13 @@ def diamond_norm(
     ref_dim = 2**ref_qubits
     linalg.check_cap(ch0.dim_in * ref_dim, context="seesaw input")
     linalg.check_cap(ch0.dim_out * ref_dim, context="seesaw output")
+    kernels = _difference_kernels(ch0, ch1)
     best: DiamondWitness | None = None
     used = 0
     for j in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + j)
         value, psi, m, converged, _ = _seesaw(
-            ch0, ch1, ref_dim, rng, cfg.max_iters, cfg.rel_tol
+            *kernels, ref_dim, rng, cfg.max_iters, cfg.rel_tol
         )
         used = j + 1
         if best is None or value > best.value:
@@ -237,6 +250,10 @@ def diamond_norm(
         if best.value >= 2.0 - 1e-12:
             break
     best.restarts_used = used
+    # the reported value comes from the two channels at the returned psi
+    rho = np.outer(best.psi, best.psi.conj())
+    delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
+    best.measurement, best.value = helstrom((delta + dag(delta)) / 2)
     return best
 
 
@@ -247,45 +264,39 @@ def max_image_fidelity(
 
     Optimizes over purifications on input (x) reference (reference of input
     dimension), since joint concavity of the fidelity means the maximizer
-    may be mixed.  The returned value is recomputed from the witnesses, so
+    may be mixed.  The cap applies to the ambient side d_out * r * d_in,
+    checked by arithmetic before the Choi walks (r >= 1) and before the
+    isometries.  The returned value is recomputed from the witnesses, so
     it is a certified lower bound regardless of optimizer state.
     """
     if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
         raise ValueError("circuits disagree on type")
     cfg = cfg or OptimizerConfig()
-    n = q0.n_in
-    d0 = dilate(q0)
-    d1 = dilate(q1)
-    l = max(d0.l, d1.l)
-    din = 2**n
+    din = 2**q0.n_in
     dout = 2**q0.n_out
-    dfg = (2**l) * din  # garbage (x) reference
+    # the environment holds at least one operator: refuse before any walk
+    linalg.check_cap(dout * din, context="image-fidelity ambient space")
+    kraus0 = kraus_of(choi_of(q0))
+    kraus1 = kraus_of(choi_of(q1))
+    r = max(len(kraus0), len(kraus1))  # one environment for both (Uhlmann)
+    dfg = r * din  # environment (x) reference
     linalg.check_cap(dout * dfg, context="image-fidelity ambient space")
-    w0 = dilated_isometry(d0)
-    w1 = dilated_isometry(d1)
-    if l > d0.l:
-        ket = np.zeros((2 ** (l - d0.l), 1), dtype=np.complex128)
-        ket[0, 0] = 1.0
-        w0 = np.kron(w0, ket)
-    if l > d1.l:
-        ket = np.zeros((2 ** (l - d1.l), 1), dtype=np.complex128)
-        ket[0, 0] = 1.0
-        w1 = np.kron(w1, ket)
-    a0 = np.kron(w0, np.eye(din, dtype=np.complex128))
-    a1 = np.kron(w1, np.eye(din, dtype=np.complex128))
+    w0 = stinespring_isometry(kraus0, r).reshape(dout * r, din)
+    w1 = stinespring_isometry(kraus1, r).reshape(dout * r, din)
     best = None
     used = 0
     for j in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + j)
-        psi0 = _random_unit(rng, din * din)
-        psi1 = _random_unit(rng, din * din)
+        # psi_i as a d_in x d_ref matrix; (W_i (x) I) psi_i is then W_i @ psi_i
+        psi0 = _random_unit(rng, din * din).reshape(din, din)
+        psi1 = _random_unit(rng, din * din).reshape(din, din)
         prev = -np.inf
         converged = False
         for _ in range(cfg.max_iters):
-            v0 = (a0 @ psi0).reshape(dout, dfg)
-            v1 = (a1 @ psi1).reshape(dout, dfg)
+            v0 = (w0 @ psi0).reshape(dout, dfg)
+            v1 = (w1 @ psi1).reshape(dout, dfg)
             x = v0.T @ v1.conj()
-            p, s, qh = np.linalg.svd(x)
+            p, s, qh = np.linalg.svd(x)  # full: V must be unitary, not a partial isometry
             value = float(s.sum())
             if value < prev - MONOTONE_SLACK:
                 raise InternalConsistencyError(
@@ -296,12 +307,12 @@ def max_image_fidelity(
                 break
             prev = value
             v = dag(qh) @ dag(p)
-            t = dag(a1) @ np.kron(np.eye(dout, dtype=np.complex128), v) @ a0
-            cand0 = dag(t) @ psi1
+            # I (x) V acts on the d_out x dfg matrix v_i as v_i @ V^T
+            cand0 = dag(w0) @ (v1 @ v.conj()).reshape(dout * r, din)
             norm0 = np.linalg.norm(cand0)
             if norm0 > 1e-200:
                 psi0 = cand0 / norm0
-            cand1 = t @ psi0
+            cand1 = dag(w1) @ ((w0 @ psi0).reshape(dout, dfg) @ v.T).reshape(dout * r, din)
             norm1 = np.linalg.norm(cand1)
             if norm1 > 1e-200:
                 psi1 = cand1 / norm1
@@ -311,8 +322,7 @@ def max_image_fidelity(
         if best[0] >= 1.0 - 1e-12:
             break
     _, psi0, psi1, converged = best
-    rho0 = partial_trace(np.outer(psi0, psi0.conj()), [din, din], [0])
-    rho1 = partial_trace(np.outer(psi1, psi1.conj()), [din, din], [0])
+    rho0, rho1 = psi0 @ dag(psi0), psi1 @ dag(psi1)
     value = fidelity(apply(q0, rho0), apply(q1, rho1))
     return ImageFidelityResult(value, rho0, rho1, used, converged)
 
@@ -322,6 +332,6 @@ def witness_to_json(w: DiamondWitness) -> dict:
         "value": float(w.value),
         "converged": bool(w.converged),
         "restarts_used": int(w.restarts_used),
-        "psi": [[float(z.real), float(z.imag)] for z in w.psi],
+        "psi": linalg.complex_pairs(w.psi),
         "measurement": linalg.matrix_to_json(w.measurement),
     }

@@ -3,12 +3,14 @@
 Every number the toolkit prints goes through this serializer so that
 repeated runs with the same seed produce byte-identical output.  Floats are
 printed with 17 significant digits, which round-trips IEEE doubles exactly.
+Lists of floats or of [re, im] float pairs are written in one pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 
 def format_float(x: float) -> str:
@@ -35,6 +37,8 @@ def _write(obj, parts: list[str]) -> None:
         parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)) and (flat := _number_list(obj)) is not None:
+        parts.append(flat)
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
@@ -55,3 +59,16 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
+
+
+def _number_list(items) -> str | None:
+    """``items`` in one pass if it holds only floats or only [re, im] float
+    pairs; None otherwise."""
+    n, item = len(items), "%.17g"
+    if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
+        items, item = list(chain.from_iterable(items)), "[%.17g,%.17g]"
+    if set(map(type, items)) != {float}:
+        return None
+    if not all(map(math.isfinite, items)):
+        list(map(format_float, items))  # raises on the first non-finite entry
+    return "[" + ",".join([item] * n) % tuple(items) + "]"

@@ -167,13 +167,18 @@ def psd_sqrt(p, tol: float = TOL_PSD) -> np.ndarray:
     return (r + dag(r)) / 2
 
 
+def complex_pairs(x) -> list[list[float]]:
+    """Row-major [re, im] pairs of Python floats for the entries of ``x``."""
+    return np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(m) -> dict:
     """Repo-wide matrix JSON object: rows, cols, row-major [re, im] pairs."""
     m = as_matrix(m)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": complex_pairs(m),
     }
 
 
@@ -181,7 +186,7 @@ def matrix_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; exact up to decimal parsing."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
+        entries = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 0 or cols < 0 or len(entries) != rows * cols:
@@ -189,8 +194,8 @@ def matrix_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
             f"matrix JSON has {len(entries)} entries, expected {rows}x{cols}"
         )
     check_cap(max(rows, cols, 1), cap, "matrix JSON")
-    flat = np.array(
-        [complex(float(re), float(im)) for re, im in entries],
-        dtype=np.complex128,
-    )
+    try:
+        flat = np.array([complex(float(re), float(im)) for re, im in entries], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix JSON: entries must be [re, im] pairs ({exc})") from exc
     return as_matrix(flat.reshape(rows, cols))

@@ -364,19 +364,21 @@ def _contract(j4: np.ndarray, x, ref_dim: int) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(dout * ref_dim, dout * ref_dim)
 
 
+def _kernel(choi: np.ndarray, dim_in: int, dim_out: int, adjoint: bool = False) -> np.ndarray:
+    """``_contract`` kernel of the map with Choi matrix ``choi`` (any, not only
+    a channel's), or of its adjoint: conj(J) with input and output swapped."""
+    j4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+    return j4.conj().transpose(1, 0, 3, 2) if adjoint else j4
+
+
 def channel_apply_ext(ch: Channel, x, ref_dim: int) -> np.ndarray:
     """(Phi (x) I_ref)(x) for any operator x on input (x) reference."""
-    return _contract(ch.choi.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in), x, ref_dim)
+    return _contract(_kernel(ch.choi, ch.dim_in, ch.dim_out), x, ref_dim)
 
 
 def adjoint_apply_ext(ch: Channel, m, ref_dim: int) -> np.ndarray:
-    """(Phi^dagger (x) I_ref)(M) for any operator M on output (x) reference.
-
-    Phi^dagger(M) = sum_k A_k^dagger M A_k has the kernel conj(J) with the
-    input and output axes swapped.
-    """
-    j4 = ch.choi.conj().reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    return _contract(j4.transpose(1, 0, 3, 2), m, ref_dim)
+    """(Phi^dagger (x) I_ref)(M) for any operator M on output (x) reference."""
+    return _contract(_kernel(ch.choi, ch.dim_in, ch.dim_out, adjoint=True), m, ref_dim)
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
@@ -418,7 +420,10 @@ def density_to_json(rho) -> dict:
 
 def density_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
     m = linalg.matrix_from_json(obj, cap=cap)
-    n = int(obj.get("qubits", -1))
+    try:
+        n = int(obj.get("qubits", -1))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed density JSON: qubits {obj.get('qubits')!r}") from exc
     if m.shape != (2**n, 2**n):
         raise ValueError(
             f"matrix shape {m.shape} does not match declared qubit count {n}"

@@ -10,6 +10,8 @@ from qcdist.circuits import (
     trace_gate,
     unitary_gate,
 )
+from qcdist.linalg import partial_trace
+from qcdist.simulate import simulate
 
 
 def random_unitary(rng, dim):
@@ -45,8 +47,8 @@ def purification(rng, rho, d_aux):
     return psi / np.linalg.norm(psi)
 
 
-def identity_circuit(name="id"):
-    return parse_circuit(f"circuit {name} inputs 1\nend")
+def identity_circuit(name="id", n=1):
+    return parse_circuit(f"circuit {name} inputs {n}\nend")
 
 
 def decohere_circuit(name="dec"):
@@ -57,10 +59,11 @@ def z_circuit(name="z"):
     return parse_circuit(f"circuit {name} inputs 1\ngate Z 0\nend")
 
 
-def depolarizing_circuit(name="dep"):
-    return parse_circuit(
-        f"circuit {name} inputs 1\ntrace 0\nancilla\ngate H 0\ndecohere 0\nend"
-    )
+def depolarizing_circuit(name="dep", n=1):
+    """Completely depolarizing channel on n qubits: Kraus rank 4^n."""
+    body = "trace 0\n" * n + "ancilla\n" * n
+    body += "".join(f"gate H {i}\ndecohere {i}\n" for i in range(n))
+    return parse_circuit(f"circuit {name} inputs {n}\n{body}end")
 
 
 def constant_circuit(name, which):
@@ -115,3 +118,34 @@ def random_11_circuit(rng, name="q", min_ops=1, max_ops=4):
             gates.append(unitary_gate(random_unitary(rng, 4), (0, 1)))
             gates.append(trace_gate(1))
     return Circuit(name, 1, tuple(gates))
+
+
+def expand_gate(u, wires, n):
+    """Embed a gate matrix into the full 2^n space on the given wires."""
+    a = len(wires)
+    rest = [q for q in range(n) if q not in wires]
+    order = list(wires) + rest
+    full = np.kron(u, np.eye(2 ** (n - a), dtype=complex))
+    idx = np.arange(2**n)
+    shifts = np.array([n - 1 - q for q in order])
+    bits = (idx[:, None] >> shifts[None, :]) & 1
+    pi = bits @ (1 << np.arange(n - 1, -1, -1))
+    return full[np.ix_(pi, pi)]
+
+
+def dilated_unitary(d):
+    """Full matrix of a dilation's unitary circuit, multiplied out gate by gate."""
+    n = d.n_wires
+    u = np.eye(2**n, dtype=complex)
+    for g in d.unitary_circuit.gates:
+        u = expand_gate(g.matrix, g.wires, n) @ u
+    return u
+
+
+def dilated_apply(d, rho):
+    """Run a dilation on rho (x) |0^k><0^k| and trace out the garbage."""
+    state = np.asarray(rho, dtype=complex)
+    for _ in range(d.k):
+        state = np.kron(state, np.diag([1.0, 0.0]).astype(complex))
+    state = simulate(d.unitary_circuit, state)
+    return partial_trace(state, [2] * d.n_wires, list(range(d.n_out)))

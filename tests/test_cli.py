@@ -250,6 +250,22 @@ def test_protocol_bad_trials_exit_2_before_seesaw(workdir, capsys, monkeypatch, 
     assert captured.err.startswith("error: trials must be >= 1")
 
 
+@pytest.mark.parametrize(
+    "entries",
+    ["[1, 0, 0, 0]", "[[1, 0, 0], [0, 0], [0, 0], [0, 0]]", "[[1, null], [0, 0], [0, 0], [0, 0]]"],
+    ids=["flat", "three_element", "null_part"],
+)
+def test_malformed_matrix_entries_exit_2(workdir, capsys, entries):
+    path = workdir / "malformed_state.json"
+    path.write_text(f'{{"qubits": 1, "rows": 2, "cols": 2, "entries": {entries}}}')
+    code = main(["distance", "trace", str(path), str(workdir / "zero.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed matrix JSON")
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_flag_rejected(workdir):
     with pytest.raises(SystemExit) as info:
         main(["validate", str(workdir / "id.circ"), "--frobnicate"])

@@ -1,10 +1,20 @@
 import numpy as np
+import pytest
 
 from qcdist.circuits import parse_circuit
-from qcdist.dilation import dilate, dilated_apply, dilated_isometry, dilated_unitary
-from qcdist.simulate import apply
+from qcdist.dilation import dilate, stinespring_isometry
+from qcdist.linalg import partial_trace
+from qcdist.simulate import apply, choi_of, kraus_of
 
-from helpers import decohere_circuit, random_circuit, random_density
+from helpers import (
+    decohere_circuit,
+    depolarizing_circuit,
+    dilated_apply,
+    dilated_unitary,
+    identity_circuit,
+    random_circuit,
+    random_density,
+)
 
 
 def test_unitary_circuit_dilates_to_itself():
@@ -70,8 +80,39 @@ def test_isometry_matches_unitary_embedding():
     rng = np.random.default_rng(4)
     c = random_circuit(rng, 1, 5)
     d = dilate(c)
-    w = dilated_isometry(d)
+    u = dilated_unitary(d)
+    w = u[:, np.arange(2**c.n_in) * 2**d.k]  # U (I (x) |0^k>)
     assert w.shape == (2 ** (c.n_out + d.l), 2**c.n_in)
     assert np.abs(w.conj().T @ w - np.eye(2**c.n_in)).max() < 1e-10
-    u = dilated_unitary(d)
     assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stinespring_isometry_is_the_channel(seed):
+    rng = np.random.default_rng(100 + seed)
+    c = random_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(0, 9)))
+    din, dout = 2**c.n_in, 2**c.n_out
+    kraus = kraus_of(choi_of(c))
+    w = stinespring_isometry(kraus)
+    r = len(kraus)
+    assert w.shape == (dout, r, din)
+    wm = w.reshape(dout * r, din)
+    assert np.abs(wm.conj().T @ wm - np.eye(din)).max() < 1e-12
+    rho = random_density(rng, din)
+    out = partial_trace(wm @ rho @ wm.conj().T, [dout, r], [0])
+    assert np.abs(out - apply(c, rho)).max() < 1e-12
+
+
+def test_stinespring_isometry_pads_with_zero_operators():
+    kraus = kraus_of(choi_of(depolarizing_circuit()))
+    w = stinespring_isometry(kraus, 6)
+    assert w.shape == (2, 6, 2)
+    assert np.array_equal(w[:, : len(kraus)], stinespring_isometry(kraus))
+    assert not w[:, len(kraus) :].any()
+    with pytest.raises(ValueError):
+        stinespring_isometry(kraus, len(kraus) - 1)
+
+
+def test_stinespring_isometry_of_a_unitary_has_one_operator():
+    w = stinespring_isometry(kraus_of(choi_of(identity_circuit())))
+    assert w.shape == (2, 1, 2)

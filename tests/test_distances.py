@@ -4,6 +4,7 @@ import pytest
 from qcdist import distances
 from qcdist.distances import (
     OptimizerConfig,
+    _difference_kernels,
     _seesaw,
     diamond_norm,
     fidelity,
@@ -15,7 +16,7 @@ from qcdist.distances import (
 )
 from qcdist.linalg import SizeCapError
 from qcdist.reductions import parity_mix
-from qcdist.simulate import channel_apply_ext, choi_of
+from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of
 
 from helpers import (
     constant_circuit,
@@ -24,6 +25,7 @@ from helpers import (
     identity_circuit,
     purification,
     random_11_circuit,
+    random_circuit,
     random_density,
     random_state,
     z_circuit,
@@ -161,11 +163,33 @@ def test_seesaw_monotone_objective():
     ch0 = choi_of(identity_circuit())
     ch1 = choi_of(depolarizing_circuit())
     rng = np.random.default_rng(6)
-    value, _, _, converged, history = _seesaw(ch0, ch1, 2, rng, 500, 1e-10)
+    value, _, _, converged, history = _seesaw(*_difference_kernels(ch0, ch1), 2, rng, 500, 1e-10)
     assert converged
     diffs = np.diff(history)
     assert diffs.min() >= -1e-12
     assert abs(value - history[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_difference_kernels_match_four_contractions(seed):
+    rng = np.random.default_rng(300 + seed)
+    n_in = int(rng.integers(1, 3))
+    c0 = random_circuit(rng, n_in, 6, max_live=3)
+    c1 = random_circuit(rng, n_in, 6, max_live=3)
+    while c1.n_out != c0.n_out:
+        c1 = random_circuit(rng, n_in, 6, max_live=3)
+    ch0, ch1 = choi_of(c0), choi_of(c1)
+    forward, adjoint = _difference_kernels(ch0, ch1)
+    ref_dim = 2**n_in
+    psi = random_state(rng, ch0.dim_in * ref_dim)
+    rho = np.outer(psi, psi.conj())
+    delta = _contract(forward, rho, ref_dim)
+    expect = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
+    assert np.abs(delta - expect).max() < 1e-12
+    m, _ = helstrom((delta + delta.conj().T) / 2)
+    k = _contract(adjoint, m, ref_dim)
+    expect = adjoint_apply_ext(ch0, m, ref_dim) - adjoint_apply_ext(ch1, m, ref_dim)
+    assert np.abs(k - expect).max() < 1e-12
 
 
 def test_reference_dimension_stability():
@@ -259,11 +283,29 @@ def test_optimizer_config_validation():
         OptimizerConfig(rel_tol=0.0)
 
 
-def test_max_image_fidelity_checks_cap_before_isometry(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the cap must be checked before the isometry is built")
+def _refuse(*args, **kwargs):
+    raise AssertionError("the cap must be checked before this step")
 
-    monkeypatch.setattr(distances, "dilated_isometry", refuse)
-    p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 3)
+
+def test_max_image_fidelity_checks_cap_before_isometry(monkeypatch):
+    # d_out * d_in = 256 is under the cap, but the Kraus rank 256 of the
+    # depolarizer makes the ambient side 65536
+    monkeypatch.setattr(distances, "stinespring_isometry", _refuse)
+    p0, p1 = identity_circuit("id4", 4), depolarizing_circuit("dep4", 4)
     with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
         max_image_fidelity(p0, p1)
+
+
+def test_max_image_fidelity_checks_cap_before_any_walk(monkeypatch):
+    # d_out * d_in = 2^14 is over the cap whatever the Kraus ranks
+    monkeypatch.setattr(distances, "choi_of", _refuse)
+    monkeypatch.setattr(distances, "stinespring_isometry", _refuse)
+    with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
+        max_image_fidelity(identity_circuit("id7", 7), identity_circuit("id7b", 7))
+
+
+def test_max_image_fidelity_three_parity_blocks():
+    # refused by the cap on the 2^l garbage space before; side 512 now
+    p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 3)
+    r = max_image_fidelity(p0, p1, OptimizerConfig(restarts=1, seed=0))
+    assert abs(r.value - 1.0) < 1e-6

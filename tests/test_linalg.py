@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qcdist import jsonutil
+from qcdist.jsonutil import dumps
 from qcdist.linalg import (
     SizeCapError,
+    complex_pairs,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -163,6 +166,41 @@ def test_matrix_json_roundtrip_exact():
 def test_matrix_json_rejects_bad_shapes():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -3.0, 2.0**60, 1e22,
+                  1e300, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_number_lists_written_like_the_recursive_writer(monkeypatch, seed):
+    rng = np.random.default_rng(40 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 12, size=2))
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-300, 300, size=(2,) + shape)
+    parts.reshape(-1)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: parts.size]
+    rng.shuffle(parts.reshape(-1))
+    m = parts[0] + 1j * parts[1]
+    obj = {
+        "matrix": matrix_to_json(m),
+        "pairs": complex_pairs(m[0]),
+        "tuple_pairs": [tuple(p) for p in complex_pairs(m[-1])],
+        "floats": parts[0].reshape(-1).tolist(),
+        "numpy_floats": list(parts[1].reshape(-1)),
+        "mixed": [1, 2.0, True, None, [0.5, 1], [[1.0, 2.0, 3.0]]],
+        "empty": [],
+    }
+    fast = dumps(obj)
+    # the old per-entry conversion, written by the recursive writer alone
+    obj["matrix"]["entries"] = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    monkeypatch.setattr(jsonutil, "_number_list", lambda items: None)
+    assert fast == dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_number_lists_refuse_non_finite(bad):
+    for obj in ([1.0, bad], [[1.0, 0.0], [0.0, bad]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(obj)
 
 
 def test_unitary_conjugation_preserves_spectrum():

@@ -5,7 +5,7 @@ import pytest
 
 from qcdist import reductions
 from qcdist.circuits import Circuit, parse_circuit, serialize_circuit, unitary_gate, validate
-from qcdist.dilation import dilate, dilated_unitary
+from qcdist.dilation import dilate
 from qcdist.distances import OptimizerConfig, diamond_norm, max_image_fidelity
 from qcdist.linalg import SizeCapError
 from qcdist.reductions import (
@@ -22,6 +22,7 @@ from qcdist.simulate import channel_mix, channel_tensor, choi_of
 
 from helpers import (
     decohere_circuit,
+    dilated_unitary,
     identity_circuit,
     constant_circuit,
     random_11_circuit,
