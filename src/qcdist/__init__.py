@@ -54,7 +54,7 @@ from .simulate import (
     density_to_json,
     kraus_of,
 )
-from .dilation import DilatedCircuit, dilate, stinespring_isometry
+from .dilation import DilatedCircuit, dilate, dilated_isometry
 from .distances import (
     DiamondWitness,
     ImageFidelityResult,

@@ -12,8 +12,8 @@ dilation of a type-(n, m) circuit presents the same output/garbage wire
 partition.  The reduction that exchanges the roles of output and garbage
 relies on this shared layout.
 
-``stinespring_isometry`` is the minimal dilation, W = sum_k A_k (x) |k>:
-its environment is the Kraus rank, at most d_in * d_out, not 2^l.
+``dilated_isometry`` is the minimal dilation W = sum_k A_k (x) |k>: its
+environment is the Kraus rank, at most d_in * d_out, not 2^l.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
     )
 
 
-def stinespring_isometry(kraus, env_dim: int | None = None) -> np.ndarray:
-    """W[o, k, i] = A_k[o, i], shape (d_out, r, d_in), from a Kraus stack.
+def dilated_isometry(kraus, env_dim: int) -> np.ndarray:
+    """W[o, k, i] = A_k[o, i], shape (d_out, env_dim, d_in), from a Kraus stack.
 
     ``W.reshape(-1, d_in)`` maps the input into output (x) environment.
     ``env_dim`` pads the stack with zero operators to a shared environment.
     """
     ops = np.asarray(kraus, dtype=np.complex128)
-    pad = 0 if env_dim is None else env_dim - len(ops)  # np.pad refuses pad < 0
+    pad = env_dim - len(ops)  # np.pad refuses pad < 0
     return np.pad(ops, ((0, pad), (0, 0), (0, 0))).transpose(1, 0, 2)

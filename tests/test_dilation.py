@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcdist.circuits import parse_circuit
-from qcdist.dilation import dilate, stinespring_isometry
+from qcdist.dilation import dilate, dilated_isometry
 from qcdist.linalg import partial_trace
 from qcdist.simulate import apply, choi_of, kraus_of
 
@@ -88,13 +88,13 @@ def test_isometry_matches_unitary_embedding():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_stinespring_isometry_is_the_channel(seed):
+def test_dilated_isometry_is_the_channel(seed):
     rng = np.random.default_rng(100 + seed)
     c = random_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(0, 9)))
     din, dout = 2**c.n_in, 2**c.n_out
     kraus = kraus_of(choi_of(c))
-    w = stinespring_isometry(kraus)
     r = len(kraus)
+    w = dilated_isometry(kraus, r)
     assert w.shape == (dout, r, din)
     wm = w.reshape(dout * r, din)
     assert np.abs(wm.conj().T @ wm - np.eye(din)).max() < 1e-12
@@ -103,16 +103,16 @@ def test_stinespring_isometry_is_the_channel(seed):
     assert np.abs(out - apply(c, rho)).max() < 1e-12
 
 
-def test_stinespring_isometry_pads_with_zero_operators():
+def test_dilated_isometry_pads_with_zero_operators():
     kraus = kraus_of(choi_of(depolarizing_circuit()))
-    w = stinespring_isometry(kraus, 6)
+    w = dilated_isometry(kraus, 6)
     assert w.shape == (2, 6, 2)
-    assert np.array_equal(w[:, : len(kraus)], stinespring_isometry(kraus))
+    assert np.array_equal(w[:, : len(kraus)], dilated_isometry(kraus, len(kraus)))
     assert not w[:, len(kraus) :].any()
     with pytest.raises(ValueError):
-        stinespring_isometry(kraus, len(kraus) - 1)
+        dilated_isometry(kraus, len(kraus) - 1)
 
 
-def test_stinespring_isometry_of_a_unitary_has_one_operator():
-    w = stinespring_isometry(kraus_of(choi_of(identity_circuit())))
+def test_dilated_isometry_of_a_unitary_has_one_operator():
+    w = dilated_isometry(kraus_of(choi_of(identity_circuit())), 1)
     assert w.shape == (2, 1, 2)

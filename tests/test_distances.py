@@ -290,18 +290,10 @@ def _refuse(*args, **kwargs):
 def test_max_image_fidelity_checks_cap_before_isometry(monkeypatch):
     # d_out * d_in = 256 is under the cap, but the Kraus rank 256 of the
     # depolarizer makes the ambient side 65536
-    monkeypatch.setattr(distances, "stinespring_isometry", _refuse)
+    monkeypatch.setattr(distances, "dilated_isometry", _refuse)
     p0, p1 = identity_circuit("id4", 4), depolarizing_circuit("dep4", 4)
     with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
         max_image_fidelity(p0, p1)
-
-
-def test_max_image_fidelity_checks_cap_before_any_walk(monkeypatch):
-    # d_out * d_in = 2^14 is over the cap whatever the Kraus ranks
-    monkeypatch.setattr(distances, "choi_of", _refuse)
-    monkeypatch.setattr(distances, "stinespring_isometry", _refuse)
-    with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
-        max_image_fidelity(identity_circuit("id7", 7), identity_circuit("id7b", 7))
 
 
 def test_max_image_fidelity_three_parity_blocks():
