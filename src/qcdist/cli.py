@@ -3,8 +3,9 @@
 All numeric output is a single JSON document on standard output (floats at
 17 significant digits, byte-stable for a fixed seed); human-readable notes
 go to standard error.  Exit codes: 0 success, 1 validation failure,
-2 usage or dimension error, 3 size-cap refusal, 4 optimizer
-non-convergence (the result is still printed).
+2 usage or dimension error, 3 size-cap refusal, 4 an open result, still
+printed: for ``dnorm`` and ``protocol`` a certified diamond-norm gap above
+``distances.GAP_TOL``, for ``maxfid`` an unconverged ascent.
 """
 
 from __future__ import annotations
@@ -184,7 +185,9 @@ def cmd_protocol(args) -> int:
     inst = instance_from_json(_load_json(args.instance), cap=args.cap)
     cfg = _config(args)
     strat, witness = optimal_prover_witness(inst.q0, inst.q1, cfg)
-    result = run_protocol(inst.q0, inst.q1, strat, args.trials, args.seed)
+    result = run_protocol(
+        inst.q0, inst.q1, strat, args.trials, args.seed, dnorm_upper=witness.upper
+    )
     _emit(result_to_json(result))
     return EXIT_OK if witness.converged else EXIT_NOT_CONVERGED
 
@@ -199,8 +202,13 @@ def _parse_override(text: str) -> tuple[int, int, int]:
 def _add_common(sub, optimizer: bool = True) -> None:
     sub.add_argument("--cap", type=int, default=DIM_CAP, help="matrix side cap")
     if optimizer:
-        sub.add_argument("--seed", type=int, default=0, help="optimizer seed")
-        sub.add_argument("--restarts", type=int, default=32)
+        sub.add_argument(
+            "--seed", type=int, default=0, help="maxfid restart seed; protocol trial seed"
+        )
+        sub.add_argument(
+            "--restarts", type=int, default=32,
+            help="maxfid restarts; dnorm and the protocol's witness are deterministic",
+        )
         sub.add_argument("--tol", type=float, default=1e-10, help="relative stop tolerance")
 
 

@@ -1,13 +1,36 @@
 """Distance measures for states and channels.
 
 Trace norm, fidelity (direct and via purifications), Helstrom measurements,
-the diamond-norm seesaw, and maximum image fidelity.  The two optimizers
-return certified lower bounds: every iterate is a feasible input, so the
-reported value is attained by the returned witness.
+the diamond-norm distance as a certified interval, and maximum image
+fidelity.  Every reported value is attained by the returned witness.
 
-Diamond-norm seesaw.  For channels Phi_0, Phi_1 with input space H, fix a
-reference space G of the same dimension and ascend over unit vectors psi on
-H (x) G:
+Diamond norm.  For channels Phi_0, Phi_1 on input space H with Choi
+matrices J_0, J_1 on output (x) input, let J = J_0 - J_1 and, for a state
+rho on H with s = sqrt(rho),
+
+    M(rho) = (I_out (x) s) J (I_out (x) s).
+
+M(rho) is (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger) for psi = vec(s^T) on
+H (x) H, so ||M(rho)||_1 is a lower bound attained by psi.  It is Watrous's
+SDP value at a fixed rho (arXiv:1207.5726), concave in rho, so one ascent
+from rho = I/d_in needs no restarts:
+
+    rho <- tr_out M_+ / tr M_+
+
+with M_+ the positive part of M(rho).  The dual point
+Z = (I (x) s^+) M_+ (I (x) s^+), with s^+ the pseudo-inverse on the support
+of rho, meets Z >= 0, and Z >= J where rho has full rank, in exact
+arithmetic; then 2 lambda_max(tr_out Z) bounds the norm from above, and
+G = s^+ (tr_out M_+) s^+ is that tr_out Z.  Rounding amplified by s^+, and
+directions off the support of rho, can break both constraints, so the
+certified bound adds 2 d_out eps with
+eps = max(0, -lambda_min(Z - J), -lambda_min(Z)): Z + eps I is feasible.
+The bound is also at most 2, the norm of any difference of channels.
+Where the optimal rho is rank-deficient the ascent can stall on the
+boundary with the gap open.  The polished input state, mixed with a little
+of I/d_in so that nothing is inverted off its support, is then certified
+as well, and a seesaw run started from the ascent's psi polishes the
+lower bound:
 
     (a) Delta <- (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger)
     (b) M     <- projector onto the strictly positive eigenspace of Delta
@@ -15,9 +38,9 @@ H (x) G:
     (d) psi   <- top eigenvector of (K + K^dagger)/2
 
 Both half-steps exactly maximize the objective 2 tr(M Delta) in their own
-block, so the objective is monotone nondecreasing; restarts guard against
-local optima.  Steps (a) and (c) are each one contraction with J_0 - J_1;
-the reported value is recomputed from the two channels.
+block, so the objective is monotone nondecreasing.  Steps (a) and (c) are
+each one contraction with J_0 - J_1; the reported value is recomputed
+from the two channels at the returned psi.
 
 Maximum image fidelity.  F(Q_0(rho_0), Q_1(rho_1)) is maximized over mixed
 inputs by parametrizing each rho_i through a purification psi_i on
@@ -41,6 +64,7 @@ from .linalg import (
     TOL_PSD,
     as_state,
     dag,
+    partial_trace,
     psd_sqrt,
     singular_values,
     spectral,
@@ -63,13 +87,39 @@ from .simulate import (
 #: indicates a bug in the channel algebra, not numerical jitter.
 MONOTONE_SLACK = 1e-12
 
+#: A diamond-norm interval whose gap, upper minus value, is at most this is
+#: converged; a wider one is still reported, with exit code 4 on the CLI.
+GAP_TOL = 1e-6
+
+#: Eigenvalues of rho below this fraction of its largest are off its
+#: support: the certificate's pseudo-inverse leaves them out.
+SUPPORT_CUT = 1e-14
+
+#: The ascent runs until its input-side gap is below this.  Its lower bound
+#: closes on the optimum about as fast as the upper one, so a hundredth of
+#: GAP_TOL leaves the value within ~1e-8 of the optimum, for a few more
+#: iterations of a geometric convergence.
+ASCENT_TOL = GAP_TOL / 100
+
+#: Weights delta of I/d_in mixed into the polished input state before it is
+#: certified.  A rank-deficient rho voids its own certificate; mixing costs
+#: O(delta) in the bound and inverts eigenvalues of at least delta/d_in, so
+#: a ladder of delta finds the balance, about 1e-5 on 1-qubit pairs.
+MIX_WEIGHTS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Restart/convergence policy shared by the optimizers.
+    """Iteration and restart policy of the optimizers.
 
-    Restart j uses seed + j, so runs are reproducible and restarts are
-    independent; the max over restarts is order-independent.
+    ``max_iters`` caps each run: the diamond-norm ascent, its seesaw polish
+    and each image-fidelity restart.  ``rel_tol`` stops the seesaw polish
+    and the image-fidelity ascent on a relative change of the objective.
+    ``restarts`` and ``seed`` are read by ``max_image_fidelity`` only:
+    restart j uses seed + j, so runs are reproducible and restarts are
+    independent, and the max over restarts is order-independent.
+    ``diamond_norm`` is deterministic and stops on its certified gap
+    (GAP_TOL).
     """
 
     restarts: int = 32
@@ -88,18 +138,28 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class DiamondWitness:
-    """Certified lower-bound witness for a diamond-norm distance.
+    """Certified interval [value, upper] on a diamond-norm distance.
 
     ``value`` equals the trace norm of (Phi_0 (x) I - Phi_1 (x) I) applied
     to ``psi psi^dagger``; ``measurement`` is the Helstrom projector for
-    that difference on the output (x) reference space.
+    that difference on the output (x) reference space.  ``upper`` is the
+    repaired dual bound of the ascent, and ``iterations`` counts ascent and
+    polish steps.
     """
 
     value: float
     psi: np.ndarray
     measurement: np.ndarray
-    restarts_used: int
-    converged: bool
+    upper: float
+    iterations: int
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.value
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= GAP_TOL
 
 
 @dataclass(eq=False)
@@ -180,15 +240,14 @@ def _difference_kernels(ch0: Channel, ch1: Channel) -> tuple[np.ndarray, np.ndar
     return _kernel(j, ch0.dim_in, ch0.dim_out), _kernel(j, ch0.dim_in, ch0.dim_out, adjoint=True)
 
 
-def _seesaw(forward, adjoint, ref_dim: int, rng, max_iters: int, rel_tol: float):
-    """One seesaw run; returns (value, psi, measurement, converged, history).
+def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel_tol: float):
+    """One seesaw run from the unit vector ``psi``; returns (value, psi,
+    measurement, converged, history).
 
     ``value`` is the Helstrom value at the returned ``psi``, whose
     measurement is ``measurement``; it can sit up to MONOTONE_SLACK below
     ``max(history)``.
     """
-    dim = forward.shape[1] * ref_dim
-    psi = _random_unit(rng, dim)
     prev = -np.inf
     converged = False
     history: list[float] = []
@@ -213,6 +272,82 @@ def _seesaw(forward, adjoint, ref_dim: int, rng, max_iters: int, rel_tol: float)
     return history[-1], evaluated, m, converged, history
 
 
+def _sandwich(x: np.ndarray, a: np.ndarray, dim_out: int) -> np.ndarray:
+    """(I_out (x) a) x (I_out (x) a) for x on output (x) input and Hermitian
+    a on the input, as two broadcast matmuls over x's input axes."""
+    n = x.shape[0]
+    dim_in = a.shape[0]
+    left = (a @ x.reshape(dim_out, dim_in, n)).reshape(n, dim_out, dim_in)
+    return (left @ a).reshape(n, n)
+
+
+def _lambda_max(h: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((h + dag(h)) / 2)[-1])
+
+
+def _infeasibility(z: np.ndarray, j: np.ndarray) -> float:
+    """eps = max(0, -lambda_min(Z - J), -lambda_min(Z)): how far Z misses
+    the dual constraints Z >= J and Z >= 0.  Z + eps I meets both."""
+    return max(0.0, -float(np.linalg.eigvalsh(z - j)[0]), -float(np.linalg.eigvalsh(z)[0]))
+
+
+def _certified_upper(j: np.ndarray, m_pos: np.ndarray, s_inv: np.ndarray, dim_out: int) -> float:
+    """2 lambda_max(tr_out Z) + 2 d_out eps for Z = (I (x) s_inv) M_+ (I (x) s_inv):
+    the repair Z + eps I adds eps d_out to every eigenvalue of tr_out Z."""
+    dim_in = s_inv.shape[0]
+    z = _sandwich(m_pos, s_inv, dim_out)
+    z = (z + dag(z)) / 2
+    g = partial_trace(z, [dim_out, dim_in], [1])
+    return 2 * _lambda_max(g) + 2 * dim_out * _infeasibility(z, j)
+
+
+def _positive_part(j: np.ndarray, s: np.ndarray, dim_out: int) -> tuple[float, np.ndarray]:
+    """(||M||_1, M_+) for M = (I_out (x) s) J (I_out (x) s)."""
+    e, u = spectral(_sandwich(j, s, dim_out))
+    pos = e > 0
+    return float(np.abs(e).sum()), (u[:, pos] * e[pos]) @ dag(u[:, pos])
+
+
+def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(rho) and its pseudo-inverse on the support of rho (SUPPORT_CUT)."""
+    w, v = spectral(rho)
+    w = np.clip(w, 0.0, None)
+    supp = w > SUPPORT_CUT * w[0]
+    return (v * np.sqrt(w)) @ dag(v), (v[:, supp] / np.sqrt(w[supp])) @ dag(v[:, supp])
+
+
+def _ascent(j: np.ndarray, dim_in: int, dim_out: int, max_iters: int):
+    """Ascent over the input state rho from I/d_in; returns (lower, upper,
+    sqrt(rho), iterations) at the iterate it stops on.
+
+    Each iteration bounds the gap on the input side, 2 lambda_max(G) minus
+    the lower bound; the certificate on output (x) input is formed at the
+    iterate where that gap falls below ASCENT_TOL, or at ``max_iters``.
+    Where the input-side gap closes but the certificate does not, rho sits
+    on a boundary of the state space, and further steps only shrink an
+    eigenvalue that the certificate then inverts, so the ascent stops there.
+    """
+    rho = np.eye(dim_in) / dim_in
+    for it in range(1, max_iters + 1):
+        s, s_inv = _root_and_inverse(rho)
+        lower, m_pos = _positive_part(j, s, dim_out)
+        t = partial_trace(m_pos, [dim_out, dim_in], [1])
+        if 2 * _lambda_max(s_inv @ t @ s_inv) - lower <= ASCENT_TOL or it == max_iters:
+            break
+        rho = t / np.trace(t).real
+    return lower, _certified_upper(j, m_pos, s_inv, dim_out), s, it
+
+
+def _mixed_upper(j: np.ndarray, rho: np.ndarray, dim_out: int) -> float:
+    """Least certified bound at (1 - delta) rho + delta I/d_in over MIX_WEIGHTS."""
+    dim_in = rho.shape[0]
+    bounds = []
+    for delta in MIX_WEIGHTS:
+        s, s_inv = _root_and_inverse((1 - delta) * rho + delta * np.eye(dim_in) / dim_in)
+        bounds.append(_certified_upper(j, _positive_part(j, s, dim_out)[1], s_inv, dim_out))
+    return min(bounds)
+
+
 def diamond_norm(
     ch0: Channel,
     ch1: Channel,
@@ -220,11 +355,14 @@ def diamond_norm(
     *,
     ref_qubits: int | None = None,
 ) -> DiamondWitness:
-    """Seesaw lower bound on the diamond-norm distance between two channels.
+    """Certified interval [value, upper] on the diamond-norm distance.
 
-    The reference space defaults to the input dimension, which suffices for
-    the exact value; ``ref_qubits`` exists so tests can confirm that a
-    larger reference gains nothing.
+    One deterministic ascent over the input state (module docstring).
+    While its gap is above GAP_TOL, a seesaw run from its witness polishes
+    the value, and the polished witness's input state, mixed with a little
+    of I/d_in, is certified too.  The reference space defaults to the input
+    dimension, which suffices for the exact value; ``ref_qubits`` exists so
+    tests can confirm that a larger reference gains nothing.
     """
     if (ch0.n_in, ch0.n_out) != (ch1.n_in, ch1.n_out):
         raise ValueError(
@@ -233,28 +371,33 @@ def diamond_norm(
     cfg = cfg or OptimizerConfig()
     if ref_qubits is None:
         ref_qubits = ch0.n_in
+    if ref_qubits < ch0.n_in:
+        raise ValueError(f"reference of {ref_qubits} qubits is smaller than the {ch0.n_in} inputs")
+    din, dout = ch0.dim_in, ch0.dim_out
     ref_dim = 2**ref_qubits
-    linalg.check_cap(ch0.dim_in * ref_dim, context="seesaw input")
-    linalg.check_cap(ch0.dim_out * ref_dim, context="seesaw output")
-    kernels = _difference_kernels(ch0, ch1)
-    best: DiamondWitness | None = None
-    used = 0
-    for j in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + j)
-        value, psi, m, converged, _ = _seesaw(
-            *kernels, ref_dim, rng, cfg.max_iters, cfg.rel_tol
+    linalg.check_cap(din * ref_dim, context="diamond-norm input")
+    linalg.check_cap(dout * ref_dim, context="diamond-norm output")
+    j = ch0.choi - ch1.choi
+    j = (j + dag(j)) / 2
+    lower, upper, s, iterations = _ascent(j, din, dout, cfg.max_iters)
+    # psi = vec(sqrt(rho)^T), padded to the reference: (Phi (x) I)(psi psi^dagger) is M(rho)
+    x = np.zeros((din, ref_dim), dtype=np.complex128)
+    x[:, :din] = s.T
+    if upper - lower > GAP_TOL:
+        value, polished, _, _, history = _seesaw(
+            *_difference_kernels(ch0, ch1), ref_dim, x.reshape(-1), cfg.max_iters, cfg.rel_tol
         )
-        used = j + 1
-        if best is None or value > best.value:
-            best = DiamondWitness(value, psi, m, used, converged)
-        if best.value >= 2.0 - 1e-12:
-            break
-    best.restarts_used = used
+        iterations += len(history)
+        if value > lower:
+            x = polished.reshape(din, ref_dim)
+        # psi = vec(x) stands for rho = (x x^dagger)^T
+        upper = min(upper, _mixed_upper(j, (x @ dag(x)).T, dout))
+    psi = x.reshape(-1)
     # the reported value comes from the two channels at the returned psi
-    rho = np.outer(best.psi, best.psi.conj())
+    rho = np.outer(psi, psi.conj())
     delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
-    best.measurement, best.value = helstrom((delta + dag(delta)) / 2)
-    return best
+    measurement, value = helstrom((delta + dag(delta)) / 2)
+    return DiamondWitness(value, psi, measurement, min(upper, 2.0), iterations)
 
 
 def max_image_fidelity(
@@ -328,8 +471,10 @@ def max_image_fidelity(
 def witness_to_json(w: DiamondWitness) -> dict:
     return {
         "value": float(w.value),
+        "upper": float(w.upper),
+        "gap": float(w.gap),
+        "iterations": int(w.iterations),
         "converged": bool(w.converged),
-        "restarts_used": int(w.restarts_used),
         "psi": linalg.complex_pairs(w.psi),
         "measurement": linalg.matrix_to_json(w.measurement),
     }

@@ -26,7 +26,7 @@ import numpy as np
 from .circuits import Circuit
 from .distances import DiamondWitness, OptimizerConfig, diamond_norm, trace_norm
 from .linalg import as_matrix, as_state, dag
-from .simulate import apply_extended, choi_of
+from .simulate import InternalConsistencyError, apply_extended, choi_of
 
 #: Trials per random stream; block b of a run uses spawn key (b,).
 _BLOCK = 1 << 16
@@ -60,6 +60,7 @@ class ProtocolResult:
     estimate: float | None
     dnorm_witness_value: float
     seed: int | None = None
+    dnorm_upper: float = 2.0
 
 
 def _private_qubits(strat: ProverStrategy, c: Circuit) -> int:
@@ -131,8 +132,15 @@ def run_protocol(
     strat: ProverStrategy,
     trials: int,
     seed: int,
+    *,
+    dnorm_upper: float = 2.0,
 ) -> ProtocolResult:
     """Exact acceptance probability plus a Monte Carlo tally.
+
+    ``dnorm_upper`` is a certified upper bound on ||Q0 - Q1||_diamond (the
+    default 2 holds for any pair).  No strategy accepts with probability
+    above 1/2 + dnorm_upper/4, so an exact acceptance probability above it
+    raises InternalConsistencyError.
 
     Trials run in blocks of ``_BLOCK`` (the last one shorter).  Block b
     draws from its own stream, SeedSequence(seed, spawn_key=(b,)): the
@@ -153,6 +161,11 @@ def run_protocol(
         float(np.real(np.trace(m @ rho1))),
     )
     p_exact = 0.5 * p_answer0[0] + 0.5 * (1.0 - p_answer0[1])
+    if p_exact > 0.5 + dnorm_upper / 4 + 1e-12:
+        raise InternalConsistencyError(
+            f"acceptance probability {p_exact!r} exceeds the soundness bound "
+            f"1/2 + {dnorm_upper!r}/4"
+        )
     accepts = sum(
         _block_accepts(seed, b, min(_BLOCK, trials - start), p_answer0)
         for b, start in enumerate(range(0, trials, _BLOCK))
@@ -164,6 +177,7 @@ def run_protocol(
         estimate=accepts / trials,
         dnorm_witness_value=trace_norm(rho0 - rho1),
         seed=seed,
+        dnorm_upper=dnorm_upper,
     )
 
 
@@ -174,5 +188,6 @@ def result_to_json(res: ProtocolResult) -> dict:
         "accepts": res.accepts,
         "estimate": None if res.estimate is None else float(res.estimate),
         "dnorm_witness_value": float(res.dnorm_witness_value),
+        "dnorm_upper": float(res.dnorm_upper),
         "seed": res.seed,
     }

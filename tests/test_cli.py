@@ -7,11 +7,12 @@ import pytest
 
 from qcdist import cli, reductions, simulate
 from qcdist.cli import main
+from qcdist.distances import GAP_TOL
 from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
 from qcdist.jsonutil import dumps
 from qcdist.simulate import density_to_json
 
-from helpers import decohere_circuit, identity_circuit, z_circuit
+from helpers import decohere_circuit, identity_circuit, random_11_circuit, z_circuit
 
 
 @pytest.fixture()
@@ -97,6 +98,30 @@ def test_distance_dnorm_instance(workdir, capsys):
     )
     assert code == 0
     assert abs(out["value"] - 1.0) < 1e-6
+    assert out["value"] <= out["upper"] and out["gap"] <= GAP_TOL and out["converged"]
+    assert out["iterations"] >= 1
+
+
+def test_distance_dnorm_ignores_restarts_and_seed(workdir, capsys):
+    main(["distance", "dnorm", str(workdir / "inst.json"), "--restarts", "1", "--seed", "0"])
+    a = capsys.readouterr().out
+    main(["distance", "dnorm", str(workdir / "inst.json"), "--restarts", "8", "--seed", "5"])
+    assert capsys.readouterr().out == a
+
+
+def test_distance_dnorm_open_gap_exits_4(workdir, capsys):
+    # the ci2qcd pair of two fixed 1-qubit circuits whose optimal input is
+    # rank-deficient: the certified gap stays open at about 2.6e-6
+    rng = np.random.default_rng(105)
+    for _ in range(13):
+        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    r0, r1 = reductions.ci_to_qcd(qa, qb)
+    (workdir / "r0.circ").write_text(serialize_circuit(r0))
+    (workdir / "r1.circ").write_text(serialize_circuit(r1))
+    code, out = run_cli(capsys, "distance", "dnorm", workdir / "r0.circ", workdir / "r1.circ")
+    assert code == 4
+    assert out["gap"] > GAP_TOL and not out["converged"]
+    assert out["value"] <= out["upper"]
 
 
 def test_distance_dnorm_two_circuit_files(workdir, capsys):
@@ -217,6 +242,7 @@ def test_protocol_exact_values(workdir, capsys):
     assert code == 0
     assert abs(out["p_accept_exact"] - 1.0) < 1e-9
     assert out["accepts"] == 200
+    assert abs(out["dnorm_upper"] - 2.0) < 1e-9
 
 
 def test_protocol_estimate_concentrates(workdir, capsys):

@@ -3,7 +3,9 @@ import pytest
 
 from qcdist import distances
 from qcdist.distances import (
+    GAP_TOL,
     OptimizerConfig,
+    _ascent,
     _difference_kernels,
     _seesaw,
     diamond_norm,
@@ -15,7 +17,7 @@ from qcdist.distances import (
     witness_to_json,
 )
 from qcdist.linalg import SizeCapError
-from qcdist.reductions import parity_mix
+from qcdist.reductions import ci_to_qcd, parity_mix
 from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of
 
 from helpers import (
@@ -111,13 +113,20 @@ def test_helstrom_reproduces_trace_norm():
 
 def test_diamond_norm_closed_forms():
     ch_i = choi_of(identity_circuit())
-    assert diamond_norm(ch_i, ch_i, CFG).value < 1e-12
+    w = diamond_norm(ch_i, ch_i, CFG)
+    assert w.value < 1e-12
+    assert w.upper <= 1e-9
+    w = diamond_norm(ch_i, choi_of(identity_circuit("id2")), CFG)
+    assert w.upper <= 1e-9
     w = diamond_norm(ch_i, choi_of(z_circuit()), CFG)
     assert abs(w.value - 2.0) < 1e-9
+    assert abs(w.upper - 2.0) < 1e-6
     w = diamond_norm(ch_i, choi_of(decohere_circuit()), CFG)
     assert abs(w.value - 1.0) < 1e-6
+    assert abs(w.upper - 1.0) < 1e-6
     w = diamond_norm(ch_i, choi_of(depolarizing_circuit()), CFG)
     assert abs(w.value - 1.5) < 1e-6
+    assert abs(w.upper - 1.5) < 1e-6
 
 
 def test_diamond_witness_is_self_consistent():
@@ -135,13 +144,13 @@ def test_diamond_witness_is_self_consistent():
 
 
 def test_diamond_value_is_helstrom_value_at_witness():
-    # The last seesaw iterate can sit a few ulps below the best one, so the
-    # reported value must come from the returned psi, not from the history.
+    # The ascent's bound and the last seesaw iterate can sit a few ulps off
+    # the value at the returned psi, so the value must come from that psi.
     rng = np.random.default_rng(2)
-    ch0 = choi_of(random_11_circuit(rng, "a"))
-    ch1 = choi_of(random_11_circuit(rng, "b"))
-    for seed in range(8):
-        w = diamond_norm(ch0, ch1, OptimizerConfig(restarts=1, seed=seed))
+    for _ in range(8):
+        ch0 = choi_of(random_11_circuit(rng, "a"))
+        ch1 = choi_of(random_11_circuit(rng, "b"))
+        w = diamond_norm(ch0, ch1, CFG)
         rho = np.outer(w.psi, w.psi.conj())
         delta = channel_apply_ext(ch0, rho, 2) - channel_apply_ext(ch1, rho, 2)
         m, value = helstrom((delta + delta.conj().T) / 2)
@@ -157,13 +166,14 @@ def test_diamond_norm_against_grid_oracle():
         assert abs(grid_value - expect) < 1e-9
         w = diamond_norm(ch_i, ch, CFG)
         assert w.value >= grid_value - 1e-9
+        assert w.upper >= grid_value
 
 
 def test_seesaw_monotone_objective():
     ch0 = choi_of(identity_circuit())
     ch1 = choi_of(depolarizing_circuit())
-    rng = np.random.default_rng(6)
-    value, _, _, converged, history = _seesaw(*_difference_kernels(ch0, ch1), 2, rng, 500, 1e-10)
+    psi = random_state(np.random.default_rng(6), 4)
+    value, _, _, converged, history = _seesaw(*_difference_kernels(ch0, ch1), 2, psi, 500, 1e-10)
     assert converged
     diffs = np.diff(history)
     assert diffs.min() >= -1e-12
@@ -195,9 +205,17 @@ def test_difference_kernels_match_four_contractions(seed):
 def test_reference_dimension_stability():
     ch0 = choi_of(identity_circuit())
     ch1 = choi_of(decohere_circuit())
-    v1 = diamond_norm(ch0, ch1, CFG).value
-    v2 = diamond_norm(ch0, ch1, CFG, ref_qubits=2).value
-    assert abs(v1 - v2) < 1e-6
+    w1 = diamond_norm(ch0, ch1, CFG)
+    w2 = diamond_norm(ch0, ch1, CFG, ref_qubits=2)
+    assert abs(w1.value - w2.value) < 1e-6
+    assert abs(w1.upper - w2.upper) < 1e-6
+    assert w2.psi.size == 8
+
+
+def test_reference_smaller_than_input_is_refused():
+    ch = choi_of(identity_circuit("id2", 2))
+    with pytest.raises(ValueError, match="smaller than"):
+        diamond_norm(ch, ch, CFG, ref_qubits=1)
 
 
 def test_rank_one_probes_never_beat_seesaw():
@@ -211,6 +229,84 @@ def test_rank_one_probes_never_beat_seesaw():
         x /= trace_norm(x)
         value = trace_norm(channel_apply_ext(ch0, x, 2) - channel_apply_ext(ch1, x, 2))
         assert value <= best + 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_one_probes_never_beat_upper(seed):
+    rng = np.random.default_rng(400 + seed)
+    qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    pairs = [(random_11_circuit(rng, "a"), random_11_circuit(rng, "b")), ci_to_qcd(qa, qb)]
+    for c0, c1 in pairs:
+        ch0, ch1 = choi_of(c0), choi_of(c1)
+        w = diamond_norm(ch0, ch1, CFG)
+        assert w.value <= w.upper
+        for _ in range(50):
+            psi = random_state(rng, ch0.dim_in**2)
+            rho = np.outer(psi, psi.conj())
+            delta = channel_apply_ext(ch0, rho, ch0.dim_in) - channel_apply_ext(ch1, rho, ch0.dim_in)
+            assert trace_norm(delta) <= w.upper + 1e-12
+
+
+def test_ascent_closes_well_inside_gap_tol():
+    # the ascent runs to ASCENT_TOL, so a converged value sits within ~1e-8
+    # of the optimum rather than anywhere inside GAP_TOL
+    for index in (0, 2, 8, 16):
+        w = diamond_norm(*_criterion_5_pair(index), CFG)
+        assert w.value <= w.upper <= w.value + GAP_TOL / 10
+
+
+@pytest.mark.parametrize("seed", [4, 13])
+def test_boundary_optimum_is_certified(seed):
+    # The optimal input of these pairs is pure: the ascent stalls with its
+    # gap open (1.1e-3 and 8.8e-5), and the mixed polished state closes it.
+    rng = np.random.default_rng(seed)
+    ch0 = choi_of(random_11_circuit(rng, "a"))
+    ch1 = choi_of(random_11_circuit(rng, "b"))
+    j = ch0.choi - ch1.choi
+    lower, upper, _, _ = _ascent((j + j.conj().T) / 2, 2, 2, CFG.max_iters)
+    assert upper - lower > GAP_TOL
+    w = diamond_norm(ch0, ch1, CFG)
+    assert w.value <= w.upper and w.converged
+
+
+def test_upper_bound_never_exceeds_two():
+    # the pair is perfectly distinguishable by a pure input, which the ascent
+    # approaches only as 1/k; every dual point it certifies lies above 2
+    rng = np.random.default_rng(29)
+    ch0 = choi_of(random_11_circuit(rng, "a"))
+    ch1 = choi_of(random_11_circuit(rng, "b"))
+    w = diamond_norm(ch0, ch1, CFG)
+    assert w.upper == 2.0 and w.converged
+
+
+def _criterion_5_pair(index):
+    """Pair ``index`` of the acceptance test's 20 close-images reductions."""
+    rng = np.random.default_rng(105)
+    for _ in range(index + 1):
+        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    r0, r1 = ci_to_qcd(qa, qb)
+    return choi_of(r0), choi_of(r1)
+
+
+def test_repair_term_keeps_the_upper_bound_sound(monkeypatch):
+    # Pair 11's optimal rho is rank-deficient.  Given 2000 iterations the
+    # ascent shrinks an eigenvalue of rho below SUPPORT_CUT, the input-side
+    # gap closes and it stops there; the pseudo-inverse then drops that
+    # direction, and without the 2 d_out eps term the "bound" falls below
+    # the value the polish attains.  With it, that certificate is void, and
+    # the polished state mixed with a little of I/d bounds the norm.
+    ch0, ch1 = _criterion_5_pair(11)
+    cfg = OptimizerConfig(max_iters=2000)
+    j = ch0.choi - ch1.choi
+    lower, upper, _, iterations = _ascent(j, ch0.dim_in, ch0.dim_out, 2000)
+    assert iterations < 2000
+    assert upper - lower > GAP_TOL
+    w = diamond_norm(ch0, ch1, cfg)
+    assert w.value <= w.upper < w.value + 1e-5
+    assert not w.converged
+    monkeypatch.setattr(distances, "_infeasibility", lambda z, j: 0.0)
+    raw = diamond_norm(ch0, ch1, cfg).upper
+    assert raw < w.value - 1e-4
 
 
 def test_max_image_fidelity_closed_forms():
@@ -272,7 +368,8 @@ def test_helstrom_success_probability_interpretation():
 def test_witness_json_shape():
     w = diamond_norm(choi_of(identity_circuit()), choi_of(decohere_circuit()), CFG)
     blob = witness_to_json(w)
-    assert set(blob) == {"value", "converged", "restarts_used", "psi", "measurement"}
+    assert set(blob) == {"value", "upper", "gap", "iterations", "converged", "psi", "measurement"}
+    assert blob["gap"] == w.upper - w.value
     assert len(blob["psi"]) == w.psi.size
 
 

@@ -12,7 +12,7 @@ from qcdist.protocol import (
     result_to_json,
     run_protocol,
 )
-from qcdist.simulate import choi_of
+from qcdist.simulate import InternalConsistencyError, choi_of
 
 from helpers import (
     decohere_circuit,
@@ -124,8 +124,21 @@ def test_result_json_fields():
         "accepts",
         "estimate",
         "dnorm_witness_value",
+        "dnorm_upper",
         "seed",
     }
+    assert blob["dnorm_upper"] == 2.0  # the trivial bound when none is given
+
+
+def test_run_protocol_checks_soundness_against_upper_bound():
+    q0, q1 = identity_circuit(), decohere_circuit()
+    strat, witness = optimal_prover_witness(q0, q1, CFG)
+    res = run_protocol(q0, q1, strat, 100, seed=1, dnorm_upper=witness.upper)
+    assert res.p_accept_exact <= 0.5 + witness.upper / 4 + 1e-12
+    assert result_to_json(res)["dnorm_upper"] == witness.upper
+    # the optimal strategy accepts with 3/4, which no pair at distance 0.9 allows
+    with pytest.raises(InternalConsistencyError, match="soundness bound"):
+        run_protocol(q0, q1, strat, 100, seed=1, dnorm_upper=0.9)
 
 
 @pytest.fixture(scope="module")
