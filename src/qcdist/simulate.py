@@ -18,6 +18,11 @@ sum_k vec(K_k) vec(K_k)^dagger and the remaining gates run as one density
 walk with n_in reference qubits.  A circuit whose widest point has
 live + n_in > log2(cap) would put that matrix over the cap, so it is
 instead simulated once per input matrix unit |i><j| at its own width.
+
+The density walk (``_run_gates``, also behind ``simulate``) holds rho as
+one [2] * (2 * total) tensor from the first gate to the last: each gate
+acts on its row and column axes in one pass, and the (D, D) matrix is
+formed only at the end.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ from . import linalg
 KRAUS_EIG_CUTOFF = 1e-12
 
 TOL_CHANNEL = 1e-9
-
-_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-
 
 class NotCompletelyPositiveError(ValueError):
     """Choi matrix has a negative eigenvalue beyond tolerance."""
@@ -83,31 +85,6 @@ def _act(u: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
     return np.moveaxis(t, list(range(a)), axes)
 
 
-def _apply_unitary(rho: np.ndarray, u: np.ndarray, wires, n: int) -> np.ndarray:
-    """Conjugate rho (n qubits) by u acting on the given wires."""
-    dim = 2**n
-    t = _act(u, rho.reshape([2] * (2 * n)), list(wires))
-    t = _act(u.conj(), t, [n + w for w in wires])
-    return t.reshape(dim, dim)
-
-
-def _decohere(rho: np.ndarray, wire: int, n: int) -> np.ndarray:
-    """Zero every entry whose row and column disagree on the wire's bit."""
-    bits = (np.arange(2**n) >> (n - 1 - wire)) & 1
-    return np.where(bits[:, None] == bits[None, :], rho, 0.0)
-
-
-def _insert_zero_qubit(rho: np.ndarray, pos: int, n: int) -> np.ndarray:
-    """Tensor in a fresh |0> qubit and move it to qubit position ``pos``."""
-    out = np.kron(rho, _P0)
-    m = n + 1
-    if pos == m - 1:
-        return out
-    t = out.reshape([2] * (2 * m))
-    t = np.moveaxis(t, [m - 1, 2 * m - 1], [pos, m + pos])
-    return t.reshape(2**m, 2**m)
-
-
 def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CAP) -> np.ndarray:
     """Run ``c`` on the first n_in qubits of ``rho``, identity on the rest.
 
@@ -126,26 +103,48 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CA
 
 
 def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> np.ndarray:
-    """Density-matrix walk of ``gates`` over ``live`` wires then ``ref_qubits``."""
+    """One-pass density walk of ``gates`` over ``live`` wires then ``ref_qubits``.
+
+    rho is copied once into a [2] * (2 * total) tensor, row axes first, and
+    reshaped to (D, D) only after the last gate.  A unitary u is one
+    tensordot of u (x) conj(u) against its row and column axes, left as a
+    moveaxis view; decohere zeroes two off-diagonal blocks in place; ancilla
+    writes into the |0><0| slice of a wider zeroed tensor, at ``live``.
+    """
     total = live + ref_qubits
+    t = np.array(rho, dtype=np.complex128).reshape([2] * (2 * total))
     for g in gates:
         if g.kind == "unitary":
-            rho = _apply_unitary(rho, g.matrix, g.wires, total)
+            a = len(g.wires)
+            axes = list(g.wires) + [total + w for w in g.wires]
+            # (rows, cols) of u times (rows, cols) of conj(u): contract both column groups
+            k = np.multiply.outer(g.matrix, g.matrix.conj()).reshape([2] * (4 * a))
+            cols = list(range(a, 2 * a)) + list(range(3 * a, 4 * a))
+            t = np.tensordot(k, t, axes=(cols, axes))
+            t = np.moveaxis(t, list(range(2 * a)), axes)
         elif g.kind == "decohere":
-            rho = _decohere(rho, g.wires[0], total)
+            w = g.wires[0]
+            for bit in (0, 1):
+                block = [slice(None)] * (2 * total)
+                block[w], block[total + w] = bit, 1 - bit
+                t[tuple(block)] = 0.0
         elif g.kind == "ancilla":
             check_wires(total + 1, cap, "qubits mid-circuit")
-            rho = _insert_zero_qubit(rho, live, total)
+            grown = np.zeros([2] * (2 * total + 2), dtype=np.complex128)
+            fresh = [slice(None)] * (2 * total + 2)
+            fresh[live] = fresh[total + 1 + live] = 0
+            grown[tuple(fresh)] = t
+            t = grown
             live += 1
             total += 1
         elif g.kind == "trace":
             w = g.wires[0]
-            rho = partial_trace(rho, [2] * total, [q for q in range(total) if q != w])
+            t = np.trace(t, axis1=w, axis2=total + w)
             live -= 1
             total -= 1
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-    return rho
+    return t.reshape(2**total, 2**total)
 
 
 def apply(c: Circuit, rho: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test utilities: random objects and standard small circuits."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qcdist.circuits import (
     Circuit,
@@ -149,3 +150,34 @@ def dilated_apply(d, rho):
         state = np.kron(state, np.diag([1.0, 0.0]).astype(complex))
     state = simulate(d.unitary_circuit, state)
     return partial_trace(state, [2] * d.n_wires, list(range(d.n_out)))
+
+
+@st.composite
+def small_circuits(draw, max_in=3, max_live=5):
+    """Valid circuits on at most ``max_in`` inputs and ``max_live`` live wires."""
+    n_in = draw(st.integers(0, max_in))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live, gates = n_in, []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["ancilla"] if live < max_live else []
+        if live >= 1:
+            kinds += ["u1", "decohere", "trace"]
+        if live >= 2:
+            kinds.append("u2")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "ancilla":
+            gates.append(ancilla_gate())
+            live += 1
+        elif kind == "u2":
+            wires = draw(st.lists(st.integers(0, live - 1), min_size=2, max_size=2, unique=True))
+            gates.append(unitary_gate(random_unitary(rng, 4), wires))
+        else:
+            w = draw(st.integers(0, live - 1))
+            if kind == "u1":
+                gates.append(unitary_gate(random_unitary(rng, 2), (w,)))
+            elif kind == "decohere":
+                gates.append(decohere_gate(w))
+            else:
+                gates.append(trace_gate(w))
+                live -= 1
+    return Circuit("gen", n_in, gates)

@@ -1,15 +1,21 @@
-"""Independent oracles the optimizers are checked against.
+"""Independent oracles the optimizers and the simulator are checked against.
 
 Nothing here shares code paths with the seesaw: states come from an
 explicit hyperspherical grid, channels act through stacked Kraus tensors,
-and trace norms come from batched eigenvalue sums.
+and trace norms come from batched eigenvalue sums.  The density walk is
+checked against per-gate kernels that reshape to a (D, D) matrix after
+every gate: two half-actions per unitary, a bit mask for decohere, a kron
+for ancilla and ``linalg.partial_trace`` for trace.
 """
 
 import itertools
 
 import numpy as np
 
+from qcdist.linalg import partial_trace
 from qcdist.simulate import kraus_of
+
+_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
 
 def hyperspherical_grid(dim, n_theta=5, n_phase=6):
@@ -80,3 +86,57 @@ def kron_entry_oracle(a, b):
 def tnorm_from_eigs(h):
     """Trace norm of a Hermitian matrix as the sum of |eigenvalues|."""
     return float(np.abs(np.linalg.eigvalsh(h)).sum())
+
+
+def _act(u, t, axes):
+    """Apply the matrix u to the given qubit axes of the tensor t."""
+    a = len(axes)
+    t = np.tensordot(u.reshape([2] * (2 * a)), t, axes=(list(range(a, 2 * a)), axes))
+    return np.moveaxis(t, list(range(a)), axes)
+
+
+def _apply_unitary(rho, u, wires, n):
+    """Conjugate rho (n qubits) by u acting on the given wires."""
+    dim = 2**n
+    t = _act(u, rho.reshape([2] * (2 * n)), list(wires))
+    t = _act(u.conj(), t, [n + w for w in wires])
+    return t.reshape(dim, dim)
+
+
+def _decohere(rho, wire, n):
+    """Zero every entry whose row and column disagree on the wire's bit."""
+    bits = (np.arange(2**n) >> (n - 1 - wire)) & 1
+    return np.where(bits[:, None] == bits[None, :], rho, 0.0)
+
+
+def _insert_zero_qubit(rho, pos, n):
+    """Tensor in a fresh |0> qubit and move it to qubit position ``pos``."""
+    out = np.kron(rho, _P0)
+    m = n + 1
+    if pos == m - 1:
+        return out
+    t = out.reshape([2] * (2 * m))
+    t = np.moveaxis(t, [m - 1, 2 * m - 1], [pos, m + pos])
+    return t.reshape(2**m, 2**m)
+
+
+def density_walk_oracle(c, x, ref_qubits=0):
+    """(c (x) I)(x) by a gate-by-gate walk on the (D, D) matrix, for any operator x."""
+    live = c.n_in
+    total = live + ref_qubits
+    rho = np.array(x, dtype=np.complex128)
+    for g in c.gates:
+        if g.kind == "unitary":
+            rho = _apply_unitary(rho, g.matrix, g.wires, total)
+        elif g.kind == "decohere":
+            rho = _decohere(rho, g.wires[0], total)
+        elif g.kind == "ancilla":
+            rho = _insert_zero_qubit(rho, live, total)
+            live += 1
+            total += 1
+        else:
+            w = g.wires[0]
+            rho = partial_trace(rho, [2] * total, [q for q in range(total) if q != w])
+            live -= 1
+            total -= 1
+    return rho

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcdist import cli, reductions, simulate
 from qcdist.cli import main
@@ -12,7 +15,13 @@ from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, se
 from qcdist.jsonutil import dumps
 from qcdist.simulate import density_to_json
 
-from helpers import decohere_circuit, identity_circuit, random_11_circuit, z_circuit
+from helpers import (
+    decohere_circuit,
+    identity_circuit,
+    random_11_circuit,
+    small_circuits,
+    z_circuit,
+)
 
 
 @pytest.fixture()
@@ -71,6 +80,45 @@ def test_validate_corrupted_unitary(workdir, capsys):
     code, out = run_cli(capsys, "validate", bad)
     assert code == 1
     assert any("unitary" in v for v in out["violations"])
+
+
+@st.composite
+def circuit_texts(draw):
+    """(mutation, text): a serialized small circuit, possibly hit by one one-line mutation."""
+    c = draw(small_circuits())
+    lines = serialize_circuit(c).splitlines()
+    mutation = draw(st.sampled_from(["none", "unknown gate", "wire", "non-unitary", "truncate"]))
+    if mutation == "truncate":
+        text = "\n".join(lines) + "\n"
+        return mutation, text[: draw(st.integers(0, len(text) - 1))]
+    if mutation != "none":
+        wire = draw(st.integers(5, 2**40)) if mutation == "wire" else 0  # live wires stay below 5
+        bad = {
+            "unknown gate": draw(st.sampled_from(["gate FOO 0", "frobnicate 0", "unitary 0 0"])),
+            "wire": draw(st.sampled_from([f"decohere {wire}", f"gate H {wire}", f"trace {wire}"])),
+            "non-unitary": "unitary 1 0 1.0,0.0 0.1,0.0 0.0,0.0 1.0,0.0",
+        }[mutation]
+        at = draw(st.integers(1, len(lines) - 1))
+        replace = at < len(lines) - 1 and draw(st.booleans())  # never replace the header or end
+        lines[at : at + replace] = [bad]
+    return mutation, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circuit_texts())
+def test_validate_exit_contract_fuzz(tmp_path_factory, case):
+    mutation, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "c.circ"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["valid"] is (code == 0)
+    if mutation == "none":
+        assert code == 0
 
 
 def test_distance_trace(workdir, capsys):

@@ -25,6 +25,7 @@ from qcdist.simulate import (
     density_from_json,
     density_to_json,
     kraus_of,
+    simulate,
 )
 from qcdist.linalg import partial_trace
 
@@ -36,8 +37,10 @@ from helpers import (
     random_hermitian,
     random_state,
     random_unitary,
+    small_circuits,
     z_circuit,
 )
+from oracles import density_walk_oracle
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -298,41 +301,66 @@ def test_over_cap_width_falls_back_to_matrix_units(monkeypatch):
     assert np.abs(ch.choi - walked).max() < 1e-12
 
 
-@st.composite
-def small_circuits(draw, max_in=3, max_live=5):
-    """Valid circuits on at most ``max_in`` inputs and ``max_live`` live wires."""
-    n_in = draw(st.integers(0, max_in))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    live, gates = n_in, []
-    for _ in range(draw(st.integers(0, 12))):
-        kinds = ["ancilla"] if live < max_live else []
-        if live >= 1:
-            kinds += ["u1", "decohere", "trace"]
-        if live >= 2:
-            kinds.append("u2")
-        kind = draw(st.sampled_from(kinds))
-        if kind == "ancilla":
-            gates.append(ancilla_gate())
-            live += 1
-        elif kind == "u2":
-            wires = draw(st.lists(st.integers(0, live - 1), min_size=2, max_size=2, unique=True))
-            gates.append(unitary_gate(random_unitary(rng, 4), wires))
-        else:
-            w = draw(st.integers(0, live - 1))
-            if kind == "u1":
-                gates.append(unitary_gate(random_unitary(rng, 2), (w,)))
-            elif kind == "decohere":
-                gates.append(decohere_gate(w))
-            else:
-                gates.append(trace_gate(w))
-                live -= 1
-    return Circuit("gen", n_in, gates)
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_circuits())
 def test_kraus_walk_matches_matrix_units_property(c):
     assert np.abs(choi_of(c).choi - _matrix_unit_reference(c)).max() < 1e-12
+
+
+def _random_operator(rng, side):
+    return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_circuits(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_density_walk_matches_oracle_property(c, ref_qubits, seed):
+    x = _random_operator(np.random.default_rng(seed), 2 ** (c.n_in + ref_qubits))
+    out = simulate(c, x, ref_qubits)
+    assert np.abs(out - density_walk_oracle(c, x, ref_qubits)).max() < 1e-12
+
+
+def test_density_walk_matches_oracle_at_dense_choi_size(monkeypatch):
+    # three inputs widened to six live wires, with arity-3 unitaries; the
+    # decoheres push the Kraus stack past D, so choi_of switches to the walk
+    rng = np.random.default_rng(15)
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    gates = [u(0, 1, 2), ancilla_gate(), ancilla_gate(), ancilla_gate()]
+    for step in range(6):
+        gates += [u(step % 6, (step + 2) % 6, (step + 5) % 6), decohere_gate(step % 6),
+                  u((step + 1) % 6, (step + 3) % 6), decohere_gate((step + 4) % 6)]
+    gates += [trace_gate(5), u(1, 4, 0), trace_gate(2), u(3, 0)]
+    c = Circuit("wide", 3, gates)
+    omega = np.zeros((8, 8, 8, 8), dtype=complex)  # |Omega><Omega|, Omega = sum_i |i>|i>
+    for i in range(8):
+        for j in range(8):
+            omega[i, i, j, j] = 1.0
+    ref = density_walk_oracle(c, omega.reshape(64, 64), 3)
+    switches = _spy(monkeypatch, "_run_gates")
+    assert np.abs(choi_of(c).choi - ref).max() < 1e-12
+    assert len(switches) == 1
+    x = _random_operator(rng, 16)
+    assert np.abs(simulate(c, x, 1) - density_walk_oracle(c, x, 1)).max() < 1e-12
+
+
+def test_walks_leave_the_input_untouched():
+    # the walk writes in place; a leading decohere would zero the caller's blocks
+    rng = np.random.default_rng(16)
+    circuits = [
+        Circuit("dec", 2, [decohere_gate(1)]),
+        Circuit("mixed", 2, [decohere_gate(0), unitary_gate(random_unitary(rng, 4), (1, 0)),
+                             ancilla_gate(), decohere_gate(2), trace_gate(1)]),
+    ]
+    for c in circuits:
+        for ref_qubits in (0, 1):
+            x = _random_operator(rng, 2 ** (2 + ref_qubits))
+            rho = random_density(rng, 2 ** (2 + ref_qubits))
+            x0, rho0 = x.copy(), rho.copy()
+            simulate(c, x, ref_qubits)
+            if ref_qubits:
+                apply_extended(c, rho, ref_qubits)
+            else:
+                apply(c, rho)
+            assert np.array_equal(x, x0) and np.array_equal(rho, rho0)
 
 
 def _kraus_sum(ops, x, ref_dim, adjoint=False):
