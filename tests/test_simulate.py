@@ -325,19 +325,18 @@ def test_density_walk_matches_oracle_at_dense_choi_size(monkeypatch):
     rng = np.random.default_rng(15)
     u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
     gates = [u(0, 1, 2), ancilla_gate(), ancilla_gate(), ancilla_gate()]
+    for step in range(12):  # r reaches 2^10 > D = 2^9 at the tenth decohere
+        gates += [u(step % 6, (step + 2) % 6, (step + 5) % 6), decohere_gate(step % 6)]
     for step in range(6):
-        gates += [u(step % 6, (step + 2) % 6, (step + 5) % 6), decohere_gate(step % 6),
-                  u((step + 1) % 6, (step + 3) % 6), decohere_gate((step + 4) % 6)]
+        gates += [u((step + 1) % 6, (step + 3) % 6), decohere_gate((step + 4) % 6),
+                  u(step, (step + 2) % 6, (step + 4) % 6)]
     gates += [trace_gate(5), u(1, 4, 0), trace_gate(2), u(3, 0)]
     c = Circuit("wide", 3, gates)
-    omega = np.zeros((8, 8, 8, 8), dtype=complex)  # |Omega><Omega|, Omega = sum_i |i>|i>
-    for i in range(8):
-        for j in range(8):
-            omega[i, i, j, j] = 1.0
-    ref = density_walk_oracle(c, omega.reshape(64, 64), 3)
+    omega = np.eye(8).reshape(64)  # sum_i |i>|i>
+    ref = density_walk_oracle(c, np.outer(omega, omega), 3)
     switches = _spy(monkeypatch, "_run_gates")
     assert np.abs(choi_of(c).choi - ref).max() < 1e-12
-    assert len(switches) == 1
+    assert len(switches) == 1 and len(switches[0][1]) > len(gates) // 3  # 26 of 50 gates walked
     x = _random_operator(rng, 16)
     assert np.abs(simulate(c, x, 1) - density_walk_oracle(c, x, 1)).max() < 1e-12
 
