@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DIM_CAP, SizeCapError, as_matrix, check_wires, dag
+from .linalg import SizeCapError, as_matrix, check_wires, dag
 from .jsonutil import format_float
 
 TOL_UNITARY = 1e-9
@@ -153,7 +153,7 @@ class Circuit:
         return replay_liveness(self)[-1]
 
 
-def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = None) -> list[int]:
+def replay_liveness(c: Circuit, lines: list[int] | None = None) -> list[int]:
     """Walk the gate list tracking the live wire count.
 
     Returns the live count after each gate (ending with n_out), raising
@@ -162,7 +162,7 @@ def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = No
     """
     live = c.n_in
     counts = [live]
-    check_wires(live, cap, "input wires")
+    check_wires(live, "input wires")
     for idx, g in enumerate(c.gates):
         line = lines[idx] if lines is not None else None
         where = f"gate {idx + 1}" if line is None else "gate"
@@ -175,14 +175,14 @@ def replay_liveness(c: Circuit, cap: int = DIM_CAP, lines: list[int] | None = No
                 )
         if g.kind == "ancilla":
             live += 1
-            check_wires(live, cap)
+            check_wires(live)
         elif g.kind == "trace":
             live -= 1
         counts.append(live)
     return counts
 
 
-def validate(c: Circuit, cap: int = DIM_CAP) -> list[str]:
+def validate(c: Circuit) -> list[str]:
     """Structural validation report; empty iff the circuit is valid.
 
     Checks gate shapes, wire distinctness and unitarity gate by gate, then
@@ -218,13 +218,13 @@ def validate(c: Circuit, cap: int = DIM_CAP) -> list[str]:
         else:
             report.append(f"{tag}: unknown gate kind {g.kind!r}")
     try:
-        replay_liveness(c, cap)
+        replay_liveness(c)
     except (LivenessError, SizeCapError) as exc:
         report.append(str(exc))
     return report
 
 
-def parse_circuit(text: str, cap: int = DIM_CAP) -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse the line-based circuit format; errors carry line numbers."""
     header: tuple[str, int] | None = None
     gates: list[Gate] = []
@@ -262,7 +262,7 @@ def parse_circuit(text: str, cap: int = DIM_CAP) -> Circuit:
     if not ended:
         raise CircuitParseError("missing 'end'", None)
     c = Circuit(header[0], header[1], tuple(gates))
-    replay_liveness(c, cap=cap, lines=lines)
+    replay_liveness(c, lines=lines)
     return c
 
 
@@ -408,7 +408,7 @@ def instance_to_json(inst: ProblemInstance) -> dict:
     }
 
 
-def instance_from_json(obj: dict, cap: int = DIM_CAP) -> ProblemInstance:
+def instance_from_json(obj: dict) -> ProblemInstance:
     if not isinstance(obj, dict):
         raise ValueError(f"instance JSON must be an object, got {type(obj).__name__}")
     try:
@@ -425,5 +425,5 @@ def instance_from_json(obj: dict, cap: int = DIM_CAP) -> ProblemInstance:
             raise ValueError(
                 f"instance JSON field {key!r} must be circuit text, got {type(text).__name__}"
             )
-    q0, q1 = (parse_circuit(text, cap=cap) for text in texts)
+    q0, q1 = (parse_circuit(text) for text in texts)
     return ProblemInstance(q0, q1, kind, a, b)

@@ -31,7 +31,7 @@ from .distances import (
     trace_norm,
     witness_to_json,
 )
-from .linalg import DIM_CAP, SizeCapError
+from .linalg import SizeCapError
 from .protocol import optimal_prover_witness, result_to_json, run_protocol
 from .reductions import (
     ConstructionError,
@@ -68,17 +68,17 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_circuit(path: str, cap: int):
-    return parse_circuit(Path(path).read_text(encoding="utf-8"), cap=cap)
+def _load_circuit(path: str):
+    return parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_pair(paths: list[str], cap: int):
+def _load_pair(paths: list[str]):
     """One instance JSON file, or two circuit text files."""
     if len(paths) == 1:
-        inst = instance_from_json(_load_json(paths[0]), cap=cap)
+        inst = instance_from_json(_load_json(paths[0]))
         return inst.q0, inst.q1
     if len(paths) == 2:
-        return _load_circuit(paths[0], cap), _load_circuit(paths[1], cap)
+        return _load_circuit(paths[0]), _load_circuit(paths[1])
     raise ValueError("expected one instance file or two circuit files")
 
 
@@ -90,16 +90,16 @@ def _config(args) -> OptimizerConfig:
 
 def cmd_validate(args) -> int:
     try:
-        circuit = _load_circuit(args.circuit, args.cap)
+        circuit = _load_circuit(args.circuit)
     except SizeCapError:
         raise
     except (CircuitError, ValueError, OSError) as exc:
         _emit({"valid": False, "violations": [str(exc)]})
         return EXIT_INVALID
-    report = validate(circuit, cap=args.cap)
+    report = validate(circuit)
     if not report:
         try:
-            choi_of(circuit, cap=args.cap)
+            choi_of(circuit)
         except InternalConsistencyError as exc:
             report.append(str(exc))
     _emit({"valid": not report, "violations": report})
@@ -107,21 +107,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    cap = args.cap
     if args.kind in ("trace", "fidelity"):
         if len(args.inputs) != 2:
             raise ValueError(f"{args.kind} distance needs two state files")
-        rho0 = density_from_json(_load_json(args.inputs[0]), cap=cap)
-        rho1 = density_from_json(_load_json(args.inputs[1]), cap=cap)
+        rho0 = density_from_json(_load_json(args.inputs[0]))
+        rho1 = density_from_json(_load_json(args.inputs[1]))
         if args.kind == "trace":
             _emit({"kind": "trace", "value": trace_norm(rho0 - rho1)})
         else:
             _emit({"kind": "fidelity", "value": fidelity(rho0, rho1)})
         return EXIT_OK
-    q0, q1 = _load_pair(args.inputs, cap)
+    q0, q1 = _load_pair(args.inputs)
     cfg = _config(args)
     if args.kind == "dnorm":
-        witness = diamond_norm(choi_of(q0, cap), choi_of(q1, cap), cfg)
+        witness = diamond_norm(choi_of(q0), choi_of(q1), cfg)
         out = {"kind": "dnorm"}
         out.update(witness_to_json(witness))
         _emit(out)
@@ -153,8 +152,7 @@ def _write_pair(out_dir: str, name0, c0, name1, c1) -> list[str]:
 
 
 def cmd_reduce(args) -> int:
-    cap = args.cap
-    inst = instance_from_json(_load_json(args.instance), cap=cap)
+    inst = instance_from_json(_load_json(args.instance))
     q0, q1 = inst.q0, inst.q1
     if args.kind == "ci2qcd":
         r0, r1 = ci_to_qcd(q0, q1)
@@ -162,18 +160,18 @@ def cmd_reduce(args) -> int:
         _emit({"kind": "ci2qcd", "files": files})
         return EXIT_OK
     if args.kind == "tensor":
-        r0, r1 = tensor_power(q0, q1, args.count, cap)
+        r0, r1 = tensor_power(q0, q1, args.count)
         files = _write_pair(args.out, "t0", r0, "t1", r1)
         _emit({"kind": "tensor", "params": {"k": args.count}, "files": files})
         return EXIT_OK
     if args.kind == "parity":
-        r0, r1 = parity_mix(q0, q1, args.count, cap)
+        r0, r1 = parity_mix(q0, q1, args.count)
         files = _write_pair(args.out, "p0", r0, "p1", r1)
         _emit({"kind": "parity", "params": {"r": args.count}, "files": files})
         return EXIT_OK
     params = PolarizationParams(n=args.precision, a=inst.a, b=inst.b)
     override = tuple(args.override) if args.override else None
-    s0, s1, cert = polarize(q0, q1, params, override, cap)
+    s0, s1, cert = polarize(q0, q1, params, override)
     files = _write_pair(args.out, "s0", s0, "s1", s1)
     _emit({"kind": "polarize", "certificate": cert, "files": files})
     return EXIT_OK
@@ -182,7 +180,7 @@ def cmd_reduce(args) -> int:
 def cmd_protocol(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
-    inst = instance_from_json(_load_json(args.instance), cap=args.cap)
+    inst = instance_from_json(_load_json(args.instance))
     cfg = _config(args)
     strat, witness = optimal_prover_witness(inst.q0, inst.q1, cfg)
     result = run_protocol(
@@ -199,17 +197,15 @@ def _parse_override(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
-def _add_common(sub, optimizer: bool = True) -> None:
-    sub.add_argument("--cap", type=int, default=DIM_CAP, help="matrix side cap")
-    if optimizer:
-        sub.add_argument(
-            "--seed", type=int, default=0, help="maxfid restart seed; protocol trial seed"
-        )
-        sub.add_argument(
-            "--restarts", type=int, default=32,
-            help="maxfid restarts; dnorm and the protocol's witness are deterministic",
-        )
-        sub.add_argument("--tol", type=float, default=1e-10, help="relative stop tolerance")
+def _add_optimizer(sub) -> None:
+    sub.add_argument(
+        "--seed", type=int, default=0, help="maxfid restart seed; protocol trial seed"
+    )
+    sub.add_argument(
+        "--restarts", type=int, default=32,
+        help="maxfid restarts; dnorm and the protocol's witness are deterministic",
+    )
+    sub.add_argument("--tol", type=float, default=1e-10, help="relative stop tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,13 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="validate a circuit file")
     p.add_argument("circuit")
-    _add_common(p, optimizer=False)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("distance", help="distances between states or circuits")
     p.add_argument("kind", choices=["trace", "fidelity", "dnorm", "maxfid"])
     p.add_argument("inputs", nargs="+", help="two state files, an instance file, or two circuit files")
-    _add_common(p)
+    _add_optimizer(p)
     p.set_defaults(func=cmd_distance)
 
     p = subs.add_parser("reduce", help="compile reductions and amplifiers")
@@ -237,13 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=1, help="polarization precision parameter")
     p.add_argument("--override", type=_parse_override, default=None, metavar="r,s,t")
     p.add_argument("--out", default=".", help="output directory for circuit files")
-    _add_common(p, optimizer=False)
     p.set_defaults(func=cmd_reduce)
 
     p = subs.add_parser("protocol", help="run the distinguishability protocol")
     p.add_argument("instance")
     p.add_argument("--trials", type=int, default=10000)
-    _add_common(p)
+    _add_optimizer(p)
     p.set_defaults(func=cmd_protocol)
 
     return parser

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, named_gate, unitary_gate
-from .linalg import DIM_CAP, check_wires
+from .linalg import check_wires
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -59,9 +59,14 @@ class DilatedCircuit:
         return self.unitary_circuit.n_in
 
 
-def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
-    """Unitary dilation of ``c`` with canonical output/garbage wire layout."""
+def dilate(c: Circuit) -> DilatedCircuit:
+    """Unitary dilation of ``c`` with canonical output/garbage wire layout.
+
+    Each ancilla and each decohere adds one wire, so the width is refused
+    by arithmetic before any gate is built.
+    """
     n = c.n_in
+    check_wires(n + sum(g.kind in ("ancilla", "decohere") for g in c.gates), "dilation wires")
     mapping = list(range(n))
     garbage: list[int] = []
     next_fresh = n
@@ -82,7 +87,6 @@ def dilate(c: Circuit, cap: int = DIM_CAP) -> DilatedCircuit:
             next_fresh += 1
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-        check_wires(next_fresh, cap, "dilation wires")
     n_wires = next_fresh
     k = n_wires - n
     m = len(mapping)

@@ -22,8 +22,9 @@ TOL_TRACE = 1e-9
 TOL_NORM = 1e-9
 TOL_RECON = 1e-10
 
-#: Hard cap on any matrix side.  Exceeding it raises SizeCapError, never
-#: silent truncation: polarization parameters can explode (see reductions).
+#: Hard cap on any matrix side, and the only one: ``check_cap`` and
+#: ``check_wires`` read it when called.  Exceeding it raises SizeCapError,
+#: never silent truncation: polarization parameters can explode (see reductions).
 DIM_CAP = 4096
 
 
@@ -31,25 +32,25 @@ class SizeCapError(ValueError):
     """An operation would produce a matrix side above the dimension cap."""
 
 
-def check_cap(dim: int, cap: int = DIM_CAP, context: str = "matrix") -> None:
-    """Raise SizeCapError if ``dim`` exceeds ``cap``."""
-    if dim > cap:
+def check_cap(dim: int, context: str = "matrix") -> None:
+    """Raise SizeCapError if ``dim`` exceeds ``DIM_CAP``, read at call time."""
+    if dim > DIM_CAP:
         raise SizeCapError(
-            f"{context} dimension {dim} exceeds the cap {cap}; "
+            f"{context} dimension {dim} exceeds the cap {DIM_CAP}; "
             "refusing rather than truncating"
         )
 
 
-def check_wires(wires: int, cap: int = DIM_CAP, context: str = "live wires") -> int:
-    """Refuse ``wires`` qubits if their matrix side 2^wires would exceed ``cap``.
+def check_wires(wires: int, context: str = "live wires") -> int:
+    """Refuse ``wires`` qubits if their matrix side 2^wires would exceed ``DIM_CAP``.
 
-    Returns the wire limit floor(log2(cap)).  The check is arithmetic, so
-    callers make it before allocating anything of that width.
+    Returns the wire limit floor(log2(DIM_CAP)).  The check is arithmetic,
+    so callers make it before allocating anything of that width.
     """
-    limit = int(math.log2(cap))
+    limit = int(math.log2(DIM_CAP))
     if wires > limit:
         raise SizeCapError(
-            f"{wires} {context} exceed the cap of {limit} wires (2^{limit} = {cap})"
+            f"{wires} {context} exceed the cap of {limit} wires (2^{limit} = {DIM_CAP})"
         )
     return limit
 
@@ -90,12 +91,12 @@ def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return (x + dag(x)) / 2
 
 
-def tensor(a, b, cap: int = DIM_CAP) -> np.ndarray:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply, subject to the cap."""
     a = as_matrix(a)
     b = as_matrix(b)
-    check_cap(a.shape[0] * b.shape[0], cap, "tensor rows")
-    check_cap(a.shape[1] * b.shape[1], cap, "tensor cols")
+    check_cap(a.shape[0] * b.shape[0], "tensor rows")
+    check_cap(a.shape[1] * b.shape[1], "tensor cols")
     return np.kron(a, b)
 
 
@@ -182,7 +183,7 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
+def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; exact up to decimal parsing."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
@@ -193,7 +194,7 @@ def matrix_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
         raise ValueError(
             f"matrix JSON has {len(entries)} entries, expected {rows}x{cols}"
         )
-    check_cap(max(rows, cols, 1), cap, "matrix JSON")
+    check_cap(max(rows, cols, 1), "matrix JSON")
     try:
         flat = np.array([complex(float(re), float(im)) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError) as exc:

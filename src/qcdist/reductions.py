@@ -37,7 +37,7 @@ from .circuits import (
     unitary_gate,
 )
 from .dilation import SWAP, DilatedCircuit, dilate
-from .linalg import DIM_CAP, SizeCapError, check_wires
+from .linalg import SizeCapError, check_wires
 
 
 class ConstructionError(ValueError):
@@ -201,99 +201,87 @@ def ci_to_qcd(q0: Circuit, q1: Circuit) -> tuple[Circuit, Circuit]:
     if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
         raise ConstructionError("circuits disagree on type")
     joined = controlled_join(dilate(q0), dilate(q1))
-    n = q0.n_in
-    m = q0.n_out
-    k = joined.k
-    gates: list[Gate] = [ancilla_gate() for _ in range(k)]
-    gates.extend(joined.unitary_circuit.gates)
-    # Dilation outputs sit at wires 1..m after the control shift; each
-    # trace shifts the next one down to index 1.
-    gates.extend(trace_gate(1) for _ in range(m))
-    r0 = Circuit("r0", 1 + n, tuple(gates))
-    r1 = Circuit("r1", 1 + n, tuple(gates) + (decohere_gate(0),))
+    r0 = _joined_circuit(joined, range(q0.n_out), "r0")
+    r1 = Circuit("r1", r0.n_in, r0.gates + (decohere_gate(0),))
     return r0, r1
 
 
-class _WireTracker:
-    """Live-wire bookkeeping for compositions that interleave blocks.
+def _joined_circuit(joined: DilatedCircuit, traced: range, name: str) -> Circuit:
+    """A controlled join as a mixed-state circuit on control + inputs.
 
-    Handles are stable names for wires; the tracker translates them to the
-    current live indices, appends ancillas at the top index, and shifts
-    indices down across traces, mirroring the IR's liveness rules.
+    Its k ancillas come first, then the joined gates, then traces of the
+    dilation wires in ``traced`` (canonical layout: channel output on
+    0..m-1, garbage on m..).  The control stays wire 0, and the untraced
+    wires keep their order after it.
+    """
+    gates = [ancilla_gate() for _ in range(joined.k)]
+    gates.extend(joined.unitary_circuit.gates)
+    # each trace shifts the next traced wire down onto the same index
+    gates.extend(trace_gate(1 + traced.start) for _ in traced)
+    return Circuit(name, joined.n_in, tuple(gates))
+
+
+class _WireTracker:
+    """Live-wire bookkeeping for compositions of circuits.
+
+    Handles are stable names for wires; ``order`` lists them by live index,
+    so an ancilla appends at the top and a trace shifts the higher indices
+    down, the IR's liveness rules.  Each ancilla is checked against the
+    cap before its gate is emitted: this is the composition's own liveness
+    walk, since nothing computes its peak width by arithmetic.
     """
 
-    def __init__(self, n_in: int, cap: int = DIM_CAP):
-        check_wires(n_in, cap, "input wires")
+    def __init__(self, handles):
+        self.order = list(handles)
+        check_wires(len(self.order), "input wires")
         self.gates: list[Gate] = []
-        self.pos: dict[object, int] = {i: i for i in range(n_in)}
-        self.live = n_in
-        self.cap = cap
 
     def ancilla(self, handle) -> None:
-        check_wires(self.live + 1, self.cap)
+        check_wires(len(self.order) + 1)
         self.gates.append(ancilla_gate())
-        self.pos[handle] = self.live
-        self.live += 1
-
-    def unitary(self, matrix, handles, label=None) -> None:
-        wires = tuple(self.pos[h] for h in handles)
-        self.gates.append(unitary_gate(matrix, wires, label))
+        self.order.append(handle)
 
     def named(self, name, handles) -> None:
-        self.gates.append(named_gate(name, tuple(self.pos[h] for h in handles)))
-
-    def decohere(self, handle) -> None:
-        self.gates.append(decohere_gate(self.pos[handle]))
+        self.gates.append(named_gate(name, tuple(self.order.index(h) for h in handles)))
 
     def trace(self, handle) -> None:
-        idx = self.pos.pop(handle)
+        idx = self.order.index(handle)
+        del self.order[idx]
         self.gates.append(trace_gate(idx))
-        for h, p in self.pos.items():
-            if p > idx:
-                self.pos[h] = p - 1
-        self.live -= 1
 
-    def route_outputs(self, order) -> None:
+    def append(self, c: Circuit, handles, tag) -> list:
+        """Replay ``c`` with its input wires on ``handles``; return its output handles.
+
+        The ancilla at gate idx of ``c`` gets the handle (tag, idx).
+        """
+        wires = list(handles)  # c's live wires, by c's own index
+        for idx, g in enumerate(c.gates):
+            if g.kind == "ancilla":
+                wires.append((tag, idx))
+                self.ancilla(wires[-1])
+            elif g.kind == "trace":
+                self.trace(wires.pop(g.wires[0]))
+            elif g.kind in ("unitary", "decohere"):
+                moved = tuple(self.order.index(wires[w]) for w in g.wires)
+                self.gates.append(Gate(g.kind, moved, g.matrix, g.label))
+            else:
+                raise ConstructionError(f"unknown gate kind {g.kind!r}")
+        return wires
+
+    def route_outputs(self, outputs) -> None:
         """Emit SWAPs so the listed handles end at wires 0, 1, 2, ..."""
-        order = list(order)
-        if len(order) != self.live:
+        outputs = list(outputs)
+        if len(outputs) != len(self.order):
             raise ValueError("output order must cover every live wire")
-        for target, handle in enumerate(order):
-            cur = self.pos[handle]
+        for target, handle in enumerate(outputs):
+            cur = self.order.index(handle)
             if cur == target:
                 continue
-            other = next(h for h, p in self.pos.items() if p == target)
             self.gates.append(unitary_gate(SWAP, (target, cur)))
-            self.pos[handle], self.pos[other] = target, cur
+            self.order[target], self.order[cur] = handle, self.order[target]
 
 
-def _emit_joined_block(tracker: _WireTracker, joined: DilatedCircuit, control, block_id) -> list:
-    """Instantiate a controlled-join block inside a larger composition.
-
-    Returns the handles carrying the block's channel output, in order.
-    The block's ancillas are freshly created and its garbage is traced
-    before returning, so the caller only sees inputs and outputs.
-    """
-    n = joined.n_in - 1  # block's own channel inputs (control excluded)
-    m = joined.n_out - 1
-    n_dil = joined.n_wires - 1
-    wire_handle = {0: control}
-    for i in range(n):
-        wire_handle[1 + i] = ("in", block_id, i)
-    for j in range(n_dil - n):
-        h = ("anc", block_id, j)
-        tracker.ancilla(h)
-        wire_handle[1 + n + j] = h
-    for g in joined.unitary_circuit.gates:
-        tracker.unitary(g.matrix, [wire_handle[w] for w in g.wires], g.label)
-    # Canonical dilation layout: channel output on dilation wires 0..m-1,
-    # garbage on m..n_dil-1 (all shifted by the control).
-    for w in range(m, n_dil):
-        tracker.trace(wire_handle[1 + w])
-    return [wire_handle[1 + w] for w in range(m)]
-
-
-def mix_with_parity(pairs, odd: bool, name: str, cap: int = DIM_CAP) -> Circuit:
+def mix_with_parity(pairs, odd: bool, name: str) -> Circuit:
     """Uniform mixture of branch tensor products with fixed choice parity.
 
     ``pairs`` is a sequence of circuit pairs; block i applies either
@@ -312,72 +300,67 @@ def mix_with_parity(pairs, odd: bool, name: str, cap: int = DIM_CAP) -> Circuit:
     if r < 1:
         raise ConstructionError("need at least one circuit pair")
     # one join per distinct pair: parity_mix repeats the same pair r times
-    joined_by_pair: dict[tuple[int, int], DilatedCircuit] = {}
-    joins = []
+    block_by_pair: dict[tuple[int, int], Circuit] = {}
+    blocks = []
     for a, b in pairs:
         if (a.n_in, a.n_out) != (b.n_in, b.n_out):
             raise ConstructionError("each pair must agree on type")
         key = (id(a), id(b))
-        if key not in joined_by_pair:
-            joined_by_pair[key] = controlled_join(dilate(a), dilate(b))
-        joins.append(joined_by_pair[key])
-    n_total = sum(p[0].n_in for p in pairs)
-    tracker = _WireTracker(n_total, cap)
-    offsets = []
-    acc = 0
-    for a, _ in pairs:
-        offsets.append(acc)
-        acc += a.n_in
-    # Rename the tracker's integer input handles to block-local names.
-    for i, (a, _) in enumerate(pairs):
-        for j in range(a.n_in):
-            tracker.pos[("in", i, j)] = tracker.pos.pop(offsets[i] + j)
+        if key not in block_by_pair:
+            joined = controlled_join(dilate(a), dilate(b))
+            garbage = range(joined.n_out - 1, joined.n_wires - 1)
+            block_by_pair[key] = _joined_circuit(joined, garbage, "block")
+        blocks.append(block_by_pair[key])
+    # a fair classical coin on a fresh wire, its value added into wire 0
+    coin = Circuit(
+        "coin",
+        1,
+        (ancilla_gate(), named_gate("H", (1,)), decohere_gate(1), named_gate("CNOT", (1, 0))),
+    )
+    inputs = [[("in", i, j) for j in range(a.n_in)] for i, (a, _) in enumerate(pairs)]
+    tracker = _WireTracker(h for block in inputs for h in block)
     tracker.ancilla("parity")
     if odd:
         tracker.named("X", ["parity"])
     outputs = []
-    for i, joined in enumerate(joins):
+    for i, block in enumerate(blocks):
         if i < r - 1:
-            coin = ("coin", i)
-            tracker.ancilla(coin)
-            tracker.named("H", [coin])
-            tracker.decohere(coin)
-            tracker.named("CNOT", [coin, "parity"])
-            control = coin
+            _, control = tracker.append(coin, ["parity"], ("coin", i))
         else:
             control = "parity"
-        outputs.extend(_emit_joined_block(tracker, joined, control, i))
+        # the block's control stays its wire 0; its channel output follows
+        outputs.extend(tracker.append(block, [control] + inputs[i], ("block", i))[1:])
         if i < r - 1:
-            tracker.trace(("coin", i))
+            tracker.trace(control)
     tracker.trace("parity")
     tracker.route_outputs(outputs)
-    return Circuit(name, n_total, tuple(tracker.gates))
+    return Circuit(name, sum(a.n_in for a, _ in pairs), tuple(tracker.gates))
 
 
-def _end_width(q0: Circuit, q1: Circuit, cap: int) -> int:
+def _end_width(q0: Circuit, q1: Circuit) -> int:
     """Widest end of either circuit: a k-fold composition holds k times this."""
-    return max(max(q.n_in, replay_liveness(q, cap)[-1]) for q in (q0, q1))
+    return max(max(q.n_in, replay_liveness(q)[-1]) for q in (q0, q1))
 
 
-def _parity_width(width: int, r: int, cap: int) -> int:
+def _parity_width(width: int, r: int) -> int:
     """End width of an r-block parity mixture of pairs of end width ``width``.
 
     Refuses by arithmetic when the mixture would exceed the cap: every
     block's outputs and the parity wire are live before the last trace.
     """
     if r > 1:
-        check_wires(r * width + 1, cap, f"wires of a {r}-block parity mixture")
+        check_wires(r * width + 1, f"wires of a {r}-block parity mixture")
     return r * width
 
 
-def _tensor_width(width: int, k: int, cap: int) -> int:
+def _tensor_width(width: int, k: int) -> int:
     """End width of k copies of a pair of end width ``width``, refused over the cap."""
     if k > 1:
-        check_wires(k * width, cap, f"wires of {k} copies")
+        check_wires(k * width, f"wires of {k} copies")
     return k * width
 
 
-def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Circuit, Circuit]:
+def parity_mix(q0: Circuit, q1: Circuit, r: int) -> tuple[Circuit, Circuit]:
     """Even/odd parity mixtures of r-fold branch products of (q0, q1).
 
     r = 1 selects branch 0 for the even mixture and branch 1 for the odd
@@ -388,55 +371,33 @@ def parity_mix(q0: Circuit, q1: Circuit, r: int, cap: int = DIM_CAP) -> tuple[Ci
         raise ConstructionError(f"parity order must be >= 1, got {r}")
     if r == 1:
         return q0, q1
-    _parity_width(_end_width(q0, q1, cap), r, cap)
+    _parity_width(_end_width(q0, q1), r)
     pairs = [(q0, q1)] * r
     return (
-        mix_with_parity(pairs, odd=False, name="p0", cap=cap),
-        mix_with_parity(pairs, odd=True, name="p1", cap=cap),
+        mix_with_parity(pairs, odd=False, name="p0"),
+        mix_with_parity(pairs, odd=True, name="p1"),
     )
 
 
-def _tensor_copies(c: Circuit, k: int, name: str, cap: int = DIM_CAP) -> Circuit:
+def _tensor_copies(c: Circuit, k: int, name: str) -> Circuit:
     """k parallel copies of c, outputs in copy-major order."""
-    n = c.n_in
-    tracker = _WireTracker(n * k, cap)
-    for i in range(k):
-        for j in range(n):
-            tracker.pos[("in", i, j)] = tracker.pos.pop(i * n + j)
-    locals_: list[list] = [[("in", i, j) for j in range(n)] for i in range(k)]
-    fresh = 0
-    for i in range(k):
-        wires = locals_[i]
-        for g in c.gates:
-            if g.kind == "unitary":
-                tracker.unitary(g.matrix, [wires[w] for w in g.wires], g.label)
-            elif g.kind == "decohere":
-                tracker.decohere(wires[g.wires[0]])
-            elif g.kind == "ancilla":
-                h = ("w", i, fresh)
-                fresh += 1
-                tracker.ancilla(h)
-                wires.append(h)
-            elif g.kind == "trace":
-                tracker.trace(wires.pop(g.wires[0]))
-            else:
-                raise ConstructionError(f"unknown gate kind {g.kind!r}")
-    outputs = [h for wires in locals_ for h in wires]
+    inputs = [[("in", i, j) for j in range(c.n_in)] for i in range(k)]
+    tracker = _WireTracker(h for copy in inputs for h in copy)
+    outputs = []
+    for i, copy in enumerate(inputs):
+        outputs.extend(tracker.append(c, copy, ("copy", i)))
     tracker.route_outputs(outputs)
-    return Circuit(name, n * k, tuple(tracker.gates))
+    return Circuit(name, c.n_in * k, tuple(tracker.gates))
 
 
-def tensor_power(q0: Circuit, q1: Circuit, k: int, cap: int = DIM_CAP) -> tuple[Circuit, Circuit]:
+def tensor_power(q0: Circuit, q1: Circuit, k: int) -> tuple[Circuit, Circuit]:
     """(q0^(x)k, q1^(x)k): k parallel copies of each circuit."""
     if k < 1:
         raise ConstructionError(f"tensor power must be >= 1, got {k}")
     if k == 1:
         return q0, q1
-    _tensor_width(_end_width(q0, q1, cap), k, cap)
-    return (
-        _tensor_copies(q0, k, "t0", cap),
-        _tensor_copies(q1, k, "t1", cap),
-    )
+    _tensor_width(_end_width(q0, q1), k)
+    return _tensor_copies(q0, k, "t0"), _tensor_copies(q1, k, "t1")
 
 
 #: Natural log of the largest (b/2)^(-r) evaluated as a float; one below
@@ -550,7 +511,6 @@ def polarize(
     q1: Circuit,
     params: PolarizationParams,
     override: tuple[int, int, int] | None = None,
-    cap: int = DIM_CAP,
 ) -> tuple[Circuit, Circuit, dict]:
     """Drive the promise gap of (q0, q1) to (2 - 2^-n, 2^-n).
 
@@ -565,12 +525,15 @@ def polarize(
     if min(r, s, t) < 1:
         raise ConstructionError(f"stage sizes must be >= 1, got {(r, s, t)}")
     try:
-        # all three stage widths are refused by arithmetic before any is built
-        width = _parity_width(_end_width(q0, q1, cap), r, cap)
-        _parity_width(_tensor_width(width, s, cap), t, cap)
-        c0, c1 = parity_mix(q0, q1, r, cap)
-        c0, c1 = tensor_power(c0, c1, s, cap)
-        c0, c1 = parity_mix(c0, c1, t, cap)
+        # The end widths of all three stages are refused by arithmetic before
+        # any stage is built.  Peak widths inside a stage (its dilations and
+        # ancillas) are checked only while that stage is built, so dilate can
+        # still refuse stage 3 after stages 1 and 2 are built.
+        width = _parity_width(_end_width(q0, q1), r)
+        _parity_width(_tensor_width(width, s), t)
+        c0, c1 = parity_mix(q0, q1, r)
+        c0, c1 = tensor_power(c0, c1, s)
+        c0, c1 = parity_mix(c0, c1, t)
     except SizeCapError as exc:
         err = SizeCapError(
             f"polarization with (r, s, t) = {(r, s, t)} exceeds the size cap: {exc}; "

@@ -16,8 +16,10 @@ exactly zero are dropped.  The first time r exceeds
 D = 2^live * 2^n_in, the stack is folded into the D x D matrix
 sum_k vec(K_k) vec(K_k)^dagger and the remaining gates run as one density
 walk with n_in reference qubits.  A circuit whose widest point has
-live + n_in > log2(cap) would put that matrix over the cap, so it is
+live + n_in > log2(DIM_CAP) would put that matrix over the cap, so it is
 instead simulated once per input matrix unit |i><j| at its own width.
+A walk that would exceed the cap is refused by arithmetic on the
+``replay_liveness`` counts before it starts, never partway through.
 
 The density walk (``_run_gates``, also behind ``simulate``) holds rho as
 one [2] * (2 * total) tensor from the first gate to the last: each gate
@@ -34,7 +36,6 @@ import numpy as np
 
 from .circuits import Circuit, replay_liveness
 from .linalg import (
-    DIM_CAP,
     TOL_HERM,
     TOL_PSD,
     TOL_TRACE,
@@ -85,13 +86,14 @@ def _act(u: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
     return np.moveaxis(t, list(range(a)), axes)
 
 
-def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CAP) -> np.ndarray:
+def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     """Run ``c`` on the first n_in qubits of ``rho``, identity on the rest.
 
     Pure linear action: works for any operator input of the right size, not
-    only density matrices.
+    only density matrices.  The widest point, live wires plus
+    ``ref_qubits``, is checked against the cap before the walk starts.
     """
-    replay_liveness(c, cap=cap)
+    check_wires(max(replay_liveness(c)) + ref_qubits, "qubits mid-circuit")
     rho = as_matrix(rho)
     total = c.n_in + ref_qubits
     if rho.shape != (2**total, 2**total):
@@ -99,10 +101,10 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0, cap: int = DIM_CA
             f"input operator is {rho.shape}, expected side {2**total} "
             f"for {c.n_in} input wires and {ref_qubits} reference qubits"
         )
-    return _run_gates(rho, c.gates, c.n_in, ref_qubits, cap)
+    return _run_gates(rho, c.gates, c.n_in, ref_qubits)
 
 
-def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> np.ndarray:
+def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int) -> np.ndarray:
     """One-pass density walk of ``gates`` over ``live`` wires then ``ref_qubits``.
 
     rho is copied once into a [2] * (2 * total) tensor, row axes first, and
@@ -110,6 +112,8 @@ def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> 
     tensordot of u (x) conj(u) against its row and column axes, left as a
     moveaxis view; decohere zeroes two off-diagonal blocks in place; ancilla
     writes into the |0><0| slice of a wider zeroed tensor, at ``live``.
+    The width is not checked here: ``simulate`` and ``choi_of`` refuse it
+    before the walk starts.
     """
     total = live + ref_qubits
     t = np.array(rho, dtype=np.complex128).reshape([2] * (2 * total))
@@ -129,7 +133,6 @@ def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> 
                 block[w], block[total + w] = bit, 1 - bit
                 t[tuple(block)] = 0.0
         elif g.kind == "ancilla":
-            check_wires(total + 1, cap, "qubits mid-circuit")
             grown = np.zeros([2] * (2 * total + 2), dtype=np.complex128)
             fresh = [slice(None)] * (2 * total + 2)
             fresh[live] = fresh[total + 1 + live] = 0
@@ -147,17 +150,17 @@ def _run_gates(rho: np.ndarray, gates, live: int, ref_qubits: int, cap: int) -> 
     return t.reshape(2**total, 2**total)
 
 
-def apply(c: Circuit, rho: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
+def apply(c: Circuit, rho: np.ndarray) -> np.ndarray:
     """Exact action of the circuit's channel on a density matrix."""
     rho = require_density(rho)
     if rho.shape[0] != 2**c.n_in:
         raise ValueError(
             f"density matrix side {rho.shape[0]} does not match {c.n_in} input wires"
         )
-    return simulate(c, rho, 0, cap)
+    return simulate(c, rho)
 
 
-def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int, cap: int = DIM_CAP) -> np.ndarray:
+def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int) -> np.ndarray:
     """(Q (x) I)(rho): the circuit on the first n_in qubits, reference untouched."""
     rho = require_density(rho)
     if ref_qubits < 0:
@@ -167,7 +170,7 @@ def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int, cap: int = DIM_
             f"density matrix side {rho.shape[0]} does not match "
             f"{c.n_in} input wires plus {ref_qubits} reference qubits"
         )
-    return simulate(c, rho, ref_qubits, cap)
+    return simulate(c, rho, ref_qubits)
 
 
 @dataclass(eq=False)
@@ -224,7 +227,7 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
     return ch
 
 
-def _matrix_unit_choi(c: Circuit, cap: int) -> np.ndarray:
+def _matrix_unit_choi(c: Circuit) -> np.ndarray:
     """Choi matrix from one density walk per input matrix unit |i><j|, j >= i.
 
     The j < i blocks follow from Phi(X^dagger) = Phi(X)^dagger, so every
@@ -237,14 +240,14 @@ def _matrix_unit_choi(c: Circuit, cap: int) -> np.ndarray:
         for j in range(i, din):
             unit = np.zeros((din, din), dtype=np.complex128)
             unit[i, j] = 1.0
-            out = simulate(c, unit, 0, cap)
+            out = simulate(c, unit)
             blocks[:, i, :, j] = out
             if j != i:
                 blocks[:, j, :, i] = dag(out)
     return blocks.reshape(dout * din, dout * din)
 
 
-def _kraus_walk_choi(c: Circuit, cap: int) -> np.ndarray:
+def _kraus_walk_choi(c: Circuit) -> np.ndarray:
     """Choi matrix from one walk of a Kraus stack, finished densely if needed.
 
     The stack K has shape (r, 2^live, 2^n_in) and starts as the identity.
@@ -287,30 +290,30 @@ def _kraus_walk_choi(c: Circuit, cap: int) -> np.ndarray:
             k = k[k.reshape(k.shape[0], -1).any(axis=1)]
         if k.shape[0] > 2**live * din:
             rho = _choi_from_kraus(k, n, live)
-            return _run_gates(rho, c.gates[idx + 1 :], live, n, cap)
+            return _run_gates(rho, c.gates[idx + 1 :], live, n)
     return _choi_from_kraus(k, n, live)
 
 
-def choi_of(c: Circuit, cap: int = DIM_CAP) -> Channel:
+def choi_of(c: Circuit) -> Channel:
     """Extract the circuit's channel as a Choi matrix.
 
     One walk of a Kraus stack from the identity, finished as a density walk
     with n_in reference qubits once the stack outgrows it; a circuit too
-    wide for that reference walk under ``cap`` is run once per input
+    wide for that reference walk under ``DIM_CAP`` is run once per input
     matrix unit instead (module docstring).  The result is checked for
     complete positivity and trace preservation; a failure beyond tolerance
     is a simulator bug, not a property of the circuit, and raises
     InternalConsistencyError.
     """
-    counts = replay_liveness(c, cap=cap)
+    counts = replay_liveness(c)
     n = c.n_in
     m = counts[-1]
-    linalg.check_cap(2 ** (m + n), cap, "Choi matrix")
+    linalg.check_cap(2 ** (m + n), "Choi matrix")
     # the reference walk would hold the widest point plus n reference qubits
-    if max(counts) + n > check_wires(max(counts), cap):
-        choi = _matrix_unit_choi(c, cap)
+    if max(counts) + n > check_wires(max(counts)):
+        choi = _matrix_unit_choi(c)
     else:
-        choi = _kraus_walk_choi(c, cap)
+        choi = _kraus_walk_choi(c)
     ch = Channel(n, m, (choi + dag(choi)) / 2)
     problems = _check_channel(ch)
     if problems:
@@ -417,8 +420,8 @@ def density_to_json(rho) -> dict:
     return out
 
 
-def density_from_json(obj: dict, cap: int = DIM_CAP) -> np.ndarray:
-    m = linalg.matrix_from_json(obj, cap=cap)
+def density_from_json(obj: dict) -> np.ndarray:
+    m = linalg.matrix_from_json(obj)
     try:
         n = int(obj.get("qubits", -1))
     except (TypeError, ValueError) as exc:

@@ -65,6 +65,8 @@ def test_parse_rejects_wire_count_cap():
     text = "circuit big inputs 12\nancilla\nend\n"
     with pytest.raises(SizeCapError):
         parse_circuit(text)
+    # the cap itself is admitted: 12 live wires parse
+    assert parse_circuit("circuit edge inputs 11\nancilla\nend\n").n_out == 12
 
 
 def test_named_gates_are_exact():

@@ -64,7 +64,7 @@ def test_validate_non_cp_channel_is_a_violation(workdir, capsys, monkeypatch):
     choi = np.zeros((4, 4), dtype=complex)
     choi[0, 0] = choi[3, 3] = 1.0
     choi[0, 3] = choi[3, 0] = 1.5
-    monkeypatch.setattr(simulate, "_kraus_walk_choi", lambda c, cap: choi)
+    monkeypatch.setattr(simulate, "_kraus_walk_choi", lambda c: choi)
     code, out = run_cli(capsys, "validate", workdir / "id.circ")
     assert code == 1
     assert out["valid"] is False

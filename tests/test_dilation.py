@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qcdist.circuits import parse_circuit
+from qcdist import dilation
+from qcdist.circuits import Circuit, decohere_gate, parse_circuit
 from qcdist.dilation import dilate, dilated_isometry
-from qcdist.linalg import partial_trace
+from qcdist.linalg import SizeCapError, partial_trace
 from qcdist.simulate import apply, choi_of, kraus_of
 
 from helpers import (
@@ -62,6 +63,19 @@ def test_dilation_counts_linear_in_gates():
     d = dilate(c)
     assert d.k <= len(c.gates)
     assert d.l <= len(c.gates)
+
+
+def test_dilation_width_refused_before_any_gate(monkeypatch):
+    # every decohere adds a wire: one input plus 12 decoheres is 13 wires
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any gate is built")
+
+    wide = Circuit("wide", 1, [decohere_gate(0)] * 12)
+    with monkeypatch.context() as m:
+        m.setattr(dilation, "named_gate", refuse)
+        with pytest.raises(SizeCapError, match="dilation wires"):
+            dilate(wide)
+    assert dilate(Circuit("edge", 1, wide.gates[:11])).n_wires == 12
 
 
 def test_canonical_output_layout():

@@ -2,9 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcdist import reductions
-from qcdist.circuits import Circuit, parse_circuit, serialize_circuit, unitary_gate, validate
+from qcdist.circuits import (
+    Circuit,
+    ancilla_gate,
+    decohere_gate,
+    parse_circuit,
+    serialize_circuit,
+    trace_gate,
+    unitary_gate,
+    validate,
+)
 from qcdist.dilation import dilate
 from qcdist.distances import OptimizerConfig, diamond_norm, max_image_fidelity
 from qcdist.linalg import SizeCapError
@@ -27,6 +37,7 @@ from helpers import (
     constant_circuit,
     random_11_circuit,
     random_unitary,
+    small_circuits,
     z_circuit,
 )
 
@@ -218,6 +229,35 @@ def test_tensor_power_matches_channel_tensor():
     t0, _ = tensor_power(qa, qa, 2)
     direct = channel_tensor(choi_of(qa), choi_of(qa))
     assert np.abs(choi_of(t0).choi - direct.choi).max() < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_circuits(max_in=2, max_live=3))
+def test_tensor_power_replays_any_type(c):
+    # every type from (0, 0) to (2, 3): ancillas and traces move the copies' wires
+    t0, _ = tensor_power(c, c, 2)
+    direct = channel_tensor(choi_of(c), choi_of(c))
+    assert np.abs(choi_of(t0).choi - direct.choi).max() < 1e-12
+
+
+def _random_21_circuit(rng, name):
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    gates = [u(0, 1), ancilla_gate(), u(2, 0), decohere_gate(1), trace_gate(0),
+             u(1, 0), trace_gate(1)]
+    return Circuit(name, 2, gates)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_mix_with_parity_of_width_changing_pairs(odd):
+    rng = np.random.default_rng(8)
+    a, b = _random_21_circuit(rng, "a"), _random_21_circuit(rng, "b")
+    q0, q1 = identity_circuit(), decohere_circuit()
+    mixed = mix_with_parity([(a, b), (q0, q1)], odd=odd, name="m")
+    ca, cb, c0, c1 = (choi_of(c) for c in (a, b, q0, q1))
+    branches = [(ca, c1), (cb, c0)] if odd else [(ca, c0), (cb, c1)]
+    expected = channel_mix([channel_tensor(x, y) for x, y in branches], [0.5, 0.5])
+    assert (mixed.n_in, mixed.n_out) == (3, 2)
+    assert np.abs(choi_of(mixed).choi - expected.choi).max() < 1e-12
 
 
 def test_tensor_power_bounds():

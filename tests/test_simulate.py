@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcdist import simulate as simulate_mod
+from qcdist import linalg, simulate as simulate_mod
 from qcdist.circuits import (
     Circuit,
     ancilla_gate,
@@ -27,7 +27,7 @@ from qcdist.simulate import (
     kraus_of,
     simulate,
 )
-from qcdist.linalg import partial_trace
+from qcdist.linalg import SizeCapError, partial_trace
 
 from helpers import (
     decohere_circuit,
@@ -220,8 +220,8 @@ def test_channel_from_choi_validates():
         channel_from_choi(1, 1, np.eye(4, dtype=complex))  # not trace preserving
 
 
-def _matrix_unit_reference(c, cap=4096):
-    j = simulate_mod._matrix_unit_choi(c, cap)
+def _matrix_unit_reference(c):
+    j = simulate_mod._matrix_unit_choi(c)
     return (j + j.conj().T) / 2
 
 
@@ -296,9 +296,21 @@ def test_over_cap_width_falls_back_to_matrix_units(monkeypatch):
     c = Circuit("wide", 2, gates)
     walked = choi_of(c).choi
     walks = _spy(monkeypatch, "simulate")
-    ch = choi_of(c, cap=32)
+    monkeypatch.setattr(linalg, "DIM_CAP", 32)
+    ch = choi_of(c)
     assert len(walks) == 4 * 5 // 2  # one per matrix unit |i><j|, j >= i
     assert np.abs(ch.choi - walked).max() < 1e-12
+
+
+def test_simulate_refuses_width_before_walking(monkeypatch):
+    # 12 live wires fit the cap; one reference qubit more does not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before the walk starts")
+
+    c = Circuit("wide", 1, [ancilla_gate() for _ in range(11)])
+    monkeypatch.setattr(simulate_mod, "_run_gates", refuse)
+    with pytest.raises(SizeCapError, match="13 qubits"):
+        apply_extended(c, np.eye(4) / 4, ref_qubits=1)
 
 
 @settings(max_examples=25, deadline=None)
