@@ -50,7 +50,14 @@ r = max(r_0, r_1), Uhlmann's theorem gives the fidelity as
 max_V |<psi_1| W_1^dagger (I (x) V) W_0 |psi_0>| over unitaries V on
 E (x) G.  Alternating the three blocks (V by SVD, each psi_i by
 normalization) again gives closed-form monotone updates, each a few
-reshaped matmuls.
+reshaped matmuls.  The objective is not concave, so the ascent runs from
+random restarts, all of them as one stack (in slices where the matrices
+are wide): every iteration is one batched matmul chain and one batched
+SVD over the restarts still running, and a restart leaves the stack when
+it stops.  The early stop keeps the meaning of restarts run one after
+another: the run ends when the first restart j to reach F = 1 has
+stopped and so has every restart before it, and restarts after j do not
+count.
 """
 
 from __future__ import annotations
@@ -101,6 +108,14 @@ SUPPORT_CUT = 1e-14
 #: iterations of a geometric convergence.
 ASCENT_TOL = GAP_TOL / 100
 
+#: The image-fidelity restarts ascend in slices, one after another, whose
+#: stacks of SVD-sized matrices take at most this many bytes.  Wider stacks
+#: allocate temporaries that fault in fresh pages on every step (about 10^4
+#: faults per run on side-512 pairs at four restarts a slice), which cost
+#: more than batching saves.  On 1-qubit pairs (8 x 8 matrices) all
+#: restarts fit one slice; at side 512 (64 x 64) two do.
+STACK_BYTES = 2**17
+
 #: Weights delta of I/d_in mixed into the polished input state before it is
 #: certified.  A rank-deficient rho voids its own certificate; mixing costs
 #: O(delta) in the bound and inverts eigenvalues of at least delta/d_in, so
@@ -117,7 +132,10 @@ class OptimizerConfig:
     and the image-fidelity ascent on a relative change of the objective.
     ``restarts`` and ``seed`` are read by ``max_image_fidelity`` only:
     restart j uses seed + j, so runs are reproducible and restarts are
-    independent, and the max over restarts is order-independent.
+    independent, and the max over restarts is order-independent.  The
+    restarts ascend together as one stack; each still stops on its own,
+    and the early stop at F = 1 counts the restarts up to the first one
+    that reaches it, as if they had run in order.
     ``diamond_norm`` is deterministic and stops on its certified gap
     (GAP_TOL).
     """
@@ -245,9 +263,14 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
     measurement, converged, history).
 
     ``value`` is the Helstrom value at the returned ``psi``, whose
-    measurement is ``measurement``; it can sit up to MONOTONE_SLACK below
+    measurement is ``measurement``; it can sit up to ``slack`` below
     ``max(history)``.
     """
+    # helstrom leaves eigenvalues within TOL_PSD of zero out of M, and each
+    # lowers 2 tr(M Delta) - tr Delta by up to 2 TOL_PSD: on Delta of this
+    # side, a drop of up to 2 side TOL_PSD is rounding, not a fault of the
+    # channel algebra
+    slack = 2 * forward.shape[0] * ref_dim * TOL_PSD
     prev = -np.inf
     converged = False
     history: list[float] = []
@@ -257,7 +280,7 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
         delta = (delta + dag(delta)) / 2
         m, value = helstrom(delta)
         history.append(value)
-        if value < prev - MONOTONE_SLACK:
+        if value < prev - slack:
             raise InternalConsistencyError(
                 f"seesaw objective decreased from {prev!r} to {value!r}"
             )
@@ -400,6 +423,51 @@ def diamond_norm(
     return DiamondWitness(value, psi, measurement, min(upper, 2.0), iterations)
 
 
+def _normalized(cand: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack ``cand`` at unit norm; where that norm
+    vanishes, the matching matrix of ``psi`` is kept."""
+    flat = cand.reshape(len(cand), 1, -1)
+    re, im = flat.real, flat.imag
+    # per matrix, the dot products np.linalg.norm takes of one matrix, so a
+    # restart rounds the same in a stack as alone; norm is (k, 1, 1)
+    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
+    ok = norm > 1e-200
+    if ok.all():
+        return cand / norm
+    return np.where(ok, cand / np.where(ok, norm, 1.0), psi)
+
+
+def _uhlmann_step(w0, w1, w0h, w1h, v0, psi0, psi1):
+    """(value, psi0, psi1, v0): the objective at each restart of a stack,
+    and the restart's next psi0 and psi1.  ``v0`` is ``w0 @ psi0`` as
+    d_out x dfg matrices; the next one is returned with them.  ``w0h`` and
+    ``w1h`` are the conjugate transposes of the isometries."""
+    k, dout, dfg = v0.shape
+    din = psi0.shape[1]
+    v1 = (w1 @ psi1).reshape(k, dout, dfg)
+    # full: V must be unitary, not a partial isometry
+    p, s, qh = np.linalg.svd(v0.swapaxes(1, 2) @ v1.conj())
+    # V = Qh^dagger P^dagger; I (x) V acts on the d_out x dfg matrix v_i as
+    # v_i @ V^T, and V^T is the conjugate transpose of V^*
+    v_conj = qh.swapaxes(1, 2) @ p.swapaxes(1, 2)
+    psi0 = _normalized(w0h @ (v1 @ v_conj).reshape(k, -1, din), psi0)
+    v0 = (w0 @ psi0).reshape(k, dout, dfg)
+    psi1 = _normalized(w1h @ (v0 @ v_conj.conj().swapaxes(1, 2)).reshape(k, -1, din), psi1)
+    return s.sum(axis=1), psi0, psi1, v0
+
+
+def _restarts_used(values: np.ndarray, running: np.ndarray) -> int:
+    """Restarts the early stop leaves counted, or 0 while that is not known.
+
+    The first restart j whose value reaches 1 - 1e-12 ends the run, once
+    no restart before it is still running; without one, every restart
+    counts once none is running.  Unfinished restarts hold -inf.
+    """
+    hits = np.flatnonzero(values >= 1.0 - 1e-12)
+    end = int(hits[0]) + 1 if hits.size else len(values)
+    return 0 if running[:end].any() else end
+
+
 def max_image_fidelity(
     q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
 ) -> ImageFidelityResult:
@@ -411,6 +479,19 @@ def max_image_fidelity(
     (four parity blocks of id vs decohere) a run takes minutes and may stop
     unconverged.  The returned value is recomputed from the witnesses, so
     it is a certified lower bound regardless of optimizer state.
+
+    The restarts ascend as one stack, or as slices of it run one after
+    another where the matrices are wide (STACK_BYTES): each iteration is
+    one batched matmul chain and one batched SVD over the restarts still
+    running.  A restart leaves the stack when its step changes the value
+    by at most ``rel_tol``, with the psi that gave that value; at
+    ``max_iters`` the rest leave unconverged, after their last update.
+    The run ends once the first restart j to reach F >= 1 - 1e-12 has
+    stopped and every restart before j has too: ``restarts_used`` is
+    j + 1 and the witness is the first argmax over restarts 0..j, as if
+    they had run in order.  The worst case is a restart 0 that reaches
+    F = 1 only slowly: the others in its slice run beside it, up to
+    ``restarts`` times the work of running restart 0 alone.
     """
     if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
         raise ValueError("circuits disagree on type")
@@ -424,48 +505,57 @@ def max_image_fidelity(
     linalg.check_cap(dout * dfg, context="image-fidelity ambient space")
     w0 = dilated_isometry(kraus0, r).reshape(dout * r, din)
     w1 = dilated_isometry(kraus1, r).reshape(dout * r, din)
-    best = None
-    used = 0
-    for j in range(cfg.restarts):
+    isometries = (w0, w1, dag(w0), dag(w1))
+    n = cfg.restarts
+    # psi_i of restart j as a d_in x d_ref matrix; (W_i (x) I) psi_i is then W_i @ psi_i
+    psi0 = np.empty((n, din, din), dtype=np.complex128)
+    psi1 = np.empty_like(psi0)
+    for j in range(n):
         rng = np.random.default_rng(cfg.seed + j)
-        # psi_i as a d_in x d_ref matrix; (W_i (x) I) psi_i is then W_i @ psi_i
-        psi0 = _random_unit(rng, din * din).reshape(din, din)
-        psi1 = _random_unit(rng, din * din).reshape(din, din)
-        prev = -np.inf
-        converged = False
+        psi0[j] = _random_unit(rng, din * din).reshape(din, din)
+        psi1[j] = _random_unit(rng, din * din).reshape(din, din)
+    wit0, wit1 = np.empty_like(psi0), np.empty_like(psi1)
+    values = np.full(n, -np.inf)
+    converged = np.zeros(n, dtype=bool)
+    running = np.ones(n, dtype=bool)
+    used = 0
+    width = max(1, STACK_BYTES // (16 * dfg * dfg))
+    for start in range(0, n, width):
+        live = np.arange(start, min(start + width, n))  # the restart of each row of the stack
+        a0, a1, prev = psi0[live], psi1[live], np.full(len(live), -np.inf)
+        v0 = (w0 @ a0).reshape(len(live), dout, dfg)
         for _ in range(cfg.max_iters):
-            v0 = (w0 @ psi0).reshape(dout, dfg)
-            v1 = (w1 @ psi1).reshape(dout, dfg)
-            x = v0.T @ v1.conj()
-            p, s, qh = np.linalg.svd(x)  # full: V must be unitary, not a partial isometry
-            value = float(s.sum())
-            if value < prev - MONOTONE_SLACK:
+            value, next0, next1, v0 = _uhlmann_step(*isometries, v0, a0, a1)
+            change = value - prev
+            if change.min() < -MONOTONE_SLACK:
+                i = int(change.argmin())
                 raise InternalConsistencyError(
-                    f"image-fidelity objective decreased from {prev!r} to {value!r}"
+                    f"image-fidelity objective of restart {live[i]} decreased "
+                    f"from {prev[i]!r} to {value[i]!r}"
                 )
-            if abs(value - prev) <= cfg.rel_tol * max(1.0, abs(value)):
-                converged = True
-                break
-            prev = value
-            v = dag(qh) @ dag(p)
-            # I (x) V acts on the d_out x dfg matrix v_i as v_i @ V^T
-            cand0 = dag(w0) @ (v1 @ v.conj()).reshape(dout * r, din)
-            norm0 = np.linalg.norm(cand0)
-            if norm0 > 1e-200:
-                psi0 = cand0 / norm0
-            cand1 = dag(w1) @ ((w0 @ psi0).reshape(dout, dfg) @ v.T).reshape(dout * r, din)
-            norm1 = np.linalg.norm(cand1)
-            if norm1 > 1e-200:
-                psi1 = cand1 / norm1
-        used = j + 1
-        if best is None or value > best[0]:
-            best = (value, psi0, psi1, converged)
-        if best[0] >= 1.0 - 1e-12:
+            # value, a sum of singular values, is never negative
+            stop = np.abs(change) <= cfg.rel_tol * np.maximum(1.0, value)
+            if stop.any():
+                ids = live[stop]
+                values[ids], converged[ids], running[ids] = value[stop], True, False
+                wit0[ids], wit1[ids] = a0[stop], a1[stop]
+                keep = ~stop
+                live, value, next0, next1, v0 = (
+                    x[keep] for x in (live, value, next0, next1, v0)
+                )
+                used = _restarts_used(values, running)
+                if used or not live.size:
+                    break
+            prev, a0, a1 = value, next0, next1
+        else:  # the iteration cap stops the restarts still running
+            values[live], wit0[live], wit1[live], running[live] = prev, a0, a1, False
+            used = _restarts_used(values, running)
+        if used:
             break
-    _, psi0, psi1, converged = best
-    rho0, rho1 = psi0 @ dag(psi0), psi1 @ dag(psi1)
+    best = int(np.argmax(values[:used]))
+    rho0, rho1 = wit0[best] @ dag(wit0[best]), wit1[best] @ dag(wit1[best])
     value = fidelity(apply(q0, rho0), apply(q1, rho1))
-    return ImageFidelityResult(value, rho0, rho1, used, converged)
+    return ImageFidelityResult(value, rho0, rho1, used, bool(converged[best]))
 
 
 def witness_to_json(w: DiamondWitness) -> dict:

@@ -212,8 +212,10 @@ def _joined_circuit(joined: DilatedCircuit, traced: range, name: str) -> Circuit
     Its k ancillas come first, then the joined gates, then traces of the
     dilation wires in ``traced`` (canonical layout: channel output on
     0..m-1, garbage on m..).  The control stays wire 0, and the untraced
-    wires keep their order after it.
+    wires keep their order after it.  Its width, the joined dilation's,
+    is refused by arithmetic first.
     """
+    check_wires(joined.n_wires, f"wires of the joined circuit {name}")
     gates = [ancilla_gate() for _ in range(joined.k)]
     gates.extend(joined.unitary_circuit.gates)
     # each trace shifts the next traced wire down onto the same index

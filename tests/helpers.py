@@ -153,9 +153,11 @@ def dilated_apply(d, rho):
 
 
 @st.composite
-def small_circuits(draw, max_in=3, max_live=5):
-    """Valid circuits on at most ``max_in`` inputs and ``max_live`` live wires."""
-    n_in = draw(st.integers(0, max_in))
+def small_circuits(draw, max_in=3, max_live=5, n_in=None):
+    """Valid circuits on at most ``max_in`` inputs (exactly ``n_in`` if given)
+    and ``max_live`` live wires."""
+    if n_in is None:
+        n_in = draw(st.integers(0, max_in))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     live, gates = n_in, []
     for _ in range(draw(st.integers(0, 12))):
@@ -181,3 +183,15 @@ def small_circuits(draw, max_in=3, max_live=5):
                 gates.append(trace_gate(w))
                 live -= 1
     return Circuit("gen", n_in, gates)
+
+
+@st.composite
+def equal_type_pairs(draw):
+    """Two ``small_circuits()`` of one type: the second is drawn on the
+    first's inputs, then padded with ancillas or traced to its outputs."""
+    c0 = draw(small_circuits(max_in=2, max_live=3))
+    c1 = draw(small_circuits(max_live=3, n_in=c0.n_in))
+    gates = list(c1.gates)
+    gates += [ancilla_gate()] * (c0.n_out - c1.n_out)
+    gates += [trace_gate(0)] * (c1.n_out - c0.n_out)
+    return c0, Circuit("gen1", c1.n_in, gates)

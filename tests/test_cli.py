@@ -17,6 +17,7 @@ from qcdist.simulate import density_to_json
 
 from helpers import (
     decohere_circuit,
+    equal_type_pairs,
     identity_circuit,
     random_11_circuit,
     small_circuits,
@@ -121,6 +122,25 @@ def test_validate_exit_contract_fuzz(tmp_path_factory, case):
         assert code == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(pair=equal_type_pairs(), restarts=st.integers(1, 6), seed=st.integers(0, 2**31))
+def test_maxfid_exit_contract_fuzz(tmp_path_factory, pair, restarts, seed):
+    d = tmp_path_factory.mktemp("maxfid")
+    paths = []
+    for i, c in enumerate(pair):
+        paths.append(d / f"q{i}.circ")
+        paths[-1].write_text(serialize_circuit(c))
+    argv = ["distance", "maxfid", *paths, "--restarts", restarts, "--seed", seed]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 4)
+    assert "Traceback" not in err.getvalue()
+    result = json.loads(out.getvalue())
+    assert 0.0 <= result["value"] <= 1.0 + 1e-8
+    assert 1 <= result["restarts_used"] <= restarts
+
+
 def test_distance_trace(workdir, capsys):
     code, out = run_cli(capsys, "distance", "trace", workdir / "zero.json", workdir / "one.json")
     assert code == 0
@@ -201,6 +221,20 @@ def test_reduce_ci2qcd_writes_syntactic_pair(workdir, capsys):
     # the circuit names)
     assert r1_body[1:-2] == r0_body[1:-1]
     parse_circuit(r0), parse_circuit(r1)
+
+
+def test_reduce_ci2qcd_over_cap_exit_3_writes_nothing(workdir, capsys):
+    # each dilation admits 12 wires; the control makes the joined circuit 13
+    wide = parse_circuit("circuit w inputs 1\n" + "decohere 0\n" * 11 + "end\n")
+    inst = ProblemInstance(wide, wide, "CI", 1.0, 0.25)
+    path = workdir / "inst_wide.json"
+    path.write_text(dumps(instance_to_json(inst)))
+    out_dir = workdir / "wide"
+    code, out = run_cli(capsys, "reduce", "ci2qcd", path, "--out", out_dir)
+    assert code == 3
+    assert out["error"] == "size_cap"
+    assert "13 wires of the joined circuit r0" in out["message"]
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_reduce_parity_then_distance(workdir, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcdist import distances
 from qcdist.distances import (
@@ -7,6 +8,8 @@ from qcdist.distances import (
     OptimizerConfig,
     _ascent,
     _difference_kernels,
+    _random_unit,
+    _restarts_used,
     _seesaw,
     diamond_norm,
     fidelity,
@@ -16,14 +19,15 @@ from qcdist.distances import (
     trace_norm,
     witness_to_json,
 )
-from qcdist.linalg import SizeCapError
+from qcdist.linalg import TOL_PSD, SizeCapError
 from qcdist.reductions import ci_to_qcd, parity_mix
-from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of
+from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of, kraus_of
 
 from helpers import (
     constant_circuit,
     decohere_circuit,
     depolarizing_circuit,
+    equal_type_pairs,
     identity_circuit,
     purification,
     random_11_circuit,
@@ -32,7 +36,7 @@ from helpers import (
     random_state,
     z_circuit,
 )
-from oracles import grid_max_output_tnorm, tnorm_from_eigs
+from oracles import grid_max_output_tnorm, max_image_fidelity_oracle, tnorm_from_eigs
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -178,6 +182,22 @@ def test_seesaw_monotone_objective():
     diffs = np.diff(history)
     assert diffs.min() >= -1e-12
     assert abs(value - history[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [13, 39])
+def test_seesaw_rounding_drop_is_not_a_fault(seed):
+    # on these pairs the objective falls by ~1e-9 from one iterate to the
+    # next: helstrom leaves eigenvalues within TOL_PSD of zero out of M
+    rng = np.random.default_rng(seed)
+    ch0, ch1 = choi_of(random_11_circuit(rng, "a")), choi_of(random_11_circuit(rng, "b"))
+    upper = diamond_norm(ch0, ch1).upper
+    kernels = _difference_kernels(ch0, ch1)
+    for j in range(32):
+        psi = _random_unit(np.random.default_rng(j), 4)
+        value, _, _, converged, history = _seesaw(*kernels, 2, psi, 500, 1e-10)
+        assert converged
+        assert np.diff(history).min() >= -2 * 4 * TOL_PSD
+        assert value <= upper + 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -398,3 +418,91 @@ def test_max_image_fidelity_three_parity_blocks():
     p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 3)
     r = max_image_fidelity(p0, p1, OptimizerConfig(restarts=1, seed=0))
     assert abs(r.value - 1.0) < 1e-6
+
+
+def _random_pair(rng, n_in, n_out):
+    def draw():
+        c = random_circuit(rng, n_in, 6, max_live=3)
+        while c.n_out != n_out:
+            c = random_circuit(rng, n_in, 6, max_live=3)
+        return c
+
+    return draw(), draw()
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 32])
+@pytest.mark.parametrize("n_in", [1, 2], ids=["type11", "type21"])
+def test_stacked_ascent_matches_serial_oracle(n_in, restarts):
+    rng = np.random.default_rng(500 + 10 * n_in + restarts)
+    for trial in range(3):
+        q0, q1 = _random_pair(rng, n_in, 1)
+        cfg = OptimizerConfig(restarts=restarts, seed=trial)
+        got, want = max_image_fidelity(q0, q1, cfg), max_image_fidelity_oracle(q0, q1, cfg)
+        assert got.restarts_used == want.restarts_used
+        assert got.converged == want.converged
+        assert abs(got.value - want.value) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=equal_type_pairs(), restarts=st.integers(1, 6), seed=st.integers(0, 2**31))
+def test_stacked_ascent_matches_serial_oracle_property(pair, restarts, seed):
+    # about half of these pairs reach F = 1, where the early stop decides
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
+    got, want = max_image_fidelity(*pair, cfg), max_image_fidelity_oracle(*pair, cfg)
+    assert got.restarts_used == want.restarts_used
+    assert got.converged == want.converged
+    assert abs(got.value - want.value) < 1e-8
+    # the stack does the serial loop's arithmetic, so it picks the same witness
+    assert np.abs(got.rho0 - want.rho0).max() < 1e-8
+    assert np.abs(got.rho1 - want.rho1).max() < 1e-8
+
+
+def test_stacked_ascent_at_the_iteration_cap_matches_serial_oracle():
+    rng = np.random.default_rng(520)
+    q0, q1 = _random_pair(rng, 2, 1)
+    cfg = OptimizerConfig(restarts=8, max_iters=3, seed=1)
+    got, want = max_image_fidelity(q0, q1, cfg), max_image_fidelity_oracle(q0, q1, cfg)
+    assert not got.converged and not want.converged
+    assert got.restarts_used == want.restarts_used == 8
+    assert abs(got.value - want.value) < 1e-8
+
+
+def test_stacked_ascent_stops_after_the_first_restart_at_fidelity_one():
+    cfg = OptimizerConfig(restarts=32, seed=3)
+    pair = identity_circuit(), identity_circuit("id2")
+    r = max_image_fidelity(*pair, cfg)
+    assert r.restarts_used == 1
+    assert abs(r.value - 1.0) < 1e-9
+    assert max_image_fidelity_oracle(*pair, cfg).restarts_used == 1
+
+
+@pytest.mark.parametrize(
+    "values, running, used",
+    [
+        # restart 2 reached F = 1, but restart 1 still runs and may reach it first
+        ([0.5, -np.inf, 1.0, -np.inf], [False, True, False, True], 0),
+        ([0.5, 0.7, 1.0, -np.inf], [False, False, False, True], 3),
+        ([0.5, 1.0, 1.0, -np.inf], [False, False, False, True], 2),
+        # without F = 1, every restart counts once none runs
+        ([0.5, 0.7, 0.9, -np.inf], [False, False, False, True], 0),
+        ([0.5, 0.7, 0.9, 0.8], [False, False, False, False], 4),
+    ],
+)
+def test_restarts_used_waits_for_every_earlier_restart(values, running, used):
+    assert _restarts_used(np.array(values), np.array(running)) == used
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_sliced_stack_matches_serial_oracle(monkeypatch, width):
+    # five restarts in slices of one or two, one pair below F = 1 and one at it
+    rng = np.random.default_rng(530)
+    for q0, q1 in (_random_pair(rng, 2, 1), (identity_circuit(), z_circuit())):
+        r = max(len(kraus_of(choi_of(q))) for q in (q0, q1))
+        dfg = r * 2**q0.n_in
+        monkeypatch.setattr(distances, "STACK_BYTES", width * 16 * dfg * dfg)
+        cfg = OptimizerConfig(restarts=5, seed=2)
+        got, want = max_image_fidelity(q0, q1, cfg), max_image_fidelity_oracle(q0, q1, cfg)
+        assert got.restarts_used == want.restarts_used
+        assert got.converged == want.converged
+        assert abs(got.value - want.value) < 1e-8
+        assert np.abs(got.rho0 - want.rho0).max() < 1e-8
