@@ -14,7 +14,6 @@ extra gate changes nothing.  Quantitatively,
 import numpy as np
 
 from qcdist import (
-    OptimizerConfig,
     ci_to_qcd,
     choi_of,
     diamond_norm,
@@ -31,11 +30,11 @@ print("reduction output type:", (r0.n_in, r0.n_out))
 print("r1 is r0 plus a trailing decohere on the control:",
       r1.gates[:-1] == r0.gates and r1.gates[-1].kind == "decohere")
 
-# Two independent optimizers, one equality.
-left = diamond_norm(choi_of(r0), choi_of(r1), OptimizerConfig(restarts=16, seed=1))
-right = max_image_fidelity(q0, q1, OptimizerConfig(restarts=16, seed=2))
-print(f"\ndiamond norm of the reduction pair : {left.value:.10f}")
-print(f"max image fidelity of (q0, q1)     : {right.value:.10f}")
+# Two independent certified intervals, one equality.
+left = diamond_norm(choi_of(r0), choi_of(r1))
+right = max_image_fidelity(q0, q1)
+print(f"\ndiamond norm of the reduction pair : [{left.value:.10f}, {left.upper:.10f}]")
+print(f"max image fidelity of (q0, q1)     : [{right.value:.10f}, {right.upper:.10f}]")
 print(f"difference                         : {abs(left.value - right.value):.2e}")
 
 # The fidelity witness: concrete input states achieving the maximum.

@@ -10,7 +10,6 @@ push distances up: 2 - 2 exp(-k eps^2 / 8) < ||Q0^k - Q1^k|| <= k eps.
 import numpy as np
 
 from qcdist import (
-    OptimizerConfig,
     PolarizationParams,
     choi_of,
     diamond_norm,
@@ -23,21 +22,20 @@ from qcdist.linalg import SizeCapError
 
 identity = parse_circuit("circuit id inputs 1\nend")
 dephase = parse_circuit("circuit dephase inputs 1\ndecohere 0\nend")
-cfg = OptimizerConfig(restarts=8, seed=5)
 
 print("base distance ||id - dephase||:",
-      diamond_norm(choi_of(identity), choi_of(dephase), cfg).value)
+      diamond_norm(choi_of(identity), choi_of(dephase)).value)
 
 print("\nparity mixture law 2*(eps/2)^r:")
 for r in (1, 2, 3):
     p0, p1 = parity_mix(identity, dephase, r)
-    v = diamond_norm(choi_of(p0), choi_of(p1), cfg).value
+    v = diamond_norm(choi_of(p0), choi_of(p1)).value
     print(f"  r={r}: {v:.6f}  (law says {2 * 0.5**r})")
 
 print("\ntensor power bounds:")
 for k in (1, 2, 3):
     t0, t1 = tensor_power(identity, dephase, k)
-    v = diamond_norm(choi_of(t0), choi_of(t1), OptimizerConfig(restarts=4, seed=6)).value
+    v = diamond_norm(choi_of(t0), choi_of(t1)).value
     print(f"  k={k}: {v:.6f}  in ({2 - 2 * np.exp(-k / 8):.6f}, {min(k, 2)}]")
 
 # Full-strength polarization parameters explode; the pipeline refuses and
@@ -55,7 +53,7 @@ except SizeCapError as exc:
 
 # Desk-scale override: each stage still obeys its law.
 s0, s1, cert = polarize(identity, dephase, params, override=(2, 2, 1))
-v = diamond_norm(choi_of(s0), choi_of(s1), OptimizerConfig(restarts=4, seed=8)).value
+v = diamond_norm(choi_of(s0), choi_of(s1)).value
 print(f"\noverride (2,2,1) pipeline value: {v:.6f}")
 for stage in cert["stages"]:
     print(" ", stage["construction"], stage["params"],

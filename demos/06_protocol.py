@@ -11,7 +11,6 @@ the Helstrom projector.
 import numpy as np
 
 from qcdist import (
-    OptimizerConfig,
     ProverStrategy,
     acceptance_probability,
     optimal_prover_witness,
@@ -21,9 +20,8 @@ from qcdist import (
 
 identity = parse_circuit("circuit id inputs 1\nend")
 dephase = parse_circuit("circuit dephase inputs 1\ndecohere 0\nend")
-cfg = OptimizerConfig(restarts=16, seed=11)
 
-strategy, witness = optimal_prover_witness(identity, dephase, cfg)
+strategy, witness = optimal_prover_witness(identity, dephase)
 exact = acceptance_probability(identity, dephase, strategy)
 print(f"diamond-norm witness value : {witness.value:.10f}")
 print(f"optimal acceptance         : {exact:.10f}  (= 1/2 + value/4)")

@@ -4,8 +4,9 @@ All numeric output is a single JSON document on standard output (floats at
 17 significant digits, byte-stable for a fixed seed); human-readable notes
 go to standard error.  Exit codes: 0 success, 1 validation failure,
 2 usage or dimension error, 3 size-cap refusal, 4 an open result, still
-printed: for ``dnorm`` and ``protocol`` a certified diamond-norm gap above
-``distances.GAP_TOL``, for ``maxfid`` an unconverged ascent.
+printed: a certified gap above ``distances.GAP_TOL``, on the diamond norm
+for ``dnorm`` and ``protocol`` and on the max image fidelity for
+``maxfid``.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ def _load_pair(paths: list[str]):
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts, rel_tol=args.tol, seed=args.seed
-    )
+    return OptimizerConfig(rel_tol=args.tol)
 
 
 def cmd_validate(args) -> int:
@@ -130,8 +129,10 @@ def cmd_distance(args) -> int:
         {
             "kind": "maxfid",
             "value": result.value,
+            "upper": result.upper,
+            "gap": result.gap,
+            "iterations": result.iterations,
             "converged": result.converged,
-            "restarts_used": result.restarts_used,
             "rho0": density_to_json(result.rho0),
             "rho1": density_to_json(result.rho1),
         }
@@ -199,11 +200,10 @@ def _parse_override(text: str) -> tuple[int, int, int]:
 
 def _add_optimizer(sub) -> None:
     sub.add_argument(
-        "--seed", type=int, default=0, help="maxfid restart seed; protocol trial seed"
+        "--seed", type=int, default=0, help="protocol trial seed; dnorm and maxfid ignore it"
     )
     sub.add_argument(
-        "--restarts", type=int, default=32,
-        help="maxfid restarts; dnorm and the protocol's witness are deterministic",
+        "--restarts", type=int, default=32, help="ignored: dnorm and maxfid are deterministic"
     )
     sub.add_argument("--tol", type=float, default=1e-10, help="relative stop tolerance")
 

@@ -42,22 +42,30 @@ block, so the objective is monotone nondecreasing.  Steps (a) and (c) are
 each one contraction with J_0 - J_1; the reported value is recomputed
 from the two channels at the returned psi.
 
-Maximum image fidelity.  F(Q_0(rho_0), Q_1(rho_1)) is maximized over mixed
-inputs by parametrizing each rho_i through a purification psi_i on
-H (x) G.  With the Stinespring isometries W_i = sum_k A_k (x) |k> of the
-Kraus operators, padded with zero operators to one environment E of size
-r = max(r_0, r_1), Uhlmann's theorem gives the fidelity as
-max_V |<psi_1| W_1^dagger (I (x) V) W_0 |psi_0>| over unitaries V on
-E (x) G.  Alternating the three blocks (V by SVD, each psi_i by
-normalization) again gives closed-form monotone updates, each a few
-reshaped matmuls.  The objective is not concave, so the ascent runs from
-random restarts, all of them as one stack (in slices where the matrices
-are wide): every iteration is one batched matmul chain and one batched
-SVD over the restarts still running, and a restart leaves the stack when
-it stops.  The early stop keeps the meaning of restarts run one after
-another: the run ends when the first restart j to reach F = 1 has
-stopped and so has every restart before it, and restarts after j do not
-count.
+Maximum image fidelity.  With Kraus operators A_k of Q_0 and B_l of Q_1,
+padded with zero operators to one environment E of size r, let J be the
+Choi matrix of the cross map on E (x) H, with blocks A_k^dagger B_l, and
+
+    K(rho_0, rho_1) = (I_E (x) sqrt(rho_0)) J (I_E (x) sqrt(rho_1)).
+
+By Uhlmann's theorem F(Q_0(rho_0), Q_1(rho_1)) = ||K||_1, the value of
+Watrous's SDP for the completely bounded trace norm of the cross map at
+fixed inputs (arXiv:1207.5726).  Fidelity is jointly concave and the
+channels are linear, so one ascent from rho_0 = rho_1 = I/d_in needs no
+restarts:
+
+    rho_0 <- tr_E |K^dagger| / ||K||_1,    rho_1 <- tr_E |K| / ||K||_1.
+
+With s_i^+ the pseudo-inverse of sqrt(rho_i), Y_0 = (I (x) s_0^+)
+|K^dagger| (I (x) s_0^+) and Y_1 = (I (x) s_1^+) |K| (I (x) s_1^+) make
+[[Y_0, J], [J^dagger, Y_1]] >= 0 where both rho_i have full rank; then
+sqrt(lambda_max(tr_E Y_0) lambda_max(tr_E Y_1)) bounds the fidelity, and
+the certified bound repairs the block by its least eigenvalue.  Where an
+optimal rho_i is rank-deficient the gap can stay open.  An Uhlmann run
+from the ascent's purifications then polishes the value, and the kept
+witness is certified again: by the Schur complement of a side of full
+rank, Y_0 = J (Y_1 + eta I)^-1 J^dagger or the same swapped, and, for a
+witness rank-deficient on both sides, mixed with a little of I/d_in.
 """
 
 from __future__ import annotations
@@ -83,7 +91,6 @@ from .simulate import (
     InternalConsistencyError,
     _contract,
     _kernel,
-    apply,
     channel_apply_ext,
     choi_of,
     kraus_of,
@@ -94,8 +101,9 @@ from .simulate import (
 #: indicates a bug in the channel algebra, not numerical jitter.
 MONOTONE_SLACK = 1e-12
 
-#: A diamond-norm interval whose gap, upper minus value, is at most this is
-#: converged; a wider one is still reported, with exit code 4 on the CLI.
+#: An interval, diamond norm or max image fidelity, whose gap (upper minus
+#: value) is at most this is converged; a wider one is still reported, with
+#: exit code 4 on the CLI.
 GAP_TOL = 1e-6
 
 #: Eigenvalues of rho below this fraction of its largest are off its
@@ -108,54 +116,52 @@ SUPPORT_CUT = 1e-14
 #: iterations of a geometric convergence.
 ASCENT_TOL = GAP_TOL / 100
 
-#: The image-fidelity restarts ascend in slices, one after another, whose
-#: stacks of SVD-sized matrices take at most this many bytes.  Wider stacks
-#: allocate temporaries that fault in fresh pages on every step (about 10^4
-#: faults per run on side-512 pairs at four restarts a slice), which cost
-#: more than batching saves.  On 1-qubit pairs (8 x 8 matrices) all
-#: restarts fit one slice; at side 512 (64 x 64) two do.
-STACK_BYTES = 2**17
+#: Shifts eta of max image fidelity's Schur-complement certificate: each
+#: costs O(eta) in the bound and amplifies rounding by up to 1/eta.
+SCHUR_SHIFTS = (1e-4, 1e-6, 1e-8, 1e-10)
 
-#: Weights delta of I/d_in mixed into the polished input state before it is
-#: certified.  A rank-deficient rho voids its own certificate; mixing costs
-#: O(delta) in the bound and inverts eigenvalues of at least delta/d_in, so
-#: a ladder of delta finds the balance, about 1e-5 on 1-qubit pairs.
+#: Weights delta of I/d_in mixed into the polished input states before they
+#: are certified, for both distances.  A rank-deficient rho voids its own
+#: certificate; mixing costs O(delta) in the bound and inverts eigenvalues
+#: of at least delta/d_in, so a ladder of delta finds the balance, about
+#: 1e-5 on 1-qubit pairs.
 MIX_WEIGHTS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Iteration and restart policy of the optimizers.
+    """Iteration policy of the optimizers.
 
-    ``max_iters`` caps each run: the diamond-norm ascent, its seesaw polish
-    and each image-fidelity restart.  ``rel_tol`` stops the seesaw polish
-    and the image-fidelity ascent on a relative change of the objective.
-    ``restarts`` and ``seed`` are read by ``max_image_fidelity`` only:
-    restart j uses seed + j, so runs are reproducible and restarts are
-    independent, and the max over restarts is order-independent.  The
-    restarts ascend together as one stack; each still stops on its own,
-    and the early stop at F = 1 counts the restarts up to the first one
-    that reaches it, as if they had run in order.
-    ``diamond_norm`` is deterministic and stops on its certified gap
-    (GAP_TOL).
+    ``max_iters`` caps each run: each ascent and each polish.  ``rel_tol``
+    stops the polishes, the diamond-norm seesaw and the image-fidelity
+    Uhlmann run, on a relative change of the objective.  Both distances are
+    deterministic: no restarts and no seed.
     """
 
-    restarts: int = 32
     max_iters: int = 500
     rel_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
 
 
+class _Interval:
+    """``gap`` and ``converged`` of a certified interval [value, upper]."""
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.value
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= GAP_TOL
+
+
 @dataclass(eq=False)
-class DiamondWitness:
+class DiamondWitness(_Interval):
     """Certified interval [value, upper] on a diamond-norm distance.
 
     ``value`` equals the trace norm of (Phi_0 (x) I - Phi_1 (x) I) applied
@@ -171,27 +177,21 @@ class DiamondWitness:
     upper: float
     iterations: int
 
-    @property
-    def gap(self) -> float:
-        return self.upper - self.value
-
-    @property
-    def converged(self) -> bool:
-        return self.gap <= GAP_TOL
-
 
 @dataclass(eq=False)
-class ImageFidelityResult:
-    """Witnessed lower bound for max F(Q0(rho0), Q1(rho1))."""
+class ImageFidelityResult(_Interval):
+    """Certified interval [value, upper] on max F(Q0(rho0), Q1(rho1)).
+
+    ``value`` is F(Q0(rho0), Q1(rho1)) at the returned inputs, taken as
+    ||K||_1 (module docstring); ``upper`` is the least certified dual bound,
+    at most 1, and ``iterations`` counts ascent and polish steps.
+    """
 
     value: float
     rho0: np.ndarray
     rho1: np.ndarray
-    restarts_used: int
-    converged: bool
-
-    def __iter__(self):
-        return iter((self.value, self.rho0, self.rho1))
+    upper: float
+    iterations: int
 
 
 def trace_norm(x) -> float:
@@ -246,11 +246,6 @@ def helstrom(delta, tol: float = TOL_PSD) -> tuple[np.ndarray, float]:
     return m, value
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 def _difference_kernels(ch0: Channel, ch1: Channel) -> tuple[np.ndarray, np.ndarray]:
     """``_contract`` kernels of Phi_0 - Phi_1 and its adjoint: both actions
     are linear in J, so one contraction with J0 - J1 replaces two."""
@@ -295,13 +290,13 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
     return history[-1], evaluated, m, converged, history
 
 
-def _sandwich(x: np.ndarray, a: np.ndarray, dim_out: int) -> np.ndarray:
-    """(I_out (x) a) x (I_out (x) a) for x on output (x) input and Hermitian
-    a on the input, as two broadcast matmuls over x's input axes."""
+def _sandwich(x: np.ndarray, left: np.ndarray, right: np.ndarray, dim_out: int) -> np.ndarray:
+    """(I_out (x) left) x (I_out (x) right) for x on output (x) input and
+    left, right on the input, as two broadcast matmuls over x's input axes."""
     n = x.shape[0]
-    dim_in = a.shape[0]
-    left = (a @ x.reshape(dim_out, dim_in, n)).reshape(n, dim_out, dim_in)
-    return (left @ a).reshape(n, n)
+    dim_in = left.shape[0]
+    y = (left @ x.reshape(dim_out, dim_in, n)).reshape(n, dim_out, dim_in)
+    return (y @ right).reshape(n, n)
 
 
 def _lambda_max(h: np.ndarray) -> float:
@@ -318,7 +313,7 @@ def _certified_upper(j: np.ndarray, m_pos: np.ndarray, s_inv: np.ndarray, dim_ou
     """2 lambda_max(tr_out Z) + 2 d_out eps for Z = (I (x) s_inv) M_+ (I (x) s_inv):
     the repair Z + eps I adds eps d_out to every eigenvalue of tr_out Z."""
     dim_in = s_inv.shape[0]
-    z = _sandwich(m_pos, s_inv, dim_out)
+    z = _sandwich(m_pos, s_inv, s_inv, dim_out)
     z = (z + dag(z)) / 2
     g = partial_trace(z, [dim_out, dim_in], [1])
     return 2 * _lambda_max(g) + 2 * dim_out * _infeasibility(z, j)
@@ -326,7 +321,7 @@ def _certified_upper(j: np.ndarray, m_pos: np.ndarray, s_inv: np.ndarray, dim_ou
 
 def _positive_part(j: np.ndarray, s: np.ndarray, dim_out: int) -> tuple[float, np.ndarray]:
     """(||M||_1, M_+) for M = (I_out (x) s) J (I_out (x) s)."""
-    e, u = spectral(_sandwich(j, s, dim_out))
+    e, u = spectral(_sandwich(j, s, s, dim_out))
     pos = e > 0
     return float(np.abs(e).sum()), (u[:, pos] * e[pos]) @ dag(u[:, pos])
 
@@ -423,139 +418,142 @@ def diamond_norm(
     return DiamondWitness(value, psi, measurement, min(upper, 2.0), iterations)
 
 
-def _normalized(cand: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack ``cand`` at unit norm; where that norm
-    vanishes, the matching matrix of ``psi`` is kept."""
-    flat = cand.reshape(len(cand), 1, -1)
-    re, im = flat.real, flat.imag
-    # per matrix, the dot products np.linalg.norm takes of one matrix, so a
-    # restart rounds the same in a stack as alone; norm is (k, 1, 1)
-    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
-    ok = norm > 1e-200
-    if ok.all():
-        return cand / norm
-    return np.where(ok, cand / np.where(ok, norm, 1.0), psi)
-
-
-def _uhlmann_step(w0, w1, w0h, w1h, v0, psi0, psi1):
-    """(value, psi0, psi1, v0): the objective at each restart of a stack,
-    and the restart's next psi0 and psi1.  ``v0`` is ``w0 @ psi0`` as
-    d_out x dfg matrices; the next one is returned with them.  ``w0h`` and
-    ``w1h`` are the conjugate transposes of the isometries."""
-    k, dout, dfg = v0.shape
+def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):
+    """Uhlmann run from the d_in x d_in purifications (psi0, psi1) to a step
+    that changes the objective by at most ``rel_tol``; returns (psi0, psi1,
+    iterations).  Each step maximizes over the unitary V on E (x) reference
+    by SVD, then over psi0 and psi1 by normalization."""
     din = psi0.shape[1]
-    v1 = (w1 @ psi1).reshape(k, dout, dfg)
-    # full: V must be unitary, not a partial isometry
-    p, s, qh = np.linalg.svd(v0.swapaxes(1, 2) @ v1.conj())
-    # V = Qh^dagger P^dagger; I (x) V acts on the d_out x dfg matrix v_i as
-    # v_i @ V^T, and V^T is the conjugate transpose of V^*
-    v_conj = qh.swapaxes(1, 2) @ p.swapaxes(1, 2)
-    psi0 = _normalized(w0h @ (v1 @ v_conj).reshape(k, -1, din), psi0)
-    v0 = (w0 @ psi0).reshape(k, dout, dfg)
-    psi1 = _normalized(w1h @ (v0 @ v_conj.conj().swapaxes(1, 2)).reshape(k, -1, din), psi1)
-    return s.sum(axis=1), psi0, psi1, v0
+    prev = -np.inf
+    for it in range(1, max_iters + 1):  # OptimizerConfig guarantees max_iters >= 1
+        v0 = (w0 @ psi0).reshape(dim_out, -1)
+        v1 = (w1 @ psi1).reshape(dim_out, -1)
+        # full: V must be unitary, not a partial isometry
+        p, s, qh = np.linalg.svd(v0.T @ v1.conj())
+        value = float(s.sum())
+        if value < prev - MONOTONE_SLACK:
+            raise InternalConsistencyError(
+                f"image-fidelity objective decreased from {prev!r} to {value!r}"
+            )
+        if abs(value - prev) <= rel_tol * max(1.0, value):
+            break
+        prev = value
+        # V = Qh^dagger P^dagger; I (x) V acts on the d_out x dfg matrix v_i as
+        # v_i @ V^T, and V^T is the conjugate transpose of V^*
+        v_conj = qh.T @ p.T
+        new = dag(w0) @ (v1 @ v_conj).reshape(-1, din)
+        psi0 = new / norm if (norm := np.linalg.norm(new)) > 1e-200 else psi0
+        new = dag(w1) @ ((w0 @ psi0).reshape(dim_out, -1) @ dag(v_conj)).reshape(-1, din)
+        psi1 = new / norm if (norm := np.linalg.norm(new)) > 1e-200 else psi1
+    return psi0, psi1, it
 
 
-def _restarts_used(values: np.ndarray, running: np.ndarray) -> int:
-    """Restarts the early stop leaves counted, or 0 while that is not known.
+def _cross_terms(j: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
+    """(||K||_1, T0, T1, G0, G1, dual_blocks) for K = (I_E (x) sqrt rho0) J (I_E (x) sqrt rho1).
 
-    The first restart j whose value reaches 1 - 1e-12 ends the run, once
-    no restart before it is still running; without one, every restart
-    counts once none is running.  Unfinished restarts hold -inf.
+    T0 = tr_E |K^dagger| and T1 = tr_E |K| are the next ascent step, and
+    G_i = s_i^+ T_i s_i^+ = tr_E Y_i.  ``dual_blocks()`` forms Y0 and Y1 with
+    one factor of s_i^+, which amplifies rounding by 1 / sqrt(lambda_min(rho_i)),
+    not two: Y0 = P0 J S1 U^dagger S0^+ and Y1 = S1^+ U^dagger S0 J P1, with
+    S_i = I_E (x) s_i, P_i = S_i^+ S_i and the polar factor K = U |K|.
     """
-    hits = np.flatnonzero(values >= 1.0 - 1e-12)
-    end = int(hits[0]) + 1 if hits.size else len(values)
-    return 0 if running[:end].any() else end
+    dim_in = rho0.shape[0]
+    r = j.shape[0] // dim_in
+    (s0, s0_inv), (s1, s1_inv) = _root_and_inverse(rho0), _root_and_inverse(rho1)
+    u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1, r))
+    t0 = partial_trace((u * sv) @ dag(u), [r, dim_in], [1])
+    t1 = partial_trace((dag(vh) * sv) @ vh, [r, dim_in], [1])
+
+    def dual_blocks():
+        polar_h, eye = dag(u @ vh), np.eye(dim_in)
+        y0 = _sandwich(_sandwich(j, s0_inv @ s0, s1, r) @ polar_h, eye, s0_inv, r)
+        y1 = _sandwich(polar_h @ _sandwich(j, s0, s1_inv @ s1, r), s1_inv, eye, r)
+        return y0, y1
+
+    return float(sv.sum()), t0, t1, s0_inv @ t0 @ s0_inv, s1_inv @ t1 @ s1_inv, dual_blocks
+
+
+def _block_upper(j: np.ndarray, y0: np.ndarray, y1: np.ndarray, dim_in: int) -> float:
+    """Certified bound sqrt(l0 l1) from the block B = [[Y0, J], [J^dagger, Y1]].
+
+    B + eps I >= 0 for eps = max(0, -lambda_min(B)), and l_i =
+    lambda_max(tr_E Y_i) + r eps.  Scaling Y0 by t and Y1 by 1/t keeps the
+    block feasible; the dual value (t l0 + l1 / t) / 2 is least at sqrt(l0 l1).
+    """
+    r = j.shape[0] // dim_in
+    y0, y1 = (y0 + dag(y0)) / 2, (y1 + dag(y1)) / 2
+    eps = max(0.0, -float(np.linalg.eigvalsh(np.block([[y0, j], [dag(j), y1]]))[0]))
+    l0, l1 = (_lambda_max(partial_trace(y, [r, dim_in], [1])) + r * eps for y in (y0, y1))
+    return float(np.sqrt(max(l0, 0.0) * max(l1, 0.0)))
+
+
+def _schur_upper(j: np.ndarray, y1: np.ndarray, dim_in: int) -> float:
+    """Least block bound over SCHUR_SHIFTS with Y1 + eta I and its Schur
+    complement Y0 = J (Y1 + eta I)^-1 J^dagger, whatever the rank of rho0."""
+    shifted = (y1 + eta * np.eye(len(y1)) for eta in SCHUR_SHIFTS)
+    return min(_block_upper(j, j @ np.linalg.solve(y, dag(j)), y, dim_in) for y in shifted)
+
+
+def _mixed_block_upper(j: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
+    """Least block bound at (1 - delta) rho_i + delta I/d_in over MIX_WEIGHTS."""
+    dim_in = rho0.shape[0]
+    flat = np.eye(dim_in) / dim_in
+    bounds = []
+    for delta in MIX_WEIGHTS:
+        *_, dual_blocks = _cross_terms(j, *((1 - delta) * x + delta * flat for x in (rho0, rho1)))
+        bounds.append(_block_upper(j, *dual_blocks(), dim_in))
+    return min(bounds)
+
+
+def _fidelity_ascent(j: np.ndarray, dim_in: int, max_iters: int):
+    """Ascent over (rho0, rho1) from I/d_in; returns (lower, upper, rho0,
+    rho1, iterations).  As in ``_ascent``, it stops where the gap of the
+    unrepaired bound falls below ASCENT_TOL, or at ``max_iters``.
+    """
+    rho0 = rho1 = np.eye(dim_in) / dim_in
+    for it in range(1, max_iters + 1):
+        lower, t0, t1, g0, g1, dual_blocks = _cross_terms(j, rho0, rho1)
+        if np.sqrt(_lambda_max(g0) * _lambda_max(g1)) - lower <= ASCENT_TOL or it == max_iters:
+            break
+        rho0, rho1 = t0 / np.trace(t0).real, t1 / np.trace(t1).real
+    return lower, _block_upper(j, *dual_blocks(), dim_in), rho0, rho1, it
 
 
 def max_image_fidelity(
     q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
 ) -> ImageFidelityResult:
-    """Witnessed maximum of F(Q0(rho0), Q1(rho1)) over input states.
+    """Certified interval [value, upper] on max F(Q0(rho0), Q1(rho1)).
 
-    Optimizes over purifications on input (x) reference (reference of input
-    dimension), since joint concavity of the fidelity means the maximizer
-    may be mixed.  The ambient side d_out * r * d_in is capped; at the cap
-    (four parity blocks of id vs decohere) a run takes minutes and may stop
-    unconverged.  The returned value is recomputed from the witnesses, so
-    it is a certified lower bound regardless of optimizer state.
-
-    The restarts ascend as one stack, or as slices of it run one after
-    another where the matrices are wide (STACK_BYTES): each iteration is
-    one batched matmul chain and one batched SVD over the restarts still
-    running.  A restart leaves the stack when its step changes the value
-    by at most ``rel_tol``, with the psi that gave that value; at
-    ``max_iters`` the rest leave unconverged, after their last update.
-    The run ends once the first restart j to reach F >= 1 - 1e-12 has
-    stopped and every restart before j has too: ``restarts_used`` is
-    j + 1 and the witness is the first argmax over restarts 0..j, as if
-    they had run in order.  The worst case is a restart 0 that reaches
-    F = 1 only slowly: the others in its slice run beside it, up to
-    ``restarts`` times the work of running restart 0 alone.
+    One deterministic ascent over the input states (module docstring);
+    while its gap is above GAP_TOL, an Uhlmann run polishes the value and
+    the kept witness is certified again.  ``value`` is ||K||_1 at the
+    returned (rho0, rho1), the fidelity of their images.  The ambient side
+    d_out * r * d_in is capped before the Kraus stacks are padded.
     """
     if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
         raise ValueError("circuits disagree on type")
     cfg = cfg or OptimizerConfig()
-    din = 2**q0.n_in
-    dout = 2**q0.n_out
-    kraus0 = kraus_of(choi_of(q0))
-    kraus1 = kraus_of(choi_of(q1))
+    din, dout = 2**q0.n_in, 2**q0.n_out
+    kraus0, kraus1 = kraus_of(choi_of(q0)), kraus_of(choi_of(q1))
     r = max(len(kraus0), len(kraus1))  # one environment for both (Uhlmann)
-    dfg = r * din  # environment (x) reference
-    linalg.check_cap(dout * dfg, context="image-fidelity ambient space")
-    w0 = dilated_isometry(kraus0, r).reshape(dout * r, din)
-    w1 = dilated_isometry(kraus1, r).reshape(dout * r, din)
-    isometries = (w0, w1, dag(w0), dag(w1))
-    n = cfg.restarts
-    # psi_i of restart j as a d_in x d_ref matrix; (W_i (x) I) psi_i is then W_i @ psi_i
-    psi0 = np.empty((n, din, din), dtype=np.complex128)
-    psi1 = np.empty_like(psi0)
-    for j in range(n):
-        rng = np.random.default_rng(cfg.seed + j)
-        psi0[j] = _random_unit(rng, din * din).reshape(din, din)
-        psi1[j] = _random_unit(rng, din * din).reshape(din, din)
-    wit0, wit1 = np.empty_like(psi0), np.empty_like(psi1)
-    values = np.full(n, -np.inf)
-    converged = np.zeros(n, dtype=bool)
-    running = np.ones(n, dtype=bool)
-    used = 0
-    width = max(1, STACK_BYTES // (16 * dfg * dfg))
-    for start in range(0, n, width):
-        live = np.arange(start, min(start + width, n))  # the restart of each row of the stack
-        a0, a1, prev = psi0[live], psi1[live], np.full(len(live), -np.inf)
-        v0 = (w0 @ a0).reshape(len(live), dout, dfg)
-        for _ in range(cfg.max_iters):
-            value, next0, next1, v0 = _uhlmann_step(*isometries, v0, a0, a1)
-            change = value - prev
-            if change.min() < -MONOTONE_SLACK:
-                i = int(change.argmin())
-                raise InternalConsistencyError(
-                    f"image-fidelity objective of restart {live[i]} decreased "
-                    f"from {prev[i]!r} to {value[i]!r}"
-                )
-            # value, a sum of singular values, is never negative
-            stop = np.abs(change) <= cfg.rel_tol * np.maximum(1.0, value)
-            if stop.any():
-                ids = live[stop]
-                values[ids], converged[ids], running[ids] = value[stop], True, False
-                wit0[ids], wit1[ids] = a0[stop], a1[stop]
-                keep = ~stop
-                live, value, next0, next1, v0 = (
-                    x[keep] for x in (live, value, next0, next1, v0)
-                )
-                used = _restarts_used(values, running)
-                if used or not live.size:
-                    break
-            prev, a0, a1 = value, next0, next1
-        else:  # the iteration cap stops the restarts still running
-            values[live], wit0[live], wit1[live], running[live] = prev, a0, a1, False
-            used = _restarts_used(values, running)
-        if used:
-            break
-    best = int(np.argmax(values[:used]))
-    rho0, rho1 = wit0[best] @ dag(wit0[best]), wit1[best] @ dag(wit1[best])
-    value = fidelity(apply(q0, rho0), apply(q1, rho1))
-    return ImageFidelityResult(value, rho0, rho1, used, bool(converged[best]))
+    linalg.check_cap(dout * r * din, context="image-fidelity ambient space")
+    w0, w1 = dilated_isometry(kraus0, r), dilated_isometry(kraus1, r)
+    # the cross map's Choi matrix on E (x) input, with blocks A_k^dagger B_l
+    j = dag(w0.reshape(dout, -1)) @ w1.reshape(dout, -1)
+    value, upper, rho0, rho1, iterations = _fidelity_ascent(j, din, cfg.max_iters)
+    if upper - value > GAP_TOL:
+        roots = (_root_and_inverse(x)[0] for x in (rho0, rho1))
+        isometries = (w.reshape(-1, din) for w in (w0, w1))
+        psi0, psi1, steps = _uhlmann(*isometries, dout, *roots, cfg.max_iters, cfg.rel_tol)
+        iterations += steps
+        p0, p1 = psi0 @ dag(psi0), psi1 @ dag(psi1)
+        if _cross_terms(j, p0, p1)[0] > value:
+            rho0, rho1 = p0, p1
+        value, *_, dual_blocks = _cross_terms(j, rho0, rho1)
+        y0, y1 = dual_blocks()
+        schur = min(_schur_upper(j, y1, din), _schur_upper(dag(j), y0, din))
+        upper = min(upper, schur, _mixed_block_upper(j, rho0, rho1))
+    return ImageFidelityResult(value, rho0, rho1, min(upper, 1.0), iterations)
 
 
 def witness_to_json(w: DiamondWitness) -> dict:

@@ -5,25 +5,15 @@ explicit hyperspherical grid, channels act through stacked Kraus tensors,
 and trace norms come from batched eigenvalue sums.  The density walk is
 checked against per-gate kernels that reshape to a (D, D) matrix after
 every gate: two half-actions per unitary, a bit mask for decohere, a kron
-for ancilla and ``linalg.partial_trace`` for trace.  The stacked
-image-fidelity ascent is checked against the same ascent run one restart
-at a time, each to its own stop, with the serial early stop.
+for ancilla and ``linalg.partial_trace`` for trace.
 """
 
 import itertools
 
 import numpy as np
 
-from qcdist.dilation import dilated_isometry
-from qcdist.distances import (
-    MONOTONE_SLACK,
-    ImageFidelityResult,
-    OptimizerConfig,
-    _random_unit,
-    fidelity,
-)
-from qcdist.linalg import dag, partial_trace
-from qcdist.simulate import InternalConsistencyError, apply, choi_of, kraus_of
+from qcdist.linalg import partial_trace
+from qcdist.simulate import kraus_of
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
@@ -151,59 +141,3 @@ def density_walk_oracle(c, x, ref_qubits=0):
             total -= 1
     return rho
 
-
-def max_image_fidelity_oracle(q0, q1, cfg=None):
-    """``max_image_fidelity`` with its restarts run one after another.
-
-    Restart j draws psi_0 then psi_1 from ``default_rng(seed + j)`` and
-    runs to its own stop; the run ends after the first restart whose value
-    reaches 1 - 1e-12, and the result is the first argmax so far.
-    """
-    cfg = cfg or OptimizerConfig()
-    din = 2**q0.n_in
-    dout = 2**q0.n_out
-    kraus0 = kraus_of(choi_of(q0))
-    kraus1 = kraus_of(choi_of(q1))
-    r = max(len(kraus0), len(kraus1))
-    dfg = r * din
-    w0 = dilated_isometry(kraus0, r).reshape(dout * r, din)
-    w1 = dilated_isometry(kraus1, r).reshape(dout * r, din)
-    best = None
-    used = 0
-    for j in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + j)
-        psi0 = _random_unit(rng, din * din).reshape(din, din)
-        psi1 = _random_unit(rng, din * din).reshape(din, din)
-        prev = -np.inf
-        converged = False
-        for _ in range(cfg.max_iters):
-            v0 = (w0 @ psi0).reshape(dout, dfg)
-            v1 = (w1 @ psi1).reshape(dout, dfg)
-            p, s, qh = np.linalg.svd(v0.T @ v1.conj())
-            value = float(s.sum())
-            if value < prev - MONOTONE_SLACK:
-                raise InternalConsistencyError(
-                    f"image-fidelity objective decreased from {prev!r} to {value!r}"
-                )
-            if abs(value - prev) <= cfg.rel_tol * max(1.0, abs(value)):
-                converged = True
-                break
-            prev = value
-            v = dag(qh) @ dag(p)
-            cand0 = dag(w0) @ (v1 @ v.conj()).reshape(dout * r, din)
-            norm0 = np.linalg.norm(cand0)
-            if norm0 > 1e-200:
-                psi0 = cand0 / norm0
-            cand1 = dag(w1) @ ((w0 @ psi0).reshape(dout, dfg) @ v.T).reshape(dout * r, din)
-            norm1 = np.linalg.norm(cand1)
-            if norm1 > 1e-200:
-                psi1 = cand1 / norm1
-        used = j + 1
-        if best is None or value > best[0]:
-            best = (value, psi0, psi1, converged)
-        if best[0] >= 1.0 - 1e-12:
-            break
-    _, psi0, psi1, converged = best
-    rho0, rho1 = psi0 @ dag(psi0), psi1 @ dag(psi1)
-    value = fidelity(apply(q0, rho0), apply(q1, rho1))
-    return ImageFidelityResult(value, rho0, rho1, used, converged)

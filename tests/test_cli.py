@@ -137,8 +137,9 @@ def test_maxfid_exit_contract_fuzz(tmp_path_factory, pair, restarts, seed):
     assert code in (0, 4)
     assert "Traceback" not in err.getvalue()
     result = json.loads(out.getvalue())
-    assert 0.0 <= result["value"] <= 1.0 + 1e-8
-    assert 1 <= result["restarts_used"] <= restarts
+    assert 0.0 <= result["value"] <= result["upper"] + 1e-12
+    assert result["upper"] <= 1.0
+    assert (code == 4) == (not result["converged"])
 
 
 def test_distance_trace(workdir, capsys):
@@ -171,10 +172,11 @@ def test_distance_dnorm_instance(workdir, capsys):
 
 
 def test_distance_dnorm_ignores_restarts_and_seed(workdir, capsys):
-    main(["distance", "dnorm", str(workdir / "inst.json"), "--restarts", "1", "--seed", "0"])
-    a = capsys.readouterr().out
-    main(["distance", "dnorm", str(workdir / "inst.json"), "--restarts", "8", "--seed", "5"])
-    assert capsys.readouterr().out == a
+    for kind in ("dnorm", "maxfid"):
+        main(["distance", kind, str(workdir / "inst.json"), "--restarts", "1", "--seed", "0"])
+        a = capsys.readouterr().out
+        main(["distance", kind, str(workdir / "inst.json"), "--restarts", "8", "--seed", "5"])
+        assert capsys.readouterr().out == a
 
 
 def test_distance_dnorm_open_gap_exits_4(workdir, capsys):
@@ -206,6 +208,24 @@ def test_distance_maxfid(workdir, capsys):
     )
     assert code == 0
     assert abs(out["value"] - 1.0) < 1e-6
+    assert list(out) == [
+        "kind", "value", "upper", "gap", "iterations", "converged", "rho0", "rho1"
+    ]
+    assert out["value"] <= out["upper"] + 1e-12 and out["gap"] <= GAP_TOL and out["converged"]
+
+
+def test_distance_maxfid_open_gap_exits_4(workdir, capsys):
+    # criterion-5 pair 12: the optimal rho1 is pure and the polished gap
+    # stays open at about 1.7e-6
+    rng = np.random.default_rng(105)
+    for _ in range(13):
+        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    (workdir / "qa.circ").write_text(serialize_circuit(qa))
+    (workdir / "qb.circ").write_text(serialize_circuit(qb))
+    code, out = run_cli(capsys, "distance", "maxfid", workdir / "qa.circ", workdir / "qb.circ")
+    assert code == 4
+    assert out["gap"] > GAP_TOL and not out["converged"]
+    assert out["value"] <= out["upper"]
 
 
 def test_reduce_ci2qcd_writes_syntactic_pair(workdir, capsys):

@@ -23,7 +23,7 @@ from helpers import (
     z_circuit,
 )
 
-CFG = OptimizerConfig(restarts=8, seed=31)
+CFG = OptimizerConfig()
 
 
 def random_projector(rng, dim):

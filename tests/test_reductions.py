@@ -41,7 +41,7 @@ from helpers import (
     z_circuit,
 )
 
-CFG = OptimizerConfig(restarts=8, seed=23)
+CFG = OptimizerConfig()
 
 
 def test_controlled_join_identities():
@@ -132,8 +132,8 @@ def test_ci_to_qcd_matches_max_image_fidelity():
         qa = random_11_circuit(rng, "qa")
         qb = random_11_circuit(rng, "qb")
         r0, r1 = ci_to_qcd(qa, qb)
-        wd = diamond_norm(choi_of(r0), choi_of(r1), OptimizerConfig(restarts=16, seed=trial))
-        mf = max_image_fidelity(qa, qb, OptimizerConfig(restarts=16, seed=100 + trial))
+        wd = diamond_norm(choi_of(r0), choi_of(r1))
+        mf = max_image_fidelity(qa, qb)
         assert abs(wd.value - mf.value) < 1e-4
 
 
@@ -173,8 +173,8 @@ def test_ci_to_qcd_two_qubit_inputs():
     ))
     r0, r1 = ci_to_qcd(qa, qb)
     assert (r0.n_in, r0.n_out) == (3, r0.n_out)
-    wd = diamond_norm(choi_of(r0), choi_of(r1), OptimizerConfig(restarts=16, seed=1))
-    mf = max_image_fidelity(qa, qb, OptimizerConfig(restarts=16, seed=2))
+    wd = diamond_norm(choi_of(r0), choi_of(r1))
+    mf = max_image_fidelity(qa, qb)
     assert abs(wd.value - 1 / np.sqrt(2)) < 1e-6
     assert abs(mf.value - 1 / np.sqrt(2)) < 1e-6
 
@@ -265,7 +265,7 @@ def test_tensor_power_bounds():
     eps = 1.0
     for k in (2, 3):
         t0, t1 = tensor_power(q0, q1, k)
-        w = diamond_norm(choi_of(t0), choi_of(t1), OptimizerConfig(restarts=4, seed=1))
+        w = diamond_norm(choi_of(t0), choi_of(t1))
         lower = 2 - 2 * np.exp(-k * eps**2 / 8)
         assert lower < w.value <= min(k * eps, 2.0) + 1e-9
 
@@ -276,9 +276,9 @@ def test_dnorm_split_product_law():
     psi0, psi1 = random_11_circuit(rng, "g0"), random_11_circuit(rng, "g1")
     xi0 = mix_with_parity([(phi0, phi1), (psi0, psi1)], odd=False, name="xi0")
     xi1 = mix_with_parity([(phi0, phi1), (psi0, psi1)], odd=True, name="xi1")
-    v_phi = diamond_norm(choi_of(phi0), choi_of(phi1), OptimizerConfig(restarts=16, seed=2)).value
-    v_psi = diamond_norm(choi_of(psi0), choi_of(psi1), OptimizerConfig(restarts=16, seed=3)).value
-    v_xi = diamond_norm(choi_of(xi0), choi_of(xi1), OptimizerConfig(restarts=16, seed=4)).value
+    v_phi = diamond_norm(choi_of(phi0), choi_of(phi1)).value
+    v_psi = diamond_norm(choi_of(psi0), choi_of(psi1)).value
+    v_xi = diamond_norm(choi_of(xi0), choi_of(xi1)).value
     assert abs(v_xi - 0.5 * v_phi * v_psi) < 1e-4
 
 
@@ -313,13 +313,13 @@ def test_polarize_override_staged_values():
     s0, s1, _ = polarize(q0, q1, params, override=(2, 2, 1))
     # stage 1 alone
     p0, p1 = parity_mix(q0, q1, 2)
-    v1 = diamond_norm(choi_of(p0), choi_of(p1), OptimizerConfig(restarts=4, seed=5)).value
+    v1 = diamond_norm(choi_of(p0), choi_of(p1)).value
     assert abs(v1 - 0.5) < 1e-4
     # full pipeline: within the tensor-power bounds for eps = 1/2, k = 2,
     # and equal to the stage-2 value since t = 1.
-    v = diamond_norm(choi_of(s0), choi_of(s1), OptimizerConfig(restarts=4, seed=6)).value
+    v = diamond_norm(choi_of(s0), choi_of(s1)).value
     t0, t1 = tensor_power(p0, p1, 2)
-    v2 = diamond_norm(choi_of(t0), choi_of(t1), OptimizerConfig(restarts=4, seed=7)).value
+    v2 = diamond_norm(choi_of(t0), choi_of(t1)).value
     assert 2 - 2 * np.exp(-1 / 8) < v <= 1.0 + 1e-9
     assert abs(v - v2) < 1e-4
 
