@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +355,46 @@ def test_density_walk_matches_oracle_at_dense_choi_size(monkeypatch):
     assert np.abs(simulate(c, x, 1) - density_walk_oracle(c, x, 1)).max() < 1e-12
 
 
+@st.composite
+def _decohere_heavy_circuits(draw):
+    """Circuits on 2-3 inputs with at least two ancillas and a decohere on a
+    wire of every unitary.  Each such pair doubles the Kraus stack, so
+    live + n_in + 1 of them push r past D = 2^live * 2^n_in and ``choi_of``
+    switches; the drawn tail then runs in the density walk."""
+    n_in = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live = n_in + draw(st.integers(2, 5 - n_in))
+    gates = [ancilla_gate()] * (live - n_in)
+    tail = draw(st.lists(st.sampled_from(["step", "ancilla", "trace"]), max_size=5))
+    for kind in ["step"] * (live + n_in + 1) + tail:
+        if kind == "ancilla" and live < 6:
+            gates.append(ancilla_gate())
+            live += 1
+        elif kind == "trace" and live > 1:
+            gates.append(trace_gate(draw(st.integers(0, live - 1))))
+            live -= 1
+        else:
+            wires = draw(st.lists(st.integers(0, live - 1), min_size=1,
+                                  max_size=min(3, live), unique=True))
+            gates += [unitary_gate(random_unitary(rng, 2 ** len(wires)), wires),
+                      decohere_gate(draw(st.sampled_from(wires)))]
+    return Circuit("heavy", n_in, gates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_decohere_heavy_circuits())
+def test_switched_walk_matches_oracle_property(c):
+    # the walk carries only the blocks |i><j| with i <= j; the rest are mirrored
+    din = 2**c.n_in
+    omega = np.eye(din).reshape(din * din)  # sum_i |i>|i>
+    ref = density_walk_oracle(c, np.outer(omega, omega), c.n_in)
+    with mock.patch.object(simulate_mod, "_run_gates", wraps=simulate_mod._run_gates) as walk:
+        choi = choi_of(c).choi
+    assert np.abs(choi - ref).max() < 1e-12
+    assert walk.call_count == 1
+    assert walk.call_args.args[0].shape[-1] == din * (din + 1) // 2
+
+
 def test_walks_leave_the_input_untouched():
     # the walk writes in place; a leading decohere would zero the caller's blocks
     rng = np.random.default_rng(16)
@@ -362,7 +404,7 @@ def test_walks_leave_the_input_untouched():
                              ancilla_gate(), decohere_gate(2), trace_gate(1)]),
     ]
     for c in circuits:
-        for ref_qubits in (0, 1):
+        for ref_qubits in (0, 1, 2):
             x = _random_operator(rng, 2 ** (2 + ref_qubits))
             rho = random_density(rng, 2 ** (2 + ref_qubits))
             x0, rho0 = x.copy(), rho.copy()
