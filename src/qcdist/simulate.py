@@ -26,10 +26,13 @@ The density walk (``_run_gates``, also behind ``simulate``) holds a batch
 of B operators on the live wires as one [2] * (2 * live) + [B] tensor,
 rows, then columns, then the batch axis, from the first gate to the last:
 each gate acts on its row and column axes in one pass for the whole batch.
+It allocates two buffers sized for its widest point once, and nothing per
+gate; the output is copied out, so no result aliases a buffer or an input.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,8 +88,8 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
 
     Pure linear action: works for any operator input of the right size, not
     only density matrices.  The widest point, live wires plus
-    ``ref_qubits``, is checked against the cap before the walk starts.  rho
-    is copied once into its 4^ref reference blocks, the batch of the walk.
+    ``ref_qubits``, is checked against the cap before the walk starts.  The
+    walk copies rho in as its 4^ref reference blocks, the batch.
     """
     check_wires(max(replay_liveness(c)) + ref_qubits, "qubits mid-circuit")
     rho = as_matrix(rho)
@@ -94,8 +97,7 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     if rho.shape != (n * r, n * r):
         raise ValueError(f"input operator is {rho.shape}, expected side {n * r} for "
                          f"{c.n_in} input wires and {ref_qubits} reference qubits")
-    # np.array always copies: at ref 0 the transpose is already contiguous
-    t = np.array(rho.reshape(n, r, n, r).transpose(0, 2, 1, 3)).reshape(n, n, r * r)
+    t = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n, n, r * r)
     out, m = _run_gates(t, c.gates, c.n_in)
     return out.reshape(2**m, 2**m, r, r).transpose(0, 2, 1, 3).reshape(2**m * r, 2**m * r)
 
@@ -103,40 +105,54 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
 def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
     """One-pass density walk of ``gates`` on a (2^live, 2^live, B) batch t.
 
-    t is walked, and overwritten, as a [2] * (2 * live) + [B] tensor with
-    the batch axis last.  A unitary u is one tensordot of u (x) conj(u)
-    against its row and column axes, left as a moveaxis view; decohere
-    zeroes two off-diagonal blocks in place; ancilla writes into the
-    |0><0| slice of a wider zeroed tensor.  Returns the (2^m, 2^m, B)
-    output and its live width m.  The width is not checked here:
-    ``simulate`` and ``choi_of`` refuse it before the walk starts.
+    Two flat buffers of 4^widest * B entries, widest being the largest live
+    count, are allocated once: one holds the [2] * (2 * live) + [B] tensor,
+    batch axis last, the other is scratch.  A unitary u copies the tensor
+    into scratch with its axes first and multiplies u (x) conj(u) from there
+    into the tensor's buffer, left as a moveaxis view; decohere zeroes two
+    off-diagonal blocks in place; ancilla fills a zeroed scratch prefix, and
+    trace adds two diagonal slices into one, and the buffers swap.  Returns
+    a copy of the (2^m, 2^m, B) output and its live width m.  The width is
+    not checked here: ``simulate`` and ``choi_of`` refuse it first.
     """
     b, s = t.shape[-1], (slice(None),)
-    t = t.reshape([2] * (2 * live) + [b])
+    steps = ((g.kind == "ancilla") - (g.kind == "trace") for g in gates)
+    size = 4 ** max(itertools.accumulate(steps, initial=live)) * b
+    home, spare = np.empty((2, size), dtype=np.complex128)
+
+    def view(buf, width):
+        return buf[: 4**width * b].reshape([2] * (2 * width) + [b])
+
+    cur = view(home, live)
+    cur[...] = t.reshape(cur.shape)
     for g in gates:
         if g.kind == "unitary":
             a = len(g.wires)
             axes = list(g.wires) + [live + w for w in g.wires]
-            # (rows, cols) of u times (rows, cols) of conj(u): contract both column groups
-            k = np.multiply.outer(g.matrix, g.matrix.conj()).reshape([2] * (4 * a))
-            cols = list(range(a, 2 * a)) + list(range(3 * a, 4 * a))
-            t = np.tensordot(k, t, axes=(cols, axes))
-            t = np.moveaxis(t, list(range(2 * a)), axes)
+            moved = view(spare, live)
+            np.copyto(moved, np.moveaxis(cur, axes, list(range(2 * a))))
+            # (rows, cols) of u times (rows, cols) of conj(u): the column pairs contract
+            k = np.kron(g.matrix, g.matrix.conj())
+            out = view(home, live)
+            np.matmul(k, moved.reshape(4**a, -1), out=out.reshape(4**a, -1))
+            cur = np.moveaxis(out, list(range(2 * a)), axes)
         elif g.kind == "decohere":
             w = g.wires[0]
             for bit in (0, 1):  # row axis w and column axis live + w disagree
-                t[s * w + (bit,) + s * (live - 1) + (1 - bit,)] = 0.0
+                cur[s * w + (bit,) + s * (live - 1) + (1 - bit,)] = 0.0
         elif g.kind == "ancilla":
-            grown = np.zeros([2] * (2 * live + 2) + [b], dtype=np.complex128)
+            grown = view(spare, live + 1)
+            grown.fill(0.0)
             # the new wire's row axis is live and its column axis 2 * live + 1
-            grown[s * live + (0,) + s * live + (0,)] = t
-            t, live = grown, live + 1
+            grown[s * live + (0,) + s * live + (0,)] = cur
+            cur, live, home, spare = grown, live + 1, spare, home
         elif g.kind == "trace":
-            t = np.trace(t, axis1=g.wires[0], axis2=live + g.wires[0])
-            live -= 1
+            diag = [cur[s * g.wires[0] + (bit,) + s * (live - 1) + (bit,)] for bit in (0, 1)]
+            cur = np.add(*diag, out=view(spare, live - 1))
+            live, home, spare = live - 1, spare, home
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-    return t.reshape(2**live, 2**live, b), live
+    return cur.copy().reshape(2**live, 2**live, b), live
 
 
 def apply(c: Circuit, rho: np.ndarray) -> np.ndarray:
@@ -187,15 +203,22 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
 
 
 def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
-    """Hermiticity, complete positivity and trace preservation of the Choi matrix."""
+    """Hermiticity, complete positivity and trace preservation of the Choi matrix.
+
+    J >= -tol holds when J + tol * I has a Cholesky factor; eigvalsh runs only if not."""
     problems = []
     d = herm_defect(ch.choi)
     if d > tol:
         problems.append(f"Choi not Hermitian: defect {d:.3e}")
     else:
-        wmin = float(np.linalg.eigvalsh((ch.choi + dag(ch.choi)) / 2).min())
-        if wmin < -tol:
-            problems.append(f"Choi eigenvalue {wmin:.3e}: not completely positive")
+        h = (ch.choi + dag(ch.choi)) / 2
+        h.flat[:: h.shape[0] + 1] += tol  # in place: h + tol * I costs another side^2 array
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            wmin = float(np.linalg.eigvalsh((ch.choi + dag(ch.choi)) / 2).min())
+            if wmin < -tol:
+                problems.append(f"Choi eigenvalue {wmin:.3e}: not completely positive")
     tp = partial_trace(ch.choi, [ch.dim_out, ch.dim_in], [1])
     tp_defect = float(np.abs(tp - np.eye(ch.dim_in)).max())
     if tp_defect > tol:
@@ -314,7 +337,9 @@ def choi_of(c: Circuit) -> Channel:
         choi = _matrix_unit_choi(c)
     else:
         choi = _kraus_walk_choi(c)
-    ch = Channel(n, m, (choi + dag(choi)) / 2)
+    choi += dag(choi)  # in place, so that J is not held twice while it is checked
+    choi /= 2
+    ch = Channel(n, m, choi)
     problems = _check_channel(ch)
     if problems:
         raise InternalConsistencyError(

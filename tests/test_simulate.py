@@ -10,6 +10,7 @@ from qcdist.circuits import (
     ancilla_gate,
     decohere_gate,
     parse_circuit,
+    replay_liveness,
     trace_gate,
     unitary_gate,
 )
@@ -414,6 +415,86 @@ def test_walks_leave_the_input_untouched():
             else:
                 apply(c, rho)
             assert np.array_equal(x, x0) and np.array_equal(rho, rho0)
+
+
+def test_walk_reuses_its_buffers_across_widths():
+    # live width 2 -> 5 -> 2 -> 5: on the second climb each ancilla grows
+    # into a buffer prefix that held a wider tensor, so stale entries show
+    rng = np.random.default_rng(18)
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    climb = [ancilla_gate(), decohere_gate(2), u(2, 0, 1), ancilla_gate(), decohere_gate(3),
+             u(1, 3), ancilla_gate(), u(4, 0, 2), decohere_gate(4), u(3, 1), u(2)]
+    fall = [trace_gate(4), decohere_gate(0), trace_gate(0), u(1, 2, 0), trace_gate(1)]
+    gates = [u(1), decohere_gate(0), u(0, 1)] + climb + fall
+    gates += [decohere_gate(1), u(1, 0), u(0)] + climb
+    c = Circuit("zigzag", 2, gates)
+    widths = replay_liveness(c)
+    assert widths[len(climb) + 3] == 5 and widths[len(climb) + len(fall) + 3] == 2
+    assert widths[-1] == 5
+    for ref_qubits in (0, 2):
+        x = _random_operator(rng, 2 ** (2 + ref_qubits))
+        out = simulate(c, x, ref_qubits)
+        assert np.abs(out - density_walk_oracle(c, x, ref_qubits)).max() < 1e-12
+
+
+def test_walk_results_share_no_memory():
+    rng = np.random.default_rng(19)
+    mixed = Circuit("mixed", 2, [unitary_gate(random_unitary(rng, 4), (1, 0)), ancilla_gate(),
+                                 decohere_gate(2), trace_gate(0)])
+    for c in (mixed, Circuit("empty", 2, [])):
+        for ref_qubits in (0, 1):
+            x = _random_operator(rng, 2 ** (2 + ref_qubits))
+            a, b = simulate(c, x, ref_qubits), simulate(c, x, ref_qubits)
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, x) and not np.shares_memory(b, x)
+            a[...] = 0.0
+            assert np.abs(b - density_walk_oracle(c, x, ref_qubits)).max() < 1e-12
+    # decohere-heavy, so choi_of switches to the density walk
+    gates = [ancilla_gate()]
+    for _ in range(5):
+        gates += [unitary_gate(random_unitary(rng, 4), (0, 1)), decohere_gate(0), decohere_gate(1)]
+    c = Circuit("heavy", 1, gates + [trace_gate(1)])
+    with mock.patch.object(simulate_mod, "_run_gates", wraps=simulate_mod._run_gates) as walk:
+        a, b = choi_of(c).choi, choi_of(c).choi
+    assert walk.call_count == 2
+    assert not np.shares_memory(a, b)
+    a[...] = 0.0
+    omega = np.eye(2).reshape(4)  # sum_i |i>|i>
+    assert np.abs(b - density_walk_oracle(c, np.outer(omega, omega), 1)).max() < 1e-12
+
+
+def _choi_with_least_eigenvalue(rng, n_in, n_out, lam):
+    """A trace-preserving Choi matrix with spectrum {1/d_out - c, 1/d_out + c}, c = 1/d_out - lam.
+
+    J = sum_i U_i B U_i^dagger (x) |i><i| with B = I/d_out + c Z_0 (tr B = 1),
+    conjugated by I (x) V, keeps tr_out J = I_in for any unitaries U_i, V.
+    """
+    dout, din = 2**n_out, 2**n_in
+    b = np.diag(1 / dout + (1 / dout - lam) * np.repeat([1.0, -1.0], dout // 2))
+    j = np.zeros((dout, din, dout, din), dtype=complex)
+    for i in range(din):
+        ui = random_unitary(rng, dout)
+        j[:, i, :, i] = ui @ b @ ui.conj().T
+    w = np.kron(np.eye(dout), random_unitary(rng, din))
+    j = w @ j.reshape(dout * din, dout * din) @ w.conj().T
+    return (j + j.conj().T) / 2
+
+
+@pytest.mark.parametrize("n_in, n_out", [(2, 2), (4, 5)])  # Choi sides 16 and 512
+def test_complete_positivity_check_at_its_tolerance(n_in, n_out):
+    rng = np.random.default_rng(20)
+    tol = simulate_mod.TOL_CHANNEL
+    bad = Channel(n_in, n_out, _choi_with_least_eigenvalue(rng, n_in, n_out, -2 * tol))
+    assert simulate_mod._check_channel(bad) == [
+        f"Choi eigenvalue {-2 * tol:.3e}: not completely positive"]
+    with pytest.raises(ValueError, match="not completely positive"):
+        channel_from_choi(n_in, n_out, bad.choi)
+    good = Channel(n_in, n_out, _choi_with_least_eigenvalue(rng, n_in, n_out, -tol / 2))
+    # inside the tolerance the Cholesky factor decides, with no eigenvalues
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        assert simulate_mod._check_channel(good) == []
+    assert eig.call_count == 0
+    assert channel_from_choi(n_in, n_out, good.choi).n_out == n_out
 
 
 def _kraus_sum(ops, x, ref_dim, adjoint=False):
