@@ -26,6 +26,7 @@ from .circuits import (
 )
 from .distances import (
     OptimizerConfig,
+    _interval_json,
     diamond_norm,
     fidelity,
     max_image_fidelity,
@@ -128,11 +129,7 @@ def cmd_distance(args) -> int:
     _emit(
         {
             "kind": "maxfid",
-            "value": result.value,
-            "upper": result.upper,
-            "gap": result.gap,
-            "iterations": result.iterations,
-            "converged": result.converged,
+            **_interval_json(result),
             "rho0": density_to_json(result.rho0),
             "rho1": density_to_json(result.rho1),
         }

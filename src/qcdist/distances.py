@@ -1,36 +1,52 @@
 """Distance measures for states and channels.
 
 Trace norm, fidelity (direct and via purifications), Helstrom measurements,
-the diamond-norm distance as a certified interval, and maximum image
-fidelity.  Every reported value is attained by the returned witness.
+and, as certified intervals, the diamond-norm distance and the maximum
+image fidelity.  Every reported value is attained by the returned witness.
 
-Diamond norm.  For channels Phi_0, Phi_1 on input space H with Choi
-matrices J_0, J_1 on output (x) input, let J = J_0 - J_1 and, for a state
-rho on H with s = sqrt(rho),
+One engine serves both intervals.  For a map with Choi matrix J on
+X (x) H, where H is the input and X the output or an environment, and for
+states rho_0, rho_1 on H with s_i = sqrt(rho_i), let
 
-    M(rho) = (I_out (x) s) J (I_out (x) s).
+    K(rho_0, rho_1) = (I_X (x) s_0) J (I_X (x) s_1).
 
-M(rho) is (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger) for psi = vec(s^T) on
-H (x) H, so ||M(rho)||_1 is a lower bound attained by psi.  It is Watrous's
-SDP value at a fixed rho (arXiv:1207.5726), concave in rho, so one ascent
-from rho = I/d_in needs no restarts:
+The largest ||K||_1 over both states is the completely bounded trace norm
+of the map: Watrous's SDP at fixed inputs (arXiv:1207.5726).  It is
+jointly concave, so one ascent from rho_0 = rho_1 = I/d_in needs no
+restarts:
 
-    rho <- tr_out M_+ / tr M_+
+    rho_0 <- tr_X |K^dagger| / ||K||_1,    rho_1 <- tr_X |K| / ||K||_1.
 
-with M_+ the positive part of M(rho).  The dual point
-Z = (I (x) s^+) M_+ (I (x) s^+), with s^+ the pseudo-inverse on the support
-of rho, meets Z >= 0, and Z >= J where rho has full rank, in exact
-arithmetic; then 2 lambda_max(tr_out Z) bounds the norm from above, and
-G = s^+ (tr_out M_+) s^+ is that tr_out Z.  Rounding amplified by s^+, and
-directions off the support of rho, can break both constraints, so the
-certified bound adds 2 d_out eps with
-eps = max(0, -lambda_min(Z - J), -lambda_min(Z)): Z + eps I is feasible.
-The bound is also at most 2, the norm of any difference of channels.
-Where the optimal rho is rank-deficient the ascent can stall on the
-boundary with the gap open.  The polished input state, mixed with a little
-of I/d_in so that nothing is inverted off its support, is then certified
-as well, and a seesaw run started from the ascent's psi polishes the
-lower bound:
+With s_i^+ the pseudo-inverse of s_i on the support of rho_i,
+Y_0 = (I (x) s_0^+) |K^dagger| (I (x) s_0^+) and
+Y_1 = (I (x) s_1^+) |K| (I (x) s_1^+) make B = [[Y_0, J], [J^dagger, Y_1]]
+>= 0 where both rho_i have full rank; then
+sqrt(lambda_max(tr_X Y_0) lambda_max(tr_X Y_1)) bounds the norm from
+above.  Rounding amplified by s_i^+, and directions off the support of
+rho_i, can break B >= 0, so the certified bound repairs the block:
+B + eps I >= 0 for eps = max(0, -lambda_min(B)) plus a rounding allowance
+of side(B) eps_mach max|lambda(B)| for the computed spectrum itself, and
+each lambda_max gains d_X eps.  Where J is Hermitian, K is Hermitian at
+rho_0 = rho_1, both steps give one state, and the engine carries that one:
+the eigendecomposition of K is its SVD, and B is unitarily
+diag(Y + J, Y - J), two eigenproblems of half its side.
+
+Where an optimal rho_i is rank-deficient the ascent can stall on the
+boundary with the gap open.  A polish per distance then improves the
+value, and the kept witness, mixed with a little of I/d_in so that nothing
+is inverted off its support, is certified again.
+
+Diamond norm.  J = J_0 - J_1 for channels Phi_0, Phi_1 with Choi
+matrices J_i on output (x) input, Hermitian, so rho_0 = rho_1 = rho and
+M(rho) = K(rho, rho) is (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger) for
+psi = vec(s^T) on H (x) H: ||M(rho)||_1 is a lower bound attained by psi.
+For trace-preserving channels tr_out J_i = I, so tr_out M = s (tr_out J) s
+= 0 and tr_out M_+ = tr_out M_-: tr_out |M| = 2 tr_out M_+, and the step
+is Watrous's rho <- tr_out M_+ / tr M_+.  On the support of rho,
+Y = 2 Z - J for his dual point Z = (I (x) s^+) M_+ (I (x) s^+), and
+diag(Y + J, Y - J) >= 0 is his pair of constraints Z >= 0, Z >= J.  The
+bound is also at most 2, the norm of any difference of channels.  The
+polish is a seesaw run started from the ascent's psi:
 
     (a) Delta <- (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger)
     (b) M     <- projector onto the strictly positive eigenspace of Delta
@@ -43,29 +59,13 @@ each one contraction with J_0 - J_1; the reported value is recomputed
 from the two channels at the returned psi.
 
 Maximum image fidelity.  With Kraus operators A_k of Q_0 and B_l of Q_1,
-padded with zero operators to one environment E of size r, let J be the
-Choi matrix of the cross map on E (x) H, with blocks A_k^dagger B_l, and
-
-    K(rho_0, rho_1) = (I_E (x) sqrt(rho_0)) J (I_E (x) sqrt(rho_1)).
-
-By Uhlmann's theorem F(Q_0(rho_0), Q_1(rho_1)) = ||K||_1, the value of
-Watrous's SDP for the completely bounded trace norm of the cross map at
-fixed inputs (arXiv:1207.5726).  Fidelity is jointly concave and the
-channels are linear, so one ascent from rho_0 = rho_1 = I/d_in needs no
-restarts:
-
-    rho_0 <- tr_E |K^dagger| / ||K||_1,    rho_1 <- tr_E |K| / ||K||_1.
-
-With s_i^+ the pseudo-inverse of sqrt(rho_i), Y_0 = (I (x) s_0^+)
-|K^dagger| (I (x) s_0^+) and Y_1 = (I (x) s_1^+) |K| (I (x) s_1^+) make
-[[Y_0, J], [J^dagger, Y_1]] >= 0 where both rho_i have full rank; then
-sqrt(lambda_max(tr_E Y_0) lambda_max(tr_E Y_1)) bounds the fidelity, and
-the certified bound repairs the block by its least eigenvalue.  Where an
-optimal rho_i is rank-deficient the gap can stay open.  An Uhlmann run
-from the ascent's purifications then polishes the value, and the kept
-witness is certified again: by the Schur complement of a side of full
-rank, Y_0 = J (Y_1 + eta I)^-1 J^dagger or the same swapped, and, for a
-witness rank-deficient on both sides, mixed with a little of I/d_in.
+padded with zero operators to one environment E of size r, J is the Choi
+matrix of the cross map on E (x) H, with blocks A_k^dagger B_l.  By
+Uhlmann's theorem F(Q_0(rho_0), Q_1(rho_1)) = ||K||_1, the reported value,
+at most 1 as the fidelity is.  The polish is an Uhlmann run from the
+ascent's purifications, and the kept witness is also certified by the
+Schur complement of a side of full rank, Y_0 = J (Y_1 + eta I)^-1 J^dagger
+or the same swapped.
 """
 
 from __future__ import annotations
@@ -148,8 +148,14 @@ class OptimizerConfig:
             raise ValueError("rel_tol must be positive")
 
 
+@dataclass(eq=False)
 class _Interval:
-    """``gap`` and ``converged`` of a certified interval [value, upper]."""
+    """Certified interval [value, upper] with its ``gap`` and ``converged``;
+    ``iterations`` counts ascent and polish steps."""
+
+    value: float
+    upper: float
+    iterations: int
 
     @property
     def gap(self) -> float:
@@ -167,15 +173,11 @@ class DiamondWitness(_Interval):
     ``value`` equals the trace norm of (Phi_0 (x) I - Phi_1 (x) I) applied
     to ``psi psi^dagger``; ``measurement`` is the Helstrom projector for
     that difference on the output (x) reference space.  ``upper`` is the
-    repaired dual bound of the ascent, and ``iterations`` counts ascent and
-    polish steps.
+    least repaired dual bound, at most 2.
     """
 
-    value: float
     psi: np.ndarray
     measurement: np.ndarray
-    upper: float
-    iterations: int
 
 
 @dataclass(eq=False)
@@ -183,15 +185,17 @@ class ImageFidelityResult(_Interval):
     """Certified interval [value, upper] on max F(Q0(rho0), Q1(rho1)).
 
     ``value`` is F(Q0(rho0), Q1(rho1)) at the returned inputs, taken as
-    ||K||_1 (module docstring); ``upper`` is the least certified dual bound,
-    at most 1, and ``iterations`` counts ascent and polish steps.
+    ||K||_1 (module docstring); both ends are at most 1.
     """
 
-    value: float
     rho0: np.ndarray
     rho1: np.ndarray
-    upper: float
-    iterations: int
+
+
+def _interval_json(r: _Interval) -> dict:
+    """The interval's keys in the CLI's JSON, in their printed order."""
+    casts = {"value": float, "upper": float, "gap": float, "iterations": int, "converged": bool}
+    return {key: cast(getattr(r, key)) for key, cast in casts.items()}
 
 
 def trace_norm(x) -> float:
@@ -303,27 +307,11 @@ def _lambda_max(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((h + dag(h)) / 2)[-1])
 
 
-def _infeasibility(z: np.ndarray, j: np.ndarray) -> float:
-    """eps = max(0, -lambda_min(Z - J), -lambda_min(Z)): how far Z misses
-    the dual constraints Z >= J and Z >= 0.  Z + eps I meets both."""
-    return max(0.0, -float(np.linalg.eigvalsh(z - j)[0]), -float(np.linalg.eigvalsh(z)[0]))
-
-
-def _certified_upper(j: np.ndarray, m_pos: np.ndarray, s_inv: np.ndarray, dim_out: int) -> float:
-    """2 lambda_max(tr_out Z) + 2 d_out eps for Z = (I (x) s_inv) M_+ (I (x) s_inv):
-    the repair Z + eps I adds eps d_out to every eigenvalue of tr_out Z."""
-    dim_in = s_inv.shape[0]
-    z = _sandwich(m_pos, s_inv, s_inv, dim_out)
-    z = (z + dag(z)) / 2
-    g = partial_trace(z, [dim_out, dim_in], [1])
-    return 2 * _lambda_max(g) + 2 * dim_out * _infeasibility(z, j)
-
-
-def _positive_part(j: np.ndarray, s: np.ndarray, dim_out: int) -> tuple[float, np.ndarray]:
-    """(||M||_1, M_+) for M = (I_out (x) s) J (I_out (x) s)."""
-    e, u = spectral(_sandwich(j, s, s, dim_out))
-    pos = e > 0
-    return float(np.abs(e).sum()), (u[:, pos] * e[pos]) @ dag(u[:, pos])
+def _traced_out(f: np.ndarray, dim_in: int) -> np.ndarray:
+    """tr_X (F F^dagger) for F with rows on X (x) input: one matmul of a
+    d_in x (d_X cols) matrix with its adjoint."""
+    x = f.reshape(-1, dim_in, f.shape[1]).transpose(1, 0, 2).reshape(dim_in, -1)
+    return x @ dag(x)
 
 
 def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,36 +322,100 @@ def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * np.sqrt(w)) @ dag(v), (v[:, supp] / np.sqrt(w[supp])) @ dag(v[:, supp])
 
 
-def _ascent(j: np.ndarray, dim_in: int, dim_out: int, max_iters: int):
-    """Ascent over the input state rho from I/d_in; returns (lower, upper,
-    sqrt(rho), iterations) at the iterate it stops on.
+def _cross_terms(j: np.ndarray, rhos: tuple):
+    """(||K||_1, Ts, Gs, dual_blocks) for K = (I_X (x) sqrt rho0) J (I_X (x) sqrt rho1).
 
-    Each iteration bounds the gap on the input side, 2 lambda_max(G) minus
-    the lower bound; the certificate on output (x) input is formed at the
-    iterate where that gap falls below ASCENT_TOL, or at ``max_iters``.
-    Where the input-side gap closes but the certificate does not, rho sits
-    on a boundary of the state space, and further steps only shrink an
-    eigenvalue that the certificate then inverts, so the ascent stops there.
+    ``rhos`` is (rho0, rho1), or (rho,) for rho0 = rho1 = rho with J
+    Hermitian; each of Ts, Gs and ``dual_blocks()`` then holds one term.
+    T0 = tr_X |K^dagger| and T1 = tr_X |K| are the next ascent step, and
+    G_i = s_i^+ T_i s_i^+ = tr_X Y_i.  ``dual_blocks()`` forms Y0 and Y1 with
+    one factor of s_i^+, which amplifies rounding by 1 / sqrt(lambda_min(rho_i)),
+    not two: Y0 = P0 J S1 U^dagger S0^+ and Y1 = S1^+ U^dagger S0 J P1, with
+    S_i = I_X (x) s_i, P_i = S_i^+ S_i and the polar factor K = U |K|.
     """
-    rho = np.eye(dim_in) / dim_in
+    dim_in = rhos[0].shape[0]
+    r = j.shape[0] // dim_in
+    roots = [_root_and_inverse(x) for x in rhos]
+    (s0, s0_inv), (s1, s1_inv) = roots[0], roots[-1]
+    k = _sandwich(j, s0, s1, r)
+    if len(rhos) == 1:
+        # K is Hermitian: its SVD is u |e| (sign(e) u^dagger), and |K^dagger| = |K|
+        e, u = spectral(k)
+        sv, factors = np.abs(e), (u,)
+    else:
+        u, sv, vh = np.linalg.svd(k)
+        factors = (u, dag(vh))
+    ts = [_traced_out(f * np.sqrt(sv), dim_in) for f in factors]
+    gs = [s_inv @ t @ s_inv for (_, s_inv), t in zip(roots, ts)]
+
+    def dual_blocks():
+        # U^dagger = V u^dagger for the right singular vectors V, u sign(e) where K is Hermitian
+        polar_h = (u * np.sign(e) if len(rhos) == 1 else factors[1]) @ dag(u)
+        eye = np.eye(dim_in)
+        y0 = _sandwich(_sandwich(j, s0_inv @ s0, s1, r) @ polar_h, eye, s0_inv, r)
+        if len(rhos) == 1:
+            return (y0,)
+        return y0, _sandwich(polar_h @ _sandwich(j, s0, s1_inv @ s1, r), s1_inv, eye, r)
+
+    return float(sv.sum()), ts, gs, dual_blocks
+
+
+def _repair(w: np.ndarray) -> float:
+    """eps with B + eps I >= 0, from the computed spectrum ``w`` of B: its
+    least eigenvalue, plus len(w) eps_mach max|w| for the rounding of w."""
+    return max(0.0, -float(w.min())) + len(w) * np.finfo(float).eps * float(np.abs(w).max())
+
+
+def _block_upper(j: np.ndarray, ys: tuple, dim_in: int) -> float:
+    """Certified bound sqrt(l0 l1) from the block B = [[Y0, J], [J^dagger, Y1]].
+
+    ``ys`` is (Y0, Y1), or (Y,) for Y0 = Y1 = Y with J Hermitian: B is then
+    unitarily diag(Y + J, Y - J).  B + eps I >= 0 for eps = _repair(lambda(B)),
+    and l_i = lambda_max(tr_X Y_i) + d_X eps.  Scaling Y0 by t and Y1 by 1/t
+    keeps the block feasible; the dual value (t l0 + l1 / t) / 2 is least at
+    sqrt(l0 l1).
+    """
+    r = j.shape[0] // dim_in
+    ys = [(y + dag(y)) / 2 for y in ys]
+    if len(ys) == 1:
+        w = np.concatenate([np.linalg.eigvalsh(ys[0] + j), np.linalg.eigvalsh(ys[0] - j)])
+    else:
+        w = np.linalg.eigvalsh(np.block([[ys[0], j], [dag(j), ys[1]]]))
+    eps = _repair(w)
+    ls = [_lambda_max(partial_trace(y, [r, dim_in], [1])) + r * eps for y in ys]
+    return float(np.sqrt(max(ls[0], 0.0) * max(ls[-1], 0.0)))
+
+
+def _ascent(j: np.ndarray, dim_in: int, max_iters: int):
+    """Ascent over the inputs from I/d_in; returns (lower, upper, rhos,
+    iterations) at the iterate it stops on, with ``rhos`` as in
+    ``_cross_terms``: one state where J is Hermitian, else two.
+
+    Each iteration bounds the gap on the input side, by the unrepaired
+    bound sqrt(lambda_max(G0) lambda_max(G1)) minus the lower bound; the
+    block certificate is formed at the iterate where that gap falls below
+    ASCENT_TOL, or at ``max_iters``.  Where the input-side gap closes but
+    the certificate does not, an input sits on a boundary of the state
+    space, and further steps only shrink an eigenvalue that the certificate
+    then inverts, so the ascent stops there.
+    """
+    flat = np.eye(dim_in) / dim_in
+    rhos = (flat,) if np.array_equal(j, dag(j)) else (flat, flat)
     for it in range(1, max_iters + 1):
-        s, s_inv = _root_and_inverse(rho)
-        lower, m_pos = _positive_part(j, s, dim_out)
-        t = partial_trace(m_pos, [dim_out, dim_in], [1])
-        if 2 * _lambda_max(s_inv @ t @ s_inv) - lower <= ASCENT_TOL or it == max_iters:
+        lower, ts, gs, dual_blocks = _cross_terms(j, rhos)
+        ls = [_lambda_max(g) for g in gs]
+        if np.sqrt(ls[0] * ls[-1]) - lower <= ASCENT_TOL or it == max_iters:
             break
-        rho = t / np.trace(t).real
-    return lower, _certified_upper(j, m_pos, s_inv, dim_out), s, it
+        rhos = tuple(t / np.trace(t).real for t in ts)
+    return lower, _block_upper(j, dual_blocks(), dim_in), rhos, it
 
 
-def _mixed_upper(j: np.ndarray, rho: np.ndarray, dim_out: int) -> float:
-    """Least certified bound at (1 - delta) rho + delta I/d_in over MIX_WEIGHTS."""
-    dim_in = rho.shape[0]
-    bounds = []
-    for delta in MIX_WEIGHTS:
-        s, s_inv = _root_and_inverse((1 - delta) * rho + delta * np.eye(dim_in) / dim_in)
-        bounds.append(_certified_upper(j, _positive_part(j, s, dim_out)[1], s_inv, dim_out))
-    return min(bounds)
+def _mixed_upper(j: np.ndarray, rhos: tuple) -> float:
+    """Least block bound at (1 - delta) rho_i + delta I/d_in over MIX_WEIGHTS."""
+    dim_in = rhos[0].shape[0]
+    flat = np.eye(dim_in) / dim_in
+    mixed = (tuple((1 - delta) * x + delta * flat for x in rhos) for delta in MIX_WEIGHTS)
+    return min(_block_upper(j, _cross_terms(j, m)[-1](), dim_in) for m in mixed)
 
 
 def diamond_norm(
@@ -397,10 +449,10 @@ def diamond_norm(
     linalg.check_cap(dout * ref_dim, context="diamond-norm output")
     j = ch0.choi - ch1.choi
     j = (j + dag(j)) / 2
-    lower, upper, s, iterations = _ascent(j, din, dout, cfg.max_iters)
+    lower, upper, (rho,), iterations = _ascent(j, din, cfg.max_iters)
     # psi = vec(sqrt(rho)^T), padded to the reference: (Phi (x) I)(psi psi^dagger) is M(rho)
     x = np.zeros((din, ref_dim), dtype=np.complex128)
-    x[:, :din] = s.T
+    x[:, :din] = _root_and_inverse(rho)[0].T
     if upper - lower > GAP_TOL:
         value, polished, _, _, history = _seesaw(
             *_difference_kernels(ch0, ch1), ref_dim, x.reshape(-1), cfg.max_iters, cfg.rel_tol
@@ -409,13 +461,13 @@ def diamond_norm(
         if value > lower:
             x = polished.reshape(din, ref_dim)
         # psi = vec(x) stands for rho = (x x^dagger)^T
-        upper = min(upper, _mixed_upper(j, (x @ dag(x)).T, dout))
+        upper = min(upper, _mixed_upper(j, ((x @ dag(x)).T,)))
     psi = x.reshape(-1)
     # the reported value comes from the two channels at the returned psi
     rho = np.outer(psi, psi.conj())
     delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
     measurement, value = helstrom((delta + dag(delta)) / 2)
-    return DiamondWitness(value, psi, measurement, min(upper, 2.0), iterations)
+    return DiamondWitness(value, min(upper, 2.0), iterations, psi, measurement)
 
 
 def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):
@@ -448,75 +500,11 @@ def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):
     return psi0, psi1, it
 
 
-def _cross_terms(j: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
-    """(||K||_1, T0, T1, G0, G1, dual_blocks) for K = (I_E (x) sqrt rho0) J (I_E (x) sqrt rho1).
-
-    T0 = tr_E |K^dagger| and T1 = tr_E |K| are the next ascent step, and
-    G_i = s_i^+ T_i s_i^+ = tr_E Y_i.  ``dual_blocks()`` forms Y0 and Y1 with
-    one factor of s_i^+, which amplifies rounding by 1 / sqrt(lambda_min(rho_i)),
-    not two: Y0 = P0 J S1 U^dagger S0^+ and Y1 = S1^+ U^dagger S0 J P1, with
-    S_i = I_E (x) s_i, P_i = S_i^+ S_i and the polar factor K = U |K|.
-    """
-    dim_in = rho0.shape[0]
-    r = j.shape[0] // dim_in
-    (s0, s0_inv), (s1, s1_inv) = _root_and_inverse(rho0), _root_and_inverse(rho1)
-    u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1, r))
-    t0 = partial_trace((u * sv) @ dag(u), [r, dim_in], [1])
-    t1 = partial_trace((dag(vh) * sv) @ vh, [r, dim_in], [1])
-
-    def dual_blocks():
-        polar_h, eye = dag(u @ vh), np.eye(dim_in)
-        y0 = _sandwich(_sandwich(j, s0_inv @ s0, s1, r) @ polar_h, eye, s0_inv, r)
-        y1 = _sandwich(polar_h @ _sandwich(j, s0, s1_inv @ s1, r), s1_inv, eye, r)
-        return y0, y1
-
-    return float(sv.sum()), t0, t1, s0_inv @ t0 @ s0_inv, s1_inv @ t1 @ s1_inv, dual_blocks
-
-
-def _block_upper(j: np.ndarray, y0: np.ndarray, y1: np.ndarray, dim_in: int) -> float:
-    """Certified bound sqrt(l0 l1) from the block B = [[Y0, J], [J^dagger, Y1]].
-
-    B + eps I >= 0 for eps = max(0, -lambda_min(B)), and l_i =
-    lambda_max(tr_E Y_i) + r eps.  Scaling Y0 by t and Y1 by 1/t keeps the
-    block feasible; the dual value (t l0 + l1 / t) / 2 is least at sqrt(l0 l1).
-    """
-    r = j.shape[0] // dim_in
-    y0, y1 = (y0 + dag(y0)) / 2, (y1 + dag(y1)) / 2
-    eps = max(0.0, -float(np.linalg.eigvalsh(np.block([[y0, j], [dag(j), y1]]))[0]))
-    l0, l1 = (_lambda_max(partial_trace(y, [r, dim_in], [1])) + r * eps for y in (y0, y1))
-    return float(np.sqrt(max(l0, 0.0) * max(l1, 0.0)))
-
-
 def _schur_upper(j: np.ndarray, y1: np.ndarray, dim_in: int) -> float:
     """Least block bound over SCHUR_SHIFTS with Y1 + eta I and its Schur
     complement Y0 = J (Y1 + eta I)^-1 J^dagger, whatever the rank of rho0."""
     shifted = (y1 + eta * np.eye(len(y1)) for eta in SCHUR_SHIFTS)
-    return min(_block_upper(j, j @ np.linalg.solve(y, dag(j)), y, dim_in) for y in shifted)
-
-
-def _mixed_block_upper(j: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
-    """Least block bound at (1 - delta) rho_i + delta I/d_in over MIX_WEIGHTS."""
-    dim_in = rho0.shape[0]
-    flat = np.eye(dim_in) / dim_in
-    bounds = []
-    for delta in MIX_WEIGHTS:
-        *_, dual_blocks = _cross_terms(j, *((1 - delta) * x + delta * flat for x in (rho0, rho1)))
-        bounds.append(_block_upper(j, *dual_blocks(), dim_in))
-    return min(bounds)
-
-
-def _fidelity_ascent(j: np.ndarray, dim_in: int, max_iters: int):
-    """Ascent over (rho0, rho1) from I/d_in; returns (lower, upper, rho0,
-    rho1, iterations).  As in ``_ascent``, it stops where the gap of the
-    unrepaired bound falls below ASCENT_TOL, or at ``max_iters``.
-    """
-    rho0 = rho1 = np.eye(dim_in) / dim_in
-    for it in range(1, max_iters + 1):
-        lower, t0, t1, g0, g1, dual_blocks = _cross_terms(j, rho0, rho1)
-        if np.sqrt(_lambda_max(g0) * _lambda_max(g1)) - lower <= ASCENT_TOL or it == max_iters:
-            break
-        rho0, rho1 = t0 / np.trace(t0).real, t1 / np.trace(t1).real
-    return lower, _block_upper(j, *dual_blocks(), dim_in), rho0, rho1, it
+    return min(_block_upper(j, (j @ np.linalg.solve(y, dag(j)), y), dim_in) for y in shifted)
 
 
 def max_image_fidelity(
@@ -540,29 +528,26 @@ def max_image_fidelity(
     w0, w1 = dilated_isometry(kraus0, r), dilated_isometry(kraus1, r)
     # the cross map's Choi matrix on E (x) input, with blocks A_k^dagger B_l
     j = dag(w0.reshape(dout, -1)) @ w1.reshape(dout, -1)
-    value, upper, rho0, rho1, iterations = _fidelity_ascent(j, din, cfg.max_iters)
+    value, upper, rhos, iterations = _ascent(j, din, cfg.max_iters)
     if upper - value > GAP_TOL:
-        roots = (_root_and_inverse(x)[0] for x in (rho0, rho1))
+        roots = (_root_and_inverse(x)[0] for x in (rhos[0], rhos[-1]))
         isometries = (w.reshape(-1, din) for w in (w0, w1))
         psi0, psi1, steps = _uhlmann(*isometries, dout, *roots, cfg.max_iters, cfg.rel_tol)
         iterations += steps
-        p0, p1 = psi0 @ dag(psi0), psi1 @ dag(psi1)
-        if _cross_terms(j, p0, p1)[0] > value:
-            rho0, rho1 = p0, p1
-        value, *_, dual_blocks = _cross_terms(j, rho0, rho1)
-        y0, y1 = dual_blocks()
-        schur = min(_schur_upper(j, y1, din), _schur_upper(dag(j), y0, din))
-        upper = min(upper, schur, _mixed_block_upper(j, rho0, rho1))
-    return ImageFidelityResult(value, rho0, rho1, min(upper, 1.0), iterations)
+        polished = (psi0 @ dag(psi0), psi1 @ dag(psi1))
+        if _cross_terms(j, polished)[0] > value:
+            rhos = polished
+        value, *_, dual_blocks = _cross_terms(j, rhos)
+        ys = dual_blocks()
+        schur = min(_schur_upper(j, ys[-1], din), _schur_upper(dag(j), ys[0], din))
+        upper = min(upper, schur, _mixed_upper(j, rhos))
+    # fidelity() clamps into [0, 1] too: ||K||_1 can round above 1
+    return ImageFidelityResult(min(value, 1.0), min(upper, 1.0), iterations, rhos[0], rhos[-1])
 
 
 def witness_to_json(w: DiamondWitness) -> dict:
     return {
-        "value": float(w.value),
-        "upper": float(w.upper),
-        "gap": float(w.gap),
-        "iterations": int(w.iterations),
-        "converged": bool(w.converged),
+        **_interval_json(w),
         "psi": linalg.complex_pairs(w.psi),
         "measurement": linalg.matrix_to_json(w.measurement),
     }
