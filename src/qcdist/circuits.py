@@ -49,6 +49,11 @@ STANDARD_GATES: dict[str, np.ndarray] = {
     "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
 }
 
+SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    dtype=np.complex128,
+)
+
 
 class CircuitError(ValueError):
     """Base class for circuit IR failures; ``line`` is the source line, if any."""
@@ -131,7 +136,10 @@ def decohere_gate(wire: int) -> Gate:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(dag(m) @ m - np.eye(m.shape[0])))
+    """Frobenius norm of U^dagger U - I."""
+    d = dag(m) @ m
+    d.flat[:: d.shape[0] + 1] -= 1.0
+    return math.sqrt(np.vdot(d, d).real)
 
 
 @dataclass(eq=False)
@@ -180,6 +188,150 @@ def replay_liveness(c: Circuit, lines: list[int] | None = None) -> list[int]:
             live -= 1
         counts.append(live)
     return counts
+
+
+class _WireTracker:
+    """Live-wire bookkeeping for compositions and rewrites of circuits.
+
+    Handles are stable names for wires; ``order`` lists them by live index,
+    so an ancilla appends at the top and a trace shifts the higher indices
+    down, the IR's liveness rules.  Each ancilla is checked against the
+    cap before its gate is emitted: this is the composition's own liveness
+    walk, since nothing computes its peak width by arithmetic.
+    """
+
+    def __init__(self, handles):
+        self.order = list(handles)
+        check_wires(len(self.order), "input wires")
+        self.gates: list[Gate] = []
+
+    def ancilla(self, handle) -> None:
+        check_wires(len(self.order) + 1)
+        self.gates.append(ancilla_gate())
+        self.order.append(handle)
+
+    def named(self, name, handles) -> None:
+        self.gates.append(named_gate(name, tuple(self.order.index(h) for h in handles)))
+
+    def gate(self, g: Gate, handles) -> None:
+        """Emit the unitary or decohere ``g`` on the wires that hold ``handles``."""
+        wires = tuple([self.order.index(h) for h in handles])
+        self.gates.append(g if wires == g.wires else Gate(g.kind, wires, g.matrix, g.label))
+
+    def trace(self, handle) -> None:
+        idx = self.order.index(handle)
+        del self.order[idx]
+        self.gates.append(trace_gate(idx))
+
+    def append(self, c: Circuit, handles, tag) -> list:
+        """Replay ``c`` with its input wires on ``handles``; return its output handles.
+
+        The ancilla at gate idx of ``c`` gets the handle (tag, idx).
+        """
+        wires = list(handles)  # c's live wires, by c's own index
+        for idx, g in enumerate(c.gates):
+            if g.kind == "ancilla":
+                wires.append((tag, idx))
+                self.ancilla(wires[-1])
+            elif g.kind == "trace":
+                self.trace(wires.pop(g.wires[0]))
+            elif g.kind in ("unitary", "decohere"):
+                self.gate(g, [wires[w] for w in g.wires])
+            else:
+                raise CircuitError(f"unknown gate kind {g.kind!r}")
+        return wires
+
+    def route_outputs(self, outputs) -> None:
+        """Emit SWAPs so the listed handles end at wires 0, 1, 2, ..."""
+        outputs = list(outputs)
+        if len(outputs) != len(self.order):
+            raise ValueError("output order must cover every live wire")
+        for target, handle in enumerate(outputs):
+            cur = self.order.index(handle)
+            if cur == target:
+                continue
+            self.gates.append(Gate("unitary", (target, cur), SWAP))
+            self.order[target], self.order[cur] = handle, self.order[target]
+
+
+def schedule(c: Circuit) -> Circuit:
+    """The same channel with the same output order, never wider than ``c``.
+
+    Every wire is named by a handle (input i is i, the ancilla of gate idx
+    is n_in + idx), and the gates are re-emitted in the narrowest order the
+    liveness rules allow.  The rewrites are exact:
+
+    * a decohere is dropped when its wire is already diagonal, i.e. the
+      last event on it was an ancilla or a decohere;
+    * a unitary or decohere is dropped when every wire it touches is traced
+      next, since the partial trace over a gate's wires forgets the gate;
+      walking backwards, this cascades, and an ancilla traced before any
+      use is dropped together with its trace;
+    * each ancilla moves to just before the first gate that uses its wire
+      (an unused one to the end), and each trace to just after the last
+      gate that uses its wire (an unused input is traced first);
+    * SWAPs route the outputs back into ``c``'s order.
+
+    A wire is live here only where it is live in ``c``, so no step is wider
+    than ``c`` at the same gate.  ``c``'s wires must pass
+    :func:`replay_liveness`; the callers check them, and the caps, on
+    ``c`` as written.
+    """
+    live = list(range(c.n_in))  # handles by c's live index
+    steps: list[tuple[Gate, tuple]] = []
+    diagonal = set()
+    for idx, g in enumerate(c.gates):
+        kind = g.kind
+        if kind == "ancilla":
+            live.append(c.n_in + idx)
+            diagonal.add(live[-1])
+            steps.append((g, (live[-1],)))
+            continue
+        handles = tuple([live[w] for w in g.wires])
+        if kind == "trace":
+            del live[g.wires[0]]
+        elif kind == "decohere":
+            if handles[0] in diagonal:
+                continue
+            diagonal.add(handles[0])
+        elif kind == "unitary":
+            diagonal.difference_update(handles)
+        else:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        steps.append((g, handles))
+
+    # backwards: a handle in traced_next has a trace as its next kept event
+    ops: list[tuple[Gate, tuple, list]] = []  # kept gates, what is traced after each
+    traced_next, used, unused = set(), set(), []
+    for g, handles in reversed(steps):
+        kind = g.kind
+        if kind == "trace":
+            traced_next.add(handles[0])
+        elif kind == "ancilla":
+            if handles[0] not in traced_next and handles[0] not in used:
+                unused.append(handles[0])
+        elif not traced_next.issuperset(handles):
+            ops.append((g, handles, [h for h in handles if h in traced_next]))
+            traced_next.difference_update(handles)
+            used.update(handles)
+
+    tracker = _WireTracker(range(c.n_in))
+    for h in range(c.n_in):
+        if h in traced_next:
+            tracker.trace(h)
+    pending = used.difference(range(c.n_in))
+    for g, handles, closing in reversed(ops):
+        if not pending.isdisjoint(handles):
+            for h in sorted(pending.intersection(handles)):
+                tracker.ancilla(h)
+                pending.discard(h)
+        tracker.gate(g, handles)
+        for h in closing:
+            tracker.trace(h)
+    for h in sorted(unused):
+        tracker.ancilla(h)
+    tracker.route_outputs(live)
+    return Circuit(c.name, c.n_in, tuple(tracker.gates))
 
 
 def validate(c: Circuit) -> list[str]:

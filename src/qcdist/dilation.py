@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, named_gate, unitary_gate
+from .circuits import SWAP, Circuit, Gate, named_gate, unitary_gate
 from .linalg import check_wires
-
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    dtype=np.complex128,
-)
 
 
 @dataclass(eq=False)

@@ -29,6 +29,7 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
+    _WireTracker,
     ancilla_gate,
     decohere_gate,
     named_gate,
@@ -36,7 +37,7 @@ from .circuits import (
     trace_gate,
     unitary_gate,
 )
-from .dilation import SWAP, DilatedCircuit, dilate
+from .dilation import DilatedCircuit, dilate
 from .linalg import SizeCapError, check_wires
 
 
@@ -221,66 +222,6 @@ def _joined_circuit(joined: DilatedCircuit, traced: range, name: str) -> Circuit
     # each trace shifts the next traced wire down onto the same index
     gates.extend(trace_gate(1 + traced.start) for _ in traced)
     return Circuit(name, joined.n_in, tuple(gates))
-
-
-class _WireTracker:
-    """Live-wire bookkeeping for compositions of circuits.
-
-    Handles are stable names for wires; ``order`` lists them by live index,
-    so an ancilla appends at the top and a trace shifts the higher indices
-    down, the IR's liveness rules.  Each ancilla is checked against the
-    cap before its gate is emitted: this is the composition's own liveness
-    walk, since nothing computes its peak width by arithmetic.
-    """
-
-    def __init__(self, handles):
-        self.order = list(handles)
-        check_wires(len(self.order), "input wires")
-        self.gates: list[Gate] = []
-
-    def ancilla(self, handle) -> None:
-        check_wires(len(self.order) + 1)
-        self.gates.append(ancilla_gate())
-        self.order.append(handle)
-
-    def named(self, name, handles) -> None:
-        self.gates.append(named_gate(name, tuple(self.order.index(h) for h in handles)))
-
-    def trace(self, handle) -> None:
-        idx = self.order.index(handle)
-        del self.order[idx]
-        self.gates.append(trace_gate(idx))
-
-    def append(self, c: Circuit, handles, tag) -> list:
-        """Replay ``c`` with its input wires on ``handles``; return its output handles.
-
-        The ancilla at gate idx of ``c`` gets the handle (tag, idx).
-        """
-        wires = list(handles)  # c's live wires, by c's own index
-        for idx, g in enumerate(c.gates):
-            if g.kind == "ancilla":
-                wires.append((tag, idx))
-                self.ancilla(wires[-1])
-            elif g.kind == "trace":
-                self.trace(wires.pop(g.wires[0]))
-            elif g.kind in ("unitary", "decohere"):
-                moved = tuple(self.order.index(wires[w]) for w in g.wires)
-                self.gates.append(Gate(g.kind, moved, g.matrix, g.label))
-            else:
-                raise ConstructionError(f"unknown gate kind {g.kind!r}")
-        return wires
-
-    def route_outputs(self, outputs) -> None:
-        """Emit SWAPs so the listed handles end at wires 0, 1, 2, ..."""
-        outputs = list(outputs)
-        if len(outputs) != len(self.order):
-            raise ValueError("output order must cover every live wire")
-        for target, handle in enumerate(outputs):
-            cur = self.order.index(handle)
-            if cur == target:
-                continue
-            self.gates.append(unitary_gate(SWAP, (target, cur)))
-            self.order[target], self.order[cur] = handle, self.order[target]
 
 
 def mix_with_parity(pairs, odd: bool, name: str) -> Circuit:

@@ -9,6 +9,14 @@ matrix and nothing else.  Its action with a reference system,
 its axes permuted (``_contract``); Kraus operators are recovered from
 scaled Choi eigenvectors only on request (``kraus_of``).
 
+Every walk runs the circuit in its narrowest equivalent schedule
+(``circuits.schedule``): each ancilla just before its wire's first gate,
+each trace just after its wire's last gate, gates whose wires are all
+traced next and decoheres of diagonal wires dropped, and SWAPs restoring
+the output order.  That changes neither the channel nor the output order,
+and no step is wider than the circuit as written.  The caps are checked on
+the circuit as written, so a refusal does not depend on the schedule.
+
 ``choi_of`` picks its walk from observable widths.  It walks a stack of r
 Kraus operators of shape (r, 2^live, 2^n_in), starting from the identity;
 decohere and trace split each operator in two, and the halves that are
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, replay_liveness
+from .circuits import Circuit, replay_liveness, schedule
 from .linalg import (
     TOL_HERM,
     TOL_PSD,
@@ -87,9 +95,10 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     """Run ``c`` on the first n_in qubits of ``rho``, identity on the rest.
 
     Pure linear action: works for any operator input of the right size, not
-    only density matrices.  The widest point, live wires plus
-    ``ref_qubits``, is checked against the cap before the walk starts.  The
-    walk copies rho in as its 4^ref reference blocks, the batch.
+    only density matrices.  The widest point of ``c`` as written, live
+    wires plus ``ref_qubits``, is checked against the cap before the walk
+    starts; the walk runs ``schedule(c)``.  It copies rho in as its 4^ref
+    reference blocks, the batch.
     """
     check_wires(max(replay_liveness(c)) + ref_qubits, "qubits mid-circuit")
     rho = as_matrix(rho)
@@ -98,7 +107,7 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
         raise ValueError(f"input operator is {rho.shape}, expected side {n * r} for "
                          f"{c.n_in} input wires and {ref_qubits} reference qubits")
     t = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n, n, r * r)
-    out, m = _run_gates(t, c.gates, c.n_in)
+    out, m = _run_gates(t, schedule(c).gates, c.n_in)
     return out.reshape(2**m, 2**m, r, r).transpose(0, 2, 1, 3).reshape(2**m * r, 2**m * r)
 
 
@@ -146,12 +155,10 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
             # the new wire's row axis is live and its column axis 2 * live + 1
             grown[s * live + (0,) + s * live + (0,)] = cur
             cur, live, home, spare = grown, live + 1, spare, home
-        elif g.kind == "trace":
+        else:  # trace: ``schedule`` refuses any other kind
             diag = [cur[s * g.wires[0] + (bit,) + s * (live - 1) + (bit,)] for bit in (0, 1)]
             cur = np.add(*diag, out=view(spare, live - 1))
             live, home, spare = live - 1, spare, home
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
     return cur.copy().reshape(2**live, 2**live, b), live
 
 
@@ -205,18 +212,24 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
 def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
     """Hermiticity, complete positivity and trace preservation of the Choi matrix.
 
-    J >= -tol holds when J + tol * I has a Cholesky factor; eigvalsh runs only if not."""
+    J^dagger is formed once, and one buffer h holds |J - J^dagger|, then
+    (J + J^dagger) / 2 + tol * I.  J >= -tol holds when h has a Cholesky
+    factor; eigvalsh runs only if not, on h, for the message."""
     problems = []
-    d = herm_defect(ch.choi)
+    adj = dag(ch.choi)
+    h = ch.choi - adj
+    d = float(np.abs(h, out=h).real.max(initial=0.0))
     if d > tol:
         problems.append(f"Choi not Hermitian: defect {d:.3e}")
     else:
-        h = (ch.choi + dag(ch.choi)) / 2
+        np.add(ch.choi, adj, out=h)
+        del adj  # not held while the factor is formed
+        h /= 2
         h.flat[:: h.shape[0] + 1] += tol  # in place: h + tol * I costs another side^2 array
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh((ch.choi + dag(ch.choi)) / 2).min())
+            wmin = float(np.linalg.eigvalsh(h).min()) - tol
             if wmin < -tol:
                 problems.append(f"Choi eigenvalue {wmin:.3e}: not completely positive")
     tp = partial_trace(ch.choi, [ch.dim_out, ch.dim_in], [1])
@@ -243,16 +256,17 @@ def _matrix_unit_choi(c: Circuit) -> np.ndarray:
     """Choi matrix from one density walk per input matrix unit |i><j|, j >= i.
 
     The j < i blocks follow from Phi(X^dagger) = Phi(X)^dagger, so every
-    walk stays at the circuit's own width.
+    walk stays at the circuit's own width.  ``c`` is walked as given:
+    ``choi_of`` passes it scheduled.
     """
     din = 2**c.n_in
     dout = 2**c.n_out
     blocks = np.zeros((dout, din, dout, din), dtype=np.complex128)
     for i in range(din):
         for j in range(i, din):
-            unit = np.zeros((din, din), dtype=np.complex128)
+            unit = np.zeros((din, din, 1), dtype=np.complex128)
             unit[i, j] = 1.0
-            out = simulate(c, unit)
+            out = _run_gates(unit, c.gates, c.n_in)[0][..., 0]
             blocks[:, i, :, j] = out
             if j != i:
                 blocks[:, j, :, i] = dag(out)
@@ -296,12 +310,10 @@ def _kraus_walk_choi(c: Circuit) -> np.ndarray:
             grown[:, :, 0] = k
             live += 1
             k = grown.reshape(r, 2**live, din)
-        elif g.kind == "trace":
+        else:  # trace: ``schedule`` refuses any other kind
             t = k.reshape(r, 2 ** g.wires[0], 2, -1)
             live -= 1
             k = np.moveaxis(t, 2, 0).reshape(2 * r, 2**live, din)
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
         if g.kind in ("decohere", "trace"):
             # a split on a bit still in a basis state leaves exact zeros
             k = k[k.reshape(k.shape[0], -1).any(axis=1)]
@@ -323,20 +335,23 @@ def choi_of(c: Circuit) -> Channel:
     One walk of a Kraus stack from the identity, finished as a density walk
     with n_in reference qubits once the stack outgrows it; a circuit too
     wide for that reference walk under ``DIM_CAP`` is run once per input
-    matrix unit instead (module docstring).  The result is checked for
-    complete positivity and trace preservation; a failure beyond tolerance
-    is a simulator bug, not a property of the circuit, and raises
-    InternalConsistencyError.
+    matrix unit instead (module docstring).  The caps are checked on ``c``
+    as written; both walks run ``schedule(c)``, and the choice between them
+    follows its width.  The result is checked for complete positivity and
+    trace preservation; a failure beyond tolerance is a simulator bug, not
+    a property of the circuit, and raises InternalConsistencyError.
     """
     counts = replay_liveness(c)
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), "Choi matrix")
+    limit = check_wires(max(counts))
+    s = schedule(c)
     # the reference walk would hold the widest point plus n reference qubits
-    if max(counts) + n > check_wires(max(counts)):
-        choi = _matrix_unit_choi(c)
+    if max(replay_liveness(s)) + n > limit:
+        choi = _matrix_unit_choi(s)
     else:
-        choi = _kraus_walk_choi(c)
+        choi = _kraus_walk_choi(s)
     choi += dag(choi)  # in place, so that J is not held twice while it is checked
     choi /= 2
     ch = Channel(n, m, choi)

@@ -11,6 +11,7 @@ from qcdist.circuits import (
     decohere_gate,
     parse_circuit,
     replay_liveness,
+    schedule,
     trace_gate,
     unitary_gate,
 )
@@ -298,10 +299,12 @@ def test_over_cap_width_falls_back_to_matrix_units(monkeypatch):
              unitary_gate(random_unitary(rng, 4), (1, 3)), trace_gate(3), trace_gate(0)]
     c = Circuit("wide", 2, gates)
     walked = choi_of(c).choi
-    walks = _spy(monkeypatch, "simulate")
+    walks = _spy(monkeypatch, "_run_gates")
+    schedules = _spy(monkeypatch, "schedule")
     monkeypatch.setattr(linalg, "DIM_CAP", 32)
     ch = choi_of(c)
     assert len(walks) == 4 * 5 // 2  # one per matrix unit |i><j|, j >= i
+    assert len(schedules) == 1  # once per circuit, not once per matrix unit
     assert np.abs(ch.choi - walked).max() < 1e-12
 
 
@@ -358,22 +361,32 @@ def test_density_walk_matches_oracle_at_dense_choi_size(monkeypatch):
 
 @st.composite
 def _decohere_heavy_circuits(draw):
-    """Circuits on 2-3 inputs with at least two ancillas and a decohere on a
-    wire of every unitary.  Each such pair doubles the Kraus stack, so
-    live + n_in + 1 of them push r past D = 2^live * 2^n_in and ``choi_of``
-    switches; the drawn tail then runs in the density walk."""
+    """Circuits on 2-3 inputs with at least two ancillas.  Each of the first
+    live + n_in + 1 steps is a unitary on wire 0 and up to two more wires
+    (step k uses ancilla k), then a decohere of wire 0, which doubles the
+    Kraus stack: past D = 2^live * 2^n_in, so ``choi_of`` switches.  Wire 0
+    is never traced and every step uses it, so ``schedule`` drops none of
+    them.  The drawn tail (steps decohering any of their wires, ancillas,
+    traces) then runs in the density walk."""
     n_in = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     live = n_in + draw(st.integers(2, 5 - n_in))
     gates = [ancilla_gate()] * (live - n_in)
+    main = live + n_in + 1
     tail = draw(st.lists(st.sampled_from(["step", "ancilla", "trace"]), max_size=5))
-    for kind in ["step"] * (live + n_in + 1) + tail:
+    for i, kind in enumerate(["step"] * main + tail):
         if kind == "ancilla" and live < 6:
             gates.append(ancilla_gate())
             live += 1
         elif kind == "trace" and live > 1:
-            gates.append(trace_gate(draw(st.integers(0, live - 1))))
+            gates.append(trace_gate(draw(st.integers(1, live - 1))))
             live -= 1
+        elif i < main:
+            others = draw(st.lists(st.integers(1, live - 1), max_size=2, unique=True))
+            if n_in + i < live and n_in + i not in others:
+                others = [n_in + i] + others[:1]
+            wires = draw(st.permutations([0] + others))
+            gates += [unitary_gate(random_unitary(rng, 2 ** len(wires)), wires), decohere_gate(0)]
         else:
             wires = draw(st.lists(st.integers(0, live - 1), min_size=1,
                                   max_size=min(3, live), unique=True))
@@ -394,6 +407,61 @@ def test_switched_walk_matches_oracle_property(c):
     assert np.abs(choi - ref).max() < 1e-12
     assert walk.call_count == 1
     assert walk.call_args.args[0].shape[-1] == din * (din + 1) // 2
+
+
+@st.composite
+def _dead_gate_circuits(draw):
+    """Valid circuits on 0-3 inputs and at most 5 live wires, from single
+    gates and the patterns ``schedule`` rewrites: a unitary whose wires are
+    all traced next, an ancilla traced right away or after one decohere or
+    unitary, and a decohere twice in a row."""
+    n_in = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live, gates = n_in, []
+    for _ in range(draw(st.integers(0, 10))):
+        kinds = ["ancilla", "fresh"] if live < 5 else []
+        if live >= 1:
+            kinds += ["unitary", "dead", "decohere", "twice", "trace"]
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("unitary", "dead"):
+            wires = draw(st.lists(st.integers(0, live - 1), min_size=1,
+                                  max_size=min(3, live), unique=True))
+            gates.append(unitary_gate(random_unitary(rng, 2 ** len(wires)), wires))
+            if kind == "dead":  # highest first, so the lower indices hold still
+                for w in sorted(wires, reverse=True):
+                    gates.append(trace_gate(w))
+                live -= len(wires)
+        elif kind == "fresh":
+            gates.append(ancilla_gate())
+            use = draw(st.sampled_from(["none", "decohere", "unitary"]))
+            if use == "decohere":
+                gates.append(decohere_gate(live))
+            elif use == "unitary":
+                gates.append(unitary_gate(random_unitary(rng, 2), (live,)))
+            gates.append(trace_gate(live))
+        elif kind == "ancilla":
+            gates.append(ancilla_gate())
+            live += 1
+        else:
+            w = draw(st.integers(0, live - 1))
+            if kind == "trace":
+                gates.append(trace_gate(w))
+                live -= 1
+            else:
+                gates += [decohere_gate(w)] * (2 if kind == "twice" else 1)
+    return Circuit("dead", n_in, gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dead_gate_circuits(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_schedule_keeps_the_channel_and_never_widens_property(c, ref_qubits, seed):
+    s = schedule(c)
+    assert (s.n_in, s.n_out) == (c.n_in, c.n_out)
+    assert max(replay_liveness(s)) <= max(replay_liveness(c))
+    x = _random_operator(np.random.default_rng(seed), 2 ** (c.n_in + ref_qubits))
+    ref = density_walk_oracle(c, x, ref_qubits)
+    assert np.abs(density_walk_oracle(s, x, ref_qubits) - ref).max() < 1e-12
+    assert np.abs(simulate(c, x, ref_qubits) - ref).max() < 1e-12
 
 
 def test_walks_leave_the_input_untouched():
