@@ -18,6 +18,11 @@ Text format (one construct per line, '#' starts a comment):
     decohere <wire>
     end
 
+The parser scans the lines once for structure and reads the numbers of all
+``unitary`` lines in one pass: one float64 array, of which every matrix is
+a view, checked for finiteness once and for unitarity once per arity by one
+batched product.  It raises the first error in file order, with its line.
+
 Instances pair two circuits of equal type with promise constants, and are
 stored as JSON: {"q0": <text>, "q1": <text>, "kind": "CI"|"QCD", "a": .., "b": ..}.
 """
@@ -25,12 +30,15 @@ stored as JSON: {"q0": <text>, "q1": <text>, "kind": "CI"|"QCD", "a": .., "b": .
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import contains, itemgetter
 
 import numpy as np
 
-from .linalg import SizeCapError, as_matrix, check_wires, dag
-from .jsonutil import format_float
+from .linalg import SizeCapError, as_matrix, check_wires
+from .jsonutil import format_floats
 
 TOL_UNITARY = 1e-9
 UNITARY_ARITY_CAP = 3
@@ -135,11 +143,18 @@ def decohere_gate(wire: int) -> Gate:
     return Gate("decohere", (int(wire),))
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of U^dagger U - I."""
-    d = dag(m) @ m
-    d.flat[:: d.shape[0] + 1] -= 1.0
-    return math.sqrt(np.vdot(d, d).real)
+def unitarity_defect(m: np.ndarray):
+    """Frobenius norm of U^dagger U - I, for a matrix or for each of a stack.
+
+    ``m`` has shape (..., d, d); the result has shape ``m.shape[:-2]`` (a
+    scalar for one matrix).  One batched product serves the whole stack,
+    and a matrix's defect does not depend on the stack it is in.
+    """
+    side = m.shape[-1]
+    d = np.swapaxes(m, -1, -2).conj() @ m
+    flat = d.reshape(-1, side * side)
+    flat[:, :: side + 1] -= 1.0
+    return np.sqrt((flat.real**2 + flat.imag**2).sum(axis=1)).reshape(m.shape[:-2])[()]
 
 
 @dataclass(eq=False)
@@ -337,15 +352,18 @@ def schedule(c: Circuit) -> Circuit:
 def validate(c: Circuit) -> list[str]:
     """Structural validation report; empty iff the circuit is valid.
 
-    Checks gate shapes, wire distinctness and unitarity gate by gate, then
-    liveness and the dimension cap through :func:`replay_liveness`.  Never
-    raises; admissibility of the realized channel is checked downstream
-    via the Choi matrix.
+    Checks gate shapes and wire distinctness gate by gate, unitarity by
+    one :func:`unitarity_defect` per arity over the stacked matrices, then
+    liveness and the dimension cap through :func:`replay_liveness`.  The
+    report lists each gate's findings in gate order.  Never raises;
+    admissibility of the realized channel is checked downstream via the
+    Choi matrix.
     """
-    report: list[str] = []
+    report: list[str | None] = []
     if c.n_in < 0:
         report.append(f"n_in is negative: {c.n_in}")
         return report
+    stacks: dict[int, list[tuple[int, str, np.ndarray]]] = {}  # arity -> (slot, tag, matrix)
     for idx, g in enumerate(c.gates):
         tag = f"gate {idx + 1} ({g.kind})"
         if g.kind == "unitary":
@@ -358,9 +376,8 @@ def validate(c: Circuit) -> list[str]:
                 continue
             if len(set(g.wires)) != a:
                 report.append(f"{tag}: wires {g.wires} are not distinct")
-            defect = unitarity_defect(g.matrix)
-            if defect > TOL_UNITARY:
-                report.append(f"{tag}: unitarity defect {defect:.3e} > {TOL_UNITARY:.1e}")
+            stacks.setdefault(a, []).append((len(report), tag, g.matrix))
+            report.append(None)  # the slot of its unitarity finding, if any
         elif g.kind == "ancilla":
             if g.wires:
                 report.append(f"{tag}: ancilla takes no wires, got {g.wires}")
@@ -369,6 +386,12 @@ def validate(c: Circuit) -> list[str]:
                 report.append(f"{tag}: takes exactly one wire, got {g.wires}")
         else:
             report.append(f"{tag}: unknown gate kind {g.kind!r}")
+    for entries in stacks.values():
+        defects = unitarity_defect(np.stack([m for _, _, m in entries])).tolist()
+        for (slot, tag, _), defect in zip(entries, defects):
+            if defect > TOL_UNITARY:
+                report[slot] = f"{tag}: unitarity defect {defect:.3e} > {TOL_UNITARY:.1e}"
+    report = [r for r in report if r is not None]
     try:
         replay_liveness(c)
     except (LivenessError, SizeCapError) as exc:
@@ -377,38 +400,48 @@ def validate(c: Circuit) -> list[str]:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-based circuit format; errors carry line numbers."""
+    """Parse the line-based circuit format; errors carry line numbers.
+
+    One scan over the lines reads the structure and sets the entry tokens
+    of each ``unitary`` line aside.  :func:`_read_unitaries` then reads
+    the numbers of all of them in one pass, checks finiteness once and
+    unitarity once per arity, on the stacked matrices.  The error raised
+    is the first one in file order, so a non-unitary gate on line 5 wins
+    over a syntax error on line 9.
+    """
     header: tuple[str, int] | None = None
-    gates: list[Gate] = []
+    gates: list[Gate | None] = []  # None marks a unitary line until it is read
     lines: list[int] = []
+    unitaries: list[tuple] = []  # (gate index, line, arity, wires, entry tokens)
     ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if ended:
-            raise CircuitParseError("content after 'end'", lineno)
-        tokens = stripped.split()
-        if header is None:
-            if len(tokens) != 4 or tokens[0] != "circuit" or tokens[2] != "inputs":
-                raise CircuitParseError(
-                    "expected 'circuit <name> inputs <n>'", lineno
-                )
-            try:
-                n_in = int(tokens[3])
-            except ValueError:
-                raise CircuitParseError(f"bad input count {tokens[3]!r}", lineno)
-            if n_in < 0:
-                raise CircuitParseError(f"negative input count {n_in}", lineno)
-            header = (tokens[1], n_in)
-            continue
-        if tokens[0] == "end":
-            if len(tokens) != 1:
-                raise CircuitParseError("unexpected tokens after 'end'", lineno)
-            ended = True
-            continue
-        gates.append(_parse_gate_line(tokens, lineno))
-        lines.append(lineno)
+    failure: CircuitError | None = None
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if ended:
+                raise CircuitParseError("content after 'end'", lineno)
+            tokens = stripped.split()
+            if header is None:
+                header = _parse_header(tokens, lineno)
+                continue
+            if tokens[0] == "end":
+                if len(tokens) != 1:
+                    raise CircuitParseError("unexpected tokens after 'end'", lineno)
+                ended = True
+                continue
+            if tokens[0] == "unitary":
+                unitaries.append((len(gates), lineno, *_unitary_line(tokens, lineno)))
+                gates.append(None)
+            else:
+                gates.append(_parse_gate_line(tokens, lineno))
+            lines.append(lineno)
+    except CircuitError as exc:
+        failure = exc  # the unitary lines set aside all come before it
+    _read_unitaries(gates, unitaries)
+    if failure is not None:
+        raise failure
     if header is None:
         raise CircuitParseError("empty circuit text", None)
     if not ended:
@@ -418,62 +451,128 @@ def parse_circuit(text: str) -> Circuit:
     return c
 
 
-def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:
-    op = tokens[0]
+def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:
     try:
-        if op == "gate":
-            if len(tokens) < 3:
-                raise CircuitParseError("expected 'gate <name> <wire...>'", lineno)
-            name = tokens[1]
-            if name not in STANDARD_GATES:
-                raise CircuitParseError(f"unknown standard gate {name!r}", lineno)
-            wires = [int(t) for t in tokens[2:]]
-            return named_gate(name, wires)
-        if op == "unitary":
-            if len(tokens) < 2:
-                raise CircuitParseError("expected 'unitary <arity> <wire...> <entries>'", lineno)
-            arity = int(tokens[1])
-            if arity < 1 or arity > UNITARY_ARITY_CAP:
-                raise CircuitParseError(
-                    f"unitary arity {arity} outside 1..{UNITARY_ARITY_CAP}", lineno
-                )
-            wires = [int(t) for t in tokens[2 : 2 + arity]]
-            if len(wires) != arity:
-                raise CircuitParseError("fewer wires than arity", lineno)
-            entry_tokens = tokens[2 + arity :]
-            dim = 2**arity
-            if len(entry_tokens) != dim * dim:
-                raise CircuitParseError(
-                    f"expected {dim * dim} matrix entries, got {len(entry_tokens)}",
-                    lineno,
-                )
-            entries = []
-            for tok in entry_tokens:
-                re_s, sep, im_s = tok.partition(",")
-                if not sep:
-                    raise CircuitParseError(f"bad complex entry {tok!r}", lineno)
-                entries.append(complex(float(re_s), float(im_s)))
-            m = np.array(entries, dtype=np.complex128).reshape(dim, dim)
-            return unitary_gate(m, wires)
-        if op == "ancilla":
-            if len(tokens) != 1:
-                raise CircuitParseError("'ancilla' takes no arguments", lineno)
-            return ancilla_gate()
-        if op == "trace":
-            if len(tokens) != 2:
-                raise CircuitParseError("expected 'trace <wire>'", lineno)
-            return trace_gate(int(tokens[1]))
-        if op == "decohere":
-            if len(tokens) != 2:
-                raise CircuitParseError("expected 'decohere <wire>'", lineno)
-            return decohere_gate(int(tokens[1]))
-    except CircuitParseError:
-        raise
-    except UnitarityError as exc:
-        raise UnitarityError(str(exc), lineno) from None
+        return tuple([int(t) for t in tokens])
     except ValueError as exc:
         raise CircuitParseError(str(exc), lineno) from None
+
+
+def _parse_header(tokens: list[str], lineno: int) -> tuple[str, int]:
+    if len(tokens) != 4 or tokens[0] != "circuit" or tokens[2] != "inputs":
+        raise CircuitParseError("expected 'circuit <name> inputs <n>'", lineno)
+    try:
+        n_in = int(tokens[3])
+    except ValueError:
+        raise CircuitParseError(f"bad input count {tokens[3]!r}", lineno) from None
+    if n_in < 0:
+        raise CircuitParseError(f"negative input count {n_in}", lineno)
+    return tokens[1], n_in
+
+
+def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:
+    """Any construct but ``unitary``, which :func:`_unitary_line` takes."""
+    op = tokens[0]
+    if op == "gate":
+        if len(tokens) < 3:
+            raise CircuitParseError("expected 'gate <name> <wire...>'", lineno)
+        name = tokens[1]
+        if name not in STANDARD_GATES:
+            raise CircuitParseError(f"unknown standard gate {name!r}", lineno)
+        wires = _ints(tokens[2:], lineno)
+        try:
+            return named_gate(name, wires)
+        except CircuitError as exc:
+            raise CircuitParseError(str(exc), lineno) from None
+    if op == "ancilla":
+        if len(tokens) != 1:
+            raise CircuitParseError("'ancilla' takes no arguments", lineno)
+        return ancilla_gate()
+    if op in ("trace", "decohere"):
+        if len(tokens) != 2:
+            raise CircuitParseError(f"expected '{op} <wire>'", lineno)
+        return Gate(op, _ints(tokens[1:], lineno))
     raise CircuitParseError(f"unknown construct {op!r}", lineno)
+
+
+def _unitary_line(tokens: list[str], lineno: int) -> tuple[int, tuple[int, ...], list[str]]:
+    """Arity, wires and entry tokens of a ``unitary`` line; the entries are read later."""
+    if len(tokens) < 2:
+        raise CircuitParseError("expected 'unitary <arity> <wire...> <entries>'", lineno)
+    (arity,) = _ints(tokens[1:2], lineno)
+    if arity < 1 or arity > UNITARY_ARITY_CAP:
+        raise CircuitParseError(f"unitary arity {arity} outside 1..{UNITARY_ARITY_CAP}", lineno)
+    wires = _ints(tokens[2 : 2 + arity], lineno)
+    if len(wires) != arity:
+        raise CircuitParseError("fewer wires than arity", lineno)
+    entries = tokens[2 + arity :]
+    if len(entries) != 4**arity:
+        raise CircuitParseError(f"expected {4**arity} matrix entries, got {len(entries)}", lineno)
+    return arity, wires, entries
+
+
+def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
+    """Make the set-aside ``unitary`` lines gates, or raise the first failing line's error.
+
+    All entry tokens, ordered by arity, are split at their commas and
+    converted by one ``map(float, ...)`` into one float64 array.  Its
+    complex view holds each arity's matrices as one stack, and each
+    gate's matrix is a view of it.  Finiteness is checked once over the
+    array and unitarity once per stack.  A line fails on its first bad
+    entry, else on a non-finite entry, else on repeated wires, else on its
+    unitarity defect.  A bad or non-finite entry spoils the array: the
+    lines before the first such line are read again without it.
+    """
+    if not unitaries:
+        return
+    ordered = sorted(unitaries, key=itemgetter(2))  # stable: file order within an arity
+    tokens = list(chain.from_iterable([u[4] for u in ordered]))
+    numbers = ",".join(tokens).split(",")  # re, im, re, im, ... if each has one comma
+    spoiled = len(numbers) != 2 * len(tokens) or not all(map(contains, tokens, repeat(",")))
+    if not spoiled:
+        try:
+            values = np.frombuffer(array("d", map(float, numbers)))
+            spoiled = not np.isfinite(values).all()
+        except ValueError:
+            spoiled = True
+    if spoiled:
+        at, message = next(
+            (i, msg) for i, u in enumerate(unitaries) if (msg := _entry_error(u[4])) is not None
+        )
+        _read_unitaries(gates, unitaries[:at])
+        raise CircuitParseError(message, unitaries[at][1])
+
+    matrices, start, failed = values.view(np.complex128), 0, []
+    for arity, group in groupby(ordered, key=itemgetter(2)):
+        group = list(group)
+        side = 2**arity
+        stack = matrices[start : start + len(group) * side * side].reshape(-1, side, side)
+        start += stack.size
+        for u, m, defect in zip(group, stack, unitarity_defect(stack).tolist()):
+            gates[u[0]] = Gate("unitary", u[3], m)
+            if len(set(u[3])) != arity or defect > TOL_UNITARY:
+                failed.append((u[1], u[3], defect))
+    if failed:
+        lineno, wires, defect = min(failed)
+        if len(set(wires)) != len(wires):
+            raise CircuitParseError(f"unitary wires must be distinct, got {wires}", lineno)
+        raise UnitarityError(f"matrix is not unitary: defect {defect:.3e}", lineno)
+
+
+def _entry_error(tokens: list[str]) -> str | None:
+    """Why the entry tokens of one line do not make a finite matrix, or None."""
+    values = []
+    for tok in tokens:
+        re_s, sep, im_s = tok.partition(",")
+        if not sep:
+            return f"bad complex entry {tok!r}"
+        try:
+            values += [float(re_s), float(im_s)]
+        except ValueError as exc:
+            return str(exc)
+    if not all(map(math.isfinite, values)):
+        return "matrix contains non-finite entries"
+    return None
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -490,10 +589,8 @@ def serialize_circuit(c: Circuit) -> str:
             if g.label is not None and g.label in STANDARD_GATES:
                 out.append(f"gate {g.label} {' '.join(map(str, g.wires))}")
             else:
-                entries = " ".join(
-                    f"{format_float(z.real)},{format_float(z.imag)}"
-                    for z in g.matrix.reshape(-1)
-                )
+                parts = np.ascontiguousarray(g.matrix, dtype=np.complex128).view(np.float64)
+                entries = format_floats(parts.reshape(-1).tolist(), "%.17g,%.17g", " ")
                 out.append(
                     f"unitary {g.arity} {' '.join(map(str, g.wires))} {entries}"
                 )

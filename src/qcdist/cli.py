@@ -214,13 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="validate a circuit file")
     p.add_argument("circuit")
-    p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("distance", help="distances between states or circuits")
     p.add_argument("kind", choices=["trace", "fidelity", "dnorm", "maxfid"])
     p.add_argument("inputs", nargs="+", help="two state files, an instance file, or two circuit files")
     _add_optimizer(p)
-    p.set_defaults(func=cmd_distance)
 
     p = subs.add_parser("reduce", help="compile reductions and amplifiers")
     p.add_argument("kind", choices=["ci2qcd", "tensor", "parity", "polarize"])
@@ -229,22 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=1, help="polarization precision parameter")
     p.add_argument("--override", type=_parse_override, default=None, metavar="r,s,t")
     p.add_argument("--out", default=".", help="output directory for circuit files")
-    p.set_defaults(func=cmd_reduce)
 
     p = subs.add_parser("protocol", help="run the distinguishability protocol")
     p.add_argument("instance")
     p.add_argument("--trials", type=int, default=10000)
     _add_optimizer(p)
-    p.set_defaults(func=cmd_protocol)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a command replaced after the parser was built is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SizeCapError as exc:
         payload = {"error": "size_cap", "message": str(exc)}
         cert = getattr(exc, "certificate", None)

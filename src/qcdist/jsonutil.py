@@ -3,7 +3,9 @@
 Every number the toolkit prints goes through this serializer so that
 repeated runs with the same seed produce byte-identical output.  Floats are
 printed with 17 significant digits, which round-trips IEEE doubles exactly.
-Lists of floats or of [re, im] float pairs are written in one pass.
+Lists of floats or of [re, im] float pairs are written by
+:func:`format_floats`, one ``%`` format over the whole list, which is also
+how circuit text writes its matrix entries.
 """
 
 from __future__ import annotations
@@ -61,14 +63,24 @@ def _write(obj, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
 
 
+def format_floats(values: list[float], item: str = "%.17g", sep: str = ",") -> str:
+    """``values`` written ``item`` by ``item``, joined by ``sep``, in one pass.
+
+    ``item`` is a template of one or more ``%.17g`` fields, filled from
+    ``values`` in order.  Each value reads as :func:`format_float` writes
+    it, and the first non-finite one raises as there.
+    """
+    if not all(map(math.isfinite, values)):
+        list(map(format_float, values))  # raises on the first non-finite entry
+    return sep.join([item] * (len(values) // item.count("%"))) % tuple(values)
+
+
 def _number_list(items) -> str | None:
     """``items`` in one pass if it holds only floats or only [re, im] float
     pairs; None otherwise."""
-    n, item = len(items), "%.17g"
+    item = "%.17g"
     if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
         items, item = list(chain.from_iterable(items)), "[%.17g,%.17g]"
     if set(map(type, items)) != {float}:
         return None
-    if not all(map(math.isfinite, items)):
-        list(map(format_float, items))  # raises on the first non-finite entry
-    return "[" + ",".join([item] * n) % tuple(items) + "]"
+    return "[" + format_floats(items, item) + "]"

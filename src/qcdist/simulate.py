@@ -140,8 +140,10 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
             axes = list(g.wires) + [live + w for w in g.wires]
             moved = view(spare, live)
             np.copyto(moved, np.moveaxis(cur, axes, list(range(2 * a))))
-            # (rows, cols) of u times (rows, cols) of conj(u): the column pairs contract
-            k = np.kron(g.matrix, g.matrix.conj())
+            # (rows, cols) of u times (rows, cols) of conj(u): the column pairs contract;
+            # u (x) conj(u) as one broadcast product, entry for entry np.kron's
+            u = g.matrix
+            k = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4**a, 4**a)
             out = view(home, live)
             np.matmul(k, moved.reshape(4**a, -1), out=out.reshape(4**a, -1))
             cur = np.moveaxis(out, list(range(2 * a)), axes)

@@ -5,13 +5,27 @@ explicit hyperspherical grid, channels act through stacked Kraus tensors,
 and trace norms come from batched eigenvalue sums.  The density walk is
 checked against per-gate kernels that reshape to a (D, D) matrix after
 every gate: two half-actions per unitary, a bit mask for decohere, a kron
-for ancilla and ``linalg.partial_trace`` for trace.
+for ancilla and ``linalg.partial_trace`` for trace.  Circuit text is
+checked against the line-at-a-time reader the one-pass parser replaced.
 """
 
 import itertools
 
 import numpy as np
 
+from qcdist.circuits import (
+    STANDARD_GATES,
+    UNITARY_ARITY_CAP,
+    Circuit,
+    CircuitParseError,
+    UnitarityError,
+    ancilla_gate,
+    decohere_gate,
+    named_gate,
+    replay_liveness,
+    trace_gate,
+    unitary_gate,
+)
 from qcdist.linalg import partial_trace
 from qcdist.simulate import kraus_of
 
@@ -141,3 +155,98 @@ def density_walk_oracle(c, x, ref_qubits=0):
             total -= 1
     return rho
 
+
+
+def line_parse_circuit(text):
+    """Circuit text read one line at a time, each matrix checked on its own line."""
+    header = None
+    gates, lines = [], []
+    ended = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if ended:
+            raise CircuitParseError("content after 'end'", lineno)
+        tokens = stripped.split()
+        if header is None:
+            if len(tokens) != 4 or tokens[0] != "circuit" or tokens[2] != "inputs":
+                raise CircuitParseError("expected 'circuit <name> inputs <n>'", lineno)
+            try:
+                n_in = int(tokens[3])
+            except ValueError:
+                raise CircuitParseError(f"bad input count {tokens[3]!r}", lineno)
+            if n_in < 0:
+                raise CircuitParseError(f"negative input count {n_in}", lineno)
+            header = (tokens[1], n_in)
+            continue
+        if tokens[0] == "end":
+            if len(tokens) != 1:
+                raise CircuitParseError("unexpected tokens after 'end'", lineno)
+            ended = True
+            continue
+        gates.append(_line_gate(tokens, lineno))
+        lines.append(lineno)
+    if header is None:
+        raise CircuitParseError("empty circuit text", None)
+    if not ended:
+        raise CircuitParseError("missing 'end'", None)
+    c = Circuit(header[0], header[1], tuple(gates))
+    replay_liveness(c, lines=lines)
+    return c
+
+
+def _line_gate(tokens, lineno):
+    op = tokens[0]
+    try:
+        if op == "gate":
+            if len(tokens) < 3:
+                raise CircuitParseError("expected 'gate <name> <wire...>'", lineno)
+            name = tokens[1]
+            if name not in STANDARD_GATES:
+                raise CircuitParseError(f"unknown standard gate {name!r}", lineno)
+            return named_gate(name, [int(t) for t in tokens[2:]])
+        if op == "unitary":
+            if len(tokens) < 2:
+                raise CircuitParseError("expected 'unitary <arity> <wire...> <entries>'", lineno)
+            arity = int(tokens[1])
+            if arity < 1 or arity > UNITARY_ARITY_CAP:
+                raise CircuitParseError(
+                    f"unitary arity {arity} outside 1..{UNITARY_ARITY_CAP}", lineno
+                )
+            wires = [int(t) for t in tokens[2 : 2 + arity]]
+            if len(wires) != arity:
+                raise CircuitParseError("fewer wires than arity", lineno)
+            entry_tokens = tokens[2 + arity :]
+            dim = 2**arity
+            if len(entry_tokens) != dim * dim:
+                raise CircuitParseError(
+                    f"expected {dim * dim} matrix entries, got {len(entry_tokens)}", lineno
+                )
+            entries = []
+            for tok in entry_tokens:
+                re_s, sep, im_s = tok.partition(",")
+                if not sep:
+                    raise CircuitParseError(f"bad complex entry {tok!r}", lineno)
+                entries.append(complex(float(re_s), float(im_s)))
+            m = np.array(entries, dtype=np.complex128).reshape(dim, dim)
+            return unitary_gate(m, wires)
+        if op == "ancilla":
+            if len(tokens) != 1:
+                raise CircuitParseError("'ancilla' takes no arguments", lineno)
+            return ancilla_gate()
+        if op == "trace":
+            if len(tokens) != 2:
+                raise CircuitParseError("expected 'trace <wire>'", lineno)
+            return trace_gate(int(tokens[1]))
+        if op == "decohere":
+            if len(tokens) != 2:
+                raise CircuitParseError("expected 'decohere <wire>'", lineno)
+            return decohere_gate(int(tokens[1]))
+    except CircuitParseError:
+        raise
+    except UnitarityError as exc:
+        raise UnitarityError(str(exc), lineno) from None
+    except ValueError as exc:
+        raise CircuitParseError(str(exc), lineno) from None
+    raise CircuitParseError(f"unknown construct {op!r}", lineno)

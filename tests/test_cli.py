@@ -400,6 +400,31 @@ def test_unknown_flag_rejected(workdir):
     assert info.value.code == 2
 
 
+def test_repeated_calls_reuse_one_parser_and_leak_no_defaults(workdir, capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    inst, out_dir = workdir / "inst.json", workdir / "reuse"
+    code, out = run_cli(capsys, "reduce", "parity", inst, "--count", 3, "--out", out_dir)
+    assert (code, out["params"]) == (0, {"r": 3})
+    code, out = run_cli(capsys, "reduce", "parity", inst, "--out", out_dir)
+    assert (code, out["params"]) == (0, {"r": 1})
+    with pytest.raises(SystemExit) as info:
+        main(["validate", str(workdir / "id.circ"), "--frobnicate"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "validate", workdir / "id.circ")
+    assert (code, out["valid"]) == (0, True)
+    assert built == [1]
+
+
+def test_import_builds_no_parser():
+    # set-up time includes the import, so the parser waits for the first call
+    probe = "import qcdist.cli as c; print(c._parser is None)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == "True\n"
+
+
 def test_byte_stable_output(workdir):
     cmd = [
         sys.executable, "-m", "qcdist", "distance", "dnorm",

@@ -196,6 +196,24 @@ def test_number_lists_written_like_the_recursive_writer(monkeypatch, seed):
     assert fast == dumps(obj)
 
 
+EDGE_DOUBLES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                1e16, 1e17, 9007199254740993.0, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 1e-5, 1e-4, 1e23, 0.30000000000000004]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_number_lists_read_like_percent_17g_per_value(seed):
+    bits = np.random.default_rng(50 + seed).integers(-(2**63), 2**63 - 1, size=20000, dtype=np.int64)
+    doubles = bits.view(np.float64)  # every sign, exponent and mantissa
+    xs = EDGE_DOUBLES + doubles[np.isfinite(doubles)].tolist()
+    assert dumps(xs) == "[" + ",".join("%.17g" % x for x in xs) + "]"
+    pairs = [[a, b] for a, b in zip(xs[0::2], xs[1::2])]
+    assert dumps(pairs) == "[" + ",".join("[%.17g,%.17g]" % (a, b) for a, b in pairs) + "]"
+    assert jsonutil.format_floats(xs[:40], "%.17g,%.17g", " ") == " ".join(
+        "%.17g,%.17g" % (a, b) for a, b in zip(xs[0:40:2], xs[1:40:2])
+    )
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_number_lists_refuse_non_finite(bad):
     for obj in ([1.0, bad], [[1.0, 0.0], [0.0, bad]]):
