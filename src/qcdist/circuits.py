@@ -120,7 +120,7 @@ def unitary_gate(matrix, wires, label: str | None = None) -> Gate:
     if len(set(wires)) != a:
         raise CircuitError(f"unitary wires must be distinct, got {wires}")
     defect = unitarity_defect(m)
-    if defect > TOL_UNITARY:
+    if not defect <= TOL_UNITARY:
         raise UnitarityError(f"matrix is not unitary: defect {defect:.3e}")
     return Gate("unitary", wires, m, label)
 
@@ -148,13 +148,16 @@ def unitarity_defect(m: np.ndarray):
 
     ``m`` has shape (..., d, d); the result has shape ``m.shape[:-2]`` (a
     scalar for one matrix).  One batched product serves the whole stack,
-    and a matrix's defect does not depend on the stack it is in.
+    and a matrix's defect does not depend on the stack it is in.  A product
+    that overflows gives an infinite or ``nan`` defect, without a warning;
+    callers test ``not defect <= TOL_UNITARY``, which refuses both.
     """
     side = m.shape[-1]
-    d = np.swapaxes(m, -1, -2).conj() @ m
-    flat = d.reshape(-1, side * side)
-    flat[:, :: side + 1] -= 1.0
-    return np.sqrt((flat.real**2 + flat.imag**2).sum(axis=1)).reshape(m.shape[:-2])[()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.swapaxes(m, -1, -2).conj() @ m
+        flat = d.reshape(-1, side * side)
+        flat[:, :: side + 1] -= 1.0
+        return np.sqrt((flat.real**2 + flat.imag**2).sum(axis=1)).reshape(m.shape[:-2])[()]
 
 
 @dataclass(eq=False)
@@ -389,7 +392,7 @@ def validate(c: Circuit) -> list[str]:
     for entries in stacks.values():
         defects = unitarity_defect(np.stack([m for _, _, m in entries])).tolist()
         for (slot, tag, _), defect in zip(entries, defects):
-            if defect > TOL_UNITARY:
+            if not defect <= TOL_UNITARY:
                 report[slot] = f"{tag}: unitarity defect {defect:.3e} > {TOL_UNITARY:.1e}"
     report = [r for r in report if r is not None]
     try:
@@ -550,7 +553,7 @@ def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
         start += stack.size
         for u, m, defect in zip(group, stack, unitarity_defect(stack).tolist()):
             gates[u[0]] = Gate("unitary", u[3], m)
-            if len(set(u[3])) != arity or defect > TOL_UNITARY:
+            if len(set(u[3])) != arity or not defect <= TOL_UNITARY:
                 failed.append((u[1], u[3], defect))
     if failed:
         lineno, wires, defect = min(failed)

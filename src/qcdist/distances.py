@@ -31,6 +31,24 @@ rho_0 = rho_1, both steps give one state, and the engine carries that one:
 the eigendecomposition of K is its SVD, and B is unitarily
 diag(Y + J, Y - J), two eigenproblems of half its side.
 
+The one-state path runs on the range of J.  Where J = J_0 - J_1 with PSD
+J_i, as for the diamond norm, pivoted Cholesky factors J_i ~ L_i L_i^dagger
+give J = F S F^dagger + E with F = [L_0, L_1], S = diag(+-1) and ||E||_F
+bounded by the factors' residuals, found once.  Every spectral step then
+decomposes a small core instead of a matrix of J's side:
+  - K: a thin QR of (I (x) s) F and the eigendecomposition of its core;
+  - T, the polar factor and Y stay thin: Y = A D^dagger, each factor with
+    as many columns as F;
+  - lambda(Y +- J): both are compressed to an orthonormal basis Z of the
+    span of [A, D, F], and the compression's residual and ||E||_F are added
+    to eps, since by Weyl's inequality no eigenvalue moves further;
+  - the Helstrom measurement of the witness: pivoted factors of the two
+    PSD outputs, with the value taken on the full difference.
+Where F would have half as many columns as J's side or more, the basis is
+the identity, and every step runs on J itself.
+The two-state path, max image fidelity's, stays dense: its J is not a
+difference of PSD matrices.
+
 Where an optimal rho_i is rank-deficient the ascent can stall on the
 boundary with the gap open.  A polish per distance then improves the
 value, and the kept witness, mixed with a little of I/d_in so that nothing
@@ -80,7 +98,9 @@ from .linalg import (
     as_state,
     dag,
     partial_trace,
+    psd_factor,
     psd_sqrt,
+    range_spectral,
     singular_values,
     spectral,
 )
@@ -244,10 +264,14 @@ def helstrom(delta, tol: float = TOL_PSD) -> tuple[np.ndarray, float]:
     the trace norm of delta.
     """
     w, v = spectral(delta)
-    cols = v[:, w > tol]
+    return _projector_value(delta, v[:, w > tol])
+
+
+def _projector_value(delta: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, 2 tr(M delta) - tr delta) for M = cols cols^dagger; tr(M delta) is
+    one elementwise product, sum_ij conj(delta_ij) M_ij for Hermitian delta."""
     m = cols @ dag(cols)
-    value = float(2 * np.real(np.trace(m @ delta)) - np.real(np.trace(delta)))
-    return m, value
+    return m, float(2 * np.vdot(delta, m).real - np.trace(delta).real)
 
 
 def _difference_kernels(ch0: Channel, ch1: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -294,24 +318,30 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
     return history[-1], evaluated, m, converged, history
 
 
-def _sandwich(x: np.ndarray, left: np.ndarray, right: np.ndarray, dim_out: int) -> np.ndarray:
-    """(I_out (x) left) x (I_out (x) right) for x on output (x) input and
-    left, right on the input, as two broadcast matmuls over x's input axes."""
+def _on_input(s: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(I_X (x) s) F for F with rows on X (x) input, as one broadcast matmul."""
+    return (s @ f.reshape(-1, s.shape[0], f.shape[1])).reshape(f.shape)
+
+
+def _sandwich(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(I_X (x) left) x (I_X (x) right) for x on X (x) input and left, right
+    on the input, as two broadcast matmuls over x's input axes."""
     n = x.shape[0]
-    dim_in = left.shape[0]
-    y = (left @ x.reshape(dim_out, dim_in, n)).reshape(n, dim_out, dim_in)
-    return (y @ right).reshape(n, n)
+    return (_on_input(left, x).reshape(n, -1, right.shape[0]) @ right).reshape(n, n)
 
 
 def _lambda_max(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((h + dag(h)) / 2)[-1])
 
 
-def _traced_out(f: np.ndarray, dim_in: int) -> np.ndarray:
-    """tr_X (F F^dagger) for F with rows on X (x) input: one matmul of a
-    d_in x (d_X cols) matrix with its adjoint."""
-    x = f.reshape(-1, dim_in, f.shape[1]).transpose(1, 0, 2).reshape(dim_in, -1)
-    return x @ dag(x)
+def _traced_out(f: np.ndarray, dim_in: int, g: np.ndarray | None = None) -> np.ndarray:
+    """tr_X (F G^dagger), G = F by default, for F and G with rows on
+    X (x) input: one matmul of two d_in x (d_X cols) matrices."""
+    def flat(a):
+        return a.reshape(-1, dim_in, a.shape[1]).transpose(1, 0, 2).reshape(dim_in, -1)
+
+    x = flat(f)
+    return x @ dag(x if g is None else flat(g))
 
 
 def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,40 +352,97 @@ def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * np.sqrt(w)) @ dag(v), (v[:, supp] / np.sqrt(w[supp])) @ dag(v[:, supp])
 
 
-def _cross_terms(j: np.ndarray, rhos: tuple):
+@dataclass(frozen=True)
+class _Factored:
+    """Hermitian J = F diag(signs) F^dagger + E with ||E||_F <= ``residual``,
+    held by its factor alone (``_stacked_factors``)."""
+
+    f: np.ndarray
+    signs: np.ndarray
+    residual: float
+
+
+def _stacked_factors(a0: np.ndarray, a1: np.ndarray) -> _Factored | None:
+    """a0 - a1 = F diag(signs) F^dagger + E for PSD a_i, as ``_Factored``.
+
+    F = [L0, L1] stacks the pivoted factors of a0 and a1 (``psd_factor``),
+    with sign +1 on L0's columns and -1 on L1's, and the residual, the sum
+    of theirs, bounds ||E||_F, so also the distance from the Hermitian part
+    of a0 - a1.  Where F would have half as many columns as the side or
+    more, there is nothing to gain from its range, and the result is None:
+    the basis is the identity, and the callers run on a0 - a1 itself.
+    """
+    half = a0.shape[0] // 2
+    l0, res0 = psd_factor(a0, half)
+    l1, res1 = psd_factor(a1, half - l0.shape[1])
+    if l0.shape[1] + l1.shape[1] >= half:
+        return None
+    signs = np.repeat([1.0, -1.0], [l0.shape[1], l1.shape[1]])
+    return _Factored(np.hstack([l0, l1]), signs, res0 + res1)
+
+
+def _difference_helstrom(d0: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, float]:
+    """``helstrom`` of delta = d0 - d1 for PSD d0 and d1, with M taken on the
+    range of their stacked pivoted factors (``_stacked_factors``), or on
+    delta itself where those are not thin.  The value is
+    2 tr(M delta) - tr delta on delta itself, so M attains it whatever the
+    factors' residuals."""
+    delta = d0 - d1
+    delta = (delta + dag(delta)) / 2
+    thin = _stacked_factors(d0, d1)
+    if thin is None:
+        return helstrom(delta)
+    w, v = range_spectral(thin.f, thin.signs)
+    return _projector_value(delta, v[:, w > TOL_PSD])
+
+
+def _cross_terms(j, rhos: tuple):
     """(||K||_1, Ts, Gs, dual_blocks) for K = (I_X (x) sqrt rho0) J (I_X (x) sqrt rho1).
 
     ``rhos`` is (rho0, rho1), or (rho,) for rho0 = rho1 = rho with J
-    Hermitian; each of Ts, Gs and ``dual_blocks()`` then holds one term.
-    T0 = tr_X |K^dagger| and T1 = tr_X |K| are the next ascent step, and
-    G_i = s_i^+ T_i s_i^+ = tr_X Y_i.  ``dual_blocks()`` forms Y0 and Y1 with
-    one factor of s_i^+, which amplifies rounding by 1 / sqrt(lambda_min(rho_i)),
-    not two: Y0 = P0 J S1 U^dagger S0^+ and Y1 = S1^+ U^dagger S0 J P1, with
+    Hermitian, given as a matrix or as ``_Factored``; each of Ts, Gs and
+    ``dual_blocks()`` then holds one term.  T0 = tr_X |K^dagger| and
+    T1 = tr_X |K| are the next ascent step, and G_i = s_i^+ T_i s_i^+ =
+    tr_X Y_i.  ``dual_blocks()`` forms Y0 and Y1 with one factor of s_i^+,
+    which amplifies rounding by 1 / sqrt(lambda_min(rho_i)), not two:
+    Y0 = P0 J S1 U^dagger S0^+ and Y1 = S1^+ U^dagger S0 J P1, with
     S_i = I_X (x) s_i, P_i = S_i^+ S_i and the polar factor K = U |K|.
+
+    With one state K = u e u^dagger is Hermitian, U = u sign(e) u^dagger,
+    and Y is returned as the pair (A, D) = (P J S u sign(e), S^+ u) with
+    Y = A D^dagger.  On a ``_Factored`` J, (e, u) are the eigenpairs of
+    (S F) diag(signs) (S F)^dagger on the range of S F, and
+    J S u = F diag(signs) (S F)^dagger u, so every factor has as many
+    columns as F.
     """
     dim_in = rhos[0].shape[0]
-    r = j.shape[0] // dim_in
     roots = [_root_and_inverse(x) for x in rhos]
     (s0, s0_inv), (s1, s1_inv) = roots[0], roots[-1]
-    k = _sandwich(j, s0, s1, r)
-    if len(rhos) == 1:
-        # K is Hermitian: its SVD is u |e| (sign(e) u^dagger), and |K^dagger| = |K|
-        e, u = spectral(k)
-        sv, factors = np.abs(e), (u,)
-    else:
-        u, sv, vh = np.linalg.svd(k)
+    if len(rhos) == 2:
+        u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1))
         factors = (u, dag(vh))
+    else:
+        if isinstance(j, _Factored):
+            sf = _on_input(s0, j.f)
+            e, u = range_spectral(sf, j.signs)
+        else:
+            e, u = spectral(_sandwich(j, s0, s0))
+        sv, factors = np.abs(e), (u,)
     ts = [_traced_out(f * np.sqrt(sv), dim_in) for f in factors]
     gs = [s_inv @ t @ s_inv for (_, s_inv), t in zip(roots, ts)]
 
     def dual_blocks():
-        # U^dagger = V u^dagger for the right singular vectors V, u sign(e) where K is Hermitian
-        polar_h = (u * np.sign(e) if len(rhos) == 1 else factors[1]) @ dag(u)
-        eye = np.eye(dim_in)
-        y0 = _sandwich(_sandwich(j, s0_inv @ s0, s1, r) @ polar_h, eye, s0_inv, r)
         if len(rhos) == 1:
-            return (y0,)
-        return y0, _sandwich(polar_h @ _sandwich(j, s0, s1_inv @ s1, r), s1_inv, eye, r)
+            if isinstance(j, _Factored):
+                jsu = j.f @ (j.signs[:, None] * (dag(sf) @ u))
+            else:
+                jsu = j @ _on_input(s0, u)
+            return ((_on_input(s0_inv @ s0, jsu) * np.sign(e), _on_input(s0_inv, u)),)
+        # U^dagger = V u^dagger for the right singular vectors V
+        polar_h = factors[1] @ dag(u)
+        eye = np.eye(dim_in)
+        y0 = _sandwich(_sandwich(j, s0_inv @ s0, s1) @ polar_h, eye, s0_inv)
+        return y0, _sandwich(polar_h @ _sandwich(j, s0, s1_inv @ s1), s1_inv, eye)
 
     return float(sv.sum()), ts, gs, dual_blocks
 
@@ -366,30 +453,58 @@ def _repair(w: np.ndarray) -> float:
     return max(0.0, -float(w.min())) + len(w) * np.finfo(float).eps * float(np.abs(w).max())
 
 
-def _block_upper(j: np.ndarray, ys: tuple, dim_in: int) -> float:
+def _block_upper(j, ys: tuple, dim_in: int) -> float:
     """Certified bound sqrt(l0 l1) from the block B = [[Y0, J], [J^dagger, Y1]].
 
-    ``ys`` is (Y0, Y1), or (Y,) for Y0 = Y1 = Y with J Hermitian: B is then
-    unitarily diag(Y + J, Y - J).  B + eps I >= 0 for eps = _repair(lambda(B)),
-    and l_i = lambda_max(tr_X Y_i) + d_X eps.  Scaling Y0 by t and Y1 by 1/t
+    ``ys`` is (Y0, Y1), or ((A, D),) for Y0 = Y1 = Y = (A D^dagger +
+    D A^dagger) / 2 with J Hermitian: B is then unitarily diag(Y + J, Y - J).
+    B + eps I >= 0 for eps = _repair(lambda(B)), and
+    l_i = lambda_max(tr_X Y_i) + d_X eps.  Scaling Y0 by t and Y1 by 1/t
     keeps the block feasible; the dual value (t l0 + l1 / t) / 2 is least at
     sqrt(l0 l1).
+
+    On a ``_Factored`` J = F diag(signs) F^dagger + E, Y +- J is compressed
+    to an orthonormal basis Z of the span of [A, D, F], from a thin QR
+    [A, D, F] = Z [T_A, T_D, T_F]: C = (T_A T_D^dagger + T_D T_A^dagger) / 2
+    +- T_F diag(signs) T_F^dagger is Z^dagger (Y +- J) Z but for E.  With
+    a = ||A - Z T_A||_F, d and f likewise, Y +- J and Z C Z^dagger, whose
+    spectrum is C's padded with zeros, differ in Frobenius norm by at most
+    a ||D||_F + ||A||_F d + a d + 2 f ||F||_F + f^2 + ||E||_F: each column's
+    QR residual is rounding relative to that column, so the bound stays
+    small where S^+ makes D large.  By Weyl's inequality eps gains that much.
     """
-    r = j.shape[0] // dim_in
-    ys = [(y + dag(y)) / 2 for y in ys]
-    if len(ys) == 1:
-        w = np.concatenate([np.linalg.eigvalsh(ys[0] + j), np.linalg.eigvalsh(ys[0] - j)])
-    else:
+    if len(ys) == 2:
+        r = j.shape[0] // dim_in
+        ys = [(y + dag(y)) / 2 for y in ys]
         w = np.linalg.eigvalsh(np.block([[ys[0], j], [dag(j), ys[1]]]))
-    eps = _repair(w)
-    ls = [_lambda_max(partial_trace(y, [r, dim_in], [1])) + r * eps for y in ys]
+        traced = [partial_trace(y, [r, dim_in], [1]) for y in ys]
+        eps = _repair(w)
+    else:
+        ((a, d),) = ys
+        r = a.shape[0] // dim_in
+        traced = [_traced_out(a, dim_in, d)]
+        if isinstance(j, _Factored):
+            g = (a, d, j.f)
+            z, t = np.linalg.qr(np.hstack(g))
+            ta, td, tf = np.split(t, [a.shape[1], 2 * a.shape[1]], axis=1)
+            y, core = ta @ dag(td), (tf * j.signs) @ dag(tf)
+            la, ld, lf = (float(np.linalg.norm(x - z @ tx)) for x, tx in zip(g, (ta, td, tf)))
+            na, nd, nf = (float(np.linalg.norm(x)) for x in g)
+            slack = la * nd + na * ld + la * ld + (2 * nf + lf) * lf + j.residual
+        else:
+            y, core, slack = a @ dag(d), j, 0.0
+        y = (y + dag(y)) / 2
+        w = np.concatenate([np.linalg.eigvalsh(y + core), np.linalg.eigvalsh(y - core)])
+        eps = _repair(w) + slack
+    ls = [_lambda_max(t) + r * eps for t in traced]
     return float(np.sqrt(max(ls[0], 0.0) * max(ls[-1], 0.0)))
 
 
-def _ascent(j: np.ndarray, dim_in: int, max_iters: int):
+def _ascent(j, dim_in: int, max_iters: int):
     """Ascent over the inputs from I/d_in; returns (lower, upper, rhos,
     iterations) at the iterate it stops on, with ``rhos`` as in
-    ``_cross_terms``: one state where J is Hermitian, else two.
+    ``_cross_terms``: one state where J is Hermitian or ``_Factored``, else
+    two.
 
     Each iteration bounds the gap on the input side, by the unrepaired
     bound sqrt(lambda_max(G0) lambda_max(G1)) minus the lower bound; the
@@ -400,7 +515,8 @@ def _ascent(j: np.ndarray, dim_in: int, max_iters: int):
     then inverts, so the ascent stops there.
     """
     flat = np.eye(dim_in) / dim_in
-    rhos = (flat,) if np.array_equal(j, dag(j)) else (flat, flat)
+    hermitian = isinstance(j, _Factored) or np.array_equal(j, dag(j))
+    rhos = (flat,) if hermitian else (flat, flat)
     for it in range(1, max_iters + 1):
         lower, ts, gs, dual_blocks = _cross_terms(j, rhos)
         ls = [_lambda_max(g) for g in gs]
@@ -410,7 +526,7 @@ def _ascent(j: np.ndarray, dim_in: int, max_iters: int):
     return lower, _block_upper(j, dual_blocks(), dim_in), rhos, it
 
 
-def _mixed_upper(j: np.ndarray, rhos: tuple) -> float:
+def _mixed_upper(j, rhos: tuple) -> float:
     """Least block bound at (1 - delta) rho_i + delta I/d_in over MIX_WEIGHTS."""
     dim_in = rhos[0].shape[0]
     flat = np.eye(dim_in) / dim_in
@@ -427,12 +543,14 @@ def diamond_norm(
 ) -> DiamondWitness:
     """Certified interval [value, upper] on the diamond-norm distance.
 
-    One deterministic ascent over the input state (module docstring).
-    While its gap is above GAP_TOL, a seesaw run from its witness polishes
-    the value, and the polished witness's input state, mixed with a little
-    of I/d_in, is certified too.  The reference space defaults to the input
-    dimension, which suffices for the exact value; ``ref_qubits`` exists so
-    tests can confirm that a larger reference gains nothing.
+    One deterministic ascent over the input state (module docstring), on
+    J0 - J1 held by the channels' stacked pivoted factors where they are
+    thin (``_stacked_factors``).  While its gap is above GAP_TOL, a seesaw
+    run from its witness polishes the value, and the polished witness's
+    input state, mixed with a little of I/d_in, is certified too.  The
+    reference space defaults to the input dimension, which suffices for the
+    exact value; ``ref_qubits`` exists so tests can confirm that a larger
+    reference gains nothing.
     """
     if (ch0.n_in, ch0.n_out) != (ch1.n_in, ch1.n_out):
         raise ValueError(
@@ -447,8 +565,10 @@ def diamond_norm(
     ref_dim = 2**ref_qubits
     linalg.check_cap(din * ref_dim, context="diamond-norm input")
     linalg.check_cap(dout * ref_dim, context="diamond-norm output")
-    j = ch0.choi - ch1.choi
-    j = (j + dag(j)) / 2
+    j = _stacked_factors(ch0.choi, ch1.choi)
+    if j is None:
+        j = ch0.choi - ch1.choi
+        j = (j + dag(j)) / 2
     lower, upper, (rho,), iterations = _ascent(j, din, cfg.max_iters)
     # psi = vec(sqrt(rho)^T), padded to the reference: (Phi (x) I)(psi psi^dagger) is M(rho)
     x = np.zeros((din, ref_dim), dtype=np.complex128)
@@ -465,8 +585,8 @@ def diamond_norm(
     psi = x.reshape(-1)
     # the reported value comes from the two channels at the returned psi
     rho = np.outer(psi, psi.conj())
-    delta = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
-    measurement, value = helstrom((delta + dag(delta)) / 2)
+    outs = (channel_apply_ext(ch, rho, ref_dim) for ch in (ch0, ch1))
+    measurement, value = _difference_helstrom(*outs)
     return DiamondWitness(value, min(upper, 2.0), iterations, psi, measurement)
 
 

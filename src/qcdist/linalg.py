@@ -2,9 +2,10 @@
 
 Everything downstream (circuit simulation, channel distances, reductions)
 is built on the handful of primitives here: Kronecker products, partial
-traces, Hermitian spectral decompositions, singular values, and PSD square
-roots.  Matrices are plain ``numpy.ndarray`` values of dtype complex128;
-states are 1-d arrays.  All functions are pure.
+traces, Hermitian spectral decompositions (also on the range of a thin
+factor), pivoted Cholesky factors, singular values, and PSD square roots.
+Matrices are plain ``numpy.ndarray`` values of dtype complex128; states
+are 1-d arrays.  All functions are pure.
 
 Tolerances are centralized in this module.  Double precision with matrix
 sides <= 256 leaves ample headroom for the defaults below.
@@ -144,6 +145,67 @@ def spectral(h, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     h = require_hermitian(as_matrix(h), tol)
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
+    """Pivoted Cholesky factor of a Hermitian positive semidefinite matrix.
+
+    Returns ``(l, residual)`` with ``a ~ l @ l.conj().T`` and
+    ``residual >= ||a - l l^dagger||_F``.  Each column pivots on the largest
+    diagonal entry of the remaining Schur complement, and the factor stops
+    once none exceeds side * eps_mach * max(diag a): below that the
+    diagonal is rounding.  So the column count is the rank the
+    factorization observes, and costs side * rank^2 to reach; a caller
+    that has no use for more than ``max_rank`` columns stops there, and the
+    residual then says what is left.  The residual is the computed norm of
+    a - l l^dagger plus (side + 2 rank) eps_mach (||l||_F^2 + that norm)
+    for the rounding of forming it.  ``a`` is read as Hermitian, its
+    column p as conj(a[p]), so an anti-Hermitian part of ``a`` shows in the
+    residual, and so does a negative eigenvalue: no l l^dagger comes close
+    to a matrix that is not PSD.
+    """
+    a = as_matrix(a)
+    n = a.shape[0]
+    eps = np.finfo(float).eps
+    d = a.diagonal().real.copy()
+    stop = n * eps * max(float(d.max(initial=0.0)), 0.0)
+    rows = np.empty((min(n, 16), n), dtype=np.complex128)  # row k holds column k of l
+    pivots: list[int] = []
+    for k in range(n if max_rank is None else min(n, max_rank)):
+        p = int(np.argmax(d))
+        if d[p] <= stop:
+            break
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])[:n]
+        # column p of the Schur complement; a is Hermitian, so its column p is conj(a[p])
+        col = a[p].conj() - rows[:k, p].conj() @ rows[:k]
+        col /= np.sqrt(d[p])
+        col[pivots] = 0.0  # exact zeros above the diagonal of the pivoted factor
+        col[p] = np.sqrt(d[p])
+        d -= col.real**2 + col.imag**2
+        d[p] = 0.0  # earlier pivots stay at 0: col is exactly 0 there
+        rows[k] = col
+        pivots.append(p)
+    l = rows[: len(pivots)].T
+    gap = l @ dag(l)
+    gap -= a  # in place: a fresh side^2 array for a - l l^dagger measured 2.5x slower at side 256
+    fro = float(np.linalg.norm(gap))
+    fro2 = float(np.vdot(l, l).real)
+    return l, fro + (n + 2 * len(pivots)) * eps * (fro + fro2)
+
+
+def range_spectral(f: np.ndarray, signs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of F diag(signs) F^dagger on the range of F.
+
+    For F of side x m with m below the side: a thin QR F = Q R, and
+    :func:`spectral` of the m x m core R diag(signs) R^dagger, whose
+    eigenvectors Q lifts back.  Returns ``(w, Q w_vecs)`` sorted descending
+    as :func:`spectral` does, one pair per column of F; ``signs`` defaults
+    to all ones, F F^dagger.
+    """
+    q, r = np.linalg.qr(f)
+    w, v = spectral((r if signs is None else r * signs) @ dag(r))
+    return w, q @ v
 
 
 def singular_values(x) -> np.ndarray:

@@ -368,17 +368,28 @@ def choi_of(c: Circuit) -> Channel:
 def kraus_of(ch: Channel) -> list[np.ndarray]:
     """Kraus operators A_k from scaled eigenvectors of the Choi matrix.
 
-    The only place Kraus operators are produced.  A Choi eigenvalue below
-    -TOL_PSD raises NotCompletelyPositiveError; eigenvalues up to
-    KRAUS_EIG_CUTOFF are dropped.  The operators are then checked to be
-    complete (sum_k A_k^dagger A_k = I) and to rebuild J, and a deviation
-    beyond TOL_CHANNEL raises InternalConsistencyError.
+    The only place Kraus operators are produced.  J is decomposed on its
+    range: a pivoted Cholesky factor J ~ L L^dagger (``linalg.psd_factor``)
+    and ``range_spectral`` of L, a thin QR and the eigendecomposition of its
+    small core, give J's eigenpairs.  Its residual r bounds how far J's
+    least eigenvalue can fall below zero, so r <= TOL_PSD certifies
+    complete positivity.  Where r is larger, or L has half as many columns
+    as J's side or more, J itself is decomposed instead, and a Choi
+    eigenvalue below -TOL_PSD raises NotCompletelyPositiveError.
+    Eigenvalues up to KRAUS_EIG_CUTOFF are dropped.  The operators are then
+    checked to be complete (sum_k A_k^dagger A_k = I) and to rebuild J, and
+    a deviation beyond TOL_CHANNEL raises InternalConsistencyError.
     """
-    w, v = spectral(ch.choi)
-    if w[-1] < -TOL_PSD:
-        raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {w[-1]:.3e}; the map is not completely positive"
-        )
+    half = ch.choi.shape[0] // 2
+    l, residual = linalg.psd_factor(ch.choi, half)
+    if l.shape[1] < half and residual <= TOL_PSD:
+        w, v = linalg.range_spectral(l)
+    else:
+        w, v = spectral(ch.choi)
+        if w[-1] < -TOL_PSD:
+            raise NotCompletelyPositiveError(
+                f"Choi matrix has eigenvalue {w[-1]:.3e}; the map is not completely positive"
+            )
     keep = w > KRAUS_EIG_CUTOFF
     ops = list((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, ch.dim_out, ch.dim_in))
     ksum = sum((dag(a) @ a for a in ops), np.zeros((ch.dim_in, ch.dim_in)))

@@ -68,6 +68,19 @@ def test_parse_rejects_non_unitary():
         parse_circuit(f"circuit bad inputs 1\nunitary 1 0 {entries}\nend\n")
 
 
+def test_parse_rejects_an_overflowing_unitary():
+    # U^dagger U overflows, so the defect is nan; it must be refused, without
+    # a RuntimeWarning (warnings fail tests here)
+    text = "circuit big inputs 1\nunitary 1 0 1e200,0 0,0 0,0 1,0\nend\n"
+    with pytest.raises(UnitarityError, match="^line 2: matrix is not unitary: defect nan$"):
+        parse_circuit(text)
+    big = np.diag([1e200, 1.0]).astype(complex)
+    with pytest.raises(UnitarityError, match="defect (nan|inf)"):
+        unitary_gate(big, (0,))
+    report = validate(Circuit("big", 1, (Gate("unitary", (0,), big),)))
+    assert len(report) == 1 and "unitarity defect" in report[0]
+
+
 def test_unitarity_defect_is_the_frobenius_norm():
     rng = np.random.default_rng(31)
     for dim in (1, 2, 4, 8):

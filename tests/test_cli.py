@@ -83,6 +83,17 @@ def test_validate_corrupted_unitary(workdir, capsys):
     assert any("unitary" in v for v in out["violations"])
 
 
+def test_validate_overflowing_unitary_exits_1_without_warnings(workdir):
+    bad = workdir / "big.circ"
+    bad.write_text("circuit big inputs 1\nunitary 1 0 1e200,0 0,0 0,0 1,0\nend\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcdist", "validate", str(bad)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["violations"] == ["line 2: matrix is not unitary: defect nan"]
+
+
 @st.composite
 def circuit_texts(draw):
     """(mutation, text): a serialized small circuit, possibly hit by one one-line mutation."""

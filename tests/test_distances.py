@@ -21,7 +21,7 @@ from qcdist.distances import (
     witness_to_json,
 )
 from qcdist.linalg import TOL_PSD, SizeCapError, partial_trace
-from qcdist.reductions import ci_to_qcd, parity_mix
+from qcdist.reductions import PolarizationParams, ci_to_qcd, parity_mix, polarize, tensor_power
 from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of, kraus_of
 
 from helpers import (
@@ -367,6 +367,74 @@ def test_one_state_path_matches_the_two_state_path(seed):
             two_upper = _block_upper(j, two_blocks(), dim_in)
             assert abs(one_upper - two_upper) <= 1e-12
             assert one_norm <= one_upper
+
+
+def _tensor_cube():
+    """id^(x)3 vs decohere^(x)3: J0 has rank 1 and J1 rank 8 at side 64, and
+    the diamond norm is 2 (1 - 2^-3)."""
+    t0, t1 = tensor_power(identity_circuit(), decohere_circuit(), 3)
+    return choi_of(t0), choi_of(t1)
+
+
+def test_thin_path_closes_around_the_tensor_power_value():
+    ch0, ch1 = _tensor_cube()
+    thin = distances._stacked_factors(ch0.choi, ch1.choi)
+    assert thin.f.shape == (64, 9) and thin.signs.tolist() == [1.0] + [-1.0] * 8
+    w = diamond_norm(ch0, ch1, CFG)
+    exact = 2 * (1 - 2**-3)
+    assert w.converged and w.value - 1e-12 <= exact <= w.upper + 1e-12
+
+
+def test_truncated_factor_is_repaired_by_its_residual():
+    # Without J0's one column, F diag(signs) F^dagger is -J1, a map of norm 1:
+    # only the residual term in the repair eps keeps the bound above 1.75.
+    ch0, ch1 = _tensor_cube()
+    thin = distances._stacked_factors(ch0.choi, ch1.choi)
+    cut, cut_signs = thin.f[:, 1:], thin.signs[1:]
+    residual = np.linalg.norm(ch0.choi - ch1.choi - (cut * cut_signs) @ cut.conj().T)
+    j = distances._Factored(cut, cut_signs, float(residual))
+    lower, upper, _, _ = _ascent(j, ch0.dim_in, CFG.max_iters)
+    assert lower < 1.0 + 1e-9
+    assert upper >= diamond_norm(ch0, ch1, CFG).value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_thin_path_agrees_with_the_dense_path(seed):
+    # the close-images reduction of a random type-(1,1) pair has a J of low rank
+    rng = np.random.default_rng(620 + seed)
+    r0, r1 = ci_to_qcd(random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb"))
+    ch0, ch1 = choi_of(r0), choi_of(r1)
+    j = ch0.choi - ch1.choi
+    factored = distances._stacked_factors(ch0.choi, ch1.choi)
+    assert factored is not None
+    dense = _ascent(j, ch0.dim_in, CFG.max_iters)
+    thin = _ascent(factored, ch0.dim_in, CFG.max_iters)
+    assert abs(dense[0] - thin[0]) <= 1e-12
+    assert abs(dense[1] - thin[1]) <= 1e-9
+    assert dense[3] == thin[3]
+
+
+def test_polarized_pair_runs_no_side_256_eigensolver(monkeypatch):
+    s0, s1, cert = polarize(
+        identity_circuit(), decohere_circuit(), PolarizationParams(n=1, a=1.0, b=0.25),
+        override=(2, 2, 1),
+    )
+    ch0, ch1 = choi_of(s0), choi_of(s1)
+    sides = []
+
+    def counted(solver):
+        def run(a, *args, **kwargs):
+            sides.append(a.shape[-1])
+            return solver(a, *args, **kwargs)
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    w = diamond_norm(ch0, ch1, CFG)
+    lo, hi = cert["final_interval_yes"]
+    assert w.converged and lo - 1e-9 <= w.value <= hi + 1e-9
+    # J0 and J1 have ranks 16 and 9: the widest core is the block's 3 * 25
+    assert ch0.choi.shape == (256, 256) and max(sides) <= 75
 
 
 def test_traced_out_is_the_partial_trace_of_f_f_dagger():

@@ -9,7 +9,9 @@ from qcdist.linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_trace,
+    psd_factor,
     psd_sqrt,
+    range_spectral,
     singular_values,
     spectral,
     tensor,
@@ -149,6 +151,77 @@ def test_psd_sqrt_squares_back():
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(ValueError, match="PSD"):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def _low_rank_psd(rng, n, m):
+    x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    a = x @ x.conj().T
+    return (a + a.conj().T) / 2
+
+
+def _residual(a, l):
+    return float(np.linalg.norm(a - l @ l.conj().T))
+
+
+@pytest.mark.parametrize("m", [1, 5, 24])
+def test_psd_factor_finds_the_exact_rank(m):
+    rng = np.random.default_rng(40 + m)
+    a = _low_rank_psd(rng, 24, m)
+    l, residual = psd_factor(a)
+    assert l.shape == (24, m)
+    assert _residual(a, l) <= residual <= 1e-11 * np.abs(a).max()
+
+
+def test_psd_factor_of_the_zero_matrix_is_empty():
+    l, residual = psd_factor(np.zeros((8, 8)))
+    assert l.shape == (8, 0) and residual == 0.0
+
+
+def test_psd_factor_ignores_rounding_noise():
+    # eigenvalues of +-1e-17 on top of a rank-3 matrix are rounding, not rank
+    rng = np.random.default_rng(41)
+    a = _low_rank_psd(rng, 16, 3)
+    u = random_unitary(rng, 16)
+    noise = u @ np.diag(rng.choice([-1e-17, 1e-17], size=16)) @ u.conj().T
+    a = a + (noise + noise.conj().T) / 2
+    l, residual = psd_factor(a)
+    assert l.shape == (16, 3)
+    assert _residual(a, l) <= residual <= 1e-12
+
+
+def test_psd_factor_residual_bounds_what_is_left():
+    rng = np.random.default_rng(42)
+    for n, m in [(6, 2), (16, 9), (32, 4)]:
+        a = _low_rank_psd(rng, n, m)
+        for cut in (None, 1, m - 1):
+            l, residual = psd_factor(a, cut)
+            assert residual >= _residual(a, l)
+        # a negative eigenvalue leaves a residual of at least its size
+        b = a - 0.5 * np.eye(n)
+        l, residual = psd_factor(b)
+        assert residual >= max(_residual(b, l), 0.5)
+
+
+def test_psd_factor_is_deterministic():
+    rng = np.random.default_rng(43)
+    a = _low_rank_psd(rng, 32, 7)
+    l0, r0 = psd_factor(a)
+    l1, r1 = psd_factor(a.copy())
+    assert np.array_equal(l0, l1) and r0 == r1
+
+
+def test_range_spectral_matches_spectral_on_the_range():
+    rng = np.random.default_rng(44)
+    f = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
+    signs = np.array([1.0, 1.0, -1.0, 1.0, -1.0])
+    h = (f * signs) @ f.conj().T
+    w, v = range_spectral(f, signs)
+    assert w.shape == (5,) and v.shape == (20, 5)
+    assert np.all(np.diff(w) <= 0)
+    full = spectral(h)[0]
+    assert np.abs(w - np.concatenate([full[:3], full[-2:]])).max() < 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
+    assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10
 
 
 def test_matrix_json_roundtrip_exact():

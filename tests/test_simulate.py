@@ -143,6 +143,26 @@ def test_kraus_rejects_negative_choi():
         kraus_of(bad)
 
 
+def test_kraus_on_a_thin_factor_refuses_only_beyond_tol_psd():
+    # the identity channel's Choi matrix has rank 1 of 4, so kraus_of tries its
+    # factor first; a negative eigenvalue off that range shows in the residual
+    j = choi_of(identity_circuit()).choi
+    off = np.zeros(4)
+    off[1] = 1.0
+    with pytest.raises(NotCompletelyPositiveError, match="eigenvalue -1.000e-06"):
+        kraus_of(Channel(1, 1, j - 1e-6 * np.outer(off, off)))
+    ops = kraus_of(Channel(1, 1, j - 1e-11 * np.outer(off, off)))
+    assert len(ops) == 1 and np.abs(ops[0].conj().T @ ops[0] - np.eye(2)).max() < 1e-12
+
+
+def test_kraus_of_a_thin_choi_matrix_has_its_rank():
+    # three decoheres: rank 8 at side 64, decomposed on its range
+    c = Circuit("d3", 3, tuple(decohere_gate(w) for w in range(3)))
+    ops = kraus_of(choi_of(c))
+    assert len(ops) == 8
+    assert np.abs(sum(np.abs(a) for a in ops) - np.eye(8)).max() < 1e-12
+
+
 def test_adjoint_identity_and_unitality():
     rng = np.random.default_rng(4)
     ch = choi_of(identity_circuit())
