@@ -593,7 +593,7 @@ def serialize_circuit(c: Circuit) -> str:
                 out.append(f"gate {g.label} {' '.join(map(str, g.wires))}")
             else:
                 parts = np.ascontiguousarray(g.matrix, dtype=np.complex128).view(np.float64)
-                entries = format_floats(parts.reshape(-1).tolist(), "%.17g,%.17g", " ")
+                entries = "".join(format_floats(parts, "%.17g,%.17g", " "))
                 out.append(
                     f"unitary {g.arity} {' '.join(map(str, g.wires))} {entries}"
                 )

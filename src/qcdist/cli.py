@@ -58,7 +58,11 @@ EXIT_NOT_CONVERGED = 4
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(jsonutil.dumps(obj) + "\n")
+    """Write ``obj`` and a newline to stdout, formatted in full before the
+    first write and never joined: a witness matrix is megabytes of text."""
+    parts = jsonutil.dump_parts(obj)
+    parts.append("\n")
+    sys.stdout.writelines(parts)
 
 
 def _note(msg: str) -> None:

@@ -74,7 +74,8 @@ polish is a seesaw run started from the ascent's psi:
 Both half-steps exactly maximize the objective 2 tr(M Delta) in their own
 block, so the objective is monotone nondecreasing.  Steps (a) and (c) are
 each one contraction with J_0 - J_1; the reported value is recomputed
-from the two channels at the returned psi.
+from the two channels at the returned psi = vec(X), each output as the
+sandwich (I (x) X^T) J_i (I (x) conj(X)) of its Choi matrix.
 
 Maximum image fidelity.  With Kraus operators A_k of Q_0 and B_l of Q_1,
 padded with zero operators to one environment E of size r, J is the Choi
@@ -111,7 +112,6 @@ from .simulate import (
     InternalConsistencyError,
     _contract,
     _kernel,
-    channel_apply_ext,
     choi_of,
     kraus_of,
     require_density,
@@ -319,15 +319,16 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
 
 
 def _on_input(s: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(I_X (x) s) F for F with rows on X (x) input, as one broadcast matmul."""
-    return (s @ f.reshape(-1, s.shape[0], f.shape[1])).reshape(f.shape)
+    """(I_X (x) s) F for F with rows on X (x) input, as one broadcast matmul;
+    s may map the input to a space of another size."""
+    return (s @ f.reshape(-1, s.shape[1], f.shape[1])).reshape(-1, f.shape[1])
 
 
 def _sandwich(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """(I_X (x) left) x (I_X (x) right) for x on X (x) input and left, right
-    on the input, as two broadcast matmuls over x's input axes."""
-    n = x.shape[0]
-    return (_on_input(left, x).reshape(n, -1, right.shape[0]) @ right).reshape(n, n)
+    from and to the input, as two broadcast matmuls over x's input axes."""
+    rows = _on_input(left, x)
+    return (rows.reshape(len(rows), -1, right.shape[0]) @ right).reshape(len(rows), -1)
 
 
 def _lambda_max(h: np.ndarray) -> float:
@@ -534,6 +535,13 @@ def _mixed_upper(j, rhos: tuple) -> float:
     return min(_block_upper(j, _cross_terms(j, m)[-1](), dim_in) for m in mixed)
 
 
+def _output_of(ch: Channel, x: np.ndarray) -> np.ndarray:
+    """(Phi (x) I_ref)(psi psi^dagger) for psi = vec(x), x of shape
+    (d_in, ref): the sandwich (I (x) x^T) J (I (x) conj(x)) of the Choi
+    matrix, with no side^2 operator psi psi^dagger formed."""
+    return _sandwich(ch.choi, x.T, x.conj())
+
+
 def diamond_norm(
     ch0: Channel,
     ch1: Channel,
@@ -582,12 +590,10 @@ def diamond_norm(
             x = polished.reshape(din, ref_dim)
         # psi = vec(x) stands for rho = (x x^dagger)^T
         upper = min(upper, _mixed_upper(j, ((x @ dag(x)).T,)))
-    psi = x.reshape(-1)
     # the reported value comes from the two channels at the returned psi
-    rho = np.outer(psi, psi.conj())
-    outs = (channel_apply_ext(ch, rho, ref_dim) for ch in (ch0, ch1))
+    outs = (_output_of(ch, x) for ch in (ch0, ch1))
     measurement, value = _difference_helstrom(*outs)
-    return DiamondWitness(value, min(upper, 2.0), iterations, psi, measurement)
+    return DiamondWitness(value, min(upper, 2.0), iterations, x.reshape(-1), measurement)
 
 
 def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):
@@ -668,6 +674,6 @@ def max_image_fidelity(
 def witness_to_json(w: DiamondWitness) -> dict:
     return {
         **_interval_json(w),
-        "psi": linalg.complex_pairs(w.psi),
+        "psi": w.psi,
         "measurement": linalg.matrix_to_json(w.measurement),
     }

@@ -3,16 +3,24 @@
 Every number the toolkit prints goes through this serializer so that
 repeated runs with the same seed produce byte-identical output.  Floats are
 printed with 17 significant digits, which round-trips IEEE doubles exactly.
-Lists of floats or of [re, im] float pairs are written by
-:func:`format_floats`, one ``%`` format over the whole list, which is also
-how circuit text writes its matrix entries.
+A complex ndarray is a value too: it is written row-major as a flat list of
+[re, im] pairs, straight from the array by :func:`format_floats`, which is
+also how circuit text writes its matrix entries.  No Python list of pairs
+is built, and :func:`dump_parts` hands the pieces over unjoined, so a
+matrix is never held as text more than once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+
+import numpy as np
+
+#: Values per ``%`` format in :func:`format_floats`: big enough that the
+#: per-chunk overhead vanishes, small enough that the Python floats of a
+#: chunk stay near 160 kB whatever the size of the array.
+CHUNK = 4096
 
 
 def format_float(x: float) -> str:
@@ -22,10 +30,20 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize ``obj`` (dict/list/str/bool/int/float/None) deterministically."""
+    """Serialize ``obj`` (dict/list/str/bool/int/float/None, or a complex
+    ndarray) deterministically."""
+    return "".join(dump_parts(obj))
+
+
+def dump_parts(obj) -> list[str]:
+    """The text of :func:`dumps` as its pieces, in order, not joined.
+
+    Everything is formatted before this returns, so a value that cannot be
+    written raises before any piece is used.
+    """
     parts: list[str] = []
     _write(obj, parts)
-    return "".join(parts)
+    return parts
 
 
 def _write(obj, parts: list[str]) -> None:
@@ -39,8 +57,11 @@ def _write(obj, parts: list[str]) -> None:
         parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)) and (flat := _number_list(obj)) is not None:
-        parts.append(flat)
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        flat = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64).reshape(-1)
+        parts.append("[")
+        parts += format_floats(flat, "[%.17g,%.17g]")
+        parts.append("]")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
@@ -63,24 +84,25 @@ def _write(obj, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj)} deterministically")
 
 
-def format_floats(values: list[float], item: str = "%.17g", sep: str = ",") -> str:
-    """``values`` written ``item`` by ``item``, joined by ``sep``, in one pass.
+def format_floats(values, item: str = "%.17g", sep: str = ",") -> list[str]:
+    """The float64 array ``values`` written ``item`` by ``item`` and joined
+    by ``sep``, as pieces whose concatenation is that text.
 
     ``item`` is a template of one or more ``%.17g`` fields, filled from
-    ``values`` in order.  Each value reads as :func:`format_float` writes
-    it, and the first non-finite one raises as there.
+    ``values`` in order, ``CHUNK`` values per ``%`` format; every piece
+    after the first starts with ``sep``.  Each value reads as
+    :func:`format_float` writes it, and if any is not finite, the first
+    such one raises as there.
     """
-    if not all(map(math.isfinite, values)):
-        list(map(format_float, values))  # raises on the first non-finite entry
-    return sep.join([item] * (len(values) // item.count("%"))) % tuple(values)
-
-
-def _number_list(items) -> str | None:
-    """``items`` in one pass if it holds only floats or only [re, im] float
-    pairs; None otherwise."""
-    item = "%.17g"
-    if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
-        items, item = list(chain.from_iterable(items)), "[%.17g,%.17g]"
-    if set(map(type, items)) != {float}:
-        return None
-    return "[" + format_floats(items, item) + "]"
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[np.argmin(finite)]))  # raises
+    fields = item.count("%")
+    step = CHUNK - CHUNK % fields
+    pieces = []
+    for start in range(0, len(values), step):
+        chunk = values[start : start + step].tolist()
+        template = sep.join([item] * (len(chunk) // fields))
+        pieces.append((sep + template if start else template) % tuple(chunk))
+    return pieces

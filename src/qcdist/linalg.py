@@ -61,7 +61,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -69,7 +69,7 @@ def as_matrix(x) -> np.ndarray:
 def as_state(x) -> np.ndarray:
     """Coerce to a 1-d complex128 array, rejecting NaN/Inf entries."""
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("state contains non-finite entries")
     return v
 
@@ -230,18 +230,17 @@ def psd_sqrt(p, tol: float = TOL_PSD) -> np.ndarray:
     return (r + dag(r)) / 2
 
 
-def complex_pairs(x) -> list[list[float]]:
-    """Row-major [re, im] pairs of Python floats for the entries of ``x``."""
-    return np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
-
-
 def matrix_to_json(m) -> dict:
-    """Repo-wide matrix JSON object: rows, cols, row-major [re, im] pairs."""
+    """Repo-wide matrix JSON object: rows, cols, row-major [re, im] pairs.
+
+    ``entries`` is the complex array itself, which ``jsonutil`` writes as
+    those pairs; the standard ``json`` module cannot serialize it.
+    """
     m = as_matrix(m)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": complex_pairs(m),
+        "entries": m,
     }
 
 

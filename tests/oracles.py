@@ -6,10 +6,12 @@ and trace norms come from batched eigenvalue sums.  The density walk is
 checked against per-gate kernels that reshape to a (D, D) matrix after
 every gate: two half-actions per unitary, a bit mask for decohere, a kron
 for ancilla and ``linalg.partial_trace`` for trace.  Circuit text is
-checked against the line-at-a-time reader the one-pass parser replaced.
+checked against the line-at-a-time reader the one-pass parser replaced,
+and JSON text against a writer that formats one value at a time.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -250,3 +252,18 @@ def _line_gate(tokens, lineno):
     except ValueError as exc:
         raise CircuitParseError(str(exc), lineno) from None
     raise CircuitParseError(f"unknown construct {op!r}", lineno)
+
+
+def percent_17g_json(obj) -> str:
+    """JSON text of ``obj`` written one value at a time: each float as
+    ``"%.17g" % x``, a complex array as the row-major list of its
+    ``[re, im]`` pairs, containers recursively and the rest by ``json``."""
+    if isinstance(obj, np.ndarray):
+        return "[" + ",".join("[%.17g,%.17g]" % (z.real, z.imag) for z in obj.reshape(-1)) + "]"
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(percent_17g_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{percent_17g_json(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)

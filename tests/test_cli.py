@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from qcdist import cli, reductions, simulate
 from qcdist.cli import main
-from qcdist.distances import GAP_TOL
+from qcdist.distances import GAP_TOL, DiamondWitness, diamond_norm, witness_to_json
 from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
 from qcdist.jsonutil import dumps
-from qcdist.simulate import density_to_json
+from qcdist.simulate import choi_of, density_to_json
 
 from helpers import (
     decohere_circuit,
@@ -444,3 +445,65 @@ def test_byte_stable_output(workdir):
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
+
+
+def _random_witness(rng, side):
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return DiamondWitness(1.0, 1.0, 1, draw(side), draw(side, side))
+
+
+@pytest.mark.parametrize("where", ["psi", "measurement"])
+def test_dnorm_witness_with_a_nan_exits_2_printing_nothing(workdir, capsys, monkeypatch, where):
+    w = _random_witness(np.random.default_rng(5), 4)
+    getattr(w, where).reshape(-1)[-1] = complex(0.0, float("nan"))
+    monkeypatch.setattr(cli, "diamond_norm", lambda *args: w)
+    assert main(["distance", "dnorm", str(workdir / "inst.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+def test_dnorm_stdout_is_the_witness_json_and_a_newline(tmp_path):
+    # side 64: the measurement's 8192 floats span several format chunks
+    q0, q1 = reductions.tensor_power(identity_circuit(), decohere_circuit(), 3)
+    paths = []
+    for c in (q0, q1):
+        paths.append(tmp_path / f"{c.name}.circ")
+        paths[-1].write_text(serialize_circuit(c))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcdist", "distance", "dnorm", *map(str, paths)],
+        capture_output=True, check=True,
+    )
+    w = diamond_norm(choi_of(q0), choi_of(q1))
+    assert w.measurement.shape == (64, 64)
+    expect = dumps({"kind": "dnorm", **witness_to_json(w)}) + "\n"
+    assert proc.stdout == expect.encode()
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def writelines(self, parts):
+        for text in parts:
+            self.write(text)
+
+
+def test_emitting_a_side_256_witness_holds_little_beyond_its_text(monkeypatch):
+    w = _random_witness(np.random.default_rng(6), 256)
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit({"kind": "dnorm", **witness_to_json(w)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 2_500_000  # about 3 MB of ASCII text
+    assert peak < 1.5 * sink.chars

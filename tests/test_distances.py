@@ -10,6 +10,7 @@ from qcdist.distances import (
     _block_upper,
     _cross_terms,
     _difference_kernels,
+    _output_of,
     _seesaw,
     _traced_out,
     diamond_norm,
@@ -151,17 +152,47 @@ def test_diamond_witness_is_self_consistent():
 
 def test_diamond_value_is_helstrom_value_at_witness():
     # The ascent's bound and the last seesaw iterate can sit a few ulps off
-    # the value at the returned psi, so the value must come from that psi.
+    # the value at the returned psi, so the value must come from that psi:
+    # bit for bit through the outputs' sandwich, and to rounding through
+    # channel_apply_ext (test_output_sandwich_matches_channel_apply_ext).
     rng = np.random.default_rng(2)
     for _ in range(8):
         ch0 = choi_of(random_11_circuit(rng, "a"))
         ch1 = choi_of(random_11_circuit(rng, "b"))
         w = diamond_norm(ch0, ch1, CFG)
-        rho = np.outer(w.psi, w.psi.conj())
-        delta = channel_apply_ext(ch0, rho, 2) - channel_apply_ext(ch1, rho, 2)
+        x = w.psi.reshape(ch0.dim_in, -1)
+        delta = _output_of(ch0, x) - _output_of(ch1, x)
         m, value = helstrom((delta + delta.conj().T) / 2)
         assert value == w.value
         assert np.array_equal(m, w.measurement)
+        rho = np.outer(w.psi, w.psi.conj())
+        delta = channel_apply_ext(ch0, rho, 2) - channel_apply_ext(ch1, rho, 2)
+        assert abs(helstrom((delta + delta.conj().T) / 2)[1] - w.value) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_output_sandwich_matches_channel_apply_ext(seed):
+    rng = np.random.default_rng(320 + seed)
+    n_in = int(rng.integers(1, 3))
+    ch = choi_of(random_circuit(rng, n_in, 6, max_live=3))
+    for ref_qubits in (n_in, n_in + 1, n_in + 2):
+        x = rng.standard_normal((ch.dim_in, 2**ref_qubits)) + 1j * rng.standard_normal(
+            (ch.dim_in, 2**ref_qubits)
+        )
+        psi = x.reshape(-1)
+        expect = channel_apply_ext(ch, np.outer(psi, psi.conj()), 2**ref_qubits)
+        assert np.abs(_output_of(ch, x) - expect).max() < 1e-12 * np.vdot(x, x).real
+
+
+def test_witness_at_a_larger_reference_attains_its_value():
+    rng = np.random.default_rng(7)
+    ch0 = choi_of(random_11_circuit(rng, "a"))
+    ch1 = choi_of(random_11_circuit(rng, "b"))
+    w = diamond_norm(ch0, ch1, CFG, ref_qubits=3)
+    assert w.psi.size == 16 and w.measurement.shape == (16, 16)
+    rho = np.outer(w.psi, w.psi.conj())
+    delta = channel_apply_ext(ch0, rho, 8) - channel_apply_ext(ch1, rho, 8)
+    assert abs(trace_norm(delta) - w.value) < 1e-12
 
 
 def test_diamond_norm_against_grid_oracle():

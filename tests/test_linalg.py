@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcdist import jsonutil
 from qcdist.jsonutil import dumps
 from qcdist.linalg import (
     SizeCapError,
-    complex_pairs,
+    as_matrix,
+    as_state,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -18,7 +21,7 @@ from qcdist.linalg import (
 )
 
 from helpers import random_density, random_hermitian, random_unitary
-from oracles import kron_entry_oracle
+from oracles import kron_entry_oracle, percent_17g_json
 
 
 def test_tensor_identity():
@@ -246,27 +249,36 @@ SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -3.0, 2.0**60, 1e22,
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_number_lists_written_like_the_recursive_writer(monkeypatch, seed):
+def test_number_lists_written_like_the_recursive_writer(seed):
     rng = np.random.default_rng(40 + seed)
     shape = tuple(int(x) for x in rng.integers(1, 12, size=2))
     parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-300, 300, size=(2,) + shape)
     parts.reshape(-1)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: parts.size]
     rng.shuffle(parts.reshape(-1))
     m = parts[0] + 1j * parts[1]
-    obj = {
+    arrays = {
         "matrix": matrix_to_json(m),
-        "pairs": complex_pairs(m[0]),
-        "tuple_pairs": [tuple(p) for p in complex_pairs(m[-1])],
+        "row": m[0],
+        "column": m[:, -1],  # not contiguous
+        "transposed": m.T,
+        "empty_array": np.zeros((0, 3), dtype=np.complex128),
+    }
+    lists = {
+        "tuple_pairs": [(float(z.real), float(z.imag)) for z in m[-1]],
         "floats": parts[0].reshape(-1).tolist(),
         "numpy_floats": list(parts[1].reshape(-1)),
         "mixed": [1, 2.0, True, None, [0.5, 1], [[1.0, 2.0, 3.0]]],
         "empty": [],
     }
-    fast = dumps(obj)
-    # the old per-entry conversion, written by the recursive writer alone
-    obj["matrix"]["entries"] = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    monkeypatch.setattr(jsonutil, "_number_list", lambda items: None)
-    assert fast == dumps(obj)
+    fast = dumps({**arrays, **lists})
+
+    def pairs(a):  # the old per-entry conversion, written by the recursive writer
+        return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+
+    slow = {key: pairs(a) if isinstance(a, np.ndarray) else a for key, a in arrays.items()}
+    slow["matrix"] = {**arrays["matrix"], "entries": pairs(m)}
+    assert fast == dumps({**slow, **lists})
+    assert fast == percent_17g_json({**arrays, **lists})
 
 
 EDGE_DOUBLES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -279,19 +291,61 @@ def test_number_lists_read_like_percent_17g_per_value(seed):
     bits = np.random.default_rng(50 + seed).integers(-(2**63), 2**63 - 1, size=20000, dtype=np.int64)
     doubles = bits.view(np.float64)  # every sign, exponent and mantissa
     xs = EDGE_DOUBLES + doubles[np.isfinite(doubles)].tolist()
+    xs = xs[: len(xs) // 2 * 2]
+    assert len(xs) > 2 * jsonutil.CHUNK  # several chunks, and a short last one
     assert dumps(xs) == "[" + ",".join("%.17g" % x for x in xs) + "]"
-    pairs = [[a, b] for a, b in zip(xs[0::2], xs[1::2])]
-    assert dumps(pairs) == "[" + ",".join("[%.17g,%.17g]" % (a, b) for a, b in pairs) + "]"
-    assert jsonutil.format_floats(xs[:40], "%.17g,%.17g", " ") == " ".join(
+    pairs = np.array(xs).view(np.complex128)
+    assert dumps(pairs) == "[" + ",".join(
+        "[%.17g,%.17g]" % (a, b) for a, b in zip(xs[0::2], xs[1::2])
+    ) + "]"
+    assert "".join(jsonutil.format_floats(np.array(xs))) == ",".join("%.17g" % x for x in xs)
+    assert "".join(jsonutil.format_floats(np.array(xs[:40]), "%.17g,%.17g", " ")) == " ".join(
         "%.17g,%.17g" % (a, b) for a, b in zip(xs[0:40:2], xs[1:40:2])
     )
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_number_lists_refuse_non_finite(bad):
-    for obj in ([1.0, bad], [[1.0, 0.0], [0.0, bad]]):
+    objs = (
+        [1.0, bad],
+        [[1.0, 0.0], [0.0, bad]],
+        np.array([1.0, complex(0.0, bad)]),
+        {"entries": np.array([[1.0, 0.0], [complex(bad, 0.0), 1.0]])},
+    )
+    for obj in objs:
         with pytest.raises(ValueError, match="non-finite"):
             dumps(obj)
+    # the first non-finite value is the one named
+    values = np.zeros(3 * jsonutil.CHUNK)
+    values[[jsonutil.CHUNK + 5, -1]] = [bad, float("inf") if bad != bad else float("nan")]
+    with pytest.raises(ValueError, match=f"non-finite float {bad!r} "):
+        jsonutil.format_floats(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_arrays_of_any_shape_read_like_percent_17g_per_value(a):
+    assert dumps({"a": a, "t": [a]}) == percent_17g_json({"a": a, "t": [a]})
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_matrices_and_states_refuse_non_finite_parts(part, bad):
+    entry = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    m = np.eye(2, dtype=np.complex128)
+    m[1, 0] = entry
+    with pytest.raises(ValueError, match="matrix contains non-finite"):
+        as_matrix(m)
+    with pytest.raises(ValueError, match="state contains non-finite"):
+        as_state(m[:, 0])
+    assert as_matrix(np.eye(2)).dtype == np.complex128
+    assert as_state([1.0, 1j]).shape == (2,)
 
 
 def test_unitary_conjugation_preserves_spectrum():
