@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import SWAP, Circuit, Gate, named_gate, unitary_gate
+from .circuits import Circuit, Gate, _WireTracker, named_gate
 from .linalg import check_wires
 
 
@@ -86,19 +86,9 @@ def dilate(c: Circuit) -> DilatedCircuit:
     k = n_wires - n
     m = len(mapping)
     l = len(garbage)
-    # Route outputs to wires 0..m-1 (in order) and garbage to m..m+l-1.
-    target = {w: i for i, w in enumerate(mapping)}
-    target.update({w: m + j for j, w in enumerate(garbage)})
-    content = list(range(n_wires))
-    want = [None] * n_wires
-    for wire, pos in target.items():
-        want[pos] = wire
-    for pos in range(n_wires):
-        if content[pos] == want[pos]:
-            continue
-        src = content.index(want[pos], pos + 1)
-        gates.append(unitary_gate(SWAP, (pos, src)))
-        content[pos], content[src] = content[src], content[pos]
+    router = _WireTracker(range(n_wires))
+    router.route_outputs(mapping + garbage)
+    gates += router.gates
     unitary_circuit = Circuit(f"{c.name}_dilated", n_wires, tuple(gates))
     return DilatedCircuit(
         unitary_circuit=unitary_circuit,

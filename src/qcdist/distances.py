@@ -42,8 +42,9 @@ decomposes a small core instead of a matrix of J's side:
   - lambda(Y +- J): both are compressed to an orthonormal basis Z of the
     span of [A, D, F], and the compression's residual and ||E||_F are added
     to eps, since by Weyl's inequality no eigenvalue moves further;
-  - the Helstrom measurement of the witness: pivoted factors of the two
-    PSD outputs, with the value taken on the full difference.
+  - the Helstrom measurement of the witness: the eigenpairs of
+    (I (x) X^T) F S F^dagger (I (x) conj(X)) at psi = vec(X), from the same
+    F, with the value taken on the full difference of the outputs.
 Where F would have half as many columns as J's side or more, the basis is
 the identity, and every step runs on J itself.
 The two-state path, max image fidelity's, stays dense: its J is not a
@@ -382,21 +383,6 @@ def _stacked_factors(a0: np.ndarray, a1: np.ndarray) -> _Factored | None:
     return _Factored(np.hstack([l0, l1]), signs, res0 + res1)
 
 
-def _difference_helstrom(d0: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, float]:
-    """``helstrom`` of delta = d0 - d1 for PSD d0 and d1, with M taken on the
-    range of their stacked pivoted factors (``_stacked_factors``), or on
-    delta itself where those are not thin.  The value is
-    2 tr(M delta) - tr delta on delta itself, so M attains it whatever the
-    factors' residuals."""
-    delta = d0 - d1
-    delta = (delta + dag(delta)) / 2
-    thin = _stacked_factors(d0, d1)
-    if thin is None:
-        return helstrom(delta)
-    w, v = range_spectral(thin.f, thin.signs)
-    return _projector_value(delta, v[:, w > TOL_PSD])
-
-
 def _cross_terms(j, rhos: tuple):
     """(||K||_1, Ts, Gs, dual_blocks) for K = (I_X (x) sqrt rho0) J (I_X (x) sqrt rho1).
 
@@ -591,8 +577,14 @@ def diamond_norm(
         # psi = vec(x) stands for rho = (x x^dagger)^T
         upper = min(upper, _mixed_upper(j, ((x @ dag(x)).T,)))
     # the reported value comes from the two channels at the returned psi
-    outs = (_output_of(ch, x) for ch in (ch0, ch1))
-    measurement, value = _difference_helstrom(*outs)
+    delta = _output_of(ch0, x) - _output_of(ch1, x)
+    delta = (delta + dag(delta)) / 2
+    if isinstance(j, _Factored):
+        # (I (x) x^T) F factors delta as F factors J, up to J's residual
+        w, v = range_spectral(_on_input(x.T, j.f), j.signs)
+        measurement, value = _projector_value(delta, v[:, w > TOL_PSD])
+    else:
+        measurement, value = helstrom(delta)
     return DiamondWitness(value, min(upper, 2.0), iterations, x.reshape(-1), measurement)
 
 

@@ -100,22 +100,23 @@ def optimal_prover_witness(
     return ProverStrategy(psi=witness.psi, measurement=witness.measurement), witness
 
 
-def _output_pair(q0: Circuit, q1: Circuit, strat: ProverStrategy):
+def _answer0(q0: Circuit, q1: Circuit, strat: ProverStrategy):
+    """((tr M rho_0, tr M rho_1), rho_0 - rho_1) for the outputs rho_i of Q_i
+    on the strategy's input: the probabilities that the prover answers 0."""
+    if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
+        raise ValueError("circuits disagree on type")
     priv = _private_qubits(strat, q0)
     rho_in = np.outer(strat.psi, strat.psi.conj())
     rho0 = apply_extended(q0, rho_in, priv)
     rho1 = apply_extended(q1, rho_in, priv)
-    return rho0, rho1
+    m = strat.measurement
+    return (float(np.real(np.trace(m @ rho0))), float(np.real(np.trace(m @ rho1)))), rho0 - rho1
 
 
 def acceptance_probability(q0: Circuit, q1: Circuit, strat: ProverStrategy) -> float:
     """Exact acceptance probability of the strategy in one protocol round."""
-    if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
-        raise ValueError("circuits disagree on type")
-    rho0, rho1 = _output_pair(q0, q1, strat)
-    m = strat.measurement
-    p = 0.5 * np.real(np.trace(m @ rho0)) + 0.5 * (1.0 - np.real(np.trace(m @ rho1)))
-    return float(min(max(p, 0.0), 1.0))
+    (p0, p1), _ = _answer0(q0, q1, strat)
+    return float(min(max(0.5 * p0 + 0.5 * (1.0 - p1), 0.0), 1.0))
 
 
 def _block_accepts(seed: int, block: int, n: int, p_answer0: tuple[float, float]) -> int:
@@ -152,14 +153,7 @@ def run_protocol(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
-        raise ValueError("circuits disagree on type")
-    rho0, rho1 = _output_pair(q0, q1, strat)
-    m = strat.measurement
-    p_answer0 = (
-        float(np.real(np.trace(m @ rho0))),
-        float(np.real(np.trace(m @ rho1))),
-    )
+    p_answer0, difference = _answer0(q0, q1, strat)
     p_exact = 0.5 * p_answer0[0] + 0.5 * (1.0 - p_answer0[1])
     if p_exact > 0.5 + dnorm_upper / 4 + 1e-12:
         raise InternalConsistencyError(
@@ -175,7 +169,7 @@ def run_protocol(
         trials=trials,
         accepts=accepts,
         estimate=accepts / trials,
-        dnorm_witness_value=trace_norm(rho0 - rho1),
+        dnorm_witness_value=trace_norm(difference),
         seed=seed,
         dnorm_upper=dnorm_upper,
     )

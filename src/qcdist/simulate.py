@@ -17,18 +17,21 @@ the output order.  That changes neither the channel nor the output order,
 and no step is wider than the circuit as written.  The caps are checked on
 the circuit as written, so a refusal does not depend on the schedule.
 
-``choi_of`` picks its walk from observable widths.  It walks a stack of r
-Kraus operators of shape (r, 2^live, 2^n_in), starting from the identity;
-decohere and trace split each operator in two, and the halves that are
-exactly zero are dropped.  The first time r exceeds
-D = 2^live * 2^n_in, the stack is folded into the D x D matrix
-sum_k vec(K_k) vec(K_k)^dagger, and the remaining gates walk its blocks
-at the input matrix units |i><j| with i <= j only, as one density walk;
-the others are their adjoints, as Phi(X^dagger) = Phi(X)^dagger.  A
-circuit whose widest point has live + n_in > log2(DIM_CAP) would put that
-matrix over the cap, so it is instead simulated once per input matrix unit
-at its own width.  A walk that would exceed the cap is refused by
-arithmetic on the ``replay_liveness`` counts before it starts.
+``choi_of`` walks a stack of r Kraus operators of shape
+(r, 2^live, 2^n_in), starting from the identity; decohere and trace split
+each operator in two, and the halves that are exactly zero are dropped.
+The first time r exceeds D = 2^live * 2^n_in, the stack is folded into
+the D x D matrix sum_k vec(K_k) vec(K_k)^dagger, and the remaining gates
+walk its blocks at the input matrix units |i><j| with i <= j only; the
+others are their adjoints, as Phi(X^dagger) = Phi(X)^dagger.  Where those
+blocks fit one batch of DIM_CAP^2 entries at the widest remaining point,
+they are one density walk.  Otherwise, on a circuit whose widest point
+has live + n_in > log2(DIM_CAP), each block is formed from the stack and
+walked alone, and the stack also folds before an ancilla or decohere
+would double it past 2 * DIM_CAP^2 entries.  Both bounds follow from
+DIM_CAP, and neither can bind on a circuit whose widest point plus n_in
+fits the cap.  A walk that would exceed the cap is refused by arithmetic
+on the ``replay_liveness`` counts before it starts.
 
 The density walk (``_run_gates``, also behind ``simulate``) holds a batch
 of B operators on the live wires as one [2] * (2 * live) + [B] tensor,
@@ -111,6 +114,12 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     return out.reshape(2**m, 2**m, r, r).transpose(0, 2, 1, 3).reshape(2**m * r, 2**m * r)
 
 
+def _widths(gates, live: int) -> list[int]:
+    """Live wire counts from ``live`` on, before the first of ``gates`` and after each."""
+    return list(itertools.accumulate(
+        ((g.kind == "ancilla") - (g.kind == "trace") for g in gates), initial=live))
+
+
 def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
     """One-pass density walk of ``gates`` on a (2^live, 2^live, B) batch t.
 
@@ -125,8 +134,7 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
     not checked here: ``simulate`` and ``choi_of`` refuse it first.
     """
     b, s = t.shape[-1], (slice(None),)
-    steps = ((g.kind == "ancilla") - (g.kind == "trace") for g in gates)
-    size = 4 ** max(itertools.accumulate(steps, initial=live)) * b
+    size = 4 ** max(_widths(gates, live)) * b
     home, spare = np.empty((2, size), dtype=np.complex128)
 
     def view(buf, width):
@@ -166,12 +174,7 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
 
 def apply(c: Circuit, rho: np.ndarray) -> np.ndarray:
     """Exact action of the circuit's channel on a density matrix."""
-    rho = require_density(rho)
-    if rho.shape[0] != 2**c.n_in:
-        raise ValueError(
-            f"density matrix side {rho.shape[0]} does not match {c.n_in} input wires"
-        )
-    return simulate(c, rho)
+    return apply_extended(c, rho, 0)
 
 
 def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int) -> np.ndarray:
@@ -254,39 +257,79 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
     return ch
 
 
-def _matrix_unit_choi(c: Circuit) -> np.ndarray:
-    """Choi matrix from one density walk per input matrix unit |i><j|, j >= i.
+def _kraus_step(k: np.ndarray, g, live: int) -> tuple[np.ndarray, int]:
+    """One gate on a Kraus stack k of shape (r, 2^live, d_in); returns the
+    new stack and live count.
 
-    The j < i blocks follow from Phi(X^dagger) = Phi(X)^dagger, so every
-    walk stays at the circuit's own width.  ``c`` is walked as given:
-    ``choi_of`` passes it scheduled.
+    A unitary acts on the live axes; decohere and trace split every
+    operator in two on the gate's bit and keep the halves that are not
+    exactly zero; ancilla appends a |0> axis.
     """
-    din = 2**c.n_in
-    dout = 2**c.n_out
-    blocks = np.zeros((dout, din, dout, din), dtype=np.complex128)
-    for i in range(din):
-        for j in range(i, din):
-            unit = np.zeros((din, din, 1), dtype=np.complex128)
-            unit[i, j] = 1.0
-            out = _run_gates(unit, c.gates, c.n_in)[0][..., 0]
-            blocks[:, i, :, j] = out
-            if j != i:
-                blocks[:, j, :, i] = dag(out)
-    return blocks.reshape(dout * din, dout * din)
+    r, din = k.shape[0], k.shape[2]
+    if g.kind == "unitary":
+        a, axes = len(g.wires), [1 + w for w in g.wires]
+        t = k.reshape((r,) + (2,) * live + (din,))
+        t = np.tensordot(g.matrix.reshape([2] * (2 * a)), t, (list(range(a, 2 * a)), axes))
+        return np.moveaxis(t, list(range(a)), axes).reshape(r, 2**live, din), live
+    if g.kind == "ancilla":
+        grown = np.zeros((r, 2**live, 2, din), dtype=np.complex128)
+        grown[:, :, 0] = k
+        return grown.reshape(r, 2 ** (live + 1), din), live + 1
+    t = k.reshape(r, 2 ** g.wires[0], 2, -1)
+    if g.kind == "decohere":
+        split = np.zeros((2,) + t.shape, dtype=np.complex128)
+        split[0, :, :, 0] = t[:, :, 0]
+        split[1, :, :, 1] = t[:, :, 1]
+        k = split.reshape(2 * r, 2**live, din)
+    else:  # trace: ``schedule`` refuses any other kind
+        live -= 1
+        k = np.moveaxis(t, 2, 0).reshape(2 * r, 2**live, din)
+    # a split on a bit still in a basis state leaves exact zeros
+    return k[k.reshape(k.shape[0], -1).any(axis=1)], live
+
+
+def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
+    """Choi matrix of ``gates`` run on sum_k vec(K_k) vec(K_k)^dagger.
+
+    The walk carries the din(din+1)/2 blocks at |i><j|, i <= j, and fills
+    in the i > j blocks as their adjoints.  Where those blocks fit one
+    batch of DIM_CAP^2 entries at the widest point of ``gates``, the fold
+    is formed once by a matmul and walked as one batch.  Otherwise each
+    block is formed from the stack as A_i A_j^dagger, A_i = K[:, :, i]^T of
+    shape (2^live, r), and walked alone, so the D x D fold is never held:
+    one block fits, since no point is wider than log2(DIM_CAP) wires.
+    """
+    din = 2**n_in
+    widths = _widths(gates, live)
+    m = widths[-1]
+    i, j = np.triu_indices(din)
+    choi = np.empty((2**m, din, 2**m, din), dtype=np.complex128)
+    blocks = choi.transpose(0, 2, 1, 3)
+    if 4 ** max(widths) * len(i) <= linalg.DIM_CAP**2:
+        full = _choi_from_kraus(k, n_in, live).reshape(2**live, din, 2**live, din)
+        out, _ = _run_gates(full.transpose(0, 2, 1, 3)[:, :, i, j], gates, live)
+        blocks[:, :, j, i] = out.conj().swapaxes(0, 1)
+        blocks[:, :, i, j] = out
+    else:
+        for a, b in zip(i, j):
+            block = np.tensordot(k[:, :, a], k[:, :, b].conj(), (0, 0))
+            out = _run_gates(block[..., None], gates, live)[0][..., 0]
+            blocks[:, :, b, a] = dag(out)
+            blocks[:, :, a, b] = out
+    return choi.reshape(2**m * din, 2**m * din)
 
 
 def _kraus_walk_choi(c: Circuit) -> np.ndarray:
-    """Choi matrix from one walk of a Kraus stack, finished densely if needed.
+    """Choi matrix from one walk of a Kraus stack, folded when it outgrows one.
 
-    The stack K has shape (r, 2^live, 2^n_in) and starts as the identity.
-    A unitary acts on the live axes; decohere and trace split every
-    operator in two on the gate's bit, keeping the nonzero halves; ancilla
-    appends a |0> axis.  Once r exceeds D = 2^live * 2^n_in the stack
-    outweighs the D x D matrix sum_k vec(K_k) vec(K_k)^dagger it stands
-    for, so that matrix is formed once by a matmul.  The remaining gates
-    walk its din(din+1)/2 blocks at |i><j|, i <= j, as one batch, and the
-    i > j blocks are filled in as their adjoints.  The switch stays at
-    r > D: at the new break-even point 2^live * (din + 1) / 2 it measured
+    The stack K has shape (r, 2^live, 2^n_in), starts as the identity and
+    takes each gate in turn (``_kraus_step``).  Once r exceeds
+    D = 2^live * 2^n_in the stack outweighs the D x D matrix
+    sum_k vec(K_k) vec(K_k)^dagger it stands for, and the remaining gates
+    walk that fold instead (``_fold``).  The stack also folds before an
+    ancilla or decohere would double it past 2 * DIM_CAP^2 entries; with
+    r <= D that can happen only where D is over the cap.  The switch stays
+    at r > D: at the break-even point 2^live * (din + 1) / 2 it measured
     no faster.
     """
     n = c.n_in
@@ -294,52 +337,21 @@ def _kraus_walk_choi(c: Circuit) -> np.ndarray:
     k = np.eye(din, dtype=np.complex128)[None]
     live = n
     for idx, g in enumerate(c.gates):
-        r = k.shape[0]
-        if g.kind == "unitary":
-            a, axes = len(g.wires), [1 + w for w in g.wires]
-            t = k.reshape((r,) + (2,) * live + (din,))
-            t = np.tensordot(g.matrix.reshape([2] * (2 * a)), t, (list(range(a, 2 * a)), axes))
-            k = np.moveaxis(t, list(range(a)), axes).reshape(r, 2**live, din)
-        elif g.kind == "decohere":
-            w = g.wires[0]
-            t = k.reshape(r, 2**w, 2, -1)
-            split = np.zeros((2,) + t.shape, dtype=np.complex128)
-            split[0, :, :, 0] = t[:, :, 0]
-            split[1, :, :, 1] = t[:, :, 1]
-            k = split.reshape(2 * r, 2**live, din)
-        elif g.kind == "ancilla":
-            grown = np.zeros((r, 2**live, 2, din), dtype=np.complex128)
-            grown[:, :, 0] = k
-            live += 1
-            k = grown.reshape(r, 2**live, din)
-        else:  # trace: ``schedule`` refuses any other kind
-            t = k.reshape(r, 2 ** g.wires[0], 2, -1)
-            live -= 1
-            k = np.moveaxis(t, 2, 0).reshape(2 * r, 2**live, din)
-        if g.kind in ("decohere", "trace"):
-            # a split on a bit still in a basis state leaves exact zeros
-            k = k[k.reshape(k.shape[0], -1).any(axis=1)]
+        if g.kind in ("ancilla", "decohere") and k.size > linalg.DIM_CAP**2:
+            return _fold(k, c.gates[idx:], n, live)
+        k, live = _kraus_step(k, g, live)
         if k.shape[0] > 2**live * din:
-            full = _choi_from_kraus(k, n, live).reshape(2**live, din, 2**live, din)
-            i, j = np.triu_indices(din)
-            out, m = _run_gates(full.transpose(0, 2, 1, 3)[:, :, i, j], c.gates[idx + 1 :], live)
-            choi = np.empty((2**m, din, 2**m, din), dtype=np.complex128)
-            blocks = choi.transpose(0, 2, 1, 3)
-            blocks[:, :, j, i] = out.conj().swapaxes(0, 1)
-            blocks[:, :, i, j] = out
-            return choi.reshape(2**m * din, 2**m * din)
+            return _fold(k, c.gates[idx + 1 :], n, live)
     return _choi_from_kraus(k, n, live)
 
 
 def choi_of(c: Circuit) -> Channel:
     """Extract the circuit's channel as a Choi matrix.
 
-    One walk of a Kraus stack from the identity, finished as a density walk
-    with n_in reference qubits once the stack outgrows it; a circuit too
-    wide for that reference walk under ``DIM_CAP`` is run once per input
-    matrix unit instead (module docstring).  The caps are checked on ``c``
-    as written; both walks run ``schedule(c)``, and the choice between them
-    follows its width.  The result is checked for complete positivity and
+    One walk of a Kraus stack from the identity, folded into a density walk
+    of its upper blocks once the stack outgrows them (module docstring).
+    The caps are checked on ``c`` as written, and the walk runs
+    ``schedule(c)``.  The result is checked for complete positivity and
     trace preservation; a failure beyond tolerance is a simulator bug, not
     a property of the circuit, and raises InternalConsistencyError.
     """
@@ -347,13 +359,8 @@ def choi_of(c: Circuit) -> Channel:
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), "Choi matrix")
-    limit = check_wires(max(counts))
-    s = schedule(c)
-    # the reference walk would hold the widest point plus n reference qubits
-    if max(replay_liveness(s)) + n > limit:
-        choi = _matrix_unit_choi(s)
-    else:
-        choi = _kraus_walk_choi(s)
+    check_wires(max(counts))
+    choi = _kraus_walk_choi(schedule(c))
     choi += dag(choi)  # in place, so that J is not held twice while it is checked
     choi /= 2
     ch = Channel(n, m, choi)

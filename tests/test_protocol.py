@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qcdist import protocol
 from qcdist.distances import OptimizerConfig, diamond_norm
 from qcdist.protocol import (
     _BLOCK,
@@ -12,7 +11,7 @@ from qcdist.protocol import (
     result_to_json,
     run_protocol,
 )
-from qcdist.simulate import InternalConsistencyError, choi_of
+from qcdist.simulate import InternalConsistencyError, apply_extended, choi_of
 
 from helpers import (
     decohere_circuit,
@@ -149,7 +148,9 @@ def decohere_prover():
 
 def reference_accepts(q0, q1, strat, trials, seed):
     """The block-stream contract, one trial at a time, blocks in reverse order."""
-    rho = protocol._output_pair(q0, q1, strat)
+    priv = int(np.log2(strat.psi.size)) - q0.n_in
+    rho_in = np.outer(strat.psi, strat.psi.conj())
+    rho = [apply_extended(q, rho_in, priv) for q in (q0, q1)]
     p_answer0 = [float(np.real(np.trace(strat.measurement @ r))) for r in rho]
     starts = list(range(0, trials, _BLOCK))
     accepts = 0

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -244,9 +245,11 @@ def test_channel_from_choi_validates():
         channel_from_choi(1, 1, np.eye(4, dtype=complex))  # not trace preserving
 
 
-def _matrix_unit_reference(c):
-    j = simulate_mod._matrix_unit_choi(c)
-    return (j + j.conj().T) / 2
+def _oracle_choi(c):
+    """J = (c (x) I)(omega omega^dagger), omega = sum_i |i>|i>, from the oracle walk."""
+    din = 2**c.n_in
+    omega = np.eye(din).reshape(din * din)
+    return density_walk_oracle(c, np.outer(omega, omega), c.n_in)
 
 
 def _spy(monkeypatch, name):
@@ -272,7 +275,7 @@ def test_kraus_walk_matches_matrix_units_below_switch(monkeypatch):
         gates = [ancilla_gate(), ancilla_gate(), u2(0, 2), u2(3, 1), decohere_gate(2),
                  u2(1, 2), decohere_gate(0), u2(3, 0), trace_gate(1), u2(2, 0)]
         circuits.append(Circuit("low", 2, gates))
-    refs = [_matrix_unit_reference(c) for c in circuits]
+    refs = [_oracle_choi(c) for c in circuits]
     switches = _spy(monkeypatch, "_run_gates")
     for c, ref in zip(circuits, refs):
         ch = choi_of(c)
@@ -303,7 +306,7 @@ def test_kraus_walk_switches_to_density_walk_past_d(monkeypatch):
         gates += [unitary_gate(random_unitary(rng, 4), (0, 1)), decohere_gate(0), decohere_gate(1)]
     gates.append(trace_gate(1))
     c = Circuit("heavy", 1, gates)
-    ref = _matrix_unit_reference(c)
+    ref = _oracle_choi(c)
     switches = _spy(monkeypatch, "_run_gates")
     ch = choi_of(c)
     assert np.abs(ch.choi - ref).max() < 1e-12
@@ -311,21 +314,100 @@ def test_kraus_walk_switches_to_density_walk_past_d(monkeypatch):
     assert 0 < len(switches[0][1]) < len(gates)  # the walk switched mid-circuit
 
 
-def test_over_cap_width_falls_back_to_matrix_units(monkeypatch):
-    # widest point 4 live wires + 2 inputs = 6 > log2(32)
+def _choi_under_cap_32(c):
+    """choi_of(c) with DIM_CAP = 32, checking that every density walk holds
+    at most DIM_CAP^2 entries per buffer at its widest point and that the
+    Kraus stack never exceeds 2 * DIM_CAP^2 entries; returns (J, walks)
+    with walks the (batch, gates) of each density walk."""
+    walks, run_gates, step = [], simulate_mod._run_gates, simulate_mod._kraus_step
+
+    def walk(t, gates, live):
+        widest = max(itertools.accumulate(
+            ((g.kind == "ancilla") - (g.kind == "trace") for g in gates), initial=live))
+        assert 4**widest * t.shape[-1] <= 32**2
+        walks.append((t.shape[-1], gates))
+        return run_gates(t, gates, live)
+
+    def kraus_step(k, g, live):
+        out = step(k, g, live)
+        assert out[0].size <= 2 * 32**2
+        return out
+
+    with mock.patch.object(linalg, "DIM_CAP", 32), \
+            mock.patch.object(simulate_mod, "_run_gates", walk), \
+            mock.patch.object(simulate_mod, "_kraus_step", kraus_step):
+        return choi_of(c).choi, walks
+
+
+def test_over_cap_width_walks_the_fold_one_block_at_a_time():
+    # two inputs on three live wires: the sixth decohere takes r to 64 > D = 32,
+    # and the rest of the circuit reaches four live wires, 4 + 2 > log2(32)
     rng = np.random.default_rng(13)
-    gates = [ancilla_gate(), ancilla_gate(),
-             unitary_gate(random_unitary(rng, 8), (0, 2, 3)), decohere_gate(3),
-             unitary_gate(random_unitary(rng, 4), (1, 3)), trace_gate(3), trace_gate(0)]
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    gates = [ancilla_gate()]
+    for step in range(6):
+        gates += [u(0, 1, 2), decohere_gate(step % 3)]
+    gates += [ancilla_gate(), u(3, 0, 2), decohere_gate(3), u(1, 3), trace_gate(3), u(2, 0)]
     c = Circuit("wide", 2, gates)
-    walked = choi_of(c).choi
-    walks = _spy(monkeypatch, "_run_gates")
-    schedules = _spy(monkeypatch, "schedule")
-    monkeypatch.setattr(linalg, "DIM_CAP", 32)
-    ch = choi_of(c)
-    assert len(walks) == 4 * 5 // 2  # one per matrix unit |i><j|, j >= i
-    assert len(schedules) == 1  # once per circuit, not once per matrix unit
-    assert np.abs(ch.choi - walked).max() < 1e-12
+    choi, walks = _choi_under_cap_32(c)
+    assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
+    # one walk per block |i><j|, i <= j, each of the gates after the fold
+    assert [b for b, _ in walks] == [1] * (4 * 5 // 2)
+    assert all(len(g) == 6 for _, g in walks)
+
+
+def test_stack_folds_before_doubling_past_twice_the_cap_squared():
+    # two inputs on four live wires (D = 64): at r = 32 the stack holds
+    # 2048 = 2 * 32^2 entries, so the stack folds before the sixth decohere, with r < D
+    rng = np.random.default_rng(21)
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    gates = [ancilla_gate(), ancilla_gate()]
+    for step in range(7):
+        gates += [u(step % 4, (step + 1) % 4, (step + 2) % 4), decohere_gate(step % 4)]
+    gates += [u(3, 1), trace_gate(0), u(2, 0)]
+    c = Circuit("guard", 2, gates)
+    choi, walks = _choi_under_cap_32(c)
+    assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
+    assert len(walks) == 10
+    assert all(len(g) == 6 and g[0].kind == "decohere" for _, g in walks)
+
+
+@st.composite
+def _over_cap_circuits(draw):
+    """Circuits whose widest point plus n_in exceeds 5 wires, the limit
+    under DIM_CAP = 32, with a Choi matrix inside it: ancillas up to the
+    widest point, then traces down to 5 - n_in live wires, with drawn
+    steps (a unitary, then a decohere of one of its wires) between them.
+    Each decohere can double the Kraus stack, so most of them fold it."""
+    n_in = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates, live = [], n_in
+
+    def steps(most):
+        for _ in range(draw(st.integers(0, most))):
+            wires = draw(st.lists(st.integers(0, live - 1), min_size=1,
+                                  max_size=min(3, live), unique=True))
+            gates.extend([unitary_gate(random_unitary(rng, 2 ** len(wires)), wires),
+                          decohere_gate(draw(st.sampled_from(wires)))])
+
+    for _ in range(draw(st.integers(6 - 2 * n_in, 5 - n_in))):
+        gates.append(ancilla_gate())
+        live += 1
+        steps(3)
+    steps(10)
+    while live > 5 - n_in:
+        gates.append(trace_gate(draw(st.integers(0, live - 1))))
+        live -= 1
+        steps(2)
+    return Circuit("over", n_in, gates)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_over_cap_circuits())
+def test_over_cap_walk_matches_oracle_property(c):
+    assert max(replay_liveness(c)) + c.n_in > 5
+    choi, _ = _choi_under_cap_32(c)
+    assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
 
 
 def test_simulate_refuses_width_before_walking(monkeypatch):
@@ -342,7 +424,7 @@ def test_simulate_refuses_width_before_walking(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(small_circuits())
 def test_kraus_walk_matches_matrix_units_property(c):
-    assert np.abs(choi_of(c).choi - _matrix_unit_reference(c)).max() < 1e-12
+    assert np.abs(choi_of(c).choi - _oracle_choi(c)).max() < 1e-12
 
 
 def _random_operator(rng, side):
@@ -410,8 +492,8 @@ def _decohere_heavy_circuits(draw):
         else:
             wires = draw(st.lists(st.integers(0, live - 1), min_size=1,
                                   max_size=min(3, live), unique=True))
-            gates += [unitary_gate(random_unitary(rng, 2 ** len(wires)), wires),
-                      decohere_gate(draw(st.sampled_from(wires)))]
+            gates.extend([unitary_gate(random_unitary(rng, 2 ** len(wires)), wires),
+                          decohere_gate(draw(st.sampled_from(wires)))])
     return Circuit("heavy", n_in, gates)
 
 
