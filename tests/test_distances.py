@@ -75,6 +75,16 @@ def test_fidelity_symmetry():
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-9
 
 
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_fidelity_of_pure_states_is_their_overlap(d):
+    # a rounding eigenvalue of sqrt(rho) xi sqrt(rho) once added about 1e-8
+    rng = np.random.default_rng(40 + d)
+    for _ in range(50):
+        a, b = random_state(rng, d), random_state(rng, d)
+        got = fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        assert abs(got - abs(np.vdot(a, b))) < 1e-13
+
+
 def test_fidelity_via_purification_trivial():
     psi = random_state(np.random.default_rng(3), 4)
     assert abs(fidelity_via_purification(psi, psi, (2, 2)) - 1.0) < 1e-12

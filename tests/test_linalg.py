@@ -304,6 +304,58 @@ def test_number_lists_read_like_percent_17g_per_value(seed):
     )
 
 
+def _formatter_edge_values() -> list[float]:
+    """Values where a vectorized %.17g would go wrong first, both signs,
+    shuffled so that every chunk mixes them."""
+    rng = np.random.default_rng(60)
+    # exact ties at the 17th digit: x * 10 or x * 100 ends in .5
+    quarters = (2 * rng.integers(2 * 10**15, 9 * 10**15 // 2, 300) + 1) / 4  # [1e15, 2.25e15)
+    eighths = (2 * rng.integers(4 * 10**14, 4 * 10**15, 300) + 1) / 8  # [1e14, 1e15)
+    tens = np.array([10.0**k for k in range(-323, 309)] + [float(f"1e{k}") for k in range(-323, 309)])
+    tens = tens[(tens > 0) & np.isfinite(tens)]
+    carries = [9.9999999999999999e16] + [float(f"9.99999999999999999e{k}") for k in range(-300, 300, 7)]
+    edges = np.array([1e-250, 1e250, 2.2250738585072014e-308])
+    subnormal = rng.integers(1, 2**52, 100).view(np.float64)
+    xs = np.concatenate([
+        quarters, eighths, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        carries, edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        subnormal, [5e-324, 0.0],
+    ])
+    assert (quarters >= 1e15).all() and (quarters < 2.25e15).all() and (quarters % 0.5 == 0.25).all()
+    assert (eighths >= 1e14).all() and (eighths < 1e15).all() and (eighths % 0.25 != 0).all()
+    xs = np.concatenate([xs, -xs])
+    return xs[rng.permutation(len(xs))].tolist()
+
+
+FORMATTER_EDGES = _formatter_edge_values()
+
+
+@pytest.mark.parametrize("n", [
+    jsonutil.VECTOR_MIN - 1, jsonutil.VECTOR_MIN, jsonutil.VECTOR_MIN + 1,
+    jsonutil.CHUNK - 1, jsonutil.CHUNK, jsonutil.CHUNK + 1, len(FORMATTER_EDGES),
+])
+def test_formatter_edge_values_read_like_percent_17g(n):
+    assert len(FORMATTER_EDGES) > 2 * jsonutil.CHUNK
+    xs = FORMATTER_EDGES[:n]
+    assert "".join(jsonutil.format_floats(np.array(xs))) == ",".join("%.17g" % x for x in xs)
+    pairs = xs[: n // 2 * 2]  # the two-field templates take whole items, either side of the cutoff
+    items = list(zip(pairs[0::2], pairs[1::2]))
+    assert "".join(jsonutil.format_floats(np.array(pairs), "[%.17g,%.17g]")) == ",".join(
+        "[%.17g,%.17g]" % item for item in items
+    )
+    assert "".join(jsonutil.format_floats(np.array(pairs), "%.17g,%.17g", " ")) == " ".join(
+        "%.17g,%.17g" % item for item in items
+    )
+    assert dumps(np.array(pairs).view(np.complex128)) == "[" + ",".join(
+        "[%.17g,%.17g]" % item for item in items
+    ) + "]"
+    # literals so long that one chunk of text is more than PIECE characters
+    item, sep = "<" + "x" * 60 + "%.17g>", " | "
+    pieces = jsonutil.format_floats(np.array(xs), item, sep)
+    assert "".join(pieces) == sep.join(item % x for x in xs)
+    assert all(piece.startswith(sep) for piece in pieces[1:])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_number_lists_refuse_non_finite(bad):
     objs = (
@@ -315,8 +367,9 @@ def test_number_lists_refuse_non_finite(bad):
     for obj in objs:
         with pytest.raises(ValueError, match="non-finite"):
             dumps(obj)
-    # the first non-finite value is the one named
+    # the first non-finite value is the one named, past the cutoff and the first chunk
     values = np.zeros(3 * jsonutil.CHUNK)
+    assert len(values) >= jsonutil.VECTOR_MIN
     values[[jsonutil.CHUNK + 5, -1]] = [bad, float("inf") if bad != bad else float("nan")]
     with pytest.raises(ValueError, match=f"non-finite float {bad!r} "):
         jsonutil.format_floats(values)
