@@ -65,7 +65,7 @@ is Watrous's rho <- tr_out M_+ / tr M_+.  On the support of rho,
 Y = 2 Z - J for his dual point Z = (I (x) s^+) M_+ (I (x) s^+), and
 diag(Y + J, Y - J) >= 0 is his pair of constraints Z >= 0, Z >= J.  The
 bound is also at most 2, the norm of any difference of channels.  The
-polish is a seesaw run started from the ascent's psi:
+polish is a seesaw run started from the ascent's psi = vec(X):
 
     (a) Delta <- (Phi_0 (x) I - Phi_1 (x) I)(psi psi^dagger)
     (b) M     <- projector onto the strictly positive eigenspace of Delta
@@ -73,10 +73,11 @@ polish is a seesaw run started from the ascent's psi:
     (d) psi   <- top eigenvector of (K + K^dagger)/2
 
 Both half-steps exactly maximize the objective 2 tr(M Delta) in their own
-block, so the objective is monotone nondecreasing.  Steps (a) and (c) are
-each one contraction with J_0 - J_1; the reported value is recomputed
-from the two channels at the returned psi = vec(X), each output as the
-sandwich (I (x) X^T) J_i (I (x) conj(X)) of its Choi matrix.
+block, so the objective is monotone nondecreasing.  Steps (a) and (b) are
+the code that reports the value at the returned psi: each output is the
+sandwich (I (x) X^T) J_i (I (x) conj(X)) of its Choi matrix, and M comes
+from (I (x) X^T) F where J is factored.  Step (c) is the adjoint action
+of the map whose Choi matrix is J_0 - J_1.
 
 Maximum image fidelity.  With Kraus operators A_k of Q_0 and B_l of Q_1,
 padded with zero operators to one environment E of size r, J is the Choi
@@ -111,8 +112,7 @@ from .dilation import dilated_isometry
 from .simulate import (
     Channel,
     InternalConsistencyError,
-    _contract,
-    _kernel,
+    adjoint_apply_ext,
     choi_of,
     kraus_of,
     require_density,
@@ -165,8 +165,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:  # NaN too: it would stop no polish early
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 @dataclass(eq=False)
@@ -281,34 +281,40 @@ def _projector_value(delta: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, f
     return m, float(2 * np.vdot(delta, m).real - np.trace(delta).real)
 
 
-def _difference_kernels(ch0: Channel, ch1: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """``_contract`` kernels of Phi_0 - Phi_1 and its adjoint: both actions
-    are linear in J, so one contraction with J0 - J1 replaces two."""
-    j = ch0.choi - ch1.choi
-    return _kernel(j, ch0.dim_in, ch0.dim_out), _kernel(j, ch0.dim_in, ch0.dim_out, adjoint=True)
+def _witness_at(ch0: Channel, ch1: Channel, j, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, value) at psi = vec(x): the Helstrom measurement of the channels'
+    outputs and 2 tr(M Delta) - tr Delta, Delta taken from the two channels
+    (``_output_of``).  On a ``_Factored`` J, M comes from the eigenpairs of
+    (I (x) x^T) F, which factors Delta as F factors J, up to J's residual."""
+    delta = _output_of(ch0, x) - _output_of(ch1, x)
+    delta = (delta + dag(delta)) / 2
+    if isinstance(j, _Factored):
+        w, v = range_spectral(_on_input(x.T, j.f), j.signs)
+        return _projector_value(delta, v[:, w > TOL_PSD])
+    return helstrom(delta)
 
 
-def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel_tol: float):
-    """One seesaw run from the unit vector ``psi``; returns (value, psi,
-    measurement, converged, history).
+def _seesaw(ch0: Channel, ch1: Channel, j, x: np.ndarray, max_iters: int, rel_tol: float):
+    """One seesaw run from psi = vec(x), x of shape (d_in, ref) and unit
+    norm; returns (value, x, converged, history).
 
-    ``value`` is the Helstrom value at the returned ``psi``, whose
-    measurement is ``measurement``; it can sit up to ``slack`` below
-    ``max(history)``.
+    ``value`` is the Helstrom value at the returned ``x``, ``history[-1]``
+    bit for bit, as ``_witness_at`` computes both; it can sit up to
+    ``slack`` below ``max(history)``.
     """
-    # helstrom leaves eigenvalues within TOL_PSD of zero out of M, and each
-    # lowers 2 tr(M Delta) - tr Delta by up to 2 TOL_PSD: on Delta of this
-    # side, a drop of up to 2 side TOL_PSD is rounding, not a fault of the
-    # channel algebra
-    slack = 2 * forward.shape[0] * ref_dim * TOL_PSD
+    din, ref_dim = x.shape
+    difference = Channel(ch0.n_in, ch0.n_out, ch0.choi - ch1.choi)
+    # the measurement leaves eigenvalues within TOL_PSD of zero out of M, and
+    # each lowers 2 tr(M Delta) - tr Delta by up to 2 TOL_PSD: on Delta of
+    # this side, a drop of up to 2 side TOL_PSD is rounding, not a fault of
+    # the channel algebra
+    slack = 2 * ch0.dim_out * ref_dim * TOL_PSD
     prev = -np.inf
     converged = False
     history: list[float] = []
     for _ in range(max_iters):  # OptimizerConfig guarantees max_iters >= 1
-        evaluated = psi
-        delta = _contract(forward, np.outer(psi, psi.conj()), ref_dim)
-        delta = (delta + dag(delta)) / 2
-        m, value = helstrom(delta)
+        evaluated = x
+        m, value = _witness_at(ch0, ch1, j, x)
         history.append(value)
         if value < prev - slack:
             raise InternalConsistencyError(
@@ -318,11 +324,10 @@ def _seesaw(forward, adjoint, ref_dim: int, psi: np.ndarray, max_iters: int, rel
             converged = True
             break
         prev = value
-        k = _contract(adjoint, m, ref_dim)
-        k = (k + dag(k)) / 2
-        _, vecs = spectral(k)
-        psi = vecs[:, 0]
-    return history[-1], evaluated, m, converged, history
+        k = adjoint_apply_ext(difference, m, ref_dim)
+        _, vecs = spectral((k + dag(k)) / 2)
+        x = vecs[:, 0].reshape(din, ref_dim)
+    return history[-1], evaluated, converged, history
 
 
 def _on_input(s: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -574,23 +579,13 @@ def diamond_norm(
     x = np.zeros((din, ref_dim), dtype=np.complex128)
     x[:, :din] = _root_and_inverse(rho)[0].T
     if upper - lower > GAP_TOL:
-        value, polished, _, _, history = _seesaw(
-            *_difference_kernels(ch0, ch1), ref_dim, x.reshape(-1), cfg.max_iters, cfg.rel_tol
-        )
+        value, polished, _, history = _seesaw(ch0, ch1, j, x, cfg.max_iters, cfg.rel_tol)
         iterations += len(history)
         if value > lower:
-            x = polished.reshape(din, ref_dim)
+            x = polished
         # psi = vec(x) stands for rho = (x x^dagger)^T
         upper = min(upper, _mixed_upper(j, ((x @ dag(x)).T,)))
-    # the reported value comes from the two channels at the returned psi
-    delta = _output_of(ch0, x) - _output_of(ch1, x)
-    delta = (delta + dag(delta)) / 2
-    if isinstance(j, _Factored):
-        # (I (x) x^T) F factors delta as F factors J, up to J's residual
-        w, v = range_spectral(_on_input(x.T, j.f), j.signs)
-        measurement, value = _projector_value(delta, v[:, w > TOL_PSD])
-    else:
-        measurement, value = helstrom(delta)
+    measurement, value = _witness_at(ch0, ch1, j, x)
     return DiamondWitness(value, min(upper, 2.0), iterations, x.reshape(-1), measurement)
 
 

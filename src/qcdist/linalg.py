@@ -20,8 +20,6 @@ import numpy as np
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
-TOL_NORM = 1e-9
-TOL_RECON = 1e-10
 
 #: Hard cap on any matrix side, and the only one: ``check_cap`` and
 #: ``check_wires`` read it when called.  Exceeding it raises SizeCapError,

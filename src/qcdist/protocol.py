@@ -88,8 +88,7 @@ def optimal_prover(q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None)
     projector for the two possible outputs, attaining acceptance
     1/2 + 1/4 ||Q0 - Q1||_diamond.
     """
-    witness = optimal_prover_witness(q0, q1, cfg)[1]
-    return ProverStrategy(psi=witness.psi, measurement=witness.measurement)
+    return optimal_prover_witness(q0, q1, cfg)[0]
 
 
 def optimal_prover_witness(

@@ -6,8 +6,9 @@ the output factor first and no normalization, so a trace-preserving map has
 tr_out J = I_in and an admissible map has J >= 0.  A ``Channel`` is its Choi
 matrix and nothing else.  Its action with a reference system,
 (Phi (x) I)(X), and the adjoint action are one matmul each against J with
-its axes permuted (``_contract``); Kraus operators are recovered from
-scaled Choi eigenvectors only on request (``kraus_of``).
+its axes permuted, ``channel_apply_ext`` and ``adjoint_apply_ext``, the
+only users of that matmul (``_contract``); Kraus operators are recovered
+from scaled Choi eigenvectors only on request (``kraus_of``).
 
 Every walk runs the circuit in its narrowest equivalent schedule
 (``circuits.schedule``): each ancilla just before its wire's first gate,
@@ -426,21 +427,16 @@ def _contract(j4: np.ndarray, x, ref_dim: int) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(dout * ref_dim, dout * ref_dim)
 
 
-def _kernel(choi: np.ndarray, dim_in: int, dim_out: int, adjoint: bool = False) -> np.ndarray:
-    """``_contract`` kernel of the map with Choi matrix ``choi`` (any, not only
-    a channel's), or of its adjoint: conj(J) with input and output swapped."""
-    j4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
-    return j4.conj().transpose(1, 0, 3, 2) if adjoint else j4
-
-
 def channel_apply_ext(ch: Channel, x, ref_dim: int) -> np.ndarray:
     """(Phi (x) I_ref)(x) for any operator x on input (x) reference."""
-    return _contract(_kernel(ch.choi, ch.dim_in, ch.dim_out), x, ref_dim)
+    return _contract(ch.choi.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in), x, ref_dim)
 
 
 def adjoint_apply_ext(ch: Channel, m, ref_dim: int) -> np.ndarray:
-    """(Phi^dagger (x) I_ref)(M) for any operator M on output (x) reference."""
-    return _contract(_kernel(ch.choi, ch.dim_in, ch.dim_out, adjoint=True), m, ref_dim)
+    """(Phi^dagger (x) I_ref)(M) for any operator M on output (x) reference:
+    the kernel is conj(J) with input and output swapped."""
+    j4 = ch.choi.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return _contract(j4.conj().transpose(1, 0, 3, 2), m, ref_dim)
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
@@ -461,7 +457,8 @@ def channel_mix(channels, weights) -> Channel:
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
         raise ValueError("need equally many channels and weights")
-    if abs(sum(weights) - 1.0) > TOL_TRACE or any(w < 0 for w in weights):
+    # NaN fails 0 <= w, and would pass both w < 0 and the sum test
+    if any(not 0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > TOL_TRACE:
         raise ValueError(f"weights must be a distribution, got {weights}")
     n_in, n_out = channels[0].n_in, channels[0].n_out
     if any(ch.n_in != n_in or ch.n_out != n_out for ch in channels):

@@ -390,6 +390,19 @@ def test_protocol_bad_trials_exit_2_before_seesaw(workdir, capsys, monkeypatch, 
     assert captured.err.startswith("error: trials must be >= 1")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+@pytest.mark.parametrize("command", ["dnorm", "maxfid", "protocol"])
+def test_bad_tolerance_exits_2_printing_nothing(workdir, capsys, command, tol):
+    inst = str(workdir / "inst.json")
+    argv = ["protocol", inst] if command == "protocol" else ["distance", command, inst]
+    code = main(argv + [f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: rel_tol must be positive and finite")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "entries",
     ["[1, 0, 0, 0]", "[[1, 0, 0], [0, 0], [0, 0], [0, 0]]", "[[1, null], [0, 0], [0, 0], [0, 0]]"],

@@ -9,7 +9,6 @@ from qcdist.distances import (
     _ascent,
     _block_upper,
     _cross_terms,
-    _difference_kernels,
     _output_of,
     _seesaw,
     _traced_out,
@@ -23,7 +22,7 @@ from qcdist.distances import (
 )
 from qcdist.linalg import TOL_PSD, SizeCapError, partial_trace
 from qcdist.reductions import PolarizationParams, ci_to_qcd, parity_mix, polarize, tensor_power
-from qcdist.simulate import _contract, adjoint_apply_ext, channel_apply_ext, choi_of, kraus_of
+from qcdist.simulate import Channel, adjoint_apply_ext, channel_apply_ext, choi_of, kraus_of
 
 from helpers import (
     constant_circuit,
@@ -35,11 +34,12 @@ from helpers import (
     random_11_circuit,
     random_circuit,
     random_density,
+    random_hermitian,
     random_state,
     random_unitary,
     z_circuit,
 )
-from oracles import grid_max_output_tnorm, tnorm_from_eigs
+from oracles import _apply_ext_batch, grid_max_output_tnorm, tnorm_from_eigs
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -216,11 +216,18 @@ def test_diamond_norm_against_grid_oracle():
         assert w.upper >= grid_value
 
 
+def _difference_factors(ch0, ch1):
+    """J0 - J1 as ``diamond_norm`` holds it: stacked factors, or dense."""
+    j = distances._stacked_factors(ch0.choi, ch1.choi)
+    return ch0.choi - ch1.choi if j is None else j
+
+
 def test_seesaw_monotone_objective():
     ch0 = choi_of(identity_circuit())
     ch1 = choi_of(depolarizing_circuit())
-    psi = random_state(np.random.default_rng(6), 4)
-    value, _, _, converged, history = _seesaw(*_difference_kernels(ch0, ch1), 2, psi, 500, 1e-10)
+    x = random_state(np.random.default_rng(6), 4).reshape(2, 2)
+    j = _difference_factors(ch0, ch1)
+    value, _, converged, history = _seesaw(ch0, ch1, j, x, 500, 1e-10)
     assert converged
     diffs = np.diff(history)
     assert diffs.min() >= -1e-12
@@ -234,17 +241,19 @@ def test_seesaw_rounding_drop_is_not_a_fault(seed):
     rng = np.random.default_rng(seed)
     ch0, ch1 = choi_of(random_11_circuit(rng, "a")), choi_of(random_11_circuit(rng, "b"))
     upper = diamond_norm(ch0, ch1).upper
-    kernels = _difference_kernels(ch0, ch1)
-    for j in range(32):
-        psi = random_state(np.random.default_rng(j), 4)
-        value, _, _, converged, history = _seesaw(*kernels, 2, psi, 500, 1e-10)
+    j = _difference_factors(ch0, ch1)
+    for k in range(32):
+        x = random_state(np.random.default_rng(k), 4).reshape(2, 2)
+        value, _, converged, history = _seesaw(ch0, ch1, j, x, 500, 1e-10)
         assert converged
         assert np.diff(history).min() >= -2 * 4 * TOL_PSD
         assert value <= upper + 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_difference_kernels_match_four_contractions(seed):
+def test_seesaw_adjoint_step_pairs_with_the_output_difference(seed):
+    # step (c): vec(x)^dagger [(Phi0 - Phi1)^dagger (x) I](M) vec(x) = tr(M Delta(x))
+    # for any x and Hermitian M, Delta from the Kraus-sum oracle
     rng = np.random.default_rng(300 + seed)
     n_in = int(rng.integers(1, 3))
     c0 = random_circuit(rng, n_in, 6, max_live=3)
@@ -252,17 +261,36 @@ def test_difference_kernels_match_four_contractions(seed):
     while c1.n_out != c0.n_out:
         c1 = random_circuit(rng, n_in, 6, max_live=3)
     ch0, ch1 = choi_of(c0), choi_of(c1)
-    forward, adjoint = _difference_kernels(ch0, ch1)
-    ref_dim = 2**n_in
-    psi = random_state(rng, ch0.dim_in * ref_dim)
-    rho = np.outer(psi, psi.conj())
-    delta = _contract(forward, rho, ref_dim)
-    expect = channel_apply_ext(ch0, rho, ref_dim) - channel_apply_ext(ch1, rho, ref_dim)
-    assert np.abs(delta - expect).max() < 1e-12
-    m, _ = helstrom((delta + delta.conj().T) / 2)
-    k = _contract(adjoint, m, ref_dim)
-    expect = adjoint_apply_ext(ch0, m, ref_dim) - adjoint_apply_ext(ch1, m, ref_dim)
-    assert np.abs(k - expect).max() < 1e-12
+    difference = Channel(ch0.n_in, ch0.n_out, ch0.choi - ch1.choi)
+    for ref_dim in (ch0.dim_in, 2 * ch0.dim_in):
+        psi = random_state(rng, ch0.dim_in * ref_dim)
+        m = random_hermitian(rng, ch0.dim_out * ref_dim)
+        k = adjoint_apply_ext(difference, m, ref_dim)
+        delta = (_apply_ext_batch(kraus_of(ch0), psi, ch0.dim_in, ref_dim)[0]
+                 - _apply_ext_batch(kraus_of(ch1), psi, ch0.dim_in, ref_dim)[0])
+        assert abs(np.vdot(psi, k @ psi) - np.trace(m @ delta)) < 1e-12
+
+
+def test_seesaw_history_ends_at_the_reported_value(monkeypatch):
+    # the seesaw and the report share _witness_at, so a kept iterate's value
+    # is its last history entry bit for bit
+    runs = []
+
+    def record(*args):
+        out = _seesaw(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(distances, "_seesaw", record)
+    kept = 0
+    for index in (11, 12):  # of the 20 criterion-5 pairs, the seesaw runs on these
+        runs.clear()
+        w = diamond_norm(*_criterion_5_pair(index), CFG)
+        for value, x, _, history in runs:
+            if np.array_equal(x.reshape(-1), w.psi):
+                assert w.value == history[-1] == value
+                kept += 1
+    assert kept == 2
 
 
 def test_reference_dimension_stability():
@@ -553,8 +581,9 @@ def test_witness_json_shape():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(rel_tol=0.0)
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            OptimizerConfig(rel_tol=tol)
 
 
 def _refuse(*args, **kwargs):

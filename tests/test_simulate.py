@@ -136,6 +136,10 @@ def test_mixture_of_identity_and_z_acts_like_decohere():
     assert np.abs(channel_apply_ext(mix, rho, 1) - expect).max() < 1e-12
     rebuilt = sum(a @ rho @ a.conj().T for a in kraus_of(mix))
     assert np.abs(rebuilt - expect).max() < 1e-12
+    # NaN passes both the sum test and w < 0; a non-finite weight is refused
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, 0.6], [-0.5, 1.5]):
+        with pytest.raises(ValueError, match="distribution"):
+            channel_mix([ch_i, ch_z], bad)
 
 
 def test_kraus_rejects_negative_choi():
