@@ -34,7 +34,8 @@ diag(Y + J, Y - J), two eigenproblems of half its side.
 The one-state path runs on the range of J.  Where J = J_0 - J_1 with PSD
 J_i, as for the diamond norm, pivoted Cholesky factors J_i ~ L_i L_i^dagger
 give J = F S F^dagger + E with F = [L_0, L_1], S = diag(+-1) and ||E||_F
-bounded by the factors' residuals, found once.  Every spectral step then
+bounded by the factors' residuals.  They are the channels' own, formed
+once per Choi matrix when ``choi_of`` certifies it.  Every spectral step then
 decomposes a small core instead of a matrix of J's side:
   - K: a thin QR of (I (x) s) F and the eigendecomposition of its core;
   - T, the polar factor and Y stay thin: Y = A D^dagger, each factor with
@@ -101,7 +102,6 @@ from .linalg import (
     as_state,
     dag,
     partial_trace,
-    psd_factor,
     psd_sqrt,
     range_spectral,
     singular_values,
@@ -375,20 +375,20 @@ class _Factored:
     residual: float
 
 
-def _stacked_factors(a0: np.ndarray, a1: np.ndarray) -> _Factored | None:
-    """a0 - a1 = F diag(signs) F^dagger + E for PSD a_i, as ``_Factored``.
+def _stacked_factors(ch0: Channel, ch1: Channel) -> _Factored | None:
+    """J0 - J1 = F diag(signs) F^dagger + E for the channels' Choi matrices,
+    as ``_Factored``.
 
-    F = [L0, L1] stacks the pivoted factors of a0 and a1 (``psd_factor``),
-    with sign +1 on L0's columns and -1 on L1's, and the residual, the sum
-    of theirs, bounds ||E||_F, so also the distance from the Hermitian part
-    of a0 - a1.  Where F would have half as many columns as the side or
-    more, there is nothing to gain from its range, and the result is None:
-    the basis is the identity, and the callers run on a0 - a1 itself.
+    F = [L0, L1] stacks the channels' pivoted factors (``Channel.factor``,
+    formed once per channel), with sign +1 on L0's columns and -1 on L1's,
+    and the residual, the sum of theirs, bounds ||E||_F, so also the
+    distance from the Hermitian part of J0 - J1.  Where F would have half
+    as many columns as the side or more, there is nothing to gain from its
+    range, and the result is None: the basis is the identity, and the
+    callers run on J0 - J1 itself.
     """
-    half = a0.shape[0] // 2
-    l0, res0 = psd_factor(a0, half)
-    l1, res1 = psd_factor(a1, half - l0.shape[1])
-    if l0.shape[1] + l1.shape[1] >= half:
+    (l0, res0), (l1, res1) = ch0.factor, ch1.factor
+    if l0.shape[1] + l1.shape[1] >= ch0.choi.shape[0] // 2:
         return None
     signs = np.repeat([1.0, -1.0], [l0.shape[1], l1.shape[1]])
     return _Factored(np.hstack([l0, l1]), signs, res0 + res1)
@@ -570,7 +570,7 @@ def diamond_norm(
     ref_dim = 2**ref_qubits
     linalg.check_cap(din * ref_dim, context="diamond-norm input")
     linalg.check_cap(dout * ref_dim, context="diamond-norm output")
-    j = _stacked_factors(ch0.choi, ch1.choi)
+    j = _stacked_factors(ch0, ch1)
     if j is None:
         j = ch0.choi - ch1.choi
         j = (j + dag(j)) / 2

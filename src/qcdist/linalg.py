@@ -154,10 +154,13 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
     once none exceeds side * eps_mach * max(diag a): below that the
     diagonal is rounding.  So the column count is the rank the
     factorization observes, and costs side * rank^2 to reach; a caller
-    that has no use for more than ``max_rank`` columns stops there, and the
-    residual then says what is left.  The residual is the computed norm of
-    a - l l^dagger plus (side + 2 rank) eps_mach (||l||_F^2 + that norm)
-    for the rounding of forming it.  ``a`` is read as Hermitian, its
+    that has no use for more than ``max_rank`` columns stops there.  If
+    that cuts the factor, with diagonal entries above the stop left, the
+    residual is inf, and the side^2 * rank product that would measure it
+    is skipped: every caller that passes ``max_rank`` reads a cut factor
+    as "not thin" and no further.  Otherwise the residual is the computed
+    norm of a - l l^dagger plus (side + 2 rank) eps_mach (||l||_F^2 + that
+    norm) for the rounding of forming it.  ``a`` is read as Hermitian, its
     column p as conj(a[p]), so an anti-Hermitian part of ``a`` shows in the
     residual, and so does a negative eigenvalue: no l l^dagger comes close
     to a matrix that is not PSD.
@@ -168,28 +171,32 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
     d = a.diagonal().real.copy()
     stop = n * eps * max(float(d.max(initial=0.0)), 0.0)
     rows = np.empty((min(n, 16), n), dtype=np.complex128)  # row k holds column k of l
-    pivots: list[int] = []
+    pivots = np.empty(n, dtype=np.intp)  # an array: indexing by a list converts it each time
+    rank = 0
     for k in range(n if max_rank is None else min(n, max_rank)):
         p = int(np.argmax(d))
         if d[p] <= stop:
             break
         if k == len(rows):
             rows = np.concatenate([rows, np.empty_like(rows)])[:n]
-        # column p of the Schur complement; a is Hermitian, so its column p is conj(a[p])
-        col = a[p].conj() - rows[:k, p].conj() @ rows[:k]
+        # column p of the Schur complement, formed in its row of ``rows``;
+        # a is Hermitian, so its column p is conj(a[p])
+        col = np.conjugate(a[p], out=rows[k])
+        col -= rows[:k, p].conj() @ rows[:k]
         col /= np.sqrt(d[p])
-        col[pivots] = 0.0  # exact zeros above the diagonal of the pivoted factor
+        col[pivots[:k]] = 0.0  # exact zeros above the diagonal of the pivoted factor
         col[p] = np.sqrt(d[p])
         d -= col.real**2 + col.imag**2
         d[p] = 0.0  # earlier pivots stay at 0: col is exactly 0 there
-        rows[k] = col
-        pivots.append(p)
-    l = rows[: len(pivots)].T
+        pivots[k], rank = p, k + 1
+    l = rows[:rank].T
+    if d.max(initial=0.0) > stop:  # cut at max_rank: what is left is not measured
+        return l, math.inf
     gap = l @ dag(l)
     gap -= a  # in place: a fresh side^2 array for a - l l^dagger measured 2.5x slower at side 256
     fro = float(np.linalg.norm(gap))
     fro2 = float(np.vdot(l, l).real)
-    return l, fro + (n + 2 * len(pivots)) * eps * (fro + fro2)
+    return l, fro + (n + 2 * rank) * eps * (fro + fro2)
 
 
 def range_spectral(f: np.ndarray, signs=None) -> tuple[np.ndarray, np.ndarray]:

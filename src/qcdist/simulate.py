@@ -34,6 +34,17 @@ DIM_CAP, and neither can bind on a circuit whose widest point plus n_in
 fits the cap.  A walk that would exceed the cap is refused by arithmetic
 on the ``replay_liveness`` counts before it starts.
 
+The walk returns J exactly Hermitian: the fold's i > j blocks are exact
+adjoints, and its diagonal blocks, like an unfolded stack's product, are
+replaced by their Hermitian parts.  So no Hermiticity is checked on it;
+``channel_from_choi`` checks a matrix given from outside.  Complete
+positivity is certified once per Choi matrix: by the channel's pivoted
+Cholesky factor where it stops within half of J's side in columns and
+its residual is within TOL_CHANNEL, and by a Cholesky factor of
+J + TOL_CHANNEL * I otherwise (``_check_channel``).  The factor stays on the Channel
+(``Channel.factor``), so ``kraus_of`` and the diamond norm do not factor
+J again.
+
 The density walk (``_run_gates``, also behind ``simulate``) holds a batch
 of B operators on the live wires as one [2] * (2 * live) + [B] tensor,
 rows, then columns, then the batch axis, from the first gate to the last:
@@ -47,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,7 +205,10 @@ def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Channel:
-    """Concrete superoperator on qubits, held as its Choi matrix."""
+    """Concrete superoperator on qubits, held as its Choi matrix.
+
+    No code writes to ``choi`` once the Channel exists, so its factor is
+    formed at most once and stays the factor of ``choi``."""
 
     n_in: int
     n_out: int
@@ -207,6 +222,20 @@ class Channel:
     def dim_out(self) -> int:
         return 2**self.n_out
 
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, float]:
+        """``linalg.psd_factor`` of J with at most half its side in columns.
+
+        Where it stops on its own, its residual certifies complete
+        positivity (``_check_channel``); where it is also thin, with fewer
+        columns than that, ``kraus_of`` and the diamond norm decompose on
+        its range.  A factor cut at half the side has an infinite
+        residual, and they all work on J itself instead.
+        """
+        l, residual = linalg.psd_factor(self.choi, self.choi.shape[0] // 2)
+        l.flags.writeable = False  # every reader of the channel gets this one array
+        return l, residual
+
 
 def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
     """sum_k vec(A_k) vec(A_k)^dagger as one matmul over the stacked operators."""
@@ -216,21 +245,18 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
 
 
 def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
-    """Hermiticity, complete positivity and trace preservation of the Choi matrix.
+    """Complete positivity and trace preservation of an exactly Hermitian Choi matrix.
 
-    J^dagger is formed once, and one buffer h holds |J - J^dagger|, then
-    (J + J^dagger) / 2 + tol * I.  J >= -tol holds when h has a Cholesky
-    factor; eigvalsh runs only if not, on h, for the message."""
+    The channel's pivoted factor decides first (``Channel.factor``): its
+    residual r bounds ||J - L L^dagger||_F, and L L^dagger >= 0, so
+    lambda_min(J) >= -r, and r <= tol certifies J >= -tol.  A PSD J whose
+    factor stops within half its side passes there; a factor cut at half
+    the side has r = inf.  Otherwise J >= -tol holds when J + tol * I has
+    a Cholesky factor; eigvalsh runs only if not, on J + tol * I, for the
+    message."""
     problems = []
-    adj = dag(ch.choi)
-    h = ch.choi - adj
-    d = float(np.abs(h, out=h).real.max(initial=0.0))
-    if d > tol:
-        problems.append(f"Choi not Hermitian: defect {d:.3e}")
-    else:
-        np.add(ch.choi, adj, out=h)
-        del adj  # not held while the factor is formed
-        h /= 2
+    if ch.factor[1] > tol:
+        h = ch.choi.copy()
         h.flat[:: h.shape[0] + 1] += tol  # in place: h + tol * I costs another side^2 array
         try:
             np.linalg.cholesky(h)
@@ -246,32 +272,48 @@ def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
 
 
 def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
-    """Build a Channel from a Choi matrix, validating admissibility."""
+    """Build a Channel from a Choi matrix, validating admissibility.
+
+    The one Hermiticity check on a Choi matrix: the program's own are
+    exactly Hermitian (``choi_of``), a given one may not be.  The Channel
+    holds (J + J^dagger) / 2, which ``_check_channel`` then reads."""
     choi = as_matrix(choi)
     d = 2 ** (n_in + n_out)
     if choi.shape != (d, d):
         raise ValueError(f"Choi matrix is {choi.shape}, expected {(d, d)}")
-    ch = Channel(n_in, n_out, choi)
-    problems = _check_channel(ch)
+    defect = herm_defect(choi)
+    ch = Channel(n_in, n_out, (choi + dag(choi)) / 2)
+    problems = [f"Choi not Hermitian: defect {defect:.3e}"] if defect > TOL_CHANNEL else []
+    problems += _check_channel(ch)
     if problems:
         raise ValueError("not an admissible channel: " + "; ".join(problems))
     return ch
 
 
 def _kraus_step(k: np.ndarray, g, live: int) -> tuple[np.ndarray, int]:
-    """One gate on a Kraus stack k of shape (r, 2^live, d_in); returns the
-    new stack and live count.
+    """One gate on a C-contiguous Kraus stack k of shape (r, 2^live, d_in);
+    returns the new stack and live count.
 
-    A unitary acts on the live axes; decohere and trace split every
-    operator in two on the gate's bit and keep the halves that are not
-    exactly zero; ancilla appends a |0> axis.
+    A unitary acts on the live axes, overwriting k: the stack is copied
+    once with the gate's axes first, the matmul by u writes back into k's
+    buffer, and the copy's buffer takes the product back in k's axis
+    order, so the step holds two stack-sized arrays.  Decohere and trace
+    split every operator in two on the gate's bit and keep the halves that
+    are not exactly zero; ancilla appends a |0> axis.
     """
     r, din = k.shape[0], k.shape[2]
     if g.kind == "unitary":
         a, axes = len(g.wires), [1 + w for w in g.wires]
+        # explicit axis orders: two np.moveaxis calls took over half of a step on a small stack
+        order = axes + [x for x in range(live + 2) if x not in axes]
+        back = sorted(range(live + 2), key=order.__getitem__)
         t = k.reshape((r,) + (2,) * live + (din,))
-        t = np.tensordot(g.matrix.reshape([2] * (2 * a)), t, (list(range(a, 2 * a)), axes))
-        return np.moveaxis(t, list(range(a)), axes).reshape(r, 2**live, din), live
+        moved = t.transpose(order).copy()
+        product = k.reshape(moved.shape)
+        np.matmul(g.matrix, moved.reshape(2**a, -1), out=product.reshape(2**a, -1))
+        out = moved.reshape(t.shape)
+        out[...] = product.transpose(back)
+        return out.reshape(r, 2**live, din), live
     if g.kind == "ancilla":
         grown = np.zeros((r, 2**live, 2, din), dtype=np.complex128)
         grown[:, :, 0] = k
@@ -292,10 +334,12 @@ def _kraus_step(k: np.ndarray, g, live: int) -> tuple[np.ndarray, int]:
 def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
     """Choi matrix of ``gates`` run on sum_k vec(K_k) vec(K_k)^dagger.
 
-    The walk carries the din(din+1)/2 blocks at |i><j|, i <= j, and fills
-    in the i > j blocks as their adjoints.  Where those blocks fit one
-    batch of DIM_CAP^2 entries at the widest point of ``gates``, the fold
-    is formed once by a matmul and walked as one batch.  Otherwise each
+    The walk carries the din(din+1)/2 blocks at |i><j|, i <= j, fills in
+    the i > j blocks as their adjoints and keeps the Hermitian part
+    (B + B^dagger) / 2 of each diagonal block B, so J is exactly
+    Hermitian.  Where those blocks fit one batch of DIM_CAP^2 entries at
+    the widest point of ``gates``, the fold is formed once by a matmul and
+    walked as one batch.  Otherwise each
     block is formed from the stack as A_i A_j^dagger, A_i = K[:, :, i]^T of
     shape (2^live, r), and walked alone, so the D x D fold is never held:
     one block fits, since no point is wider than log2(DIM_CAP) wires.
@@ -309,12 +353,16 @@ def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
     if 4 ** max(widths) * len(i) <= linalg.DIM_CAP**2:
         full = _choi_from_kraus(k, n_in, live).reshape(2**live, din, 2**live, din)
         out, _ = _run_gates(full.transpose(0, 2, 1, 3)[:, :, i, j], gates, live)
+        diag = out[:, :, i == j]
+        out[:, :, i == j] = (diag + diag.conj().swapaxes(0, 1)) / 2
         blocks[:, :, j, i] = out.conj().swapaxes(0, 1)
         blocks[:, :, i, j] = out
     else:
         for a, b in zip(i, j):
             block = np.tensordot(k[:, :, a], k[:, :, b].conj(), (0, 0))
             out = _run_gates(block[..., None], gates, live)[0][..., 0]
+            if a == b:
+                out = (out + dag(out)) / 2
             blocks[:, :, b, a] = dag(out)
             blocks[:, :, a, b] = out
     return choi.reshape(2**m * din, 2**m * din)
@@ -331,7 +379,8 @@ def _kraus_walk_choi(c: Circuit) -> np.ndarray:
     ancilla or decohere would double it past 2 * DIM_CAP^2 entries; with
     r <= D that can happen only where D is over the cap.  The switch stays
     at r > D: at the break-even point 2^live * (din + 1) / 2 it measured
-    no faster.
+    no faster.  Either way J is exactly Hermitian: an unfolded stack's
+    matmul is symmetrized here, and ``_fold`` builds its own.
     """
     n = c.n_in
     din = 2**n
@@ -343,7 +392,10 @@ def _kraus_walk_choi(c: Circuit) -> np.ndarray:
         k, live = _kraus_step(k, g, live)
         if k.shape[0] > 2**live * din:
             return _fold(k, c.gates[idx + 1 :], n, live)
-    return _choi_from_kraus(k, n, live)
+    choi = _choi_from_kraus(k, n, live)
+    choi += dag(choi)  # in place: the product is Hermitian only up to rounding
+    choi /= 2
+    return choi
 
 
 def choi_of(c: Circuit) -> Channel:
@@ -352,19 +404,22 @@ def choi_of(c: Circuit) -> Channel:
     One walk of a Kraus stack from the identity, folded into a density walk
     of its upper blocks once the stack outgrows them (module docstring).
     The caps are checked on ``c`` as written, and the walk runs
-    ``schedule(c)``.  The result is checked for complete positivity and
-    trace preservation; a failure beyond tolerance is a simulator bug, not
-    a property of the circuit, and raises InternalConsistencyError.
+    ``schedule(c)``.  The walk returns J exactly Hermitian, so nothing
+    symmetrizes it here and no Hermiticity is checked.  Complete positivity
+    is certified by the channel's pivoted factor, or where that is cut at
+    half the side, by a Cholesky factor of J + TOL_CHANNEL * I
+    (``_check_channel``); the factor stays on the Channel for ``kraus_of``
+    and the diamond norm.
+    Trace preservation is checked too.  A failure beyond tolerance is a
+    simulator bug, not a property of the circuit, and raises
+    InternalConsistencyError.
     """
     counts = replay_liveness(c)
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), "Choi matrix")
     check_wires(max(counts))
-    choi = _kraus_walk_choi(schedule(c))
-    choi += dag(choi)  # in place, so that J is not held twice while it is checked
-    choi /= 2
-    ch = Channel(n, m, choi)
+    ch = Channel(n, m, _kraus_walk_choi(schedule(c)))
     problems = _check_channel(ch)
     if problems:
         raise InternalConsistencyError(
@@ -377,20 +432,20 @@ def kraus_of(ch: Channel) -> list[np.ndarray]:
     """Kraus operators A_k from scaled eigenvectors of the Choi matrix.
 
     The only place Kraus operators are produced.  J is decomposed on its
-    range: a pivoted Cholesky factor J ~ L L^dagger (``linalg.psd_factor``)
-    and ``range_spectral`` of L, a thin QR and the eigendecomposition of its
-    small core, give J's eigenpairs.  Its residual r bounds how far J's
-    least eigenvalue can fall below zero, so r <= TOL_PSD certifies
-    complete positivity.  Where r is larger, or L has half as many columns
-    as J's side or more, J itself is decomposed instead, and a Choi
-    eigenvalue below -TOL_PSD raises NotCompletelyPositiveError.
-    Eigenvalues up to KRAUS_EIG_CUTOFF are dropped.  The operators are then
-    checked to be complete (sum_k A_k^dagger A_k = I) and to rebuild J, and
-    a deviation beyond TOL_CHANNEL raises InternalConsistencyError.
+    range: the channel's pivoted Cholesky factor J ~ L L^dagger
+    (``Channel.factor``, formed once per channel) and ``range_spectral``
+    of L, a thin QR and the eigendecomposition of its small core, give J's
+    eigenpairs.  Its residual r bounds how far J's least eigenvalue can
+    fall below zero, so r <= TOL_PSD certifies complete positivity.  Where
+    r is larger, or L has half as many columns as J's side or more, J
+    itself is decomposed instead, and a Choi eigenvalue below -TOL_PSD
+    raises NotCompletelyPositiveError.  Eigenvalues up to KRAUS_EIG_CUTOFF
+    are dropped.  The operators are then checked to be complete
+    (sum_k A_k^dagger A_k = I) and to rebuild J, and a deviation beyond
+    TOL_CHANNEL raises InternalConsistencyError.
     """
-    half = ch.choi.shape[0] // 2
-    l, residual = linalg.psd_factor(ch.choi, half)
-    if l.shape[1] < half and residual <= TOL_PSD:
+    l, residual = ch.factor
+    if l.shape[1] < ch.choi.shape[0] // 2 and residual <= TOL_PSD:
         w, v = linalg.range_spectral(l)
     else:
         w, v = spectral(ch.choi)

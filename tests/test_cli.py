@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcdist import cli, reductions, simulate
+from qcdist import cli, linalg, reductions, simulate
 from qcdist.cli import main
 from qcdist.distances import GAP_TOL, DiamondWitness, diamond_norm, witness_to_json
 from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
@@ -520,3 +521,28 @@ def test_emitting_a_side_256_witness_holds_little_beyond_its_text(monkeypatch):
         tracemalloc.stop()
     assert sink.chars > 2_500_000  # about 3 MB of ASCII text
     assert peak < 1.5 * sink.chars
+
+
+@pytest.mark.parametrize("kind", ["dnorm", "maxfid"])
+def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, kind):
+    # choi_of certifies J by its pivoted factor, and the diamond norm and
+    # kraus_of read that factor off the channel instead of forming another
+    walked, factored = [], []
+    walk, factor = simulate._kraus_walk_choi, linalg.psd_factor
+
+    def walk_spy(c):
+        walked.append(walk(c))
+        return walked[-1]
+
+    def factor_spy(a, *args):
+        factored.append(a)
+        return factor(a, *args)
+
+    monkeypatch.setattr(simulate, "_kraus_walk_choi", walk_spy)
+    monkeypatch.setattr(linalg, "psd_factor", factor_spy)
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+        code, _ = run_cli(capsys, "distance", kind, workdir / "id.circ", workdir / "dec.circ")
+    assert code == 0 and len(walked) == 2
+    assert [id(a) for a in factored] == [id(j) for j in walked]
+    # both factors have at most half the side in columns and certify J >= 0
+    assert chol.call_count == 0

@@ -218,7 +218,7 @@ def test_diamond_norm_against_grid_oracle():
 
 def _difference_factors(ch0, ch1):
     """J0 - J1 as ``diamond_norm`` holds it: stacked factors, or dense."""
-    j = distances._stacked_factors(ch0.choi, ch1.choi)
+    j = distances._stacked_factors(ch0, ch1)
     return ch0.choi - ch1.choi if j is None else j
 
 
@@ -447,7 +447,7 @@ def _tensor_cube():
 
 def test_thin_path_closes_around_the_tensor_power_value():
     ch0, ch1 = _tensor_cube()
-    thin = distances._stacked_factors(ch0.choi, ch1.choi)
+    thin = distances._stacked_factors(ch0, ch1)
     assert thin.f.shape == (64, 9) and thin.signs.tolist() == [1.0] + [-1.0] * 8
     w = diamond_norm(ch0, ch1, CFG)
     exact = 2 * (1 - 2**-3)
@@ -458,7 +458,7 @@ def test_truncated_factor_is_repaired_by_its_residual():
     # Without J0's one column, F diag(signs) F^dagger is -J1, a map of norm 1:
     # only the residual term in the repair eps keeps the bound above 1.75.
     ch0, ch1 = _tensor_cube()
-    thin = distances._stacked_factors(ch0.choi, ch1.choi)
+    thin = distances._stacked_factors(ch0, ch1)
     cut, cut_signs = thin.f[:, 1:], thin.signs[1:]
     residual = np.linalg.norm(ch0.choi - ch1.choi - (cut * cut_signs) @ cut.conj().T)
     j = distances._Factored(cut, cut_signs, float(residual))
@@ -474,7 +474,7 @@ def test_thin_path_agrees_with_the_dense_path(seed):
     r0, r1 = ci_to_qcd(random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb"))
     ch0, ch1 = choi_of(r0), choi_of(r1)
     j = ch0.choi - ch1.choi
-    factored = distances._stacked_factors(ch0.choi, ch1.choi)
+    factored = distances._stacked_factors(ch0, ch1)
     assert factored is not None
     dense = _ascent(j, ch0.dim_in, CFG.max_iters)
     thin = _ascent(factored, ch0.dim_in, CFG.max_iters)

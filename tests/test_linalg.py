@@ -196,9 +196,11 @@ def test_psd_factor_residual_bounds_what_is_left():
     rng = np.random.default_rng(42)
     for n, m in [(6, 2), (16, 9), (32, 4)]:
         a = _low_rank_psd(rng, n, m)
-        for cut in (None, 1, m - 1):
+        for cut in (None, 1, m - 1, m):
             l, residual = psd_factor(a, cut)
             assert residual >= _residual(a, l)
+            # a factor cut short of the rank does not measure what is left
+            assert (residual == np.inf) == (cut is not None and cut < m)
         # a negative eigenvalue leaves a residual of at least its size
         b = a - 0.5 * np.eye(n)
         l, residual = psd_factor(b)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -249,6 +250,18 @@ def test_channel_from_choi_validates():
         channel_from_choi(1, 1, np.eye(4, dtype=complex))  # not trace preserving
 
 
+def test_channel_from_choi_checks_hermiticity_and_keeps_the_hermitian_part():
+    j = np.diag([1.0, 0, 0, 1.0]).astype(complex)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 3] = 1e-12
+    ch = channel_from_choi(1, 1, j + skew)
+    assert np.array_equal(ch.choi, ch.choi.conj().T)
+    assert ch.choi[0, 3] == ch.choi[3, 0] == 5e-13
+    skew[0, 3] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian: defect 1.000e-06"):
+        channel_from_choi(1, 1, j + skew)
+
+
 def _oracle_choi(c):
     """J = (c (x) I)(omega omega^dagger), omega = sum_i |i>|i>, from the oracle walk."""
     din = 2**c.n_in
@@ -355,6 +368,7 @@ def test_over_cap_width_walks_the_fold_one_block_at_a_time():
     c = Circuit("wide", 2, gates)
     choi, walks = _choi_under_cap_32(c)
     assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
+    assert np.array_equal(choi, choi.conj().T)
     # one walk per block |i><j|, i <= j, each of the gates after the fold
     assert [b for b, _ in walks] == [1] * (4 * 5 // 2)
     assert all(len(g) == 6 for _, g in walks)
@@ -412,6 +426,7 @@ def test_over_cap_walk_matches_oracle_property(c):
     assert max(replay_liveness(c)) + c.n_in > 5
     choi, _ = _choi_under_cap_32(c)
     assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
+    assert np.array_equal(choi, choi.conj().T)
 
 
 def test_simulate_refuses_width_before_walking(monkeypatch):
@@ -428,7 +443,21 @@ def test_simulate_refuses_width_before_walking(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(small_circuits())
 def test_kraus_walk_matches_matrix_units_property(c):
-    assert np.abs(choi_of(c).choi - _oracle_choi(c)).max() < 1e-12
+    choi = choi_of(c).choi
+    assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
+    assert np.array_equal(choi, choi.conj().T)
+
+
+def test_kraus_path_choi_is_exactly_hermitian():
+    # a mixed one-qubit state from two Kraus operators: the 2 x 2 product
+    # sum_k vec(K_k) vec(K_k)^dagger is Hermitian only up to rounding
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        c = Circuit("prep", 0, [ancilla_gate(), unitary_gate(random_unitary(rng, 2), (0,)),
+                                decohere_gate(0), unitary_gate(random_unitary(rng, 2), (0,))])
+        choi = choi_of(c).choi
+        assert np.abs(choi - _oracle_choi(c)).max() < 1e-15
+        assert np.array_equal(choi, choi.conj().T)
 
 
 def _random_operator(rng, side):
@@ -511,6 +540,7 @@ def test_switched_walk_matches_oracle_property(c):
     with mock.patch.object(simulate_mod, "_run_gates", wraps=simulate_mod._run_gates) as walk:
         choi = choi_of(c).choi
     assert np.abs(choi - ref).max() < 1e-12
+    assert np.array_equal(choi, choi.conj().T)
     assert walk.call_count == 1
     assert walk.call_args.args[0].shape[-1] == din * (din + 1) // 2
 
@@ -669,6 +699,63 @@ def test_complete_positivity_check_at_its_tolerance(n_in, n_out):
         assert simulate_mod._check_channel(good) == []
     assert eig.call_count == 0
     assert channel_from_choi(n_in, n_out, good.choi).n_out == n_out
+
+
+def _thin_choi_with_least_eigenvalue(n, lam):
+    """The n-qubit identity channel's rank-1 Choi matrix plus lam (|x><x| - |y><y|)
+    at x = |1>|0> and y = |0>|0>, output first: tr_out J = I, and lam < 0 is
+    J's least eigenvalue, on x, with two columns in J's factor."""
+    d = 2**n
+    omega = np.eye(d).reshape(d * d)
+    j = np.outer(omega, omega).astype(complex)
+    j[d, d] += lam
+    j[0, 0] -= lam
+    return j
+
+
+@pytest.mark.parametrize("thin", [True, False])
+def test_choi_of_certifies_complete_positivity_at_its_tolerance(monkeypatch, thin):
+    # a walk that returns J with lambda_min = -2 tol is refused, -tol / 2 passes;
+    # a thin J is certified by its factor, with no Cholesky, a full-rank one by Cholesky
+    tol = simulate_mod.TOL_CHANNEL
+    rng = np.random.default_rng(22)
+    n = 3 if thin else 2
+    c = Circuit("id", n, [])
+    for lam, ok in ((-2 * tol, False), (-tol / 2, True)):
+        j = (_thin_choi_with_least_eigenvalue(n, lam) if thin
+             else _choi_with_least_eigenvalue(rng, n, n, lam))
+        assert abs(np.linalg.eigvalsh(j)[0] - lam) < 1e-14
+        monkeypatch.setattr(simulate_mod, "_kraus_walk_choi", lambda _, j=j: j.copy())
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+            if ok:
+                ch = choi_of(c)
+                assert (ch.factor[0].shape[1] < 2 ** (2 * n - 1)) == thin
+            else:
+                with pytest.raises(simulate_mod.InternalConsistencyError,
+                                   match=f"eigenvalue {lam:.3e}: not completely positive"):
+                    choi_of(c)
+        assert chol.call_count == (0 if thin and ok else 1)
+
+
+def test_unitary_kraus_step_holds_two_stacks():
+    # r = 64 operators of side 128 x 8, a 1 MiB stack: the step copies it once,
+    # multiplies back into its buffer and takes the product back into the copy
+    rng = np.random.default_rng(23)
+    k = rng.standard_normal((64, 128, 8)) + 1j * rng.standard_normal((64, 128, 8))
+    assert k.nbytes >= 2**20
+    u = random_unitary(rng, 4)
+    # wires (4, 1): u's rows and columns are (bit 4, bit 1)
+    expect = np.einsum("EBeb,rabcdefgz->raBcdEfgz", u.reshape(2, 2, 2, 2),
+                       k.reshape((64,) + (2,) * 7 + (8,))).reshape(k.shape)
+    tracemalloc.start()
+    try:
+        out, live = simulate_mod._kraus_step(k, unitary_gate(u, (4, 1)), 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live == 7 and out.shape == k.shape and out.flags.c_contiguous
+    assert np.abs(out - expect).max() < 1e-12
+    assert peak < 1.25 * k.nbytes
 
 
 def _kraus_sum(ops, x, ref_dim, adjoint=False):
