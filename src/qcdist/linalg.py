@@ -254,7 +254,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = list(obj["entries"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(Infinity)
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 0 or cols < 0 or len(entries) != rows * cols:
         raise ValueError(
@@ -263,6 +263,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     check_cap(max(rows, cols, 1), "matrix JSON")
     try:
         flat = np.array([complex(float(re), float(im)) for re, im in entries], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ValueError(f"malformed matrix JSON: entries must be [re, im] pairs ({exc})") from exc
     return as_matrix(flat.reshape(rows, cols))

@@ -24,15 +24,16 @@ each operator in two, and the halves that are exactly zero are dropped.
 The first time r exceeds D = 2^live * 2^n_in, the stack is folded into
 the D x D matrix sum_k vec(K_k) vec(K_k)^dagger, and the remaining gates
 walk its blocks at the input matrix units |i><j| with i <= j only; the
-others are their adjoints, as Phi(X^dagger) = Phi(X)^dagger.  Where those
-blocks fit one batch of DIM_CAP^2 entries at the widest remaining point,
-they are one density walk.  Otherwise, on a circuit whose widest point
-has live + n_in > log2(DIM_CAP), each block is formed from the stack and
-walked alone, and the stack also folds before an ancilla or decohere
-would double it past 2 * DIM_CAP^2 entries.  Both bounds follow from
-DIM_CAP, and neither can bind on a circuit whose widest point plus n_in
-fits the cap.  A walk that would exceed the cap is refused by arithmetic
-on the ``replay_liveness`` counts before it starts.
+others are their adjoints, as Phi(X^dagger) = Phi(X)^dagger.  One loop
+walks those blocks in batches, each formed from the stack by one matmul
+and walked as one density walk.  The batch rule is one line: all of the
+blocks where they fit DIM_CAP^2 entries at the widest remaining point,
+else one per batch, which happens only on a circuit whose widest point
+has live + n_in > log2(DIM_CAP).  The stack also folds before an ancilla
+or decohere would double it past 2 * DIM_CAP^2 entries.  Both bounds
+follow from DIM_CAP, and neither can bind on a circuit whose widest
+point plus n_in fits the cap.  A walk that would exceed the cap is
+refused by arithmetic on the ``replay_liveness`` counts before it starts.
 
 The walk returns J exactly Hermitian: the fold's i > j blocks are exact
 adjoints, and its diagonal blocks, like an unfolded stack's product, are
@@ -337,34 +338,31 @@ def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
     The walk carries the din(din+1)/2 blocks at |i><j|, i <= j, fills in
     the i > j blocks as their adjoints and keeps the Hermitian part
     (B + B^dagger) / 2 of each diagonal block B, so J is exactly
-    Hermitian.  Where those blocks fit one batch of DIM_CAP^2 entries at
-    the widest point of ``gates``, the fold is formed once by a matmul and
-    walked as one batch.  Otherwise each
-    block is formed from the stack as A_i A_j^dagger, A_i = K[:, :, i]^T of
-    shape (2^live, r), and walked alone, so the D x D fold is never held:
-    one block fits, since no point is wider than log2(DIM_CAP) wires.
+    Hermitian.  One loop walks them in batches of consecutive pairs: all
+    of them where they fit DIM_CAP^2 entries at the widest point of
+    ``gates``, else one.  A batch's blocks come from one matmul over the
+    inputs its pairs span, K[:, :, rows]^T conj(K[:, :, cols]): the D x D
+    fold for all pairs, the block A_i A_j^dagger (A_i = K[:, :, i]^T) for
+    one, which always fits, as no point is wider than log2(DIM_CAP) wires.
     """
-    din = 2**n_in
+    din, r = 2**n_in, k.shape[0]
     widths = _widths(gates, live)
     m = widths[-1]
     i, j = np.triu_indices(din)
     choi = np.empty((2**m, din, 2**m, din), dtype=np.complex128)
     blocks = choi.transpose(0, 2, 1, 3)
-    if 4 ** max(widths) * len(i) <= linalg.DIM_CAP**2:
-        full = _choi_from_kraus(k, n_in, live).reshape(2**live, din, 2**live, din)
-        out, _ = _run_gates(full.transpose(0, 2, 1, 3)[:, :, i, j], gates, live)
-        diag = out[:, :, i == j]
-        out[:, :, i == j] = (diag + diag.conj().swapaxes(0, 1)) / 2
-        blocks[:, :, j, i] = out.conj().swapaxes(0, 1)
-        blocks[:, :, i, j] = out
-    else:
-        for a, b in zip(i, j):
-            block = np.tensordot(k[:, :, a], k[:, :, b].conj(), (0, 0))
-            out = _run_gates(block[..., None], gates, live)[0][..., 0]
-            if a == b:
-                out = (out + dag(out)) / 2
-            blocks[:, :, b, a] = dag(out)
-            blocks[:, :, a, b] = out
+    batch = len(i) if 4 ** max(widths) * len(i) <= linalg.DIM_CAP**2 else 1
+    for at in range(0, len(i), batch):
+        a, b = i[at : at + batch], j[at : at + batch]  # a is sorted, b need not be
+        rows, cols = slice(a[0], a[-1] + 1), slice(b.min(), b.max() + 1)
+        # one expression, so the operands' copies are freed before the walk
+        fold = k[:, :, rows].reshape(r, -1).T @ k[:, :, cols].conj().reshape(r, -1)
+        fold = fold.reshape(2**live, rows.stop - rows.start, 2**live, -1).transpose(0, 2, 1, 3)
+        out, _ = _run_gates(fold[:, :, a - rows.start, b - cols.start], gates, live)
+        diag = out[:, :, a == b]
+        out[:, :, a == b] = (diag + diag.conj().swapaxes(0, 1)) / 2
+        blocks[:, :, b, a] = out.conj().swapaxes(0, 1)
+        blocks[:, :, a, b] = out
     return choi.reshape(2**m * din, 2**m * din)
 
 
@@ -536,10 +534,17 @@ def density_from_json(obj: dict) -> np.ndarray:
     m = linalg.matrix_from_json(obj)
     try:
         n = int(obj.get("qubits", -1))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed density JSON: qubits {obj.get('qubits')!r}") from exc
-    if m.shape != (2**n, 2**n):
+    # n must be the bit count of the side, which the cap bounds, before 2^n is formed:
+    # 2^n of a huge n never finishes
+    if n != m.shape[0].bit_length() - 1 or m.shape != (2**n, 2**n):
         raise ValueError(
             f"matrix shape {m.shape} does not match declared qubit count {n}"
         )
+    # a density matrix's real and imaginary parts are at most 1 in magnitude;
+    # a distance of parts near the float maximum would overflow
+    peak = float(np.abs(m.view(np.float64)).max(initial=0.0))
+    if peak > 1 + TOL_TRACE:
+        raise ValueError(f"density JSON entry part {peak:.3e} exceeds 1: not a density matrix")
     return m

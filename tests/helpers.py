@@ -8,6 +8,7 @@ from qcdist.circuits import (
     ancilla_gate,
     decohere_gate,
     parse_circuit,
+    serialize_circuit,
     trace_gate,
     unitary_gate,
 )
@@ -195,3 +196,25 @@ def equal_type_pairs(draw):
     gates += [ancilla_gate()] * (c0.n_out - c1.n_out)
     gates += [trace_gate(0)] * (c1.n_out - c0.n_out)
     return c0, Circuit("gen1", c1.n_in, gates)
+
+
+@st.composite
+def mutated_circuit_texts(draw):
+    """(mutation, text): a serialized small circuit, possibly hit by one one-line mutation."""
+    c = draw(small_circuits())
+    lines = serialize_circuit(c).splitlines()
+    mutation = draw(st.sampled_from(["none", "unknown gate", "wire", "non-unitary", "truncate"]))
+    if mutation == "truncate":
+        text = "\n".join(lines) + "\n"
+        return mutation, text[: draw(st.integers(0, len(text) - 1))]
+    if mutation != "none":
+        wire = draw(st.integers(5, 2**40)) if mutation == "wire" else 0  # live wires stay below 5
+        bad = {
+            "unknown gate": draw(st.sampled_from(["gate FOO 0", "frobnicate 0", "unitary 0 0"])),
+            "wire": draw(st.sampled_from([f"decohere {wire}", f"gate H {wire}", f"trace {wire}"])),
+            "non-unitary": "unitary 1 0 1.0,0.0 0.1,0.0 0.0,0.0 1.0,0.0",
+        }[mutation]
+        at = draw(st.integers(1, len(lines) - 1))
+        replace = at < len(lines) - 1 and draw(st.booleans())  # never replace the header or end
+        lines[at : at + replace] = [bad]
+    return mutation, "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ checked against per-gate kernels that reshape to a (D, D) matrix after
 every gate: two half-actions per unitary, a bit mask for decohere, a kron
 for ancilla and ``linalg.partial_trace`` for trace.  Circuit text is
 checked against the line-at-a-time reader the one-pass parser replaced,
-and JSON text against a writer that formats one value at a time.
+and JSON text against a writer that formats one value at a time.  Pairs
+of classical channels have an exact diamond-norm distance to check the
+certified interval against.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from qcdist.circuits import (
     unitary_gate,
 )
 from qcdist.linalg import partial_trace
-from qcdist.simulate import kraus_of
+from qcdist.simulate import channel_from_choi, kraus_of
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
@@ -84,6 +86,20 @@ def grid_max_output_tnorm(ch0, ch1, states=None):
     values = np.abs(w).sum(axis=1)
     best = int(np.argmax(values))
     return float(values[best]), states[best]
+
+
+def classical_channel(p):
+    """Channel of a column-stochastic p, p[y, x] = p(y|x), on qubits: its
+    Choi matrix is diagonal, sum_xy p(y|x) |y><y| (x) |x><x|."""
+    dout, din = p.shape
+    choi = np.diag(p.reshape(-1)).astype(np.complex128)  # index y * din + x: output first
+    return channel_from_choi(din.bit_length() - 1, dout.bit_length() - 1, choi)
+
+
+def classical_dnorm(p0, p1):
+    """Exact diamond-norm distance of two classical channels,
+    max over x of ||p0(.|x) - p1(.|x)||_1, attained at the input |x>."""
+    return float(np.abs(p0 - p1).sum(axis=0).max())
 
 
 def kron_entry_oracle(a, b):

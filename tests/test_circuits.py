@@ -26,7 +26,13 @@ from qcdist.circuits import (
 )
 from qcdist.linalg import SizeCapError
 
-from helpers import identity_circuit, decohere_circuit, random_circuit, random_unitary
+from helpers import (
+    decohere_circuit,
+    identity_circuit,
+    mutated_circuit_texts,
+    random_circuit,
+    random_unitary,
+)
 from oracles import density_walk_oracle, line_parse_circuit
 
 
@@ -513,3 +519,14 @@ def test_parse_agrees_with_the_line_reader(text):
         if g.kind == "unitary":
             assert g.matrix.dtype == w.matrix.dtype and g.matrix.shape == w.matrix.shape
             assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(circuit_texts(), mutated_circuit_texts().map(lambda case: case[1])))
+def test_a_parsed_circuit_passes_validate(text):
+    # the CLI's validate reports parse errors only: the parser refuses all validate finds
+    try:
+        c = parse_circuit(text)
+    except (CircuitError, SizeCapError):
+        return
+    assert validate(c) == []

@@ -1,14 +1,16 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcdist import cli, linalg, reductions, simulate
 from qcdist.cli import main
@@ -21,7 +23,9 @@ from helpers import (
     decohere_circuit,
     equal_type_pairs,
     identity_circuit,
+    mutated_circuit_texts,
     random_11_circuit,
+    random_density,
     small_circuits,
     z_circuit,
 )
@@ -96,30 +100,8 @@ def test_validate_overflowing_unitary_exits_1_without_warnings(workdir):
     assert json.loads(proc.stdout)["violations"] == ["line 2: matrix is not unitary: defect nan"]
 
 
-@st.composite
-def circuit_texts(draw):
-    """(mutation, text): a serialized small circuit, possibly hit by one one-line mutation."""
-    c = draw(small_circuits())
-    lines = serialize_circuit(c).splitlines()
-    mutation = draw(st.sampled_from(["none", "unknown gate", "wire", "non-unitary", "truncate"]))
-    if mutation == "truncate":
-        text = "\n".join(lines) + "\n"
-        return mutation, text[: draw(st.integers(0, len(text) - 1))]
-    if mutation != "none":
-        wire = draw(st.integers(5, 2**40)) if mutation == "wire" else 0  # live wires stay below 5
-        bad = {
-            "unknown gate": draw(st.sampled_from(["gate FOO 0", "frobnicate 0", "unitary 0 0"])),
-            "wire": draw(st.sampled_from([f"decohere {wire}", f"gate H {wire}", f"trace {wire}"])),
-            "non-unitary": "unitary 1 0 1.0,0.0 0.1,0.0 0.0,0.0 1.0,0.0",
-        }[mutation]
-        at = draw(st.integers(1, len(lines) - 1))
-        replace = at < len(lines) - 1 and draw(st.booleans())  # never replace the header or end
-        lines[at : at + replace] = [bad]
-    return mutation, "\n".join(lines) + "\n"
-
-
 @settings(max_examples=60, deadline=None)
-@given(case=circuit_texts())
+@given(case=mutated_circuit_texts())
 def test_validate_exit_contract_fuzz(tmp_path_factory, case):
     mutation, text = case
     path = tmp_path_factory.mktemp("fuzz") / "c.circ"
@@ -418,6 +400,88 @@ def test_malformed_matrix_entries_exit_2(workdir, capsys, entries):
     assert captured.out == ""
     assert captured.err.startswith("error: malformed matrix JSON")
     assert "Traceback" not in captured.err
+
+
+_ZERO_STATE = '{"qubits": 1, "rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
+_UNBOUNDED_STATES = {
+    "qubits_inf": _ZERO_STATE.replace('"qubits": 1', '"qubits": Infinity'),
+    "qubits_1e300": _ZERO_STATE.replace('"qubits": 1', '"qubits": 1e300'),
+    "qubits_huge_int": _ZERO_STATE.replace('"qubits": 1', f'"qubits": {10**400}'),
+    "rows_inf": _ZERO_STATE.replace('"rows": 2', '"rows": Infinity'),
+}
+
+
+@pytest.mark.parametrize("kind", ["trace", "fidelity"])
+@pytest.mark.parametrize("text", list(_UNBOUNDED_STATES.values()), ids=list(_UNBOUNDED_STATES))
+def test_unbounded_state_fields_exit_2_at_once(workdir, capsys, kind, text):
+    # each of these once ended in an OverflowError traceback, or never returned
+    path = workdir / "unbounded.json"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code = main(["distance", kind, str(path), str(workdir / "zero.json")])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
+_ODD_VALUES = [None, True, False, "1", "x", [], {}, math.inf, -math.inf, math.nan,
+               1e300, -1.7976931348623157e308, 2**64, 10**400, -1, 0, 0.5]
+
+
+@st.composite
+def state_json_texts(draw):
+    """JSON text of a state file: a density matrix on 0-2 qubits with up to
+    three fields dropped or replaced, by values of other types, booleans,
+    huge integers, +-Infinity and NaN among them, and possibly one entry
+    made ragged or nested; or no object at all."""
+    odd = st.one_of(st.sampled_from(_ODD_VALUES), st.integers(), st.floats())
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(st.one_of(odd, st.lists(odd, max_size=3))))
+    n = draw(st.integers(0, 2))
+    rho = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2**n)
+    entries = [[z.real, z.imag] for z in rho.reshape(-1)]
+    obj = {"qubits": n, "rows": 2**n, "cols": 2**n, "entries": entries}
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(odd)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(entries) - 1))
+        entries[at] = draw(st.one_of(
+            odd,
+            st.lists(odd, max_size=3),  # a ragged pair
+            st.just([entries[at]]),  # a pair nested one level deeper
+            st.tuples(odd, st.just(entries[at][1])).map(list),  # one odd part
+        ))
+    return json.dumps(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.tuples(state_json_texts(), state_json_texts()),
+       kind=st.sampled_from(["trace", "fidelity"]))
+@example(texts=(_UNBOUNDED_STATES["qubits_inf"], _ZERO_STATE), kind="trace")
+@example(texts=(_ZERO_STATE, _UNBOUNDED_STATES["rows_inf"]), kind="fidelity")
+def test_state_loaders_exit_contract_fuzz(tmp_path_factory, texts, kind):
+    d = tmp_path_factory.mktemp("states")
+    paths = [d / "s0.json", d / "s1.json"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["distance", kind, *map(str, paths)])
+        except SystemExit as exc:  # argparse refusing the arguments
+            assert exc.code == 2
+            code = 2
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["kind"] == kind
+    else:
+        assert out.getvalue() == ""
 
 
 def test_unknown_flag_rejected(workdir):

@@ -39,7 +39,13 @@ from helpers import (
     random_unitary,
     z_circuit,
 )
-from oracles import _apply_ext_batch, grid_max_output_tnorm, tnorm_from_eigs
+from oracles import (
+    _apply_ext_batch,
+    classical_channel,
+    classical_dnorm,
+    grid_max_output_tnorm,
+    tnorm_from_eigs,
+)
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -220,6 +226,33 @@ def _difference_factors(ch0, ch1):
     """J0 - J1 as ``diamond_norm`` holds it: stacked factors, or dense."""
     j = distances._stacked_factors(ch0, ch1)
     return ch0.choi - ch1.choi if j is None else j
+
+
+def _classical_pairs():
+    """(p0, p1) column-stochastic pairs on 1-2 input and 1-2 output qubits,
+    some with exact zeros, then a bit flip against the identity (disjoint
+    supports, exact value 2) and a pair of equal channels (exact value 0)."""
+    rng = np.random.default_rng(800)
+    for k in range(16):
+        din, dout = 2 ** rng.integers(1, 3, size=2)
+        pair = [rng.dirichlet(np.ones(dout), size=din).T for _ in range(2)]
+        if k % 2:  # cut the small entries: optima on the boundary
+            pair = [np.where(p < 0.2, 0.0, p) for p in pair]
+            pair = [p / p.sum(axis=0) for p in pair]
+        yield pair
+    yield np.eye(2), np.eye(2)[::-1]
+    p = rng.dirichlet(np.ones(4), size=2).T
+    yield p, p.copy()
+
+
+@pytest.mark.parametrize("pair", list(_classical_pairs()))
+def test_diamond_norm_brackets_the_exact_classical_value(pair):
+    p0, p1 = pair
+    exact = classical_dnorm(p0, p1)
+    w = diamond_norm(classical_channel(p0), classical_channel(p1), CFG)
+    assert w.value - 1e-9 <= exact <= w.upper + 1e-9
+    if w.converged:
+        assert abs(w.value - exact) <= GAP_TOL
 
 
 def test_seesaw_monotone_objective():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,17 @@ def test_matrix_json_roundtrip_exact():
 def test_matrix_json_rejects_bad_shapes():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": Infinity, "cols": 2, "entries": []}',
+    '{"rows": 2, "cols": -Infinity, "entries": []}',
+    '{"rows": 1, "cols": 1, "entries": [[%d, 0]]}' % 10**400,
+], ids=["rows_inf", "cols_minus_inf", "huge_int_entry"])
+def test_matrix_json_refuses_values_that_overflow(text):
+    # each raised OverflowError, which the CLI did not catch
+    with pytest.raises(ValueError, match="malformed matrix JSON"):
+        matrix_from_json(json.loads(text))
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -3.0, 2.0**60, 1e22,

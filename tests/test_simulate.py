@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from unittest import mock
 
@@ -241,6 +242,25 @@ def test_density_json_roundtrip():
 
     back = density_from_json(json.loads(dumps(density_to_json(rho))))
     assert np.array_equal(back, rho)
+
+
+_UNBOUNDED_QUBITS = ["Infinity", "-Infinity", "NaN", "1e300", str(10**400)]
+
+
+@pytest.mark.parametrize("qubits", _UNBOUNDED_QUBITS, ids=lambda q: q[:8])
+def test_density_json_refuses_an_unbounded_qubit_count(qubits):
+    # 2^n was formed before n was bounded: 1e300 never returned, Infinity overflowed
+    text = f'{{"qubits": {qubits}, "rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}}'
+    with pytest.raises(ValueError):
+        density_from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("part", ["1.7976931348623157e308", "-2", "1.000001"])
+def test_density_json_refuses_entries_no_density_matrix_has(part):
+    # near the float maximum, a distance of such a matrix overflowed with a warning
+    text = f'{{"qubits": 1, "rows": 2, "cols": 2, "entries": [[1, 0], [0, {part}], [0, 0], [0, 0]]}}'
+    with pytest.raises(ValueError, match="exceeds 1"):
+        density_from_json(json.loads(text))
 
 
 def test_channel_from_choi_validates():
