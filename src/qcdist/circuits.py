@@ -670,7 +670,7 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         b = float(obj["b"])
     except KeyError as exc:
         raise ValueError(f"instance JSON missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ValueError(f"instance JSON promise constants must be numbers: {exc}") from exc
     for key, text in zip(("q0", "q1"), texts):
         if not isinstance(text, str):

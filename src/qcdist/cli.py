@@ -47,6 +47,7 @@ from .simulate import (
     choi_of,
     density_from_json,
     density_to_json,
+    require_density,
 )
 
 EXIT_OK = 0
@@ -113,12 +114,12 @@ def cmd_distance(args) -> int:
     if args.kind in ("trace", "fidelity"):
         if len(args.inputs) != 2:
             raise ValueError(f"{args.kind} distance needs two state files")
-        rho0 = density_from_json(_load_json(args.inputs[0]))
-        rho1 = density_from_json(_load_json(args.inputs[1]))
-        if args.kind == "trace":
-            _emit({"kind": "trace", "value": trace_norm(rho0 - rho1)})
+        rho0, rho1 = (density_from_json(_load_json(path)) for path in args.inputs)
+        if args.kind == "trace":  # fidelity refuses a matrix that is not a state itself
+            value = trace_norm(require_density(rho0) - require_density(rho1))
         else:
-            _emit({"kind": "fidelity", "value": fidelity(rho0, rho1)})
+            value = fidelity(rho0, rho1)
+        _emit({"kind": args.kind, "value": value})
         return EXIT_OK
     q0, q1 = _load_pair(args.inputs)
     cfg = _config(args)

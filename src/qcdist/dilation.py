@@ -32,14 +32,13 @@ class DilatedCircuit:
 
     Running ``unitary_circuit`` on rho (x) |0^k><0^k| and tracing
     ``garbage_wires`` reproduces the source circuit's action on rho, with
-    the output read off ``output_wires`` in order.
+    the output read off ``output_wires`` in order: the first m wires, and
+    the l garbage wires after them.
     """
 
     unitary_circuit: Circuit
     k: int
     l: int
-    output_wires: list[int]
-    garbage_wires: list[int]
 
     @property
     def n_in(self) -> int:
@@ -47,11 +46,19 @@ class DilatedCircuit:
 
     @property
     def n_out(self) -> int:
-        return len(self.output_wires)
+        return self.n_wires - self.l
 
     @property
     def n_wires(self) -> int:
         return self.unitary_circuit.n_in
+
+    @property
+    def output_wires(self) -> list[int]:
+        return list(range(self.n_out))
+
+    @property
+    def garbage_wires(self) -> list[int]:
+        return list(range(self.n_out, self.n_wires))
 
 
 def dilate(c: Circuit) -> DilatedCircuit:
@@ -82,21 +89,11 @@ def dilate(c: Circuit) -> DilatedCircuit:
             next_fresh += 1
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-    n_wires = next_fresh
-    k = n_wires - n
-    m = len(mapping)
-    l = len(garbage)
-    router = _WireTracker(range(n_wires))
+    router = _WireTracker(range(next_fresh))
     router.route_outputs(mapping + garbage)
     gates += router.gates
-    unitary_circuit = Circuit(f"{c.name}_dilated", n_wires, tuple(gates))
-    return DilatedCircuit(
-        unitary_circuit=unitary_circuit,
-        k=k,
-        l=l,
-        output_wires=list(range(m)),
-        garbage_wires=list(range(m, m + l)),
-    )
+    unitary_circuit = Circuit(f"{c.name}_dilated", next_fresh, tuple(gates))
+    return DilatedCircuit(unitary_circuit, k=next_fresh - n, l=len(garbage))
 
 
 def dilated_isometry(kraus, env_dim: int) -> np.ndarray:

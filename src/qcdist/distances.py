@@ -118,8 +118,8 @@ from .simulate import (
     require_density,
 )
 
-#: Monotonicity slack for the ascent objectives; a larger backward step
-#: indicates a bug in the channel algebra, not numerical jitter.
+#: Monotonicity slack for the Uhlmann run's objective; a larger backward
+#: step indicates a bug in the channel algebra, not numerical jitter.
 MONOTONE_SLACK = 1e-12
 
 #: An interval, diamond norm or max image fidelity, whose gap (upper minus
@@ -194,7 +194,7 @@ class DiamondWitness(_Interval):
     ``value`` equals the trace norm of (Phi_0 (x) I - Phi_1 (x) I) applied
     to ``psi psi^dagger``; ``measurement`` is the Helstrom projector for
     that difference on the output (x) reference space.  ``upper`` is the
-    least repaired dual bound, at most 2.
+    least repaired dual bound, at most max(2, ``value``).
     """
 
     psi: np.ndarray
@@ -262,16 +262,16 @@ def fidelity_via_purification(psi, phi, dims) -> float:
     return trace_norm(a.T @ b.conj())
 
 
-def helstrom(delta, tol: float = TOL_PSD) -> tuple[np.ndarray, float]:
+def helstrom(delta) -> tuple[np.ndarray, float]:
     """Optimal projective measurement for a Hermitian difference operator.
 
     Returns (M, value) with M the projector onto the strictly positive
-    eigenspace of delta (eigenvalues within ``tol`` of zero are excluded,
-    keeping M minimal) and value = 2 tr(M delta) - tr(delta), which equals
-    the trace norm of delta.
+    eigenspace of delta (eigenvalues within TOL_PSD of zero are excluded,
+    keeping M minimal; ``_seesaw``'s slack assumes it) and value =
+    2 tr(M delta) - tr(delta), which equals the trace norm of delta.
     """
     w, v = spectral(delta)
-    return _projector_value(delta, v[:, w > tol])
+    return _projector_value(delta, v[:, w > TOL_PSD])
 
 
 def _projector_value(delta: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
@@ -586,7 +586,8 @@ def diamond_norm(
         # psi = vec(x) stands for rho = (x x^dagger)^T
         upper = min(upper, _mixed_upper(j, ((x @ dag(x)).T,)))
     measurement, value = _witness_at(ch0, ch1, j, x)
-    return DiamondWitness(value, min(upper, 2.0), iterations, x.reshape(-1), measurement)
+    upper = min(upper, max(2.0, value))  # 2 bounds the norm, but the value can round above 2
+    return DiamondWitness(value, upper, iterations, x.reshape(-1), measurement)
 
 
 def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):

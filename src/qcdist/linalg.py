@@ -7,8 +7,9 @@ factor), pivoted Cholesky factors, singular values, and PSD square roots.
 Matrices are plain ``numpy.ndarray`` values of dtype complex128; states
 are 1-d arrays.  All functions are pure.
 
-Tolerances are centralized in this module.  Double precision with matrix
-sides <= 256 leaves ample headroom for the defaults below.
+The state tolerances TOL_HERM, TOL_TRACE and TOL_PSD live here; the
+others in the modules that decide with them (README, "Tolerances").
+Double precision with matrix sides <= 256 leaves them ample headroom.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ def herm_defect(x: np.ndarray) -> float:
     return float(np.abs(x - dag(x)).max(initial=0.0))
 
 
-def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Check Hermiticity within ``tol`` and return the symmetrized matrix."""
-    d = herm_defect(x)
-    if d > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {d:.3e} > {tol:.1e}")
-    return (x + dag(x)) / 2
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply, subject to the cap."""
     a = as_matrix(a)
@@ -131,17 +124,20 @@ def partial_trace(x, dims, keep) -> np.ndarray:
     return res.reshape(kept, kept)
 
 
-def spectral(h, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def spectral(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
     matching orthonormal eigenvectors as columns of ``v``, so that
     ``h == v @ diag(w) @ v.conj().T`` up to reconstruction tolerance.
     The input is symmetrized as (H + H^dagger)/2 before factoring; a
-    Hermiticity defect beyond ``tol`` is an error.
+    Hermiticity defect beyond TOL_HERM is an error.
     """
-    h = require_hermitian(as_matrix(h), tol)
-    w, v = np.linalg.eigh(h)
+    h = as_matrix(h)
+    d = herm_defect(h)
+    if d > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian: defect {d:.3e} > {TOL_HERM:.1e}")
+    w, v = np.linalg.eigh((h + dag(h)) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -218,17 +214,17 @@ def singular_values(x) -> np.ndarray:
     return np.linalg.svd(as_matrix(x), compute_uv=False)
 
 
-def psd_sqrt(p, tol: float = TOL_PSD) -> np.ndarray:
+def psd_sqrt(p) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues within ``tol`` of zero are clamped to zero before the square
-    root (numerical PSD drift from channel composition is expected); an
-    eigenvalue below ``-tol`` is an error.
+    Eigenvalues within TOL_PSD of zero are clamped to zero before the
+    square root (numerical PSD drift from channel composition is
+    expected); an eigenvalue below -TOL_PSD is an error.
     """
     w, v = spectral(p)
-    if w[-1] < -tol:
+    if w[-1] < -TOL_PSD:
         raise ValueError(
-            f"matrix is not PSD: eigenvalue {w[-1]:.3e} below -{tol:.1e}"
+            f"matrix is not PSD: eigenvalue {w[-1]:.3e} below -{TOL_PSD:.1e}"
         )
     w = np.clip(w, 0.0, None)
     r = (v * np.sqrt(w)) @ dag(v)
@@ -250,19 +246,25 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; exact up to decimal parsing."""
+    """Inverse of :func:`matrix_to_json`; exact up to decimal parsing.
+    Only JSON integers are sizes, and only JSON numbers entry parts."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         entries = list(obj["entries"])
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(Infinity)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"malformed matrix JSON: rows {rows!r} and cols {cols!r} must be integers")
     if rows < 0 or cols < 0 or len(entries) != rows * cols:
         raise ValueError(
             f"matrix JSON has {len(entries)} entries, expected {rows}x{cols}"
         )
     check_cap(max(rows, cols, 1), "matrix JSON")
     try:
-        flat = np.array([complex(float(re), float(im)) for re, im in entries], dtype=np.complex128)
+        # not a bool, and not a string: "10" would unpack as the pair "1", "0"
+        if any(type(x) not in (int, float) for pair in entries for x in pair):
+            raise TypeError("a part is not a JSON number")
+        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ValueError(f"malformed matrix JSON: entries must be [re, im] pairs ({exc})") from exc
     return as_matrix(flat.reshape(rows, cols))

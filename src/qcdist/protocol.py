@@ -25,8 +25,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .distances import DiamondWitness, OptimizerConfig, diamond_norm, trace_norm
-from .linalg import as_matrix, as_state, dag
-from .simulate import InternalConsistencyError, apply_extended, choi_of
+from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, as_state, herm_defect
+from .simulate import InternalConsistencyError, choi_of, simulate
 
 #: Trials per random stream; block b of a run uses spawn key (b,).
 _BLOCK = 1 << 16
@@ -36,7 +36,9 @@ _BLOCK = 1 << 16
 class ProverStrategy:
     """Input state on circuit-input (x) private space, plus a binary
     measurement on circuit-output (x) private space (outcome 0 means
-    "the verifier applied Q0")."""
+    "the verifier applied Q0").  |psi|^2, the trace of psi psi^dagger, is
+    within TOL_TRACE of 1, so that input needs no density check; M is
+    Hermitian within TOL_HERM and M^2 = M within TOL_PSD."""
 
     psi: np.ndarray
     measurement: np.ndarray
@@ -44,11 +46,11 @@ class ProverStrategy:
     def __post_init__(self):
         self.psi = as_state(self.psi)
         self.measurement = as_matrix(self.measurement)
-        norm = float(np.linalg.norm(self.psi))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"prover state norm {norm} differs from 1")
+        norm2 = float(np.vdot(self.psi, self.psi).real)
+        if abs(norm2 - 1.0) > TOL_TRACE:
+            raise ValueError(f"prover state squared norm {norm2!r} differs from 1")
         m = self.measurement
-        if float(np.abs(m @ m - m).max()) > 1e-9 or float(np.abs(m - dag(m)).max()) > 1e-9:
+        if herm_defect(m) > TOL_HERM or float(np.abs(m @ m - m).max()) > TOL_PSD:
             raise ValueError("prover measurement is not an orthogonal projector")
 
 
@@ -106,8 +108,8 @@ def _answer0(q0: Circuit, q1: Circuit, strat: ProverStrategy):
         raise ValueError("circuits disagree on type")
     priv = _private_qubits(strat, q0)
     rho_in = np.outer(strat.psi, strat.psi.conj())
-    rho0 = apply_extended(q0, rho_in, priv)
-    rho1 = apply_extended(q1, rho_in, priv)
+    rho0 = simulate(q0, rho_in, priv)
+    rho1 = simulate(q1, rho_in, priv)
     m = strat.measurement
     return (float(np.real(np.trace(m @ rho0))), float(np.real(np.trace(m @ rho1)))), rho0 - rho1
 

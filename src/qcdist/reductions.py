@@ -175,19 +175,13 @@ def controlled_join(p0: DilatedCircuit, p1: DilatedCircuit) -> DilatedCircuit:
             f"dilations disagree on type: ({p0.n_in},{p0.n_out}) vs ({p1.n_in},{p1.n_out})"
         )
     n_wires = max(p0.n_wires, p1.n_wires)
-    m = p0.n_out
     gates: list[Gate] = []
     for branch, p in ((0, p0), (1, p1)):
         for g in p.unitary_circuit.gates:
             gates.extend(_controlled_gates(g, branch))
     joined = Circuit("joined", 1 + n_wires, tuple(gates))
-    return DilatedCircuit(
-        unitary_circuit=joined,
-        k=n_wires - p0.n_in,
-        l=n_wires - m,
-        output_wires=[0] + [1 + w for w in range(m)],
-        garbage_wires=[1 + w for w in range(m, n_wires)],
-    )
+    # the control is output wire 0, the dilations' outputs follow it
+    return DilatedCircuit(joined, k=n_wires - p0.n_in, l=n_wires - p0.n_out)
 
 
 def ci_to_qcd(q0: Circuit, q1: Circuit) -> tuple[Circuit, Circuit]:

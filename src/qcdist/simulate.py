@@ -81,7 +81,12 @@ from . import linalg
 #: (rank deflation for numerically rank-deficient Choi matrices).
 KRAUS_EIG_CUTOFF = 1e-12
 
+#: The one tolerance on a Choi matrix J: its Hermiticity defect where it
+#: is given from outside, lambda_min(J) >= -TOL_CHANNEL (complete
+#: positivity), its trace-preservation defect, and the Kraus operators'
+#: completeness and rebuild of J.
 TOL_CHANNEL = 1e-9
+
 
 class NotCompletelyPositiveError(ValueError):
     """Choi matrix has a negative eigenvalue beyond tolerance."""
@@ -91,20 +96,21 @@ class InternalConsistencyError(RuntimeError):
     """A simulator-derived object violated an invariant it must satisfy."""
 
 
-def require_density(rho, tol_herm=TOL_HERM, tol_trace=TOL_TRACE, tol_psd=TOL_PSD) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a density matrix."""
+def require_density(rho) -> np.ndarray:
+    """``rho`` as a matrix if it is square, Hermitian within TOL_HERM, of trace
+    within TOL_TRACE of 1 and has no eigenvalue below -TOL_PSD; else refused."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     d = herm_defect(rho)
-    if d > tol_herm:
+    if d > TOL_HERM:
         raise ValueError(f"density matrix not Hermitian: defect {d:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     wmin = float(np.linalg.eigvalsh((rho + dag(rho)) / 2).min())
-    if wmin < -tol_psd:
-        raise ValueError(f"density matrix has eigenvalue {wmin:.3e} < -{tol_psd:.1e}")
+    if wmin < -TOL_PSD:
+        raise ValueError(f"density matrix has eigenvalue {wmin:.3e} < -{TOL_PSD:.1e}")
     return rho
 
 
@@ -245,29 +251,28 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
-    """Complete positivity and trace preservation of an exactly Hermitian Choi matrix.
-
-    The channel's pivoted factor decides first (``Channel.factor``): its
-    residual r bounds ||J - L L^dagger||_F, and L L^dagger >= 0, so
-    lambda_min(J) >= -r, and r <= tol certifies J >= -tol.  A PSD J whose
-    factor stops within half its side passes there; a factor cut at half
-    the side has r = inf.  Otherwise J >= -tol holds when J + tol * I has
-    a Cholesky factor; eigvalsh runs only if not, on J + tol * I, for the
-    message."""
+def _check_channel(ch: Channel) -> list[str]:
+    """Complete positivity and trace preservation of an exactly Hermitian Choi
+    matrix, within tol = TOL_CHANNEL.  The channel's pivoted factor decides
+    first (``Channel.factor``): its residual r bounds ||J - L L^dagger||_F,
+    and L L^dagger >= 0, so r <= tol certifies J >= -tol, as in ``kraus_of``.
+    A PSD J whose factor stops within half its side passes there; a factor
+    cut at half the side has r = inf.  Otherwise J >= -tol holds when
+    J + tol * I has a Cholesky factor; eigvalsh runs only if not, on
+    J + tol * I, for the message."""
     problems = []
-    if ch.factor[1] > tol:
+    if ch.factor[1] > TOL_CHANNEL:
         h = ch.choi.copy()
-        h.flat[:: h.shape[0] + 1] += tol  # in place: h + tol * I costs another side^2 array
+        h.flat[:: h.shape[0] + 1] += TOL_CHANNEL  # in place: h + tol * I costs another side^2 array
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh(h).min()) - tol
-            if wmin < -tol:
+            wmin = float(np.linalg.eigvalsh(h).min()) - TOL_CHANNEL
+            if wmin < -TOL_CHANNEL:
                 problems.append(f"Choi eigenvalue {wmin:.3e}: not completely positive")
     tp = partial_trace(ch.choi, [ch.dim_out, ch.dim_in], [1])
     tp_defect = float(np.abs(tp - np.eye(ch.dim_in)).max())
-    if tp_defect > tol:
+    if tp_defect > TOL_CHANNEL:
         problems.append(f"not trace preserving: tr_out(choi) deviates by {tp_defect:.3e}")
     return problems
 
@@ -401,13 +406,12 @@ def choi_of(c: Circuit) -> Channel:
 
     One walk of a Kraus stack from the identity, folded into a density walk
     of its upper blocks once the stack outgrows them (module docstring).
-    The caps are checked on ``c`` as written, and the walk runs
-    ``schedule(c)``.  The walk returns J exactly Hermitian, so nothing
-    symmetrizes it here and no Hermiticity is checked.  Complete positivity
-    is certified by the channel's pivoted factor, or where that is cut at
-    half the side, by a Cholesky factor of J + TOL_CHANNEL * I
-    (``_check_channel``); the factor stays on the Channel for ``kraus_of``
-    and the diamond norm.
+    ``replay_liveness`` refuses a width over the cap on ``c`` as written,
+    and the walk runs ``schedule(c)``.  It returns J exactly Hermitian, so
+    nothing symmetrizes it here.  Complete positivity is certified by the
+    channel's pivoted factor, or where that is cut at half the side, by a
+    Cholesky factor of J + TOL_CHANNEL * I (``_check_channel``); the factor
+    stays on the Channel for ``kraus_of`` and the diamond norm.
     Trace preservation is checked too.  A failure beyond tolerance is a
     simulator bug, not a property of the circuit, and raises
     InternalConsistencyError.
@@ -416,7 +420,6 @@ def choi_of(c: Circuit) -> Channel:
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), "Choi matrix")
-    check_wires(max(counts))
     ch = Channel(n, m, _kraus_walk_choi(schedule(c)))
     problems = _check_channel(ch)
     if problems:
@@ -434,20 +437,20 @@ def kraus_of(ch: Channel) -> list[np.ndarray]:
     (``Channel.factor``, formed once per channel) and ``range_spectral``
     of L, a thin QR and the eigendecomposition of its small core, give J's
     eigenpairs.  Its residual r bounds how far J's least eigenvalue can
-    fall below zero, so r <= TOL_PSD certifies complete positivity.  Where
-    r is larger, or L has half as many columns as J's side or more, J
-    itself is decomposed instead, and a Choi eigenvalue below -TOL_PSD
-    raises NotCompletelyPositiveError.  Eigenvalues up to KRAUS_EIG_CUTOFF
-    are dropped.  The operators are then checked to be complete
+    fall below zero, so r <= TOL_CHANNEL certifies complete positivity, as
+    in ``_check_channel``.  Where r is larger, or L has half as many columns
+    as J's side or more, J itself is decomposed instead, and a Choi
+    eigenvalue below -TOL_CHANNEL raises NotCompletelyPositiveError.
+    Eigenvalues up to KRAUS_EIG_CUTOFF are dropped.  The operators are then checked to be complete
     (sum_k A_k^dagger A_k = I) and to rebuild J, and a deviation beyond
     TOL_CHANNEL raises InternalConsistencyError.
     """
     l, residual = ch.factor
-    if l.shape[1] < ch.choi.shape[0] // 2 and residual <= TOL_PSD:
+    if l.shape[1] < ch.choi.shape[0] // 2 and residual <= TOL_CHANNEL:
         w, v = linalg.range_spectral(l)
     else:
         w, v = spectral(ch.choi)
-        if w[-1] < -TOL_PSD:
+        if w[-1] < -TOL_CHANNEL:
             raise NotCompletelyPositiveError(
                 f"Choi matrix has eigenvalue {w[-1]:.3e}; the map is not completely positive"
             )
@@ -532,10 +535,9 @@ def density_to_json(rho) -> dict:
 
 def density_from_json(obj: dict) -> np.ndarray:
     m = linalg.matrix_from_json(obj)
-    try:
-        n = int(obj.get("qubits", -1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed density JSON: qubits {obj.get('qubits')!r}") from exc
+    n = obj.get("qubits")
+    if type(n) is not int:  # int() would take a bool or a fraction
+        raise ValueError(f"malformed density JSON: qubits {n!r} is not an integer")
     # n must be the bit count of the side, which the cap bounds, before 2^n is formed:
     # 2^n of a huge n never finishes
     if n != m.shape[0].bit_length() - 1 or m.shape != (2**n, 2**n):

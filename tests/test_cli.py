@@ -426,6 +426,30 @@ def test_unbounded_state_fields_exit_2_at_once(workdir, capsys, kind, text):
     assert elapsed < 1.0
 
 
+_NILPOTENT_STATE = _ZERO_STATE.replace("[[1, 0], [0, 0], [0, 0], [0, 0]]",
+                                      "[[0, 0], [1, 0], [0, 0], [0, 0]]")
+_NOT_STATES = {
+    # [[0, 1], [0, 0]] against the zero matrix: the trace distance once read 1
+    "not_densities": (_NILPOTENT_STATE, _ZERO_STATE.replace("[[1, 0]", "[[0, 0]")),
+    # int() and float() read these as 1 qubit, 2 rows and the entry [1, 0]
+    "qubits_true": (_ZERO_STATE.replace('"qubits": 1', '"qubits": true'), _ZERO_STATE),
+    "rows_fraction": (_ZERO_STATE.replace('"rows": 2', '"rows": 2.7'), _ZERO_STATE),
+    "entry_string": (_ZERO_STATE.replace("[[1, 0], [0, 0]", '["10", [0, 0]'), _ZERO_STATE),
+}
+
+
+@pytest.mark.parametrize("kind", ["trace", "fidelity"])
+@pytest.mark.parametrize("texts", list(_NOT_STATES.values()), ids=list(_NOT_STATES))
+def test_state_files_that_are_not_states_exit_2(workdir, capsys, kind, texts):
+    paths = [workdir / "s0.json", workdir / "s1.json"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    code = main(["distance", kind, *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 _ODD_VALUES = [None, True, False, "1", "x", [], {}, math.inf, -math.inf, math.nan,
                1e300, -1.7976931348623157e308, 2**64, 10**400, -1, 0, 0.5]
 
@@ -461,10 +485,14 @@ def state_json_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(texts=st.tuples(state_json_texts(), state_json_texts()),
-       kind=st.sampled_from(["trace", "fidelity"]))
-@example(texts=(_UNBOUNDED_STATES["qubits_inf"], _ZERO_STATE), kind="trace")
-@example(texts=(_ZERO_STATE, _UNBOUNDED_STATES["rows_inf"]), kind="fidelity")
-def test_state_loaders_exit_contract_fuzz(tmp_path_factory, texts, kind):
+       kind=st.sampled_from(["trace", "fidelity"]), refused=st.just(False))
+@example(texts=(_UNBOUNDED_STATES["qubits_inf"], _ZERO_STATE), kind="trace", refused=True)
+@example(texts=(_ZERO_STATE, _UNBOUNDED_STATES["rows_inf"]), kind="fidelity", refused=True)
+@example(texts=_NOT_STATES["not_densities"], kind="trace", refused=True)
+@example(texts=_NOT_STATES["qubits_true"], kind="trace", refused=True)
+@example(texts=_NOT_STATES["rows_fraction"], kind="fidelity", refused=True)
+@example(texts=_NOT_STATES["entry_string"], kind="trace", refused=True)
+def test_state_loaders_exit_contract_fuzz(tmp_path_factory, texts, kind, refused):
     d = tmp_path_factory.mktemp("states")
     paths = [d / "s0.json", d / "s1.json"]
     for path, text in zip(paths, texts):
@@ -478,10 +506,68 @@ def test_state_loaders_exit_contract_fuzz(tmp_path_factory, texts, kind):
             code = 2
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if refused:
+        assert code == 2
     if code == 0:
         assert json.loads(out.getvalue())["kind"] == kind
     else:
         assert out.getvalue() == ""
+
+
+@st.composite
+def instance_json_texts(draw):
+    """JSON text of an instance file: an equal-type pair with promise
+    constants that hold for both kinds, with up to three fields dropped,
+    replaced by odd values as in ``state_json_texts``, or for a circuit, by
+    a mutated circuit text; or no object at all."""
+    odd = st.one_of(st.sampled_from(_ODD_VALUES), st.integers(), st.floats())
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(st.one_of(odd, st.lists(odd, max_size=3))))
+    q0, q1 = draw(equal_type_pairs())
+    obj = {"q0": serialize_circuit(q0), "q1": serialize_circuit(q1),
+           "kind": draw(st.sampled_from(["QCD", "CI"])),
+           "a": 1.0, "b": 0.25}
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), unique=True, max_size=3)):
+        how = draw(st.sampled_from(["drop", "odd", "mutate"]))
+        if how == "drop":
+            del obj[key]
+        elif how == "mutate" and key in ("q0", "q1"):
+            obj[key] = draw(mutated_circuit_texts())[1]
+        else:
+            obj[key] = draw(odd)
+    return json.dumps(obj)
+
+
+# (arguments before the instance file, arguments after it)
+_INSTANCE_COMMANDS = {
+    "dnorm": (["distance", "dnorm"], []),
+    "maxfid": (["distance", "maxfid"], []),
+    **{kind: (["reduce", kind], []) for kind in ("ci2qcd", "tensor", "parity", "polarize")},
+    "protocol": (["protocol"], ["--trials", "10"]),
+}
+_HUGE_A = ('{"q0": "circuit id inputs 1\\nend\\n", "q1": "circuit id inputs 1\\nend\\n", '
+           f'"kind": "QCD", "a": {10**400}, "b": 0.5}}')
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=instance_json_texts(), command=st.sampled_from(sorted(_INSTANCE_COMMANDS)))
+@example(text=_HUGE_A, command="protocol")
+def test_instance_loader_exit_contract_fuzz(tmp_path_factory, text, command):
+    d = tmp_path_factory.mktemp("instance")
+    (d / "inst.json").write_text(text)
+    before, after = _INSTANCE_COMMANDS[command]
+    argv = [*before, str(d / "inst.json"), *after]
+    if before[0] == "reduce":  # it writes next to the instance, not into the working directory
+        argv += ["--out", str(d / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())
 
 
 def test_unknown_flag_rejected(workdir):

@@ -39,6 +39,16 @@ def test_strategy_validation():
         ProverStrategy(np.array([1.0, 0.0]), np.array([[0.5, 0.0], [0.0, 0.0]]) * 1.2)
 
 
+def test_prover_state_norm_is_decided_at_construction():
+    # |psi| = 1 + 9e-10 once passed the constructor, then failed the density
+    # check inside acceptance_probability: |psi|^2 is the trace of psi psi^dagger
+    m = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match="squared norm"):
+        ProverStrategy(np.array([1 + 9e-10, 0.0]), m)
+    strat = ProverStrategy(np.array([1 + 4e-10, 0.0]), m)
+    assert abs(acceptance_probability(identity_circuit(), z_circuit(), strat) - 0.5) < 1e-9
+
+
 def test_equal_circuits_give_half():
     strat = optimal_prover(identity_circuit(), identity_circuit("id2"), CFG)
     p = acceptance_probability(identity_circuit(), identity_circuit("id2"), strat)

@@ -32,6 +32,7 @@ from qcdist.simulate import (
     density_from_json,
     density_to_json,
     kraus_of,
+    require_density,
     simulate,
 )
 from qcdist.linalg import SizeCapError, partial_trace
@@ -68,6 +69,30 @@ def test_apply_hadamard():
     h = parse_circuit("circuit h inputs 1\ngate H 0\nend")
     out = apply(h, np.diag([1.0, 0.0]).astype(complex))
     assert np.abs(out - np.full((2, 2), 0.5)).max() < 1e-15
+
+
+_TOL = linalg.TOL_HERM  # TOL_TRACE and TOL_PSD are equal to it
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.zeros((2, 4)), "density matrix must be square, got (2, 4)"),
+    (np.array([[0.5, 2 * _TOL], [0.0, 0.5]]), "density matrix not Hermitian: defect 2.000e-09"),
+    # 2^-28 = 3.7e-9 and 2^-31 = 4.7e-10 add to 0.5 exactly
+    (np.diag([0.5, 0.5 + 2**-28]), "density matrix trace (1.0000000037252903+0j) differs from 1"),
+    (np.diag([1 + 2 * _TOL, -2 * _TOL]), "density matrix has eigenvalue -2.000e-09 < -1.0e-09"),
+    (np.array([[0.5, _TOL / 2], [0.0, 0.5]]), None),
+    (np.diag([0.5, 0.5 + 2**-31]), None),
+    (np.diag([1 + _TOL / 2, -_TOL / 2]), None),
+], ids=["non_square", "not_hermitian", "trace", "negative", "herm_within", "trace_within",
+        "negative_within"])
+def test_require_density_refuses_at_its_tolerances(rho, message):
+    assert linalg.TOL_HERM == linalg.TOL_TRACE == linalg.TOL_PSD
+    if message is None:
+        assert require_density(rho).dtype == np.complex128
+    else:
+        with pytest.raises(ValueError) as info:
+            require_density(rho)
+        assert str(info.value) == message
 
 
 def test_apply_extended_zero_ref_is_apply():
