@@ -18,6 +18,10 @@ Text format (one construct per line, '#' starts a comment):
     decohere <wire>
     end
 
+Each check has one place: :class:`Gate` decides a gate's form;
+:func:`unitary_gate`, the parser and :func:`validate` check unitarity, the
+last two batched over many gates; the ``STANDARD_GATES`` table, its test.
+
 The parser scans the lines once for structure and reads the numbers of all
 ``unitary`` lines in one pass: one float64 array, of which every matrix is
 a view, checked for finiteness once and for unitarity once per arity by one
@@ -91,11 +95,14 @@ class UnitarityError(CircuitError):
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One circuit construct.
+    """One circuit construct; the one place where a gate's form is checked.
 
-    kind is one of "unitary", "ancilla", "trace", "decohere".  Only
-    unitary gates carry a matrix; ``label`` remembers named-gate sugar so
-    serialization can round-trip the readable form.
+    kind is "unitary", "ancilla", "trace" or "decohere".  An ancilla takes
+    no wires, a trace or decohere one; a unitary, the only kind with a
+    matrix, takes 1..UNITARY_ARITY_CAP distinct wires and a (2^a, 2^a) one.
+    ``label`` is None or names the ``STANDARD_GATES`` matrix held, so
+    serialization can round-trip the readable form.  Unitarity is left to
+    :func:`unitary_gate`, the parser and :func:`validate`.
     """
 
     kind: str
@@ -103,32 +110,52 @@ class Gate:
     matrix: np.ndarray | None = None
     label: str | None = None
 
+    def __post_init__(self):
+        kind, wires, m = self.kind, self.wires, self.matrix
+        if kind == "unitary":
+            a = len(wires)
+            if a < 1 or a > UNITARY_ARITY_CAP:
+                raise CircuitError(f"unitary arity {a} outside 1..{UNITARY_ARITY_CAP}")
+            shape = getattr(m, "shape", None)
+            if shape != (2**a, 2**a):
+                raise CircuitError(f"unitary on {a} wires must be {2**a}x{2**a}, got {shape}")
+            if len(set(wires)) != a:
+                raise CircuitError(f"unitary wires must be distinct, got {wires}")
+        elif kind not in ("ancilla", "trace", "decohere"):
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        elif m is not None:
+            raise CircuitError(f"{kind} carries no matrix")
+        elif kind == "ancilla":
+            if wires:
+                raise CircuitError(f"ancilla takes no wires, got {wires}")
+        elif len(wires) != 1:
+            raise CircuitError(f"{kind} takes exactly one wire, got {wires}")
+        if self.label is not None:
+            named = STANDARD_GATES.get(self.label)
+            if named is None or not (m is named or np.array_equal(m, named)):
+                raise CircuitError(f"label {self.label!r} does not name the gate's matrix")
+
     @property
     def arity(self) -> int:
         return len(self.wires)
 
 
-def unitary_gate(matrix, wires, label: str | None = None) -> Gate:
-    """Exact unitary gate on ``wires`` (first listed wire is most significant)."""
+def unitary_gate(matrix, wires) -> Gate:
+    """Exact unitary gate on ``wires`` (first listed wire is most significant);
+    :class:`Gate` checks its form, this the matrix's finiteness and unitarity."""
     m = as_matrix(matrix)
-    wires = tuple(int(w) for w in wires)
-    a = len(wires)
-    if a < 1 or a > UNITARY_ARITY_CAP:
-        raise CircuitError(f"unitary arity {a} outside 1..{UNITARY_ARITY_CAP}")
-    if m.shape != (2**a, 2**a):
-        raise CircuitError(f"unitary on {a} wires must be {2**a}x{2**a}, got {m.shape}")
-    if len(set(wires)) != a:
-        raise CircuitError(f"unitary wires must be distinct, got {wires}")
+    gate = Gate("unitary", tuple(int(w) for w in wires), m)
     defect = unitarity_defect(m)
     if not defect <= TOL_UNITARY:
         raise UnitarityError(f"matrix is not unitary: defect {defect:.3e}")
-    return Gate("unitary", wires, m, label)
+    return gate
 
 
 def named_gate(name: str, wires) -> Gate:
+    """Gate ``name`` of ``STANDARD_GATES``, whose unitarity is the table's test."""
     if name not in STANDARD_GATES:
         raise CircuitError(f"unknown standard gate {name!r}")
-    return unitary_gate(STANDARD_GATES[name], wires, label=name)
+    return Gate("unitary", tuple(int(w) for w in wires), STANDARD_GATES[name], name)
 
 
 def ancilla_gate() -> Gate:
@@ -253,10 +280,8 @@ class _WireTracker:
                 self.ancilla(wires[-1])
             elif g.kind == "trace":
                 self.trace(wires.pop(g.wires[0]))
-            elif g.kind in ("unitary", "decohere"):
-                self.gate(g, [wires[w] for w in g.wires])
             else:
-                raise CircuitError(f"unknown gate kind {g.kind!r}")
+                self.gate(g, [wires[w] for w in g.wires])
         return wires
 
     def route_outputs(self, outputs) -> None:
@@ -312,10 +337,8 @@ def schedule(c: Circuit) -> Circuit:
             if handles[0] in diagonal:
                 continue
             diagonal.add(handles[0])
-        elif kind == "unitary":
-            diagonal.difference_update(handles)
         else:
-            raise CircuitError(f"unknown gate kind {kind!r}")
+            diagonal.difference_update(handles)
         steps.append((g, handles))
 
     # backwards: a handle in traced_next has a trace as its next kept event
@@ -353,48 +376,27 @@ def schedule(c: Circuit) -> Circuit:
 
 
 def validate(c: Circuit) -> list[str]:
-    """Structural validation report; empty iff the circuit is valid.
+    """Validation report; empty iff the circuit is valid.
 
-    Checks gate shapes and wire distinctness gate by gate, unitarity by
-    one :func:`unitarity_defect` per arity over the stacked matrices, then
-    liveness and the dimension cap through :func:`replay_liveness`.  The
-    report lists each gate's findings in gate order.  Never raises;
-    admissibility of the realized channel is checked downstream via the
-    Choi matrix.
+    Every :class:`Gate` has a valid form by construction, so what is left
+    is unitarity, by one :func:`unitarity_defect` per arity over the
+    stacked matrices, then liveness and the dimension cap through
+    :func:`replay_liveness`.  The report lists the unitarity findings in
+    gate order, then the liveness finding.  Never raises; admissibility of
+    the realized channel is checked downstream via the Choi matrix.
     """
-    report: list[str | None] = []
-    if c.n_in < 0:
-        report.append(f"n_in is negative: {c.n_in}")
-        return report
-    stacks: dict[int, list[tuple[int, str, np.ndarray]]] = {}  # arity -> (slot, tag, matrix)
+    stacks: dict[int, list[tuple[int, np.ndarray]]] = {}  # arity -> (gate index, matrix)
     for idx, g in enumerate(c.gates):
-        tag = f"gate {idx + 1} ({g.kind})"
         if g.kind == "unitary":
-            a = g.arity
-            if a < 1 or a > UNITARY_ARITY_CAP:
-                report.append(f"{tag}: arity {a} outside 1..{UNITARY_ARITY_CAP}")
-                continue
-            if g.matrix is None or g.matrix.shape != (2**a, 2**a):
-                report.append(f"{tag}: matrix shape does not match arity {a}")
-                continue
-            if len(set(g.wires)) != a:
-                report.append(f"{tag}: wires {g.wires} are not distinct")
-            stacks.setdefault(a, []).append((len(report), tag, g.matrix))
-            report.append(None)  # the slot of its unitarity finding, if any
-        elif g.kind == "ancilla":
-            if g.wires:
-                report.append(f"{tag}: ancilla takes no wires, got {g.wires}")
-        elif g.kind in ("trace", "decohere"):
-            if len(g.wires) != 1:
-                report.append(f"{tag}: takes exactly one wire, got {g.wires}")
-        else:
-            report.append(f"{tag}: unknown gate kind {g.kind!r}")
+            stacks.setdefault(g.arity, []).append((idx, g.matrix))
+    findings = []
     for entries in stacks.values():
-        defects = unitarity_defect(np.stack([m for _, _, m in entries])).tolist()
-        for (slot, tag, _), defect in zip(entries, defects):
-            if not defect <= TOL_UNITARY:
-                report[slot] = f"{tag}: unitarity defect {defect:.3e} > {TOL_UNITARY:.1e}"
-    report = [r for r in report if r is not None]
+        defects = unitarity_defect(np.stack([m for _, m in entries])).tolist()
+        findings += [(idx, d) for (idx, _), d in zip(entries, defects) if not d <= TOL_UNITARY]
+    report = [
+        f"gate {idx + 1} (unitary): unitarity defect {d:.3e} > {TOL_UNITARY:.1e}"
+        for idx, d in sorted(findings)
+    ]
     try:
         replay_liveness(c)
     except (LivenessError, SizeCapError) as exc:
@@ -484,7 +486,7 @@ def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:
             raise CircuitParseError(f"unknown standard gate {name!r}", lineno)
         wires = _ints(tokens[2:], lineno)
         try:
-            return named_gate(name, wires)
+            return Gate("unitary", wires, STANDARD_GATES[name], name)
         except CircuitError as exc:
             raise CircuitParseError(str(exc), lineno) from None
     if op == "ancilla":
@@ -522,9 +524,10 @@ def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
     complex view holds each arity's matrices as one stack, and each
     gate's matrix is a view of it.  Finiteness is checked once over the
     array and unitarity once per stack.  A line fails on its first bad
-    entry, else on a non-finite entry, else on repeated wires, else on its
-    unitarity defect.  A bad or non-finite entry spoils the array: the
-    lines before the first such line are read again without it.
+    entry, else on a non-finite entry, else on its form as :class:`Gate`
+    decides it (repeated wires), else on its unitarity defect.  A bad or
+    non-finite entry spoils the array: the lines before the first such
+    line are read again without it.
     """
     if not unitaries:
         return
@@ -551,15 +554,16 @@ def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
         side = 2**arity
         stack = matrices[start : start + len(group) * side * side].reshape(-1, side, side)
         start += stack.size
-        for u, m, defect in zip(group, stack, unitarity_defect(stack).tolist()):
-            gates[u[0]] = Gate("unitary", u[3], m)
-            if len(set(u[3])) != arity or not defect <= TOL_UNITARY:
-                failed.append((u[1], u[3], defect))
+        for (at, lineno, _, wires, _), m, defect in zip(group, stack, unitarity_defect(stack).tolist()):
+            try:
+                gates[at] = Gate("unitary", wires, m)
+            except CircuitError as exc:  # collected: the first failing line wins, its form first
+                failed.append((lineno, CircuitParseError, str(exc)))
+            if not defect <= TOL_UNITARY:
+                failed.append((lineno, UnitarityError, f"matrix is not unitary: defect {defect:.3e}"))
     if failed:
-        lineno, wires, defect = min(failed)
-        if len(set(wires)) != len(wires):
-            raise CircuitParseError(f"unitary wires must be distinct, got {wires}", lineno)
-        raise UnitarityError(f"matrix is not unitary: defect {defect:.3e}", lineno)
+        lineno, error, message = min(failed, key=itemgetter(0))
+        raise error(message, lineno)
 
 
 def _entry_error(tokens: list[str]) -> str | None:
@@ -589,22 +593,16 @@ def serialize_circuit(c: Circuit) -> str:
     out = [f"circuit {c.name} inputs {c.n_in}"]
     for g in c.gates:
         if g.kind == "unitary":
-            if g.label is not None and g.label in STANDARD_GATES:
+            if g.label is not None:
                 out.append(f"gate {g.label} {' '.join(map(str, g.wires))}")
             else:
                 parts = np.ascontiguousarray(g.matrix, dtype=np.complex128).view(np.float64)
                 entries = "".join(format_floats(parts, "%.17g,%.17g", " "))
-                out.append(
-                    f"unitary {g.arity} {' '.join(map(str, g.wires))} {entries}"
-                )
+                out.append(f"unitary {g.arity} {' '.join(map(str, g.wires))} {entries}")
         elif g.kind == "ancilla":
             out.append("ancilla")
-        elif g.kind == "trace":
-            out.append(f"trace {g.wires[0]}")
-        elif g.kind == "decohere":
-            out.append(f"decohere {g.wires[0]}")
         else:
-            raise CircuitError(f"unknown gate kind {g.kind!r}")
+            out.append(f"{g.kind} {g.wires[0]}")
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -665,9 +663,11 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         raise ValueError(f"instance JSON must be an object, got {type(obj).__name__}")
     try:
         texts = [obj["q0"], obj["q1"]]
-        kind = obj["kind"]
-        a = float(obj["a"])
-        b = float(obj["b"])
+        kind, a, b = obj["kind"], obj["a"], obj["b"]
+        # JSON numbers only, as the matrix loader takes them: not a bool, not a string
+        if type(a) not in (int, float) or type(b) not in (int, float):
+            raise TypeError(f"got a={a!r}, b={b!r}")
+        a, b = float(a), float(b)
     except KeyError as exc:
         raise ValueError(f"instance JSON missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)

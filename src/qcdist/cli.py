@@ -182,6 +182,8 @@ def cmd_reduce(args) -> int:
 def cmd_protocol(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     inst = instance_from_json(_load_json(args.instance))
     cfg = _config(args)
     strat, witness = optimal_prover_witness(inst.q0, inst.q1, cfg)

@@ -83,12 +83,10 @@ def dilate(c: Circuit) -> DilatedCircuit:
             next_fresh += 1
         elif g.kind == "trace":
             garbage.append(mapping.pop(g.wires[0]))
-        elif g.kind == "decohere":
+        else:
             gates.append(named_gate("CNOT", (mapping[g.wires[0]], next_fresh)))
             garbage.append(next_fresh)
             next_fresh += 1
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
     router = _WireTracker(range(next_fresh))
     router.route_outputs(mapping + garbage)
     gates += router.gates

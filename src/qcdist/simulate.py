@@ -185,7 +185,7 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
             # the new wire's row axis is live and its column axis 2 * live + 1
             grown[s * live + (0,) + s * live + (0,)] = cur
             cur, live, home, spare = grown, live + 1, spare, home
-        else:  # trace: ``schedule`` refuses any other kind
+        else:  # trace: ``Gate`` has no other kind
             diag = [cur[s * g.wires[0] + (bit,) + s * (live - 1) + (bit,)] for bit in (0, 1)]
             cur = np.add(*diag, out=view(spare, live - 1))
             live, home, spare = live - 1, spare, home
@@ -330,7 +330,7 @@ def _kraus_step(k: np.ndarray, g, live: int) -> tuple[np.ndarray, int]:
         split[0, :, :, 0] = t[:, :, 0]
         split[1, :, :, 1] = t[:, :, 1]
         k = split.reshape(2 * r, 2**live, din)
-    else:  # trace: ``schedule`` refuses any other kind
+    else:  # trace: ``Gate`` has no other kind
         live -= 1
         k = np.moveaxis(t, 2, 0).reshape(2 * r, 2**live, din)
     # a split on a bit still in a basis state leaves exact zeros

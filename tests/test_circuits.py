@@ -10,6 +10,7 @@ from qcdist.circuits import (
     Gate,
     LivenessError,
     STANDARD_GATES,
+    TOL_UNITARY,
     UnitarityError,
     circuits_equal,
     instance_from_json,
@@ -172,6 +173,22 @@ def test_named_gates_are_exact():
     assert abs(t[1, 1] ** 8 - 1.0) < 1e-15
     cnot = STANDARD_GATES["CNOT"]
     assert np.array_equal(cnot @ cnot, np.eye(4))
+    # named_gate takes the table's unitarity from here and checks none per call
+    assert sorted(STANDARD_GATES) == ["CNOT", "CZ", "H", "T", "X", "Z"]
+    for name, m in STANDARD_GATES.items():
+        assert unitarity_defect(m) <= TOL_UNITARY, name
+
+
+def test_gate_label_names_its_matrix():
+    x = STANDARD_GATES["X"]
+    with pytest.raises(CircuitError, match="^label 'H' does not name the gate's matrix$"):
+        Gate("unitary", (0,), x, "H")
+    with pytest.raises(CircuitError, match="^label 'Y' does not name the gate's matrix$"):
+        Gate("unitary", (0,), x, "Y")
+    with pytest.raises(CircuitError, match="^label 'X' does not name the gate's matrix$"):
+        Gate("decohere", (0,), None, "X")
+    assert Gate("unitary", (0,), x.copy(), "X").label == "X"  # equal to the table's matrix
+    assert named_gate("X", (0,)).matrix is x
 
 
 def test_roundtrip_identity():
@@ -246,33 +263,40 @@ def test_validate_flags_unitarity_violation():
     assert report == ["gate 1 (unitary): unitarity defect 1.815e-01 > 1.0e-09"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (("unitary", (1, 1), 2.0 * np.eye(4, dtype=complex)), "unitary wires must be distinct, got (1, 1)"),
+    (("ancilla", (0,)), "ancilla takes no wires, got (0,)"),
+    (("unitary", (0,), np.eye(4, dtype=complex)), "unitary on 1 wires must be 2x2, got (4, 4)"),
+    (("trace", (0, 1)), "trace takes exactly one wire, got (0, 1)"),
+    (("swap", (0, 1)), "unknown gate kind 'swap'"),
+    (("unitary", (0, 1, 2, 3), np.eye(16, dtype=complex)), "unitary arity 4 outside 1..3"),
+    (("unitary", (0,)), "unitary on 1 wires must be 2x2, got None"),
+    (("decohere", (0,), np.eye(2, dtype=complex)), "decohere carries no matrix"),
+])
+def test_gate_refuses_a_malformed_form(args, message):
+    with pytest.raises(CircuitError) as info:
+        Gate(*args)
+    assert str(info.value) == message
+
+
 def test_validate_reports_every_finding_in_gate_order():
+    # unitarity across two arities, in gate order, then liveness; Gate refuses
+    # every malformed form before validate could see it
     eye = np.eye
     c = Circuit("bad", 2, (
         Gate("unitary", (0,), np.diag([1.0, 1.5]).astype(complex)),
-        Gate("unitary", (1, 1), 2.0 * eye(4, dtype=complex)),
-        Gate("ancilla", (0,)),
-        Gate("unitary", (0,), eye(4, dtype=complex)),
-        Gate("trace", (0, 1)),
+        Gate("unitary", (1, 0), 2.0 * eye(4, dtype=complex)),
         Gate("unitary", (1,), np.array([[1, 1], [0, 1]], dtype=complex)),
-        Gate("swap", (0, 1)),
-        Gate("unitary", (0, 1, 2, 3), eye(16, dtype=complex)),
         Gate("unitary", (0, 1), eye(4, dtype=complex)),
         Gate("unitary", (0, 1, 2), 0.5 * eye(8, dtype=complex)),
         Gate("decohere", (5,)),
     ))
     assert validate(c) == [
         "gate 1 (unitary): unitarity defect 1.250e+00 > 1.0e-09",
-        "gate 2 (unitary): wires (1, 1) are not distinct",
         "gate 2 (unitary): unitarity defect 6.000e+00 > 1.0e-09",
-        "gate 3 (ancilla): ancilla takes no wires, got (0,)",
-        "gate 4 (unitary): matrix shape does not match arity 1",
-        "gate 5 (trace): takes exactly one wire, got (0, 1)",
-        "gate 6 (unitary): unitarity defect 1.732e+00 > 1.0e-09",
-        "gate 7 (swap): unknown gate kind 'swap'",
-        "gate 8 (unitary): arity 4 outside 1..3",
-        "gate 10 (unitary): unitarity defect 2.121e+00 > 1.0e-09",
-        "gate 8 references wire 2 but only wires 0..1 are live",
+        "gate 3 (unitary): unitarity defect 1.732e+00 > 1.0e-09",
+        "gate 5 (unitary): unitarity defect 2.121e+00 > 1.0e-09",
+        "gate 5 references wire 2 but only wires 0..1 are live",
     ]
 
 

@@ -373,6 +373,18 @@ def test_protocol_bad_trials_exit_2_before_seesaw(workdir, capsys, monkeypatch, 
     assert captured.err.startswith("error: trials must be >= 1")
 
 
+def test_protocol_negative_seed_exits_2_before_seesaw(workdir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seed must be checked before the seesaw")
+
+    monkeypatch.setattr(cli, "optimal_prover_witness", refuse)
+    code = main(["protocol", str(workdir / "inst.json"), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
 @pytest.mark.parametrize("command", ["dnorm", "maxfid", "protocol"])
 def test_bad_tolerance_exits_2_printing_nothing(workdir, capsys, command, tol):
@@ -545,14 +557,19 @@ _INSTANCE_COMMANDS = {
     **{kind: (["reduce", kind], []) for kind in ("ci2qcd", "tensor", "parity", "polarize")},
     "protocol": (["protocol"], ["--trials", "10"]),
 }
-_HUGE_A = ('{"q0": "circuit id inputs 1\\nend\\n", "q1": "circuit id inputs 1\\nend\\n", '
-           f'"kind": "QCD", "a": {10**400}, "b": 0.5}}')
+_ID_PAIR = '"q0": "circuit id inputs 1\\nend\\n", "q1": "circuit id inputs 1\\nend\\n"'
+_HUGE_A = f'{{{_ID_PAIR}, "kind": "QCD", "a": {10**400}, "b": 0.5}}'
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=instance_json_texts(), command=st.sampled_from(sorted(_INSTANCE_COMMANDS)))
-@example(text=_HUGE_A, command="protocol")
-def test_instance_loader_exit_contract_fuzz(tmp_path_factory, text, command):
+@given(text=instance_json_texts(), command=st.sampled_from(sorted(_INSTANCE_COMMANDS)),
+       refused=st.just(False))
+@example(text=_HUGE_A, command="protocol", refused=True)
+# promise constants are JSON numbers: neither a bool nor a string of digits
+@example(text=f'{{{_ID_PAIR}, "kind": "QCD", "a": true, "b": 0.5}}', command="dnorm", refused=True)
+@example(text=f'{{{_ID_PAIR}, "kind": "QCD", "a": "1.0", "b": 0.5}}', command="dnorm", refused=True)
+@example(text=f'{{{_ID_PAIR}, "kind": "QCD", "a": 1.0, "b": false}}', command="dnorm", refused=True)
+def test_instance_loader_exit_contract_fuzz(tmp_path_factory, text, command, refused):
     d = tmp_path_factory.mktemp("instance")
     (d / "inst.json").write_text(text)
     before, after = _INSTANCE_COMMANDS[command]
@@ -564,6 +581,8 @@ def test_instance_loader_exit_contract_fuzz(tmp_path_factory, text, command):
         code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if refused:
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
     else:
