@@ -6,7 +6,7 @@ trace (discard a wire), and decohere (kill off-diagonals on one qubit).
 
 import numpy as np
 
-from qcdist import apply, choi_of, kraus_of, parse_circuit, serialize_circuit, validate
+from qcdist import apply_extended, choi_of, kraus_of, parse_circuit, serialize_circuit, validate
 
 # A circuit that entangles the input with a fresh ancilla, decoheres the
 # ancilla, and throws it away: the Z-basis dephasing channel in disguise.
@@ -22,10 +22,10 @@ circuit = parse_circuit(text)
 print("type:", (circuit.n_in, circuit.n_out))
 print("violations:", validate(circuit))
 
-# Run it on |+><+|: coherence dies, populations survive.
+# Run it on |+><+| with no reference qubits: coherence dies, populations survive.
 plus = np.full((2, 2), 0.5, dtype=complex)
 print("\n|+><+| goes to:")
-print(np.round(apply(circuit, plus), 6))
+print(np.round(apply_extended(circuit, plus, 0), 6))
 
 # The channel object is its Choi matrix; Kraus operators are extracted from it.
 channel = choi_of(circuit)

@@ -30,9 +30,10 @@ print("reduction output type:", (r0.n_in, r0.n_out))
 print("r1 is r0 plus a trailing decohere on the control:",
       r1.gates[:-1] == r0.gates and r1.gates[-1].kind == "decohere")
 
-# Two independent certified intervals, one equality.
+# Two independent certified intervals, one equality.  Both distances take
+# the circuits' channels.
 left = diamond_norm(choi_of(r0), choi_of(r1))
-right = max_image_fidelity(q0, q1)
+right = max_image_fidelity(choi_of(q0), choi_of(q1))
 print(f"\ndiamond norm of the reduction pair : [{left.value:.10f}, {left.upper:.10f}]")
 print(f"max image fidelity of (q0, q1)     : [{right.value:.10f}, {right.upper:.10f}]")
 print(f"difference                         : {abs(left.value - right.value):.2e}")

@@ -30,7 +30,6 @@ from .circuits import (
     ancilla_gate,
     decohere_gate,
     instance_from_json,
-    instance_to_json,
     named_gate,
     parse_circuit,
     serialize_circuit,
@@ -43,12 +42,9 @@ from .simulate import (
     InternalConsistencyError,
     NotCompletelyPositiveError,
     adjoint_apply_ext,
-    apply,
     apply_extended,
     channel_apply_ext,
     channel_from_choi,
-    channel_mix,
-    channel_tensor,
     choi_of,
     density_from_json,
     density_to_json,
@@ -82,7 +78,6 @@ from .protocol import (
     ProtocolResult,
     ProverStrategy,
     acceptance_probability,
-    optimal_prover,
     optimal_prover_witness,
     result_to_json,
     run_protocol,

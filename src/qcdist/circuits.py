@@ -607,18 +607,6 @@ def serialize_circuit(c: Circuit) -> str:
     return "\n".join(out) + "\n"
 
 
-def circuits_equal(a: Circuit, b: Circuit) -> bool:
-    """Structural equality: name, inputs, and every gate (matrices exactly)."""
-    if a.name != b.name or a.n_in != b.n_in or len(a.gates) != len(b.gates):
-        return False
-    for ga, gb in zip(a.gates, b.gates):
-        if ga.kind != gb.kind or ga.wires != gb.wires:
-            return False
-        if ga.kind == "unitary" and not np.array_equal(ga.matrix, gb.matrix):
-            return False
-    return True
-
-
 @dataclass(eq=False)
 class ProblemInstance:
     """A Close Images or circuit-distinguishability instance.
@@ -646,16 +634,6 @@ class ProblemInstance:
                 f"promise constants must satisfy 0 <= b < a <= {hi}, "
                 f"got a={self.a}, b={self.b}"
             )
-
-
-def instance_to_json(inst: ProblemInstance) -> dict:
-    return {
-        "q0": serialize_circuit(inst.q0),
-        "q1": serialize_circuit(inst.q1),
-        "kind": inst.kind,
-        "a": float(inst.a),
-        "b": float(inst.b),
-    }
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:

@@ -93,12 +93,14 @@ def _config(args) -> OptimizerConfig:
 
 
 def cmd_validate(args) -> int:
+    # a file that cannot be read is a usage error, as for the other commands
+    text = Path(args.circuit).read_text(encoding="utf-8")
     # the parser refuses all that circuits.validate reports: what is left is the channel
     try:
-        circuit = _load_circuit(args.circuit)
+        circuit = parse_circuit(text)
     except SizeCapError:
         raise
-    except (CircuitError, ValueError, OSError) as exc:
+    except ValueError as exc:  # CircuitError is one
         _emit({"valid": False, "violations": [str(exc)]})
         return EXIT_INVALID
     try:
@@ -123,13 +125,14 @@ def cmd_distance(args) -> int:
         return EXIT_OK
     q0, q1 = _load_pair(args.inputs)
     cfg = _config(args)
+    ch0, ch1 = choi_of(q0), choi_of(q1)
     if args.kind == "dnorm":
-        witness = diamond_norm(choi_of(q0), choi_of(q1), cfg)
+        witness = diamond_norm(ch0, ch1, cfg)
         out = {"kind": "dnorm"}
         out.update(witness_to_json(witness))
         _emit(out)
         return EXIT_OK if witness.converged else EXIT_NOT_CONVERGED
-    result = max_image_fidelity(q0, q1, cfg)
+    result = max_image_fidelity(ch0, ch1, cfg)
     _emit(
         {
             "kind": "maxfid",

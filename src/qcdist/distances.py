@@ -3,6 +3,8 @@
 Trace norm, fidelity (direct and via purifications), Helstrom measurements,
 and, as certified intervals, the diamond-norm distance and the maximum
 image fidelity.  Every reported value is attained by the returned witness.
+Both intervals take a pair of Channels of one type, formed by ``choi_of``
+from the circuits, and neither walks a circuit itself.
 
 One engine serves both intervals.  For a map with Choi matrix J on
 X (x) H, where H is the input and X the output or an environment, and for
@@ -107,16 +109,17 @@ from .linalg import (
     singular_values,
     spectral,
 )
-from .circuits import Circuit
 from .dilation import dilated_isometry
 from .simulate import (
     Channel,
     InternalConsistencyError,
     adjoint_apply_ext,
-    choi_of,
     kraus_of,
     require_density,
 )
+
+#: Iteration cap on each run of the optimizers: each ascent and each polish.
+MAX_ITERS = 500
 
 #: Monotonicity slack for the Uhlmann run's objective; a larger backward
 #: step indicates a bug in the channel algebra, not numerical jitter.
@@ -151,20 +154,17 @@ MIX_WEIGHTS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Iteration policy of the optimizers.
+    """Stopping rule of the optimizers' polishes.
 
-    ``max_iters`` caps each run: each ascent and each polish.  ``rel_tol``
-    stops the polishes, the diamond-norm seesaw and the image-fidelity
-    Uhlmann run, on a relative change of the objective.  Both distances are
+    ``rel_tol`` stops the polishes, the diamond-norm seesaw and the
+    image-fidelity Uhlmann run, on a relative change of the objective; each
+    run is also capped at MAX_ITERS steps.  Both distances are
     deterministic: no restarts and no seed.
     """
 
-    max_iters: int = 500
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not 0 < self.rel_tol < np.inf:  # NaN too: it would stop no polish early
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
@@ -294,7 +294,7 @@ def _witness_at(ch0: Channel, ch1: Channel, j, x: np.ndarray) -> tuple[np.ndarra
     return helstrom(delta)
 
 
-def _seesaw(ch0: Channel, ch1: Channel, j, x: np.ndarray, max_iters: int, rel_tol: float):
+def _seesaw(ch0: Channel, ch1: Channel, j, x: np.ndarray, rel_tol: float):
     """One seesaw run from psi = vec(x), x of shape (d_in, ref) and unit
     norm; returns (value, x, converged, history).
 
@@ -312,7 +312,7 @@ def _seesaw(ch0: Channel, ch1: Channel, j, x: np.ndarray, max_iters: int, rel_to
     prev = -np.inf
     converged = False
     history: list[float] = []
-    for _ in range(max_iters):  # OptimizerConfig guarantees max_iters >= 1
+    for _ in range(MAX_ITERS):
         evaluated = x
         m, value = _witness_at(ch0, ch1, j, x)
         history.append(value)
@@ -498,7 +498,7 @@ def _block_upper(j, ys: tuple, dim_in: int) -> float:
     return float(np.sqrt(max(ls[0], 0.0) * max(ls[-1], 0.0)))
 
 
-def _ascent(j, dim_in: int, max_iters: int):
+def _ascent(j, dim_in: int):
     """Ascent over the inputs from I/d_in; returns (lower, upper, rhos,
     iterations) at the iterate it stops on, with ``rhos`` as in
     ``_cross_terms``: one state where J is Hermitian or ``_Factored``, else
@@ -507,7 +507,7 @@ def _ascent(j, dim_in: int, max_iters: int):
     Each iteration bounds the gap on the input side, by the unrepaired
     bound sqrt(lambda_max(G0) lambda_max(G1)) minus the lower bound; the
     block certificate is formed at the iterate where that gap falls below
-    ASCENT_TOL, or at ``max_iters``.  Where the input-side gap closes but
+    ASCENT_TOL, or at MAX_ITERS.  Where the input-side gap closes but
     the certificate does not, an input sits on a boundary of the state
     space, and further steps only shrink an eigenvalue that the certificate
     then inverts, so the ascent stops there.
@@ -515,10 +515,10 @@ def _ascent(j, dim_in: int, max_iters: int):
     flat = np.eye(dim_in) / dim_in
     hermitian = isinstance(j, _Factored) or np.array_equal(j, dag(j))
     rhos = (flat,) if hermitian else (flat, flat)
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         lower, ts, gs, dual_blocks = _cross_terms(j, rhos)
         ls = [_lambda_max(g) for g in gs]
-        if np.sqrt(ls[0] * ls[-1]) - lower <= ASCENT_TOL or it == max_iters:
+        if np.sqrt(ls[0] * ls[-1]) - lower <= ASCENT_TOL or it == MAX_ITERS:
             break
         rhos = tuple(t / np.trace(t).real for t in ts)
     return lower, _block_upper(j, dual_blocks(), dim_in), rhos, it
@@ -539,6 +539,14 @@ def _output_of(ch: Channel, x: np.ndarray) -> np.ndarray:
     return _sandwich(ch.choi, x.T, x.conj())
 
 
+def _same_type(ch0: Channel, ch1: Channel) -> None:
+    """Refuse a pair of channels of different types, for both distances."""
+    if (ch0.n_in, ch0.n_out) != (ch1.n_in, ch1.n_out):
+        raise ValueError(
+            f"channels disagree on type: ({ch0.n_in},{ch0.n_out}) vs ({ch1.n_in},{ch1.n_out})"
+        )
+
+
 def diamond_norm(
     ch0: Channel,
     ch1: Channel,
@@ -557,10 +565,7 @@ def diamond_norm(
     exact value; ``ref_qubits`` exists so tests can confirm that a larger
     reference gains nothing.
     """
-    if (ch0.n_in, ch0.n_out) != (ch1.n_in, ch1.n_out):
-        raise ValueError(
-            f"channels disagree on type: ({ch0.n_in},{ch0.n_out}) vs ({ch1.n_in},{ch1.n_out})"
-        )
+    _same_type(ch0, ch1)
     cfg = cfg or OptimizerConfig()
     if ref_qubits is None:
         ref_qubits = ch0.n_in
@@ -574,12 +579,12 @@ def diamond_norm(
     if j is None:
         j = ch0.choi - ch1.choi
         j = (j + dag(j)) / 2
-    lower, upper, (rho,), iterations = _ascent(j, din, cfg.max_iters)
+    lower, upper, (rho,), iterations = _ascent(j, din)
     # psi = vec(sqrt(rho)^T), padded to the reference: (Phi (x) I)(psi psi^dagger) is M(rho)
     x = np.zeros((din, ref_dim), dtype=np.complex128)
     x[:, :din] = _root_and_inverse(rho)[0].T
     if upper - lower > GAP_TOL:
-        value, polished, _, history = _seesaw(ch0, ch1, j, x, cfg.max_iters, cfg.rel_tol)
+        value, polished, _, history = _seesaw(ch0, ch1, j, x, cfg.rel_tol)
         iterations += len(history)
         if value > lower:
             x = polished
@@ -590,14 +595,14 @@ def diamond_norm(
     return DiamondWitness(value, upper, iterations, x.reshape(-1), measurement)
 
 
-def _uhlmann(w0, w1, dim_out: int, psi0, psi1, max_iters: int, rel_tol: float):
+def _uhlmann(w0, w1, dim_out: int, psi0, psi1, rel_tol: float):
     """Uhlmann run from the d_in x d_in purifications (psi0, psi1) to a step
     that changes the objective by at most ``rel_tol``; returns (psi0, psi1,
     iterations).  Each step maximizes over the unitary V on E (x) reference
     by SVD, then over psi0 and psi1 by normalization."""
     din = psi0.shape[1]
     prev = -np.inf
-    for it in range(1, max_iters + 1):  # OptimizerConfig guarantees max_iters >= 1
+    for it in range(1, MAX_ITERS + 1):
         v0 = (w0 @ psi0).reshape(dim_out, -1)
         v1 = (w1 @ psi1).reshape(dim_out, -1)
         # full: V must be unitary, not a partial isometry
@@ -628,31 +633,31 @@ def _schur_upper(j: np.ndarray, y1: np.ndarray, dim_in: int) -> float:
 
 
 def max_image_fidelity(
-    q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
+    ch0: Channel, ch1: Channel, cfg: OptimizerConfig | None = None
 ) -> ImageFidelityResult:
     """Certified interval [value, upper] on max F(Q0(rho0), Q1(rho1)).
 
     One deterministic ascent over the input states (module docstring);
     while its gap is above GAP_TOL, an Uhlmann run polishes the value and
     the kept witness is certified again.  ``value`` is ||K||_1 at the
-    returned (rho0, rho1), the fidelity of their images.  The ambient side
-    d_out * r * d_in is capped before the Kraus stacks are padded.
+    returned (rho0, rho1), the fidelity of their images.  The Kraus
+    operators come from each channel's cached factor (``kraus_of``), and
+    the ambient side d_out * r * d_in is capped before they are padded.
     """
-    if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
-        raise ValueError("circuits disagree on type")
+    _same_type(ch0, ch1)
     cfg = cfg or OptimizerConfig()
-    din, dout = 2**q0.n_in, 2**q0.n_out
-    kraus0, kraus1 = kraus_of(choi_of(q0)), kraus_of(choi_of(q1))
+    din, dout = ch0.dim_in, ch0.dim_out
+    kraus0, kraus1 = kraus_of(ch0), kraus_of(ch1)
     r = max(len(kraus0), len(kraus1))  # one environment for both (Uhlmann)
     linalg.check_cap(dout * r * din, context="image-fidelity ambient space")
     w0, w1 = dilated_isometry(kraus0, r), dilated_isometry(kraus1, r)
     # the cross map's Choi matrix on E (x) input, with blocks A_k^dagger B_l
     j = dag(w0.reshape(dout, -1)) @ w1.reshape(dout, -1)
-    value, upper, rhos, iterations = _ascent(j, din, cfg.max_iters)
+    value, upper, rhos, iterations = _ascent(j, din)
     if upper - value > GAP_TOL:
         roots = (_root_and_inverse(x)[0] for x in (rhos[0], rhos[-1]))
         isometries = (w.reshape(-1, din) for w in (w0, w1))
-        psi0, psi1, steps = _uhlmann(*isometries, dout, *roots, cfg.max_iters, cfg.rel_tol)
+        psi0, psi1, steps = _uhlmann(*isometries, dout, *roots, cfg.rel_tol)
         iterations += steps
         polished = (psi0 @ dag(psi0), psi1 @ dag(psi1))
         if _cross_terms(j, polished)[0] > value:

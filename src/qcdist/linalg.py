@@ -9,7 +9,9 @@ are 1-d arrays.  All functions are pure.
 
 The state tolerances TOL_HERM, TOL_TRACE and TOL_PSD live here; the
 others in the modules that decide with them (README, "Tolerances").
-Double precision with matrix sides <= 256 leaves them ample headroom.
+They held on dense diamond norms of the identity against the depolarizer
+at Choi sides 256 and 1024 (gap 9.3e-10 at 1024); ``DIM_CAP`` admits sides
+up to 4096, where no run has measured them.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ verifier coins, then its prover uniforms, one per trial each.  Blocks are
 independent, so the tally is reproducible for a fixed seed and the same
 for any order in which blocks run, and memory stays O(_BLOCK) for any
 trial count.
+
+The optimal prover's diamond norm takes Channels, as the max image fidelity
+does; ``optimal_prover_witness`` forms them with ``choi_of``.
 """
 
 from __future__ import annotations
@@ -83,20 +86,15 @@ def _private_qubits(strat: ProverStrategy, c: Circuit) -> int:
     return priv
 
 
-def optimal_prover(q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None) -> ProverStrategy:
-    """The strategy built from the diamond-norm witness.
+def optimal_prover_witness(
+    q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
+) -> tuple[ProverStrategy, DiamondWitness]:
+    """The strategy built from the diamond-norm witness, and the witness.
 
     The prover prepares the witness input and measures with the Helstrom
     projector for the two possible outputs, attaining acceptance
     1/2 + 1/4 ||Q0 - Q1||_diamond.
     """
-    return optimal_prover_witness(q0, q1, cfg)[0]
-
-
-def optimal_prover_witness(
-    q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
-) -> tuple[ProverStrategy, DiamondWitness]:
-    """Optimal strategy together with the underlying diamond-norm witness."""
     witness = diamond_norm(choi_of(q0), choi_of(q1), cfg)
     return ProverStrategy(psi=witness.psi, measurement=witness.measurement), witness
 

@@ -8,7 +8,8 @@ matrix and nothing else.  Its action with a reference system,
 (Phi (x) I)(X), and the adjoint action are one matmul each against J with
 its axes permuted, ``channel_apply_ext`` and ``adjoint_apply_ext``, the
 only users of that matmul (``_contract``); Kraus operators are recovered
-from scaled Choi eigenvectors only on request (``kraus_of``).
+from scaled Choi eigenvectors only on request (``kraus_of``).  Both
+distances take Channels and read ``Channel.factor``, so neither factors J.
 
 Every walk runs the circuit in its narrowest equivalent schedule
 (``circuits.schedule``): each ancilla just before its wire's first gate,
@@ -190,11 +191,6 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
             cur = np.add(*diag, out=view(spare, live - 1))
             live, home, spare = live - 1, spare, home
     return cur.copy().reshape(2**live, 2**live, b), live
-
-
-def apply(c: Circuit, rho: np.ndarray) -> np.ndarray:
-    """Exact action of the circuit's channel on a density matrix."""
-    return apply_extended(c, rho, 0)
 
 
 def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int) -> np.ndarray:
@@ -493,33 +489,6 @@ def adjoint_apply_ext(ch: Channel, m, ref_dim: int) -> np.ndarray:
     the kernel is conj(J) with input and output swapped."""
     j4 = ch.choi.reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
     return _contract(j4.conj().transpose(1, 0, 3, 2), m, ref_dim)
-
-
-def channel_tensor(a: Channel, b: Channel) -> Channel:
-    """Parallel composition Phi (x) Psi (first channel on the leading qubits)."""
-    n_in = a.n_in + b.n_in
-    n_out = a.n_out + b.n_out
-    side = 2 ** (n_in + n_out)
-    linalg.check_cap(side, context="tensored Choi")
-    # kron(Ja, Jb) is ordered (oa ia ob ib); the Choi convention wants (oa ob ia ib)
-    k = np.kron(a.choi, b.choi).reshape((a.dim_out, a.dim_in, b.dim_out, b.dim_in) * 2)
-    choi = k.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
-    return Channel(n_in, n_out, choi)
-
-
-def channel_mix(channels, weights) -> Channel:
-    """Convex mixture of channels of equal type: the weighted sum of Choi matrices."""
-    channels = list(channels)
-    weights = [float(w) for w in weights]
-    if len(channels) != len(weights) or not channels:
-        raise ValueError("need equally many channels and weights")
-    # NaN fails 0 <= w, and would pass both w < 0 and the sum test
-    if any(not 0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > TOL_TRACE:
-        raise ValueError(f"weights must be a distribution, got {weights}")
-    n_in, n_out = channels[0].n_in, channels[0].n_out
-    if any(ch.n_in != n_in or ch.n_out != n_out for ch in channels):
-        raise ValueError("mixed channels must agree on type")
-    return Channel(n_in, n_out, sum(w * ch.choi for w, ch in zip(weights, channels)))
 
 
 def density_to_json(rho) -> dict:

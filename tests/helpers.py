@@ -153,6 +153,29 @@ def dilated_apply(d, rho):
     return partial_trace(state, [2] * d.n_wires, list(range(d.n_out)))
 
 
+def circuits_equal(a, b):
+    """Structural equality: name, inputs, and every gate (matrices exactly)."""
+    if a.name != b.name or a.n_in != b.n_in or len(a.gates) != len(b.gates):
+        return False
+    for ga, gb in zip(a.gates, b.gates):
+        if ga.kind != gb.kind or ga.wires != gb.wires:
+            return False
+        if ga.kind == "unitary" and not np.array_equal(ga.matrix, gb.matrix):
+            return False
+    return True
+
+
+def instance_to_json(inst):
+    """The instance JSON that ``instance_from_json`` reads."""
+    return {
+        "q0": serialize_circuit(inst.q0),
+        "q1": serialize_circuit(inst.q1),
+        "kind": inst.kind,
+        "a": float(inst.a),
+        "b": float(inst.b),
+    }
+
+
 @st.composite
 def small_circuits(draw, max_in=3, max_live=5, n_in=None):
     """Valid circuits on at most ``max_in`` inputs (exactly ``n_in`` if given)

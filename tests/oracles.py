@@ -9,11 +9,14 @@ for ancilla and ``linalg.partial_trace`` for trace.  Circuit text is
 checked against the line-at-a-time reader the one-pass parser replaced,
 and JSON text against a writer that formats one value at a time.  Pairs
 of classical channels have an exact diamond-norm distance to check the
-certified interval against.
+certified interval against.  Tensor products and mixtures of channels are
+formed on their Choi matrices, for the constructions' circuits to be
+checked against.
 """
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -30,8 +33,8 @@ from qcdist.circuits import (
     trace_gate,
     unitary_gate,
 )
-from qcdist.linalg import partial_trace
-from qcdist.simulate import channel_from_choi, kraus_of
+from qcdist.linalg import TOL_TRACE, check_cap, partial_trace
+from qcdist.simulate import Channel, channel_from_choi, kraus_of
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
@@ -100,6 +103,33 @@ def classical_dnorm(p0, p1):
     """Exact diamond-norm distance of two classical channels,
     max over x of ||p0(.|x) - p1(.|x)||_1, attained at the input |x>."""
     return float(np.abs(p0 - p1).sum(axis=0).max())
+
+
+def channel_tensor(a, b):
+    """Parallel composition Phi (x) Psi (first channel on the leading qubits)."""
+    n_in = a.n_in + b.n_in
+    n_out = a.n_out + b.n_out
+    side = 2 ** (n_in + n_out)
+    check_cap(side, context="tensored Choi")
+    # kron(Ja, Jb) is ordered (oa ia ob ib); the Choi convention wants (oa ob ia ib)
+    k = np.kron(a.choi, b.choi).reshape((a.dim_out, a.dim_in, b.dim_out, b.dim_in) * 2)
+    choi = k.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
+    return Channel(n_in, n_out, choi)
+
+
+def channel_mix(channels, weights):
+    """Convex mixture of channels of equal type: the weighted sum of Choi matrices."""
+    channels = list(channels)
+    weights = [float(w) for w in weights]
+    if len(channels) != len(weights) or not channels:
+        raise ValueError("need equally many channels and weights")
+    # NaN fails 0 <= w, and would pass both w < 0 and the sum test
+    if any(not 0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > TOL_TRACE:
+        raise ValueError(f"weights must be a distribution, got {weights}")
+    n_in, n_out = channels[0].n_in, channels[0].n_out
+    if any(ch.n_in != n_in or ch.n_out != n_out for ch in channels):
+        raise ValueError("mixed channels must agree on type")
+    return Channel(n_in, n_out, sum(w * ch.choi for w, ch in zip(weights, channels)))
 
 
 def kron_entry_oracle(a, b):

@@ -13,7 +13,6 @@ import numpy as np
 
 from qcdist.circuits import (
     ProblemInstance,
-    instance_to_json,
     parse_circuit,
     serialize_circuit,
     validate,
@@ -43,6 +42,7 @@ from helpers import (
     decohere_circuit,
     depolarizing_circuit,
     identity_circuit,
+    instance_to_json,
     purification,
     random_11_circuit,
     random_density,
@@ -173,7 +173,7 @@ def test_criterion_5_main_reduction():
         qb = random_11_circuit(rng, "qb")
         r0, r1 = ci_to_qcd(qa, qb)
         wd = diamond_norm(choi_of(r0), choi_of(r1))
-        mf = max_image_fidelity(qa, qb)
+        mf = max_image_fidelity(choi_of(qa), choi_of(qb))
         worst = max(worst, abs(wd.value - mf.value))
         if not wd.value <= wd.upper:
             problems.append(f"pair {trial}: dnorm {wd.value} above its bound {wd.upper}")

@@ -12,9 +12,7 @@ from qcdist.circuits import (
     STANDARD_GATES,
     TOL_UNITARY,
     UnitarityError,
-    circuits_equal,
     instance_from_json,
-    instance_to_json,
     named_gate,
     parse_circuit,
     replay_liveness,
@@ -28,8 +26,10 @@ from qcdist.circuits import (
 from qcdist.linalg import SizeCapError
 
 from helpers import (
+    circuits_equal,
     decohere_circuit,
     identity_circuit,
+    instance_to_json,
     mutated_circuit_texts,
     random_circuit,
     random_unitary,

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcdist import cli, linalg, reductions, simulate
 from qcdist.cli import main
 from qcdist.distances import GAP_TOL, DiamondWitness, diamond_norm, witness_to_json
-from qcdist.circuits import ProblemInstance, instance_to_json, parse_circuit, serialize_circuit
+from qcdist.circuits import ProblemInstance, parse_circuit, serialize_circuit
 from qcdist.jsonutil import dumps
 from qcdist.simulate import choi_of, density_to_json
 
@@ -23,6 +23,7 @@ from helpers import (
     decohere_circuit,
     equal_type_pairs,
     identity_circuit,
+    instance_to_json,
     mutated_circuit_texts,
     random_11_circuit,
     random_density,
@@ -77,6 +78,15 @@ def test_validate_non_cp_channel_is_a_violation(workdir, capsys, monkeypatch):
     assert out["valid"] is False
     assert len(out["violations"]) == 1
     assert "not completely positive" in out["violations"][0]
+
+
+@pytest.mark.parametrize("name", ["missing.circ", "."])
+def test_validate_unreadable_path_exits_2_with_empty_stdout(workdir, capsys, name):
+    # a missing file, then a directory: a usage error, as for distance and reduce
+    code = main(["validate", str(workdir / name)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: [Errno")
 
 
 def test_validate_corrupted_unitary(workdir, capsys):

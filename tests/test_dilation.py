@@ -5,7 +5,7 @@ from qcdist import dilation
 from qcdist.circuits import Circuit, decohere_gate, parse_circuit
 from qcdist.dilation import dilate, dilated_isometry
 from qcdist.linalg import SizeCapError, partial_trace
-from qcdist.simulate import apply, choi_of, kraus_of
+from qcdist.simulate import apply_extended, choi_of, kraus_of
 
 from helpers import (
     decohere_circuit,
@@ -33,7 +33,7 @@ def test_single_decohere_dilation():
     assert kinds == ["CNOT"]
     rng = np.random.default_rng(0)
     rho = random_density(rng, 2)
-    assert np.abs(dilated_apply(d, rho) - apply(decohere_circuit(), rho)).max() < 1e-12
+    assert np.abs(dilated_apply(d, rho) - apply_extended(decohere_circuit(), rho, 0)).max() < 1e-12
 
 
 def test_single_trace_dilation():
@@ -54,7 +54,7 @@ def test_dilation_reproduces_apply_on_random_circuits():
         assert c.n_in + d.k == c.n_out + d.l
         assert all(g.kind == "unitary" for g in d.unitary_circuit.gates)
         rho = random_density(rng, 2**c.n_in)
-        assert np.abs(dilated_apply(d, rho) - apply(c, rho)).max() < 1e-10
+        assert np.abs(dilated_apply(d, rho) - apply_extended(c, rho, 0)).max() < 1e-10
 
 
 def test_dilation_counts_linear_in_gates():
@@ -87,7 +87,7 @@ def test_canonical_output_layout():
     assert d.garbage_wires == list(range(d.n_out, d.n_wires))
     rng = np.random.default_rng(3)
     rho = random_density(rng, 4)
-    assert np.abs(dilated_apply(d, rho) - apply(c, rho)).max() < 1e-10
+    assert np.abs(dilated_apply(d, rho) - apply_extended(c, rho, 0)).max() < 1e-10
 
 
 def test_isometry_matches_unitary_embedding():
@@ -114,7 +114,7 @@ def test_dilated_isometry_is_the_channel(seed):
     assert np.abs(wm.conj().T @ wm - np.eye(din)).max() < 1e-12
     rho = random_density(rng, din)
     out = partial_trace(wm @ rho @ wm.conj().T, [dout, r], [0])
-    assert np.abs(out - apply(c, rho)).max() < 1e-12
+    assert np.abs(out - apply_extended(c, rho, 0)).max() < 1e-12
 
 
 def test_dilated_isometry_pads_with_zero_operators():

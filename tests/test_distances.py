@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qcdist import distances
+from qcdist import distances, linalg
+from qcdist.circuits import Circuit, trace_gate
 from qcdist.distances import (
     GAP_TOL,
     OptimizerConfig,
@@ -22,7 +23,14 @@ from qcdist.distances import (
 )
 from qcdist.linalg import TOL_PSD, SizeCapError, partial_trace
 from qcdist.reductions import PolarizationParams, ci_to_qcd, parity_mix, polarize, tensor_power
-from qcdist.simulate import Channel, adjoint_apply_ext, channel_apply_ext, choi_of, kraus_of
+from qcdist.simulate import (
+    Channel,
+    adjoint_apply_ext,
+    apply_extended,
+    channel_apply_ext,
+    choi_of,
+    kraus_of,
+)
 
 from helpers import (
     constant_circuit,
@@ -261,7 +269,7 @@ def test_seesaw_monotone_objective():
     ch1 = choi_of(depolarizing_circuit())
     x = random_state(np.random.default_rng(6), 4).reshape(2, 2)
     j = _difference_factors(ch0, ch1)
-    value, _, converged, history = _seesaw(ch0, ch1, j, x, 500, 1e-10)
+    value, _, converged, history = _seesaw(ch0, ch1, j, x, 1e-10)
     assert converged
     diffs = np.diff(history)
     assert diffs.min() >= -1e-12
@@ -278,7 +286,7 @@ def test_seesaw_rounding_drop_is_not_a_fault(seed):
     j = _difference_factors(ch0, ch1)
     for k in range(32):
         x = random_state(np.random.default_rng(k), 4).reshape(2, 2)
-        value, _, converged, history = _seesaw(ch0, ch1, j, x, 500, 1e-10)
+        value, _, converged, history = _seesaw(ch0, ch1, j, x, 1e-10)
         assert converged
         assert np.diff(history).min() >= -2 * 4 * TOL_PSD
         assert value <= upper + 1e-12
@@ -388,7 +396,7 @@ def test_boundary_optimum_is_certified(seed):
     ch0 = choi_of(random_11_circuit(rng, "a"))
     ch1 = choi_of(random_11_circuit(rng, "b"))
     j = ch0.choi - ch1.choi
-    lower, upper, _, _ = _ascent((j + j.conj().T) / 2, 2, CFG.max_iters)
+    lower, upper, _, _ = _ascent((j + j.conj().T) / 2, 2)
     assert upper - lower > GAP_TOL
     w = diamond_norm(ch0, ch1, CFG)
     assert w.value <= w.upper and w.converged
@@ -421,16 +429,16 @@ def test_repair_term_keeps_the_upper_bound_sound(monkeypatch):
     # the value the polish attains.  With it, that certificate is void, and
     # the polished state mixed with a little of I/d bounds the norm.
     ch0, ch1 = _criterion_5_pair(11)
-    cfg = OptimizerConfig(max_iters=2000)
+    monkeypatch.setattr(distances, "MAX_ITERS", 2000)
     j = ch0.choi - ch1.choi
-    lower, upper, _, iterations = _ascent(j, ch0.dim_in, 2000)
+    lower, upper, _, iterations = _ascent(j, ch0.dim_in)
     assert iterations < 2000
     assert upper - lower > GAP_TOL
-    w = diamond_norm(ch0, ch1, cfg)
+    w = diamond_norm(ch0, ch1, CFG)
     assert w.value <= w.upper < w.value + 1e-5
     assert not w.converged
     monkeypatch.setattr(distances, "_repair", lambda w: 0.0)
-    raw = diamond_norm(ch0, ch1, cfg).upper
+    raw = diamond_norm(ch0, ch1, CFG).upper
     assert raw < w.value - 1e-4
 
 
@@ -496,7 +504,7 @@ def test_truncated_factor_is_repaired_by_its_residual():
     cut, cut_signs = thin.f[:, 1:], thin.signs[1:]
     residual = np.linalg.norm(ch0.choi - ch1.choi - (cut * cut_signs) @ cut.conj().T)
     j = distances._Factored(cut, cut_signs, float(residual))
-    lower, upper, _, _ = _ascent(j, ch0.dim_in, CFG.max_iters)
+    lower, upper, _, _ = _ascent(j, ch0.dim_in)
     assert lower < 1.0 + 1e-9
     assert upper >= diamond_norm(ch0, ch1, CFG).value
 
@@ -510,8 +518,8 @@ def test_thin_path_agrees_with_the_dense_path(seed):
     j = ch0.choi - ch1.choi
     factored = distances._stacked_factors(ch0, ch1)
     assert factored is not None
-    dense = _ascent(j, ch0.dim_in, CFG.max_iters)
-    thin = _ascent(factored, ch0.dim_in, CFG.max_iters)
+    dense = _ascent(j, ch0.dim_in)
+    thin = _ascent(factored, ch0.dim_in)
     assert abs(dense[0] - thin[0]) <= 1e-12
     assert abs(dense[1] - thin[1]) <= 1e-9
     assert dense[3] == thin[3]
@@ -548,25 +556,49 @@ def test_traced_out_is_the_partial_trace_of_f_f_dagger():
         assert np.abs(_traced_out(f, dim_in) - expected).max() <= 1e-12
 
 
+def _maxfid(q0, q1, cfg=None):
+    """max_image_fidelity of two circuits' channels."""
+    return max_image_fidelity(choi_of(q0), choi_of(q1), cfg)
+
+
 def test_max_image_fidelity_closed_forms():
-    r = max_image_fidelity(identity_circuit(), identity_circuit("id2"), CFG)
+    r = _maxfid(identity_circuit(), identity_circuit("id2"), CFG)
     assert abs(r.value - 1.0) < 1e-9
-    r = max_image_fidelity(constant_circuit("c0", "zero"), constant_circuit("c1", "one"), CFG)
+    r = _maxfid(constant_circuit("c0", "zero"), constant_circuit("c1", "one"), CFG)
     assert r.value < 1e-9
-    r = max_image_fidelity(constant_circuit("c0", "zero"), constant_circuit("cp", "plus"), CFG)
+    r = _maxfid(constant_circuit("c0", "zero"), constant_circuit("cp", "plus"), CFG)
     assert abs(r.value - 1 / np.sqrt(2)) < 1e-9
 
 
 def test_max_image_fidelity_witnesses_achieve_value():
-    from qcdist.simulate import apply
-
     rng = np.random.default_rng(8)
-    from helpers import random_11_circuit
-
     qa = random_11_circuit(rng, "qa")
     qb = random_11_circuit(rng, "qb")
-    r = max_image_fidelity(qa, qb, CFG)
-    assert abs(fidelity(apply(qa, r.rho0), apply(qb, r.rho1)) - r.value) < 1e-12
+    r = _maxfid(qa, qb, CFG)
+    images = apply_extended(qa, r.rho0, 0), apply_extended(qb, r.rho1, 0)
+    assert abs(fidelity(*images) - r.value) < 1e-12
+
+
+def test_max_image_fidelity_reads_the_channels_cached_factor(monkeypatch):
+    # choi_of forms each channel's factor; the distance must not form it again
+    rng = np.random.default_rng(8)
+    pairs = [(identity_circuit(), z_circuit()),
+             (random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb"))]
+    channels = [(choi_of(q0), choi_of(q1)) for q0, q1 in pairs]
+    before = [max_image_fidelity(ch0, ch1, CFG) for ch0, ch1 in channels]
+    monkeypatch.setattr(linalg, "psd_factor", _refuse)
+    for (ch0, ch1), r in zip(channels, before):
+        again = max_image_fidelity(ch0, ch1, CFG)
+        assert (again.value, again.upper) == (r.value, r.upper)
+
+
+@pytest.mark.parametrize("distance", [diamond_norm, max_image_fidelity])
+def test_both_distances_refuse_a_type_mismatch_alike(distance):
+    one = choi_of(identity_circuit())
+    for other, message in [(choi_of(identity_circuit("id2", 2)), r"\(1,1\) vs \(2,2\)"),
+                           (choi_of(Circuit("t", 1, (trace_gate(0),))), r"\(1,1\) vs \(1,0\)")]:
+        with pytest.raises(ValueError, match=r"^channels disagree on type: " + message + "$"):
+            distance(one, other)
 
 
 def test_fuchs_van_de_graaf():
@@ -613,8 +645,6 @@ def test_witness_json_shape():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
     for tol in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rel_tol"):
             OptimizerConfig(rel_tol=tol)
@@ -630,13 +660,13 @@ def test_max_image_fidelity_checks_cap_before_isometry(monkeypatch):
     monkeypatch.setattr(distances, "dilated_isometry", _refuse)
     p0, p1 = identity_circuit("id4", 4), depolarizing_circuit("dep4", 4)
     with pytest.raises(SizeCapError, match="image-fidelity ambient space"):
-        max_image_fidelity(p0, p1)
+        _maxfid(p0, p1)
 
 
 def test_max_image_fidelity_three_parity_blocks():
     # refused by the cap on the 2^l garbage space before; side 512 now
     p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 3)
-    r = max_image_fidelity(p0, p1)
+    r = _maxfid(p0, p1)
     assert abs(r.value - 1.0) < 1e-6
     assert r.value <= r.upper + 1e-12 and r.converged
 
@@ -645,7 +675,7 @@ def test_max_image_fidelity_closes_at_the_cap():
     # Kraus ranks 16 and 15 on 4 inputs and outputs: ambient side 4096,
     # exactly the cap; the images intersect, so the fidelity is 1
     p0, p1 = parity_mix(identity_circuit(), decohere_circuit(), 4)
-    r = max_image_fidelity(p0, p1)
+    r = _maxfid(p0, p1)
     assert abs(r.value - 1.0) < 1e-9
     assert r.gap <= GAP_TOL
 
@@ -653,20 +683,21 @@ def test_max_image_fidelity_closes_at_the_cap():
 @settings(max_examples=40, deadline=None)
 @given(pair=equal_type_pairs())
 def test_max_image_fidelity_interval_property(pair):
-    r = max_image_fidelity(*pair)
+    r = _maxfid(*pair)
     assert 0.0 <= r.value <= r.upper <= 1.0
     assert r.iterations >= 1
-    again = max_image_fidelity(*pair)
+    again = _maxfid(*pair)
     assert (again.value, again.upper, again.iterations) == (r.value, r.upper, r.iterations)
     assert np.array_equal(again.rho0, r.rho0) and np.array_equal(again.rho1, r.rho1)
 
 
-def test_max_image_fidelity_at_the_iteration_cap():
+def test_max_image_fidelity_at_the_iteration_cap(monkeypatch):
     # pair 11 stalls on the boundary, so three steps leave the gap open
     rng = np.random.default_rng(105)
     for _ in range(12):
         qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
-    r = max_image_fidelity(qa, qb, OptimizerConfig(max_iters=3))
+    monkeypatch.setattr(distances, "MAX_ITERS", 3)
+    r = _maxfid(qa, qb)
     assert r.value <= r.upper and not r.converged
     assert r.iterations <= 6
 
@@ -678,7 +709,7 @@ def test_max_image_fidelity_witness_ignores_the_kraus_basis(monkeypatch):
     # amplifies it (up to 4.3e-12 seen on these pairs).
     rng = np.random.default_rng(105)
     pairs = [(random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")) for _ in range(11)]
-    plain = [max_image_fidelity(qa, qb) for qa, qb in pairs]
+    plain = [_maxfid(qa, qb) for qa, qb in pairs]
     mix = np.random.default_rng(541)
 
     def mixed_kraus(ch):
@@ -687,7 +718,7 @@ def test_max_image_fidelity_witness_ignores_the_kraus_basis(monkeypatch):
 
     monkeypatch.setattr(distances, "kraus_of", mixed_kraus)
     for (qa, qb), a in zip(pairs, plain):
-        b = max_image_fidelity(qa, qb)
+        b = _maxfid(qa, qb)
         assert abs(a.value - b.value) <= 1e-12
         assert abs(a.upper - b.upper) <= 1e-11
         assert np.abs(a.rho0 - b.rho0).max() <= 1e-10

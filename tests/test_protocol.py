@@ -6,7 +6,6 @@ from qcdist.protocol import (
     _BLOCK,
     ProverStrategy,
     acceptance_probability,
-    optimal_prover,
     optimal_prover_witness,
     result_to_json,
     run_protocol,
@@ -50,18 +49,18 @@ def test_prover_state_norm_is_decided_at_construction():
 
 
 def test_equal_circuits_give_half():
-    strat = optimal_prover(identity_circuit(), identity_circuit("id2"), CFG)
+    strat = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
     p = acceptance_probability(identity_circuit(), identity_circuit("id2"), strat)
     assert abs(p - 0.5) < 1e-9
 
 
 def test_perfectly_distinguishable_gives_one():
-    strat = optimal_prover(identity_circuit(), z_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
     assert abs(acceptance_probability(identity_circuit(), z_circuit(), strat) - 1.0) < 1e-9
 
 
 def test_decohere_pair_gives_three_quarters():
-    strat = optimal_prover(identity_circuit(), decohere_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
     p = acceptance_probability(identity_circuit(), decohere_circuit(), strat)
     assert abs(p - 0.75) < 1e-6
 
@@ -85,27 +84,27 @@ def test_random_strategies_respect_soundness_bound():
 
 
 def test_run_protocol_statistics_equal_circuits():
-    strat = optimal_prover(identity_circuit(), identity_circuit("id2"), CFG)
+    strat = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
     res = run_protocol(identity_circuit(), identity_circuit("id2"), strat, 10000, seed=7)
     assert abs(res.estimate - 0.5) < 0.02
     assert abs(res.p_accept_exact - 0.5) < 1e-12
 
 
 def test_run_protocol_perfect_case_always_accepts():
-    strat = optimal_prover(identity_circuit(), z_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
     res = run_protocol(identity_circuit(), z_circuit(), strat, 10000, seed=11)
     assert res.accepts == res.trials
 
 
 def test_run_protocol_concentrates():
-    strat = optimal_prover(identity_circuit(), decohere_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
     res = run_protocol(identity_circuit(), decohere_circuit(), strat, 100000, seed=13)
     assert abs(res.estimate - 0.75) < 0.006
     assert abs(res.dnorm_witness_value - 1.0) < 1e-6
 
 
 def test_run_protocol_reproducible():
-    strat = optimal_prover(identity_circuit(), decohere_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
     a = run_protocol(identity_circuit(), decohere_circuit(), strat, 2000, seed=3)
     b = run_protocol(identity_circuit(), decohere_circuit(), strat, 2000, seed=3)
     assert a.accepts == b.accepts
@@ -114,17 +113,17 @@ def test_run_protocol_reproducible():
 def test_completeness_and_soundness_thresholds():
     # yes instance for a = 2 - eps: identity vs Z; no instance for b = eps:
     # identical circuits.
-    strat = optimal_prover(identity_circuit(), z_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
     p_yes = acceptance_probability(identity_circuit(), z_circuit(), strat)
     a = 2 - 1e-6
     assert p_yes >= 0.5 + a / 4
-    strat0 = optimal_prover(identity_circuit(), identity_circuit("id2"), CFG)
+    strat0 = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
     p_no = acceptance_probability(identity_circuit(), identity_circuit("id2"), strat0)
     assert p_no <= 0.5 + 1e-6 / 4 + 1e-9
 
 
 def test_result_json_fields():
-    strat = optimal_prover(identity_circuit(), decohere_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
     res = run_protocol(identity_circuit(), decohere_circuit(), strat, 100, seed=1)
     blob = result_to_json(res)
     assert set(blob) == {
@@ -153,7 +152,7 @@ def test_run_protocol_checks_soundness_against_upper_bound():
 @pytest.fixture(scope="module")
 def decohere_prover():
     q0, q1 = identity_circuit(), decohere_circuit()
-    return q0, q1, optimal_prover(q0, q1, CFG)
+    return q0, q1, optimal_prover_witness(q0, q1, CFG)[0]
 
 
 def reference_accepts(q0, q1, strat, trials, seed):
@@ -193,7 +192,7 @@ def test_tally_is_sum_of_blocks_in_any_order(decohere_prover, trials):
 
 
 def test_perfect_case_accepts_across_block_boundary():
-    strat = optimal_prover(identity_circuit(), z_circuit(), CFG)
+    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
     res = run_protocol(identity_circuit(), z_circuit(), strat, 2 * _BLOCK + 3, seed=5)
     assert res.accepts == res.trials
 

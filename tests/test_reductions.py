@@ -28,7 +28,7 @@ from qcdist.reductions import (
     polarize,
     tensor_power,
 )
-from qcdist.simulate import channel_mix, channel_tensor, choi_of
+from qcdist.simulate import choi_of
 
 from helpers import (
     decohere_circuit,
@@ -40,6 +40,7 @@ from helpers import (
     small_circuits,
     z_circuit,
 )
+from oracles import channel_mix, channel_tensor
 
 CFG = OptimizerConfig()
 
@@ -133,7 +134,7 @@ def test_ci_to_qcd_matches_max_image_fidelity():
         qb = random_11_circuit(rng, "qb")
         r0, r1 = ci_to_qcd(qa, qb)
         wd = diamond_norm(choi_of(r0), choi_of(r1))
-        mf = max_image_fidelity(qa, qb)
+        mf = max_image_fidelity(choi_of(qa), choi_of(qb))
         assert abs(wd.value - mf.value) < 1e-4
 
 
@@ -174,7 +175,7 @@ def test_ci_to_qcd_two_qubit_inputs():
     r0, r1 = ci_to_qcd(qa, qb)
     assert (r0.n_in, r0.n_out) == (3, r0.n_out)
     wd = diamond_norm(choi_of(r0), choi_of(r1))
-    mf = max_image_fidelity(qa, qb)
+    mf = max_image_fidelity(choi_of(qa), choi_of(qb))
     assert abs(wd.value - 1 / np.sqrt(2)) < 1e-6
     assert abs(mf.value - 1 / np.sqrt(2)) < 1e-6
 

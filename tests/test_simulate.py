@@ -23,11 +23,9 @@ from qcdist.simulate import (
     Channel,
     NotCompletelyPositiveError,
     adjoint_apply_ext,
-    apply,
     apply_extended,
     channel_apply_ext,
     channel_from_choi,
-    channel_mix,
     choi_of,
     density_from_json,
     density_to_json,
@@ -48,7 +46,7 @@ from helpers import (
     small_circuits,
     z_circuit,
 )
-from oracles import density_walk_oracle
+from oracles import channel_mix, density_walk_oracle
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -57,17 +55,17 @@ PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
 def test_apply_empty_circuit():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 2)
-    assert np.abs(apply(identity_circuit(), rho) - rho).max() == 0.0
+    assert np.abs(apply_extended(identity_circuit(), rho, 0) - rho).max() == 0.0
 
 
 def test_apply_decohere_plus_state():
     plus = np.full((2, 2), 0.5, dtype=complex)
-    assert np.abs(apply(decohere_circuit(), plus) - np.eye(2) / 2).max() < 1e-15
+    assert np.abs(apply_extended(decohere_circuit(), plus, 0) - np.eye(2) / 2).max() < 1e-15
 
 
 def test_apply_hadamard():
     h = parse_circuit("circuit h inputs 1\ngate H 0\nend")
-    out = apply(h, np.diag([1.0, 0.0]).astype(complex))
+    out = apply_extended(h, np.diag([1.0, 0.0]).astype(complex), 0)
     assert np.abs(out - np.full((2, 2), 0.5)).max() < 1e-15
 
 
@@ -99,7 +97,7 @@ def test_apply_extended_zero_ref_is_apply():
     rng = np.random.default_rng(1)
     c = random_circuit(rng, 1, 4)
     rho = random_density(rng, 2)
-    assert np.abs(apply_extended(c, rho, 0) - apply(c, rho)).max() == 0.0
+    assert np.abs(apply_extended(c, rho, 0) - simulate(c, rho)).max() == 0.0
 
 
 def test_apply_extended_identity_leaves_state():
@@ -233,7 +231,7 @@ def test_apply_agrees_with_choi_reconstruction():
         c = random_circuit(rng, 1, 6)
         ch = choi_of(c)
         rho = random_density(rng, 2)
-        assert np.abs(apply(c, rho) - channel_apply_ext(ch, rho, 1)).max() < 1e-10
+        assert np.abs(apply_extended(c, rho, 0) - channel_apply_ext(ch, rho, 1)).max() < 1e-10
 
 
 def test_apply_extended_reference_growth_consistency():
@@ -659,10 +657,7 @@ def test_walks_leave_the_input_untouched():
             rho = random_density(rng, 2 ** (2 + ref_qubits))
             x0, rho0 = x.copy(), rho.copy()
             simulate(c, x, ref_qubits)
-            if ref_qubits:
-                apply_extended(c, rho, ref_qubits)
-            else:
-                apply(c, rho)
+            apply_extended(c, rho, ref_qubits)
             assert np.array_equal(x, x0) and np.array_equal(rho, rho0)
 
 
