@@ -181,9 +181,11 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
         # a is Hermitian, so its column p is conj(a[p])
         col = np.conjugate(a[p], out=rows[k])
         col -= rows[:k, p].conj() @ rows[:k]
-        col /= np.sqrt(d[p])
+        root = math.sqrt(d[p])
+        # scaled through its float64 view: a complex division costs 6 of ~45 us at side 512
+        col.view(np.float64)[:] *= 1.0 / root
         col[pivots[:k]] = 0.0  # exact zeros above the diagonal of the pivoted factor
-        col[p] = np.sqrt(d[p])
+        col[p] = root
         d -= col.real**2 + col.imag**2
         d[p] = 0.0  # earlier pivots stay at 0: col is exactly 0 there
         pivots[k], rank = p, k + 1

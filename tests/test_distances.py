@@ -723,3 +723,80 @@ def test_max_image_fidelity_witness_ignores_the_kraus_basis(monkeypatch):
         assert abs(a.upper - b.upper) <= 1e-11
         assert np.abs(a.rho0 - b.rho0).max() <= 1e-10
         assert np.abs(a.rho1 - b.rho1).max() <= 1e-10
+
+
+def _recording_cross_terms(monkeypatch):
+    """Record every (rhos, eigs) the ascent's ``_cross_terms`` receives."""
+    seen = []
+    original = distances._cross_terms
+
+    def record(j, rhos, eigs=None):
+        seen.append((rhos, eigs))
+        return original(j, rhos, eigs)
+
+    monkeypatch.setattr(distances, "_cross_terms", record)
+    return seen
+
+
+def test_accelerated_states_are_hermitian_unit_trace_above_the_floor(monkeypatch):
+    seen = _recording_cross_terms(monkeypatch)
+    rng = np.random.default_rng(105)
+    for _ in range(4):
+        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+        diamond_norm(*(choi_of(c) for c in ci_to_qcd(qa, qb)), CFG)
+        max_image_fidelity(choi_of(qa), choi_of(qb), CFG)
+    mixed = [rho for rhos, eigs in seen if eigs is not None for rho in rhos]
+    assert len(mixed) >= 10
+    for rhos, _ in seen:
+        for rho in rhos:
+            assert linalg.herm_defect(rho) <= 1e-15
+            assert abs(np.trace(rho).real - 1) <= 1e-12
+    for rho in mixed:
+        assert linalg.herm_defect(rho) == 0.0
+        # the eigensolver's own rounding, side eps_mach, on top of the floor
+        assert np.linalg.eigvalsh(rho)[0] >= distances.ANDERSON_FLOOR - 1e-15
+
+
+def test_a_worse_mixing_step_leaves_the_plain_ascent(monkeypatch):
+    # I/d_in is the ascent's first iterate, and every plain step raises the
+    # lower bound from there, so a mixing step that returns it is rejected:
+    # each rejection costs one evaluation, and the plain steps go on as if
+    # no mixing had been tried
+    ch0, ch1 = _criterion_5_pair(0)
+    j = distances._stacked_factors(ch0, ch1)
+    monkeypatch.setattr(distances, "ANDERSON_FAILURES", 0)
+    plain = _ascent(j, ch0.dim_in)
+    monkeypatch.setattr(distances, "ANDERSON_FAILURES", 3)
+
+    def worse(memory, dim_in):
+        flat = np.eye(dim_in, dtype=complex) / dim_in
+        return (flat,), ((np.full(dim_in, 1 / dim_in), np.eye(dim_in, dtype=complex)),)
+
+    monkeypatch.setattr(distances, "_anderson", worse)
+    forced = _ascent(j, ch0.dim_in)
+    assert plain[3] > 6 and forced[3] == plain[3] + 3
+    assert abs(forced[0] - plain[0]) <= 1e-12 and abs(forced[1] - plain[1]) <= 1e-12
+
+
+def test_ascent_iteration_budget_on_criterion_5(monkeypatch):
+    # Summed over the acceptance test's 20 close-images pairs, both
+    # distances: 2900 ascent iterations with plain steps only, 2521 with
+    # the Anderson steps.  ANDERSON_RCOND is passed to lstsq explicitly,
+    # so every numpy takes the same steps.
+    counts = []
+    original = distances._ascent
+
+    def counted(j, dim_in):
+        out = original(j, dim_in)
+        counts.append(out[3])
+        return out
+
+    monkeypatch.setattr(distances, "_ascent", counted)
+    for index in range(20):
+        ch0, ch1 = _criterion_5_pair(index)
+        diamond_norm(ch0, ch1, CFG)
+    rng = np.random.default_rng(105)
+    for _ in range(20):
+        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+        max_image_fidelity(choi_of(qa), choi_of(qb), CFG)
+    assert len(counts) == 40 and sum(counts) < 2600
