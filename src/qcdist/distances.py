@@ -55,10 +55,13 @@ difference of PSD matrices.
 
 The ascent's steps are Anderson-accelerated (Walker and Ni, SIAM J.
 Numer. Anal. 49 (2011) 1715-1735): each mixes the last few plain steps
-into one iterate, which is kept only where it keeps every eigenvalue at
-least ANDERSON_FLOOR and neither lowers the lower bound nor widens the
-input-side gap; otherwise the plain step is taken.  Interior optima take
-a few iterations instead of dozens.
+into one iterate, whose eigenvalues are held above a floor: no lower than
+ANDERSON_REACH plain steps would take the least one, at the rate the last
+plain step shrank it, or than where the input-side gap, which falls with
+it, would reach a tenth of ASCENT_TOL.  The mixed iterate is kept only
+where it neither lowers the lower bound nor widens the input-side gap;
+otherwise the plain step is taken.  An ascent whose input creeps to a
+rank-deficient optimum takes a few iterations instead of dozens.
 
 Where an optimal rho_i is rank-deficient the ascent can stall on the
 boundary with the gap open.  A polish per distance then improves the
@@ -144,21 +147,22 @@ SUPPORT_CUT = 1e-14
 #: The ascent runs until its input-side gap is below this.  Its lower bound
 #: closes on the optimum about as fast as the upper one, so a hundredth of
 #: GAP_TOL leaves the value within ~1e-8 of the optimum, for a few more
-#: iterations: of a geometric convergence in the plain steps, fewer where
-#: the Anderson steps converge faster than that.
+#: iterations: the plain steps converge geometrically, and the Anderson
+#: steps faster.
 ASCENT_TOL = GAP_TOL / 100
 
 #: Anderson acceleration of the ascent (``_ascent``): the number of past
-#: steps it mixes, the floor under which a mixed state's eigenvalues make
-#: the ascent take the plain step instead, the least-squares cutoff on the
-#: singular values of the residual differences, and the number of mixed
-#: steps declined or rejected after which it takes plain steps only.  A mixed state is
-#: never clipped onto the floor: the plain step can only shrink or grow an
-#: eigenvalue by a factor per step, so a state pressed onto a wrong face
-#: stays there, and a certificate at the floor amplifies rounding by
-#: 1/sqrt(floor).
+#: steps it mixes; how many plain steps' worth of shrinking it may take at
+#: once, which sets the floor of a mixed state's eigenvalues
+#: (``_floor``); the least-squares cutoff on the singular values of the
+#: residual differences; and the number of mixed steps rejected after which
+#: it takes plain steps only.  The floor is relative: a fixed one presses a
+#: state onto a face it may not belong on, where the plain step regrows
+#: the eigenvalue only by a factor per step and the input-side gap closes
+#: falsely once it falls below SUPPORT_CUT, and a certificate at a fixed
+#: floor amplifies rounding by 1/sqrt(floor).
 ANDERSON_MEMORY = 5
-ANDERSON_FLOOR = 1e-9
+ANDERSON_REACH = 30
 ANDERSON_RCOND = 1e-6
 ANDERSON_FAILURES = 3
 
@@ -380,10 +384,9 @@ def _traced_out(f: np.ndarray, dim_in: int, g: np.ndarray | None = None) -> np.n
     return x @ dag(x if g is None else flat(g))
 
 
-def _root_and_inverse(rho: np.ndarray, eig=None) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(rho) and its pseudo-inverse on the support of rho (SUPPORT_CUT),
-    from ``eig``, rho's eigenpairs (w, v) descending, where the caller has them."""
-    w, v = spectral(rho) if eig is None else eig
+def _root_and_inverse(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(rho) and its pseudo-inverse on the support of rho (SUPPORT_CUT)."""
+    w, v = spectral(rho)
     w = np.clip(w, 0.0, None)
     supp = w > SUPPORT_CUT * w[0]
     return (v * np.sqrt(w)) @ dag(v), (v[:, supp] / np.sqrt(w[supp])) @ dag(v[:, supp])
@@ -418,7 +421,7 @@ def _stacked_factors(ch0: Channel, ch1: Channel) -> _Factored | None:
     return _Factored(np.hstack([l0, l1]), signs, res0 + res1)
 
 
-def _cross_terms(j, rhos: tuple, eigs: tuple | None = None):
+def _cross_terms(j, rhos: tuple):
     """(||K||_1, Ts, Gs, dual_blocks) for K = (I_X (x) sqrt rho0) J (I_X (x) sqrt rho1).
 
     ``rhos`` is (rho0, rho1), or (rho,) for rho0 = rho1 = rho with J
@@ -438,7 +441,7 @@ def _cross_terms(j, rhos: tuple, eigs: tuple | None = None):
     columns as F.
     """
     dim_in = rhos[0].shape[0]
-    roots = [_root_and_inverse(x, e) for x, e in zip(rhos, eigs or (None,) * len(rhos))]
+    roots = [_root_and_inverse(x) for x in rhos]
     (s0, s0_inv), (s1, s1_inv) = roots[0], roots[-1]
     if len(rhos) == 2:
         u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1))
@@ -537,43 +540,40 @@ def _ascent(j, dim_in: int):
     then inverts, so the ascent stops there.
 
     The steps are Anderson-accelerated (``_anderson``): from the second
-    iteration on, the next iterate mixes the last ANDERSON_MEMORY plain
-    steps rho_i <- T_i / tr T_i.  Where a mixed state has an eigenvalue
-    below ANDERSON_FLOOR, the plain step is taken instead.  A mixed
-    iterate whose lower bound falls below the previous iterate's, or whose
-    input-side gap rises above it, is rejected: the plain step from the
-    previous iterate replaces it, and the memory is cleared.  After
-    ANDERSON_FAILURES mixed steps declined or rejected, in all, only plain
-    steps are taken, so an ascent that creeps to a boundary, where every
-    mixed state falls below the floor, stops mixing after three.  Every
-    evaluation counts as an iteration, rejected ones too.  The certificate
-    is formed at the stop iterate whatever led there, so a bad step costs
-    tightness, never soundness.
+    iteration on, the next iterate mixes the last ANDERSON_MEMORY + 1
+    plain steps rho_i <- T_i / tr T_i, with its eigenvalues held above a
+    floor.  A mixed iterate whose lower bound falls below the previous
+    iterate's, or whose input-side gap rises above it, is rejected: the
+    plain step from the previous iterate replaces it, and the memory is
+    cleared.  After ANDERSON_FAILURES rejections only plain steps are
+    taken.  Every evaluation counts as an iteration, rejected ones too.
+    The certificate is formed at the stop iterate whatever led there, so a
+    bad step costs tightness, never soundness.
     """
     flat = np.eye(dim_in, dtype=np.complex128) / dim_in
     hermitian = isinstance(j, _Factored) or np.array_equal(j, dag(j))
-    rhos, eigs = ((flat,) if hermitian else (flat, flat)), None
+    rhos, mixed = ((flat,) if hermitian else (flat, flat)), False
     memory: list[tuple[np.ndarray, np.ndarray]] = []
     failures = 0
     for it in range(1, MAX_ITERS + 1):
-        lower, ts, gs, dual_blocks = _cross_terms(j, rhos, eigs)
+        lower, ts, gs, dual_blocks = _cross_terms(j, rhos)
         ls = [_lambda_max(g) for g in gs]
         gap = np.sqrt(ls[0] * ls[-1]) - lower
-        if eigs is not None and (lower < kept[0] or gap > kept[1]):
+        if mixed and (lower < kept[0] or gap > kept[1]):
             failures += 1
             memory.clear()
-            rhos, eigs = plain, None
+            rhos, mixed = plain, False
             continue
         kept = (lower, gap, dual_blocks, rhos)
         if gap <= ASCENT_TOL or it == MAX_ITERS:
             break
         plain = tuple(t / np.trace(t).real for t in ts)
-        mixed = None
         if failures < ANDERSON_FAILURES:
             memory = [*memory[-ANDERSON_MEMORY:], (_stacked(rhos), _stacked(plain))]
-            mixed = _anderson(memory, dim_in) if len(memory) > 1 else None
-            failures += len(memory) > 1 and mixed is None
-        rhos, eigs = mixed or (plain, None)
+        if failures < ANDERSON_FAILURES and len(memory) > 1:
+            rhos, mixed = _anderson(memory, rhos, plain, gap), True
+        else:
+            rhos, mixed = plain, False
     lower, _, dual_blocks, rhos = kept
     return lower, _block_upper(j, dual_blocks(), dim_in), rhos, it
 
@@ -583,37 +583,54 @@ def _stacked(rhos: tuple) -> np.ndarray:
     return np.concatenate([x.reshape(-1).view(np.float64) for x in rhos])
 
 
-def _anderson(memory: list, dim_in: int) -> tuple[tuple, tuple] | None:
-    """(rhos, eigs) of the type-II Anderson step (Walker and Ni, SIAM J.
+def _anderson(memory: list, current: tuple, plain: tuple, gap: float) -> tuple:
+    """The states of the type-II Anderson step (Walker and Ni, SIAM J.
     Numer. Anal. 49 (2011) 1715-1735) from ``memory``, pairs (x_i, g(x_i))
-    of stacked states and their plain steps; None where a mixed state has
-    an eigenvalue below ANDERSON_FLOOR.
+    of stacked states and their plain steps, the last of which is
+    ``current`` and ``plain``.
 
     With residuals f_i = g(x_i) - x_i, gamma minimizes ||f_k - dF gamma||
     over the differences dF of consecutive residuals, and the mixed iterate
     is g(x_k) - dG gamma, dG the differences of the plain steps.  Each
-    state of it is made Hermitian, and the part of its spectrum above
-    ANDERSON_FLOOR is scaled to make its trace 1, which keeps every
-    eigenvalue at least the floor; ``eigs`` are its eigenpairs (w, v), for
-    ``_cross_terms`` to reuse.
+    state of it is made Hermitian, its eigenvalues are raised to the floor
+    (``_floor``), and the part above the floor is scaled to make its trace
+    1, so every eigenvalue stays at least the floor.
     """
     xs, steps = (np.array(a) for a in zip(*memory))
     residuals = steps - xs
     d_res, d_steps = np.diff(residuals, axis=0).T, np.diff(steps, axis=0).T
     # rcond explicitly: numpy 2.0 changed its default
     gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=ANDERSON_RCOND)[0]
+    dim_in = plain[0].shape[0]
     mixed = (steps[-1] - d_steps @ gamma).view(np.complex128).reshape(-1, dim_in, dim_in)
-    rhos, eigs = [], []
-    for x in mixed:
-        w, v = spectral((x + dag(x)) / 2)
-        if w[-1] < ANDERSON_FLOOR:
-            return None
-        above = w - ANDERSON_FLOOR
-        w = ANDERSON_FLOOR + (1 - dim_in * ANDERSON_FLOOR) * above / above.sum()
+    rhos = []
+    for x, rho, step in zip(mixed, current, plain):
+        floor = _floor(rho, step, gap)
+        w, v = np.linalg.eigh((x + dag(x)) / 2)
+        above = np.maximum(w, floor) - floor
+        w = floor + (1 - dim_in * floor) * above / (above.sum() or 1.0)
         rho = (v * w) @ dag(v)
         rhos.append((rho + dag(rho)) / 2)
-        eigs.append((w, v))
-    return tuple(rhos), tuple(eigs)
+    return tuple(rhos)
+
+
+def _floor(rho: np.ndarray, step: np.ndarray, gap: float) -> float:
+    """The least eigenvalue a mixed state may have, from the least
+    eigenvalues lam of ``rho`` and lam' of its plain step ``step``, and the
+    input-side gap at ``rho``: never above lam', and never below both
+
+    - lam' (lam' / lam)^ANDERSON_REACH, as far as ANDERSON_REACH more plain
+      steps would take it at the rate of this one (not at all where it
+      grew), and
+    - lam ASCENT_TOL / (10 gap): near a rank-deficient optimum the gap
+      falls in proportion to lam, so a least eigenvalue that leaves the gap
+      about a tenth of ASCENT_TOL, where the ascent stops, and no further.
+
+    So the floor is 0 only where the plain step is singular.
+    """
+    low, low_step = (max(float(np.linalg.eigvalsh(a)[0]), 0.0) for a in (rho, step))
+    reach = low_step * min(1.0, low_step / low) ** ANDERSON_REACH if low > 0 else low_step
+    return min(low_step, max(reach, low * ASCENT_TOL / (10 * gap)))
 
 
 def _mixed_upper(j, rhos: tuple) -> float:

@@ -182,7 +182,7 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
         col = np.conjugate(a[p], out=rows[k])
         col -= rows[:k, p].conj() @ rows[:k]
         root = math.sqrt(d[p])
-        # scaled through its float64 view: a complex division costs 6 of ~45 us at side 512
+        # scaled through its float64 view by a real reciprocal, not by a complex division
         col.view(np.float64)[:] *= 1.0 / root
         col[pivots[:k]] = 0.0  # exact zeros above the diagonal of the pivoted factor
         col[p] = root

@@ -412,12 +412,15 @@ def test_upper_bound_never_exceeds_two():
     assert w.upper == 2.0 and w.converged
 
 
+def _criterion_5_circuits():
+    """The acceptance test's 20 type-(1,1) pairs (qa, qb), drawn in order."""
+    rng = np.random.default_rng(105)
+    return [(random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")) for _ in range(20)]
+
+
 def _criterion_5_pair(index):
     """Pair ``index`` of the acceptance test's 20 close-images reductions."""
-    rng = np.random.default_rng(105)
-    for _ in range(index + 1):
-        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
-    r0, r1 = ci_to_qcd(qa, qb)
+    r0, r1 = ci_to_qcd(*_criterion_5_circuits()[index])
     return choi_of(r0), choi_of(r1)
 
 
@@ -725,36 +728,48 @@ def test_max_image_fidelity_witness_ignores_the_kraus_basis(monkeypatch):
         assert np.abs(a.rho1 - b.rho1).max() <= 1e-10
 
 
-def _recording_cross_terms(monkeypatch):
-    """Record every (rhos, eigs) the ascent's ``_cross_terms`` receives."""
-    seen = []
-    original = distances._cross_terms
+def test_accelerated_states_are_hermitian_unit_trace_above_the_floor(monkeypatch):
+    seen, mixed = [], []
+    cross_terms, anderson = distances._cross_terms, distances._anderson
 
-    def record(j, rhos, eigs=None):
-        seen.append((rhos, eigs))
-        return original(j, rhos, eigs)
+    def record(j, rhos):
+        seen.extend(rhos)
+        return cross_terms(j, rhos)
+
+    def record_step(memory, current, plain, gap):
+        out = anderson(memory, current, plain, gap)
+        for rho, x, step in zip(out, current, plain):
+            mixed.append((rho, distances._floor(x, step, gap), step))
+        return out
 
     monkeypatch.setattr(distances, "_cross_terms", record)
-    return seen
-
-
-def test_accelerated_states_are_hermitian_unit_trace_above_the_floor(monkeypatch):
-    seen = _recording_cross_terms(monkeypatch)
-    rng = np.random.default_rng(105)
-    for _ in range(4):
-        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    monkeypatch.setattr(distances, "_anderson", record_step)
+    for qa, qb in _criterion_5_circuits()[:4]:
         diamond_norm(*(choi_of(c) for c in ci_to_qcd(qa, qb)), CFG)
         max_image_fidelity(choi_of(qa), choi_of(qb), CFG)
-    mixed = [rho for rhos, eigs in seen if eigs is not None for rho in rhos]
     assert len(mixed) >= 10
-    for rhos, _ in seen:
-        for rho in rhos:
-            assert linalg.herm_defect(rho) <= 1e-15
-            assert abs(np.trace(rho).real - 1) <= 1e-12
-    for rho in mixed:
+    for rho in seen:
+        assert linalg.herm_defect(rho) <= 1e-15
+        assert abs(np.trace(rho).real - 1) <= 1e-12
+    for rho, floor, step in mixed:
+        assert 0 < floor <= np.linalg.eigvalsh(step)[0]
         assert linalg.herm_defect(rho) == 0.0
         # the eigensolver's own rounding, side eps_mach, on top of the floor
-        assert np.linalg.eigvalsh(rho)[0] >= distances.ANDERSON_FLOOR - 1e-15
+        assert np.linalg.eigvalsh(rho)[0] >= floor - 1e-15
+
+
+def test_mixing_floor_follows_the_plain_step():
+    def state(low):
+        return np.diag([1 - low, low]).astype(complex)
+
+    floor, tol = distances._floor, distances.ASCENT_TOL
+    # the plain step grew the least eigenvalue: no mixed state goes below it
+    assert floor(state(1e-3), state(2e-3), 1e-2) == pytest.approx(2e-3, rel=1e-12)
+    # it halved it: thirty more halvings, or where the gap would reach tol / 10
+    assert floor(state(1e-2), state(5e-3), 10.0) == pytest.approx(5e-3 * 0.5**30, rel=1e-9)
+    assert floor(state(1e-2), state(5e-3), 1e-6) == pytest.approx(1e-2 * tol / 1e-5, rel=1e-9)
+    # a singular plain step is the one floor of 0
+    assert floor(state(1e-2), state(0.0), 1.0) == 0.0
 
 
 def test_a_worse_mixing_step_leaves_the_plain_ascent(monkeypatch):
@@ -768,9 +783,8 @@ def test_a_worse_mixing_step_leaves_the_plain_ascent(monkeypatch):
     plain = _ascent(j, ch0.dim_in)
     monkeypatch.setattr(distances, "ANDERSON_FAILURES", 3)
 
-    def worse(memory, dim_in):
-        flat = np.eye(dim_in, dtype=complex) / dim_in
-        return (flat,), ((np.full(dim_in, 1 / dim_in), np.eye(dim_in, dtype=complex)),)
+    def worse(memory, current, plain, gap):
+        return (np.eye(len(current[0]), dtype=complex) / len(current[0]),)
 
     monkeypatch.setattr(distances, "_anderson", worse)
     forced = _ascent(j, ch0.dim_in)
@@ -779,24 +793,28 @@ def test_a_worse_mixing_step_leaves_the_plain_ascent(monkeypatch):
 
 
 def test_ascent_iteration_budget_on_criterion_5(monkeypatch):
-    # Summed over the acceptance test's 20 close-images pairs, both
-    # distances: 2900 ascent iterations with plain steps only, 2521 with
-    # the Anderson steps.  ANDERSON_RCOND is passed to lstsq explicitly,
-    # so every numpy takes the same steps.
+    # Each of the 40 ascents of the acceptance test's 20 pairs (dnorm of the
+    # close-images reduction, maxfid of the pair) runs once with the Anderson
+    # steps and once with plain steps only.  Where the plain ascent stops
+    # before MAX_ITERS, the Anderson steps at least halve its iterations in
+    # sum.  Pairs 11 and 12 stall on a boundary (ROADMAP item 4), so their
+    # four plain ascents run to MAX_ITERS, and the accelerated ones may too.
     counts = []
-    original = distances._ascent
+    original, failures = distances._ascent, distances.ANDERSON_FAILURES
 
     def counted(j, dim_in):
         out = original(j, dim_in)
-        counts.append(out[3])
+        monkeypatch.setattr(distances, "ANDERSON_FAILURES", 0)
+        counts.append((out[3], original(j, dim_in)[3]))
+        monkeypatch.setattr(distances, "ANDERSON_FAILURES", failures)
         return out
 
     monkeypatch.setattr(distances, "_ascent", counted)
-    for index in range(20):
-        ch0, ch1 = _criterion_5_pair(index)
-        diamond_norm(ch0, ch1, CFG)
-    rng = np.random.default_rng(105)
-    for _ in range(20):
-        qa, qb = random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")
+    for qa, qb in _criterion_5_circuits():
+        diamond_norm(*(choi_of(c) for c in ci_to_qcd(qa, qb)), CFG)
         max_image_fidelity(choi_of(qa), choi_of(qb), CFG)
-    assert len(counts) == 40 and sum(counts) < 2600
+    assert len(counts) == 40
+    stalled = [(fast, plain) for fast, plain in counts if plain == distances.MAX_ITERS]
+    closing = [(fast, plain) for fast, plain in counts if plain < distances.MAX_ITERS]
+    assert len(stalled) == 4
+    assert 2 * sum(fast for fast, _ in closing) <= sum(plain for _, plain in closing)
