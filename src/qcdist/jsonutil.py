@@ -19,7 +19,9 @@ rounded conversion does (D. M. Gay, 1990), and the text cannot differ.  The
 other values are written by ``%`` itself: a fraction within 2**-30 of 1/2
 (every exact tie, such as 1e15 + 0.25, among them), |x| outside [1e-250,
 1e250] (subnormals among them), and any N that ends outside [1e16, 1e17).
-Zeros keep a form of their own, "0" or "-0".
+Zeros keep a form of their own, "0" or "-0".  The text is built a row of
+bytes per number, ``CHUNK`` numbers at a time: the digits go in as 4-byte
+words from a table of 0000..9999, a few column copies per form of text.
 """
 
 from __future__ import annotations
@@ -31,13 +33,18 @@ import math
 import numpy as np
 
 #: Values per ``%`` format, or per :func:`_text_rows` call, in
-#: :func:`format_floats`: big enough that the per-chunk overhead is small,
-#: small enough that a chunk's working arrays stay near 0.4 MB whatever the
-#: size of the array.
-CHUNK = 1024
+#: :func:`format_floats`.  On the 131,072 floats of ``amplify``'s witness
+#: (2-vCPU VM, min of 9, two runs): 32.0-33.0 ms at 1024, 24.4-24.8 at
+#: 2048, 20.6-21.6 at 4096, 20.3-20.8 at 8192 and 19.8-19.9 at 16384.  A
+#: chunk's working arrays take about 130 bytes per value whatever the size
+#: of the array, 0.54 MB at 4096: each doubling past it gains under 1
+#: ms and adds as much again to the peak memory of the emission.
+CHUNK = 4096
 #: Arrays of at least this many values are formatted by the vectorized
-#: ``%.17g`` of :func:`_text_rows`; its fixed cost per call is that of
-#: ``%`` on about this many values.
+#: ``%.17g`` of :func:`_text_rows`: its fixed cost per call, about 130 us,
+#: is that of ``%`` on about this many values.  Measured (min of 15, two
+#: runs): at 320 values 170-174 us against 153-163 us by ``%``; at 384,
+#: 177-183 against 183-196 us.
 VECTOR_MIN = 384
 #: Characters per piece of the vectorized path, at most, unless one chunk
 #: needs more: two chunks or more.
@@ -119,9 +126,9 @@ def format_floats(values, item: str = "%.17g", sep: str = ",") -> list[str]:
     piece.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    finite = np.isfinite(values)
-    if not finite.all():
-        format_float(float(values[np.argmin(finite)]))  # raises
+    # a NaN or an infinity makes min + max non-finite, and no array as long as values is made
+    if not np.isfinite(values.min(initial=0.0) + values.max(initial=0.0)):
+        format_float(float(values[np.argmin(np.isfinite(values))]))  # raises
     fields = item.count("%")
     step = CHUNK - CHUNK % fields
     literals = item.split("%.17g")
@@ -146,16 +153,16 @@ def _vector_pieces(values, literals: list[str], sep: str, step: int) -> list[str
     """
     head, tail = literals[0], literals[-1]
     prefixes = [tail + sep + head, *literals[1:-1]]  # before each field of an item
-    width = max(len(sep + head), *map(len, prefixes))
-    table = np.zeros((len(prefixes), width), dtype=np.uint8)
-    for row, prefix in zip(table, prefixes):
+    width = max(len(sep + head), *map(len, prefixes)) + _WIDE
+    rows = np.zeros((len(prefixes), width), dtype=np.uint8)
+    for row, prefix in zip(rows, prefixes):
         row[: len(prefix)] = list(prefix.encode("ascii"))
     end = list(tail.encode("ascii"))
-    buffer = np.empty(max(PIECE, step * (width + _WIDE) + len(end)), dtype=np.uint8)
+    buffer = np.empty(max(PIECE, step * width + len(end)), dtype=np.uint8)
     pieces, filled = [], 0
     for start in range(0, len(values), step):
         first = (sep if start else "") + head
-        text = _text_rows(values[start : start + step], table, first.encode("ascii")).reshape(-1)
+        text = _text_rows(values[start : start + step], rows, first.encode("ascii")).reshape(-1)
         text = text[text != 0]
         if filled + len(text) + len(end) > len(buffer):
             pieces.append(str(buffer[:filled], "ascii"))
@@ -167,13 +174,6 @@ def _vector_pieces(values, literals: list[str], sep: str, step: int) -> list[str
     return pieces
 
 
-# Rows of the source array that a template picks from, one byte per value
-# in each: constants, the sign and lead digit, the 16 digits after the lead
-# digit in full and with their trailing zeros blanked, and the exponent's
-# sign and three digits.
-_PAD, _ZERO, _DOT, _E, _SIGN, _LEAD = range(6)
-_FULL, _KEPT, _EXP, _ROWS = 6, 22, 38, 42
-_CONSTANTS = np.array([[0], [ord("0")], [ord(".")], [ord("e")]], dtype=np.uint8)
 #: The widest ``%.17g`` of a double, ``-1.2345678901234567e-100``.
 _WIDE = 24
 #: Forms of a number's text: fixed notation with decimal exponent X in
@@ -192,14 +192,12 @@ _KNOWN = [0, -1]
 
 
 @functools.lru_cache(maxsize=None)
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables of the vectorized ``%.17g``, built by numpy on first use:
     - the 4-digit groups 0000..9999 as 4-byte words, then the same with
       their trailing zeros blanked (0000 all blank);
     - per decimal exponent e (at e + _K0): the form of its text, and the
-      word of its sign and three digits;
-    - per form: the template of source rows and the row of its decimal
-      point, which stays only if a digit follows it.
+      word of its sign and three digits.
     """
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for q in range(4):
@@ -211,25 +209,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     forms = np.where((e < -4) | (e > 16), _EXP2 + (np.abs(e) >= 100), e + 4).astype(np.int8)
     signs = np.where(e < 0, ord("-"), ord("+"))
     exps = np.stack([signs, *(ord("0") + np.abs(e) // 10**k % 10 for k in (2, 1, 0))], axis=1)
-    exps = exps.astype(np.uint8).view(np.uint32).reshape(-1)
-    full, kept = list(range(_FULL, _KEPT)), list(range(_KEPT, _EXP))
-    templates = []
-    for form in range(_ZERO_FORM + 1):
-        point = None
-        if form == _ZERO_FORM:
-            rows = [_SIGN, _ZERO]
-        elif form >= _EXP2:
-            point = 2
-            rows = [_SIGN, _LEAD, _DOT, *kept, _E, _EXP, *range(_EXP + 23 - form, _EXP + 4)]
-        elif form == 20:
-            rows = [_SIGN, _LEAD, *full]
-        elif form >= 4:
-            point = form - 2
-            rows = [_SIGN, _LEAD, *full[: form - 4], _DOT, *kept[form - 4 :]]
-        else:
-            rows = [_SIGN, _ZERO, _DOT, *[_ZERO] * (3 - form), _LEAD, *kept]
-        templates.append((np.array(rows + [_PAD] * (_WIDE - len(rows))), point))
-    return words, forms, exps, templates
+    return words, forms, exps.astype(np.uint8).view(np.uint32).reshape(-1)
 
 
 def _powers(k: np.ndarray) -> np.ndarray:
@@ -264,36 +244,31 @@ def _scaled(ax, ah, al, e):
     return p.astype(np.int64) + floor.astype(np.int64), t - floor
 
 
-def _put_words(rows: np.ndarray, w: np.ndarray) -> None:
-    """Write the 4-byte words ``w`` (k, n) into the byte rows ``rows`` (4k, n)."""
-    rows.reshape(len(w), 4, -1)[...] = w.view(np.uint8).reshape(len(w), -1, 4).transpose(0, 2, 1)
+def _put(dst: np.ndarray, src) -> None:
+    """``dst[...] = src``, one item per row: numpy copies short rows byte by byte, 5x slower."""
+    item = f"V{dst.shape[1]}"
+    dst.view(item)[:, 0] = src.view(item)[:, 0] if isinstance(src, np.ndarray) else src
 
 
-def _text_rows(x: np.ndarray, prefixes: np.ndarray, first: bytes) -> np.ndarray:
-    """Row i: the bytes of ``prefixes[i % len(prefixes)]`` (``first`` for
-    row 0) and ``"%.17g" % x[i]``, padded with zeros.
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """N = round-half-even(|x| 10**(16 - E)), which holds the 17 digits, E
+    the decimal exponent, the values to be written by ``%`` and the zeros;
+    their temporaries are freed before the text is built.
 
-    N = round-half-even(|x| 10**(16 - E)) holds the 17 digits, with E the
-    decimal exponent.  E starts as floor(log10 |x|) and is corrected once
-    where N falls outside [10**16, 10**17).  Values whose fraction lies
-    within ``_TIE`` of 1/2 (exact ties among them), or outside [1e-250,
-    1e250] (where the power or its halves would leave the normal range),
-    are written by ``%``, as is any N that ends out of range.  Every other
-    N is the correctly rounded one, so the text is ``%``'s byte for byte.
-
-    The text is laid out by form: with the values sorted by it, each form
-    is one block of columns of the source rows, copied through its
-    template, then the rows go back to their order under their prefixes.
+    E starts as floor(log10 |x|) and is corrected once where N falls
+    outside [10**16, 10**17).  Values whose fraction lies within ``_TIE``
+    of 1/2 (exact ties among them), or outside [1e-250, 1e250] (where the
+    power or its halves would leave the normal range), go to ``%``, as
+    does any N that ends outside that range.  Every other N is the
+    correctly rounded one, so the text is ``%``'s byte for byte.
     """
-    n, width = len(x), prefixes.shape[1]
-    words, forms, exps, templates = _tables()
     ax = np.abs(x)
     slow = ~((ax >= 1e-250) & (ax <= 1e250))
     zero = ax == 0
     ax[slow] = 1.0
     e = np.floor(np.log10(ax)).astype(np.int64)
-    c = _SPLIT * ax
-    ah = c - (c - ax)
+    ah = _SPLIT * ax
+    ah -= ah - ax
     al = ax - ah
     big, frac = _scaled(ax, ah, al, e)
     off = np.flatnonzero((big < 10**16) | (big >= 10**17))
@@ -306,48 +281,77 @@ def _text_rows(x: np.ndarray, prefixes: np.ndarray, first: bytes) -> np.ndarray:
     big[carry] = 10**16
     e += carry
     slow |= (big < 10**16) | (big >= 10**17)
-    slow &= ~zero
+    return big, e, slow & ~zero, zero
 
+
+def _text_rows(x: np.ndarray, rows: np.ndarray, first: bytes) -> np.ndarray:
+    """Row i: the bytes of ``rows[i % len(rows)]``, ``first`` in place of
+    its prefix for row 0, with ``"%.17g" % x[i]`` in its last ``_WIDE``
+    bytes; the rest are zeros.
+
+    With the values sorted by form, each form's block of rows is filled by
+    a few column copies of the digits of :func:`_decimal`'s N, then the
+    rows go back to their order under their prefixes.
+    """
+    n, width = len(x), rows.shape[1] - _WIDE
+    words, forms, exps = _tables()
+    big, e, slow, zero = _decimal(x)
     e += _K0
     form = forms.take(e)
     form[zero] = _ZERO_FORM
     order = np.argsort(form, kind="stable")
     big, e = big.take(order), e.take(order)
 
-    # the lead digit and four 4-digit groups; a group's trailing zeros are
-    # blanked unless its rest is nonzero
-    lead = np.empty(n, dtype=np.int64)
-    g = np.empty((4, n), dtype=np.int64)
-    rest = np.empty((4, n), dtype=np.int64)
-    np.divmod(big, 10**16, out=(lead, rest[3]))
-    np.divmod(rest[3], 10**12, out=(g[0], rest[0]))
-    np.divmod(rest[0], 10**8, out=(g[1], rest[1]))
-    np.divmod(rest[1], 10**4, out=(g[2], g[3]))
-    rest[2] = g[3]
-    rest[3] = 0
+    # the lead digit and the 16 after it as four 4-digit groups: their words
+    # in full, and with a group's trailing zeros blanked where no later
+    # group is nonzero
+    g = np.empty((n, 4), dtype=np.int64)
+    hi, lo = np.divmod(big, 10**8)
+    hi, g[:, 1] = np.divmod(hi, 10**4)
+    lead, g[:, 0] = np.divmod(hi, 10**4)
+    g[:, 2], g[:, 3] = np.divmod(lo, 10**4)
+    blank = np.stack([(g[:, 1] == 0) & (lo == 0), lo == 0, g[:, 3] == 0, np.ones(n, bool)], axis=1)
+    full = words.take(g).view(np.uint8)  # (n, 16)
+    g += blank * np.int16(10_000)  # to the blanked words, by an int16 temporary: less memory
+    kept = words.take(g).view(np.uint8)
+    del g, hi, lo, blank  # not held while the text rows below are made
+    lead = (lead + ord("0")).astype(np.uint8)
+    exp = exps.take(e).view(np.uint8).reshape(n, 4)  # sign and three digits
 
-    src = np.empty((_ROWS, n), dtype=np.uint8)
-    src[:_SIGN] = _CONSTANTS
-    src[_SIGN] = np.signbit(x)[order] * ord("-")
-    src[_LEAD] = ord("0") + lead
-    full = words.take(g)
-    _put_words(src[_FULL:_KEPT], full)
-    _put_words(src[_KEPT:_EXP], np.where(rest != 0, full, words.take(g + 10_000)))
-    _put_words(src[_EXP:], exps.take(e)[None])
-
-    text = np.empty((n, _WIDE), dtype=np.uint8)
-    a = 0
-    for (rows, point), count in zip(templates, np.bincount(form, minlength=len(templates)).tolist()):
-        if count:
-            block = text[a : a + count].T
-            np.take(src[:, a : a + count], rows, axis=0, out=block, mode="clip")
-            if point is not None:  # a digit byte is above ".", the pad byte below
-                np.minimum(block[point + 1], ord("."), out=block[point])
-            a += count
-    out = np.empty((n, width + _WIDE), dtype=np.uint8)
-    out.reshape(-1, len(prefixes), width + _WIDE)[:, :, :width] = prefixes
-    out[0, :width] = 0
-    out[0, : len(first)] = list(first)
+    # a "." is written as min(next byte, "."): a digit is above it, the pad below
+    text = np.zeros((n, _WIDE), dtype=np.uint8)
+    text[:, 0] = np.signbit(x).take(order) * np.uint8(ord("-"))
+    b = 0
+    for f, count in enumerate(np.bincount(form, minlength=_ZERO_FORM + 1).tolist()):
+        a, b = b, b + count
+        if not count:
+            continue
+        t, d, k = text[a:b], full[a:b], kept[a:b]
+        if f == _ZERO_FORM:
+            t[:, 1] = ord("0")
+        elif f >= _EXP2:  # d.ddde+XX, or e+XXX
+            t[:, 1] = lead[a:b]
+            np.minimum(k[:, 0], ord("."), out=t[:, 2])
+            _put(t[:, 3:19], k)
+            t[:, 19] = ord("e")
+            _put(t[:, 20:], exp[a:b])
+            if f == _EXP2:
+                t[:, 21] = 0
+        elif f >= 4:  # the lead digit and f - 4 more before the point
+            p = f - 4
+            t[:, 1] = lead[a:b]
+            if p:
+                _put(t[:, 2 : 2 + p], d[:, :p])
+            if p < 16:
+                np.minimum(k[:, p], ord("."), out=t[:, 2 + p])
+                _put(t[:, 3 + p : 19], k[:, p:])
+        else:  # 0.ddd, 0.0ddd, 0.00ddd or 0.000ddd
+            z = 3 - f
+            _put(t[:, 1 : 4 + z], b"0.000"[: 3 + z])
+            t[:, 3 + z] = lead[a:b]
+            _put(t[:, 4 + z : 20 + z], k)
+    out = np.tile(rows, (n // len(rows), 1))
+    out[0, :width] = list(first.ljust(width, b"\0"))
     number = f"V{_WIDE}"
     out[:, width:].view(number)[order, 0] = text.view(number)[:, 0]
     for i in np.flatnonzero(slow).tolist():

@@ -503,16 +503,20 @@ def density_to_json(rho) -> dict:
 
 
 def density_from_json(obj: dict) -> np.ndarray:
-    m = linalg.matrix_from_json(obj)
-    n = obj.get("qubits")
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed density JSON: {type(obj).__name__}, not an object")
+    n, rows, cols = obj.get("qubits"), obj.get("rows"), obj.get("cols")
     if type(n) is not int:  # int() would take a bool or a fraction
         raise ValueError(f"malformed density JSON: qubits {n!r} is not an integer")
-    # n must be the bit count of the side, which the cap bounds, before 2^n is formed:
-    # 2^n of a huge n never finishes
-    if n != m.shape[0].bit_length() - 1 or m.shape != (2**n, 2**n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match declared qubit count {n}"
-        )
+    # the declared shape is checked against n before the size cap, so that a 0 x 4097
+    # "state" is a usage error (exit 2), not a size cap (exit 3).  2^n is formed only
+    # once n is the side's bit count: 2^n of a huge n never finishes.  Sizes that are
+    # not integers are refused by matrix_from_json.
+    if type(rows) is int and type(cols) is int and (
+        rows != cols or n != rows.bit_length() - 1 or rows != 2**n
+    ):
+        raise ValueError(f"matrix shape {(rows, cols)} does not match declared qubit count {n}")
+    m = linalg.matrix_from_json(obj)
     # a density matrix's real and imaginary parts are at most 1 in magnitude;
     # a distance of parts near the float maximum would overflow
     peak = float(np.abs(m.view(np.float64)).max(initial=0.0))

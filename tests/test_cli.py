@@ -514,6 +514,9 @@ def state_json_texts(draw):
 @example(texts=_NOT_STATES["qubits_true"], kind="trace", refused=True)
 @example(texts=_NOT_STATES["rows_fraction"], kind="fidelity", refused=True)
 @example(texts=_NOT_STATES["entry_string"], kind="trace", refused=True)
+# a declared shape above the size cap that no qubit count has: exited 3, with JSON on stdout
+@example(texts=('{"qubits": 0, "rows": 0, "cols": 4097, "entries": []}', _ZERO_STATE),
+         kind="trace", refused=True)
 def test_state_loaders_exit_contract_fuzz(tmp_path_factory, texts, kind, refused):
     d = tmp_path_factory.mktemp("states")
     paths = [d / "s0.json", d / "s1.json"]

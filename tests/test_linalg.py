@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +371,23 @@ def test_formatter_edge_values_read_like_percent_17g(n):
     pieces = jsonutil.format_floats(np.array(xs), item, sep)
     assert "".join(pieces) == sep.join(item % x for x in xs)
     assert all(piece.startswith(sep) for piece in pieces[1:])
+
+
+@pytest.mark.parametrize("n", [131_072, 524_288])
+def test_formatter_working_memory_does_not_grow_with_the_array(n):
+    # amplify's witness is 131,072 floats, and its emission sets that workload's peak RSS
+    rng = np.random.default_rng(70)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 1, n)
+    jsonutil.format_floats(values[: jsonutil.CHUNK], "[%.17g,%.17g]")  # the tables, built once
+    tracemalloc.start()
+    try:
+        pieces = jsonutil.format_floats(values, "[%.17g,%.17g]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's digits, rows of text and temporaries take about 130 bytes per value;
+    # an array of flags as long as the input would add n bytes, past the bound at 524,288
+    assert peak - sum(map(sys.getsizeof, pieces)) < 192 * jsonutil.CHUNK
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
