@@ -244,10 +244,10 @@ def _scaled(ax, ah, al, e):
     return p.astype(np.int64) + floor.astype(np.int64), t - floor
 
 
-def _put(dst: np.ndarray, src) -> None:
+def _put(dst: np.ndarray, src: np.ndarray) -> None:
     """``dst[...] = src``, one item per row: numpy copies short rows byte by byte, 5x slower."""
     item = f"V{dst.shape[1]}"
-    dst.view(item)[:, 0] = src.view(item)[:, 0] if isinstance(src, np.ndarray) else src
+    dst.view(item)[:, 0] = src.view(item)[:, 0]
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -347,7 +347,7 @@ def _text_rows(x: np.ndarray, rows: np.ndarray, first: bytes) -> np.ndarray:
                 _put(t[:, 3 + p : 19], k[:, p:])
         else:  # 0.ddd, 0.0ddd, 0.00ddd or 0.000ddd
             z = 3 - f
-            _put(t[:, 1 : 4 + z], b"0.000"[: 3 + z])
+            _put(t[:, 1 : 3 + z], np.frombuffer(b"0.000"[: 2 + z], dtype=np.uint8)[None])
             t[:, 3 + z] = lead[a:b]
             _put(t[:, 4 + z : 20 + z], k)
     out = np.tile(rows, (n // len(rows), 1))
