@@ -349,6 +349,7 @@ FORMATTER_EDGES = _formatter_edge_values()
 
 @pytest.mark.parametrize("n", [
     jsonutil.VECTOR_MIN - 1, jsonutil.VECTOR_MIN, jsonutil.VECTOR_MIN + 1,
+    1023, 1024, 1025,  # a part-filled chunk, around a power of two
     jsonutil.CHUNK - 1, jsonutil.CHUNK, jsonutil.CHUNK + 1, len(FORMATTER_EDGES),
 ])
 def test_formatter_edge_values_read_like_percent_17g(n):
