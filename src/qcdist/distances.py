@@ -686,8 +686,9 @@ def diamond_norm(
     linalg.check_cap(dout * ref_dim, context="diamond-norm output")
     j = _stacked_factors(ch0, ch1)
     if j is None:
+        # exactly Hermitian as it stands: both Choi matrices are, and IEEE subtraction
+        # commutes with negating both operands, so conj(x) - conj(y) is conj(x - y)
         j = ch0.choi - ch1.choi
-        j = (j + dag(j)) / 2
     lower, upper, (rho,), iterations = _ascent(j, din)
     # psi = vec(sqrt(rho)^T), padded to the reference: (Phi (x) I)(psi psi^dagger) is M(rho)
     x = np.zeros((din, ref_dim), dtype=np.complex128)

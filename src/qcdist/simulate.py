@@ -27,7 +27,11 @@ the D x D matrix sum_k vec(K_k) vec(K_k)^dagger, and the remaining gates
 walk its blocks at the input matrix units |i><j| with i <= j only; the
 others are their adjoints, as Phi(X^dagger) = Phi(X)^dagger.  One loop
 walks those blocks in batches, each formed from the stack by one matmul
-and walked as one density walk.  The batch rule is one line: all of the
+and walked as one density walk.  J is held as (2^m, d_in, 2^m, d_in)
+and written by three index assignments per batch, each block
+J[:, i, :, j] from one matrix of the walk's batch-first output: the
+walked blocks, their adjoints at [:, j, :, i], then the Hermitian parts
+of the diagonal blocks.  The batch rule is one line: all of the
 blocks where they fit DIM_CAP^2 entries at the widest remaining point,
 else one per batch, which happens only on a circuit whose widest point
 has live + n_in > log2(DIM_CAP).  The stack also folds before an ancilla
@@ -52,7 +56,9 @@ of B operators on the live wires as one [2] * (2 * live) + [B] tensor,
 rows, then columns, then the batch axis, from the first gate to the last:
 each gate acts on its row and column axes in one pass for the whole batch.
 It allocates two buffers sized for its widest point once, and nothing per
-gate; the output is copied out, so no result aliases a buffer or an input.
+gate; the output is copied out once, batch first, (B, 2^m, 2^m), so no
+result aliases a buffer or an input, and each operator of the batch is
+one contiguous matrix.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     only density matrices.  The widest point of ``c`` as written, live
     wires plus ``ref_qubits``, is checked against the cap before the walk
     starts; the walk runs ``schedule(c)``.  It copies rho in as its 4^ref
-    reference blocks, the batch.
+    reference blocks, the batch, and lays them out again from the walk's
+    batch-first copy: the one reshape that copies at the end.
     """
     check_wires(max(replay_liveness(c)) + ref_qubits, "qubits mid-circuit")
     rho = as_matrix(rho)
@@ -132,7 +139,8 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
                          f"{c.n_in} input wires and {ref_qubits} reference qubits")
     t = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n, n, r * r)
     out, m = _run_gates(t, schedule(c).gates, c.n_in)
-    return out.reshape(2**m, 2**m, r, r).transpose(0, 2, 1, 3).reshape(2**m * r, 2**m * r)
+    # the batch is (reference row, reference column), first
+    return out.reshape(r, r, 2**m, 2**m).transpose(2, 0, 3, 1).reshape(2**m * r, 2**m * r)
 
 
 def _widths(gates, live: int) -> list[int]:
@@ -151,8 +159,9 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
     into the tensor's buffer, left as a moveaxis view; decohere zeroes two
     off-diagonal blocks in place; ancilla fills a zeroed scratch prefix, and
     trace adds two diagonal slices into one, and the buffers swap.  Returns
-    a copy of the (2^m, 2^m, B) output and its live width m.  The width is
-    not checked here: ``simulate`` and ``choi_of`` refuse it first.
+    one copy of the output, batch first, (B, 2^m, 2^m), and its live width
+    m.  The width is not checked here: ``simulate`` and ``choi_of`` refuse
+    it first.
     """
     b, s = t.shape[-1], (slice(None),)
     size = 4 ** max(_widths(gates, live)) * b
@@ -190,7 +199,7 @@ def _run_gates(t: np.ndarray, gates, live: int) -> tuple[np.ndarray, int]:
             diag = [cur[s * g.wires[0] + (bit,) + s * (live - 1) + (bit,)] for bit in (0, 1)]
             cur = np.add(*diag, out=view(spare, live - 1))
             live, home, spare = live - 1, spare, home
-    return cur.copy().reshape(2**live, 2**live, b), live
+    return np.moveaxis(cur, -1, 0).copy().reshape(b, 2**live, 2**live), live
 
 
 def apply_extended(c: Circuit, rho: np.ndarray, ref_qubits: int) -> np.ndarray:
@@ -339,19 +348,23 @@ def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
     The walk carries the din(din+1)/2 blocks at |i><j|, i <= j, fills in
     the i > j blocks as their adjoints and keeps the Hermitian part
     (B + B^dagger) / 2 of each diagonal block B, so J is exactly
-    Hermitian.  One loop walks them in batches of consecutive pairs: all
-    of them where they fit DIM_CAP^2 entries at the widest point of
-    ``gates``, else one.  A batch's blocks come from one matmul over the
-    inputs its pairs span, K[:, :, rows]^T conj(K[:, :, cols]): the D x D
-    fold for all pairs, the block A_i A_j^dagger (A_i = K[:, :, i]^T) for
-    one, which always fits, as no point is wider than log2(DIM_CAP) wires.
+    Hermitian.  J is held as (2^m, din, 2^m, din), where J[:, a, :, b]
+    for index arrays a and b is (batch, 2^m, 2^m), the walk's own output
+    layout: each batch is written by three index assignments, the blocks,
+    their adjoints from the output conjugated in place, and the Hermitian
+    parts of the diagonal blocks, with no temporary the size of J.  One
+    loop walks the blocks in batches of consecutive pairs: all of them
+    where they fit DIM_CAP^2 entries at the widest point of ``gates``, else
+    one.  A batch's blocks come from one matmul over the inputs its pairs
+    span, K[:, :, rows]^T conj(K[:, :, cols]): the D x D fold for all
+    pairs, the block A_i A_j^dagger (A_i = K[:, :, i]^T) for one, which
+    always fits, as no point is wider than log2(DIM_CAP) wires.
     """
     din, r = 2**n_in, k.shape[0]
     widths = _widths(gates, live)
     m = widths[-1]
     i, j = np.triu_indices(din)
     choi = np.empty((2**m, din, 2**m, din), dtype=np.complex128)
-    blocks = choi.transpose(0, 2, 1, 3)
     batch = len(i) if 4 ** max(widths) * len(i) <= linalg.DIM_CAP**2 else 1
     for at in range(0, len(i), batch):
         a, b = i[at : at + batch], j[at : at + batch]  # a is sorted, b need not be
@@ -360,10 +373,14 @@ def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
         fold = k[:, :, rows].reshape(r, -1).T @ k[:, :, cols].conj().reshape(r, -1)
         fold = fold.reshape(2**live, rows.stop - rows.start, 2**live, -1).transpose(0, 2, 1, 3)
         out, _ = _run_gates(fold[:, :, a - rows.start, b - cols.start], gates, live)
-        diag = out[:, :, a == b]
-        out[:, :, a == b] = (diag + diag.conj().swapaxes(0, 1)) / 2
-        blocks[:, :, b, a] = out.conj().swapaxes(0, 1)
-        blocks[:, :, a, b] = out
+        # choi[:, a, :, b] is (batch, 2^m, 2^m), out's own layout: the index arrays,
+        # parted by a slice, lead
+        choi[:, a, :, b] = out
+        np.conjugate(out, out=out)  # in place: out is the walk's own copy
+        choi[:, b, :, a] = out.swapaxes(1, 2)
+        on = a == b
+        diag = out[on]  # conj(B) of each diagonal block B, so B^dagger is its transpose
+        choi[:, a[on], :, a[on]] = (diag.conj() + diag.swapaxes(1, 2)) / 2
     return choi.reshape(2**m * din, 2**m * din)
 
 

@@ -5,7 +5,8 @@ explicit hyperspherical grid, channels act through stacked Kraus tensors,
 and trace norms come from batched eigenvalue sums.  The density walk is
 checked against per-gate kernels that reshape to a (D, D) matrix after
 every gate: two half-actions per unitary, a bit mask for decohere, a kron
-for ancilla and ``linalg.partial_trace`` for trace.  Circuit text is
+for ancilla and ``linalg.partial_trace`` for trace, and the fold's index
+assignments against the two scatters they replaced.  Circuit text is
 checked against the line-at-a-time reader the one-pass parser replaced,
 and JSON text against a writer that formats one value at a time.  Pairs
 of classical channels have an exact diamond-norm distance to check the
@@ -203,6 +204,24 @@ def density_walk_oracle(c, x, ref_qubits=0):
             total -= 1
     return rho
 
+
+def fold_assembly_oracle(blocks, din):
+    """The Choi matrix of walked blocks, written as the batch-last walk wrote it:
+    two scatters through a transposed view of J with fancy indices.
+
+    ``blocks`` is (2^m, 2^m, P), batch last, the blocks at |i><j|, i <= j,
+    in ``np.triu_indices(din)`` order.  The i > j blocks are the adjoints,
+    and each diagonal block B becomes (B + B^dagger) / 2."""
+    side = blocks.shape[0]
+    i, j = np.triu_indices(din)
+    out = blocks.copy()
+    choi = np.empty((side, din, side, din), dtype=np.complex128)
+    view = choi.transpose(0, 2, 1, 3)
+    diag = out[:, :, i == j]
+    out[:, :, i == j] = (diag + diag.conj().swapaxes(0, 1)) / 2
+    view[:, :, j, i] = out.conj().swapaxes(0, 1)
+    view[:, :, i, j] = out
+    return choi.reshape(side * din, side * din)
 
 
 def line_parse_circuit(text):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from qcdist import distances, linalg
 from qcdist.circuits import Circuit, trace_gate
@@ -28,6 +28,7 @@ from qcdist.simulate import (
     adjoint_apply_ext,
     apply_extended,
     channel_apply_ext,
+    channel_from_choi,
     choi_of,
     kraus_of,
 )
@@ -262,6 +263,24 @@ def test_diamond_norm_brackets_the_exact_classical_value(pair):
     assert w.value <= w.upper  # the identity against a bit flip once read 2.0000000000000004 > 2.0
     if w.converged:
         assert abs(w.value - exact) <= GAP_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=equal_type_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_choi_differences_are_exactly_hermitian_property(pair, seed):
+    # diamond_norm's dense path runs on J0 - J1 as it stands: of two exactly
+    # Hermitian matrices, conj(x) - conj(y) is conj(x - y) in IEEE arithmetic
+    rng = np.random.default_rng(seed)
+    walked = [choi_of(c) for c in pair]
+    given_ = []
+    for ch in walked:  # a Choi matrix from outside, Hermitian only up to rounding
+        side = ch.choi.shape[0]
+        noise = 1e-13 * (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)))
+        given_.append(channel_from_choi(ch.n_in, ch.n_out, ch.choi + noise))
+    for ch0 in walked + given_:
+        for ch1 in walked + given_:
+            j = ch0.choi - ch1.choi
+            assert np.array_equal(j, j.conj().T)
 
 
 def test_seesaw_monotone_objective():

@@ -197,18 +197,54 @@ def test_psd_factor_ignores_rounding_noise():
 
 
 def test_psd_factor_residual_bounds_what_is_left():
+    # the residual is summed in panels of 64 columns: one at side 16, several at
+    # 128 and 512, and a partial last one at 65
     rng = np.random.default_rng(42)
-    for n, m in [(6, 2), (16, 9), (32, 4)]:
+    for n, m in [(6, 2), (16, 9), (32, 4), (64, 12), (65, 9), (128, 40), (512, 32)]:
         a = _low_rank_psd(rng, n, m)
         for cut in (None, 1, m - 1, m):
             l, residual = psd_factor(a, cut)
             assert residual >= _residual(a, l)
             # a factor cut short of the rank does not measure what is left
             assert (residual == np.inf) == (cut is not None and cut < m)
+            if residual < np.inf:
+                # the rounding allowance (side + 2 rank) eps ||l||_F^2 grows with the
+                # trace: on a flat diagonal it is above 1e-11 max|a| at side 512
+                allowance = 2 * (n + 2 * m) * np.finfo(float).eps * np.vdot(l, l).real
+                assert residual <= 1e-11 * np.abs(a).max() + allowance
         # a negative eigenvalue leaves a residual of at least its size
         b = a - 0.5 * np.eye(n)
         l, residual = psd_factor(b)
         assert residual >= max(_residual(b, l), 0.5)
+
+
+@pytest.mark.parametrize("n", [16, 65, 128])
+def test_psd_factor_residual_shows_an_anti_hermitian_part(n):
+    rng = np.random.default_rng(50 + n)
+    a = _low_rank_psd(rng, n, 4)
+    s = random_hermitian(rng, n) * 1j
+    s *= 1e-6 / np.linalg.norm(s)  # anti-Hermitian, of Frobenius norm 1e-6
+    low = np.tril(random_hermitian(rng, n), -1)
+    low *= np.sqrt(2) * 1e-6 / np.linalg.norm(low)
+    # each has an anti-Hermitian part of norm 1e-6: s, or half of a change to one triangle
+    for b in (a + s, a + low, a + low.conj().T):
+        l, residual = psd_factor(b)
+        assert residual >= max(_residual(b, l), 1e-6)
+
+
+def test_psd_factor_residual_peak_memory():
+    # no side^2 array: l, the two panels of a - l l^dagger (64 columns each) and
+    # O(side) vectors; l @ l^dagger alone would take side^2 * 16 = 4 MiB
+    n, m = 512, 32
+    a = _low_rank_psd(np.random.default_rng(52), n, m)
+    tracemalloc.start()
+    try:
+        l, _ = psd_factor(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert l.shape == (n, m)
+    assert peak < l.nbytes + 2 * 64 * n * 16 + 32 * n * 16
 
 
 def test_psd_factor_is_deterministic():

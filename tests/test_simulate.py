@@ -46,7 +46,7 @@ from helpers import (
     small_circuits,
     z_circuit,
 )
-from oracles import channel_mix, density_walk_oracle
+from oracles import channel_mix, density_walk_oracle, fold_assembly_oracle
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -399,16 +399,20 @@ def _choi_under_cap_32(c):
         return choi_of(c).choi, walks
 
 
-def test_over_cap_width_walks_the_fold_one_block_at_a_time():
-    # two inputs on three live wires: the sixth decohere takes r to 64 > D = 32,
-    # and the rest of the circuit reaches four live wires, 4 + 2 > log2(32)
+def _over_cap_wide_circuit():
+    """Two inputs on three live wires: the sixth decohere takes r to 64 > D = 32,
+    and the rest of the circuit reaches four live wires, 4 + 2 > log2(32)."""
     rng = np.random.default_rng(13)
     u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
     gates = [ancilla_gate()]
     for step in range(6):
         gates += [u(0, 1, 2), decohere_gate(step % 3)]
     gates += [ancilla_gate(), u(3, 0, 2), decohere_gate(3), u(1, 3), trace_gate(3), u(2, 0)]
-    c = Circuit("wide", 2, gates)
+    return Circuit("wide", 2, gates)
+
+
+def test_over_cap_width_walks_the_fold_one_block_at_a_time():
+    c = _over_cap_wide_circuit()
     choi, walks = _choi_under_cap_32(c)
     assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
     assert np.array_equal(choi, choi.conj().T)
@@ -586,6 +590,47 @@ def test_switched_walk_matches_oracle_property(c):
     assert np.array_equal(choi, choi.conj().T)
     assert walk.call_count == 1
     assert walk.call_args.args[0].shape[-1] == din * (din + 1) // 2
+
+
+def _choi_and_walked_blocks(c, cap):
+    """choi_of(c).choi under DIM_CAP = cap, and the blocks its fold walked,
+    (P, 2^m, 2^m) in walk order."""
+    outs, run_gates = [], simulate_mod._run_gates
+
+    def walk(t, gates, live):
+        out, m = run_gates(t, gates, live)
+        outs.append(out.copy())  # the fold conjugates the walk's copy in place
+        return out, m
+
+    with mock.patch.object(linalg, "DIM_CAP", cap), \
+            mock.patch.object(simulate_mod, "_run_gates", walk):
+        choi = choi_of(c).choi
+    return choi, np.concatenate(outs) if outs else None
+
+
+def _assert_fold_assembly_matches_the_scatters(c, cap):
+    choi, blocks = _choi_and_walked_blocks(c, cap)
+    if blocks is not None:  # the stack folded
+        assert np.array_equal(choi, fold_assembly_oracle(blocks.transpose(1, 2, 0), 2**c.n_in))
+
+
+def test_one_block_fold_assembly_matches_the_scatters():
+    c = _over_cap_wide_circuit()
+    choi, blocks = _choi_and_walked_blocks(c, 32)
+    assert blocks.shape == (4 * 5 // 2, 2**3, 2**3)  # ten walks of one block each
+    assert np.array_equal(choi, fold_assembly_oracle(blocks.transpose(1, 2, 0), 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_decohere_heavy_circuits())
+def test_fold_assembly_matches_the_scatters_property(c):
+    _assert_fold_assembly_matches_the_scatters(c, linalg.DIM_CAP)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_over_cap_circuits())
+def test_over_cap_fold_assembly_matches_the_scatters_property(c):
+    _assert_fold_assembly_matches_the_scatters(c, 32)
 
 
 @st.composite
