@@ -38,6 +38,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import contains, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,7 +319,61 @@ def schedule(c: Circuit) -> Circuit:
     A wire is live here only where it is live in ``c``, so no step is wider
     than ``c`` at the same gate.  ``c``'s wires must pass
     :func:`replay_liveness`; the callers check them, and the caps, on
-    ``c`` as written.
+    ``c`` as written.  This is the one-tracker emission of the passes that
+    :func:`schedule_groups` also splits.
+    """
+    return _emit(c, _passes(c), split=False)[0].circuit
+
+
+class WireGroup(NamedTuple):
+    """One independent wire group of a circuit, scheduled on its own wires.
+
+    ``circuit`` takes the group's inputs in ``inputs`` order, ``c``'s input
+    wires; its output wire k is ``c``'s output wire ``outputs[k]``.
+    """
+
+    circuit: Circuit
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+
+
+def schedule_groups(c: Circuit) -> tuple[list[WireGroup], tuple[int, ...]]:
+    """``c``'s channel as a tensor product: its wire groups and discarded inputs.
+
+    Every handle starts in its own group, and a gate that :func:`schedule`
+    keeps joins the groups of the handles it touches; nothing else couples
+    two wires.  Inputs traced before any kept gate are returned apart, as
+    the discarded factor: the channel there is the trace, whose Choi matrix
+    is I.  Every other group has an output, since a group whose wires are
+    all traced keeps no gate.  Each group is emitted through its own
+    ``_WireTracker`` in :func:`schedule`'s order, with no SWAPs, which would
+    join groups: its outputs stay in its own order, and ``outputs`` maps
+    them to ``c``'s.  A circuit of one group with every input (or none) is
+    returned as ``[WireGroup(schedule(c), all inputs, all outputs)]``.
+    """
+    plan = _passes(c)
+    live, _, traced, _, _, parent = plan
+    discarded = tuple([h for h in range(c.n_in) if h in traced])
+    if discarded or len({_root(parent, h) for h in live}) > 1:
+        return _emit(c, plan, split=True), discarded
+    return _emit(c, plan, split=False), ()
+
+
+def _root(parent: list, h: int) -> int:
+    """The group of handle ``h``: follow ``parent`` to a handle that is its own."""
+    while parent[h] != h:
+        h = parent[h]
+    return h
+
+
+def _passes(c: Circuit) -> tuple:
+    """:func:`schedule`'s forward and backward passes over ``c``.
+
+    Returns the output handles in ``c``'s order, the kept gates with the
+    handles they touch and the handles traced right after each (last gate
+    first), the handles whose first kept event is a trace, the ancillas that
+    a kept gate uses, those that none does, and the group forest: ``parent``
+    links the handles that kept gates join (:func:`_root`).
     """
     live = list(range(c.n_in))  # handles by c's live index
     steps: list[tuple[Gate, tuple]] = []
@@ -344,6 +399,7 @@ def schedule(c: Circuit) -> Circuit:
     # backwards: a handle in traced_next has a trace as its next kept event
     ops: list[tuple[Gate, tuple, list]] = []  # kept gates, what is traced after each
     traced_next, used, unused = set(), set(), []
+    parent = list(range(c.n_in + len(c.gates)))  # by handle; a root is its own parent
     for g, handles in reversed(steps):
         kind = g.kind
         if kind == "trace":
@@ -355,24 +411,67 @@ def schedule(c: Circuit) -> Circuit:
             ops.append((g, handles, [h for h in handles if h in traced_next]))
             traced_next.difference_update(handles)
             used.update(handles)
+            if len(handles) > 1:  # a kept gate joins the groups of its wires (roots inline)
+                top = handles[0]
+                while parent[top] != top:
+                    top = parent[top]
+                for h in handles[1:]:
+                    while parent[h] != h:
+                        h = parent[h]
+                    parent[h] = top
+    return live, ops, traced_next, used, unused, parent
 
-    tracker = _WireTracker(range(c.n_in))
-    for h in range(c.n_in):
-        if h in traced_next:
-            tracker.trace(h)
+
+def _emit(c: Circuit, plan: tuple, split: bool) -> list[WireGroup]:
+    """Emit ``plan`` (:func:`_passes`) through one tracker, or one per group.
+
+    With one tracker, the inputs traced first are traced before the first
+    gate and SWAPs route the outputs into ``c``'s order; split, the
+    discarded inputs are in no group and each group keeps its own order.
+    """
+    live, ops, traced, used, unused, parent = plan
+    if split:
+        inputs: dict = {}  # group -> its inputs
+        for h in range(c.n_in):
+            if h not in traced:
+                inputs.setdefault(_root(parent, h), []).append(h)
+        trackers = {k: _WireTracker(hs) for k, hs in inputs.items()}
+        one = None
+    else:
+        one = _WireTracker(range(c.n_in))
+        for h in range(c.n_in):
+            if h in traced:
+                one.trace(h)
+
+    def tracker(h):
+        k = _root(parent, h)
+        if k not in trackers:  # a group with no inputs
+            trackers[k] = _WireTracker(())
+        return trackers[k]
+
     pending = used.difference(range(c.n_in))
     for g, handles, closing in reversed(ops):
+        t = one or tracker(handles[0])
         if not pending.isdisjoint(handles):
             for h in sorted(pending.intersection(handles)):
-                tracker.ancilla(h)
+                t.ancilla(h)
                 pending.discard(h)
-        tracker.gate(g, handles)
+        t.gate(g, handles)
         for h in closing:
-            tracker.trace(h)
+            t.trace(h)
     for h in sorted(unused):
-        tracker.ancilla(h)
-    tracker.route_outputs(live)
-    return Circuit(c.name, c.n_in, tuple(tracker.gates))
+        (one or tracker(h)).ancilla(h)
+    if not split:
+        one.route_outputs(live)
+        return [WireGroup(Circuit(c.name, c.n_in, tuple(one.gates)),
+                          tuple(range(c.n_in)), tuple(range(len(live))))]
+    at = {h: p for p, h in enumerate(live)}
+    groups = []
+    for k, t in trackers.items():
+        hs = tuple(inputs.get(k, ()))
+        groups.append(WireGroup(Circuit(c.name, len(hs), tuple(t.gates)), hs,
+                                tuple([at[h] for h in t.order])))
+    return groups
 
 
 def validate(c: Circuit) -> list[str]:

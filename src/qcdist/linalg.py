@@ -173,8 +173,11 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
     own entries there.  So every entry of a is compared, with half the
     multiply-adds of l l^dagger, and no side^2 array is made: the peak is
     l, two buffers of ``_PANEL`` x side entries and O(side) vectors, beside
-    a.  The allowance covers the upper triangle too: its entries of
-    l l^dagger are the lower triangle's dot products, conjugated, so the
+    a.  While it is formed, l's rows grow by doubling from 16, each time
+    into one new array with the old rows copied in: at most 1.5 times the
+    rows of the last doubling, 2^ceil(log2 rank) of them, beside a.  The
+    allowance covers the upper triangle too: its entries of l l^dagger
+    are the lower triangle's dot products, conjugated, so the
     same bound holds for each of them as computed.  The factorization
     reads ``a`` as Hermitian, its column p as conj(a[p]), but the residual
     compares both triangles, so an anti-Hermitian part of ``a`` shows in
@@ -193,8 +196,10 @@ def psd_factor(a, max_rank: int | None = None) -> tuple[np.ndarray, float]:
         p = int(np.argmax(d))
         if d[p] <= stop:
             break
-        if k == len(rows):
-            rows = np.concatenate([rows, np.empty_like(rows)])[:n]
+        if k == len(rows):  # double the rows: the old ones and the new array, never a third
+            grown = np.empty((min(2 * k, n), n), dtype=np.complex128)
+            grown[:k] = rows
+            rows = grown
         # column p of the Schur complement, formed in its row of ``rows``;
         # a is Hermitian, so its column p is conj(a[p])
         col = np.conjugate(a[p], out=rows[k])

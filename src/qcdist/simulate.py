@@ -19,9 +19,23 @@ the output order.  That changes neither the channel nor the output order,
 and no step is wider than the circuit as written.  The caps are checked on
 the circuit as written, so a refusal does not depend on the schedule.
 
-``choi_of`` walks a stack of r Kraus operators of shape
-(r, 2^live, 2^n_in), starting from the identity; decohere and trace split
-each operator in two, and the halves that are exactly zero are dropped.
+``choi_of`` extracts J one independent wire group at a time
+(``circuits.schedule_groups``): a gate the schedule keeps joins the
+groups of its wires, and nothing else couples two wires.  A k-fold tensor
+product is k groups, walked as k circuits of one copy's width and d_in
+rather than one of k times both.  Inputs traced before any kept gate form
+the discarded factor, whose Choi matrix is I and takes no walk.  Each
+group is scheduled on its own wires, with no SWAPs between groups, and J
+is written from the factors by one broadcast product into its own buffer
+(``_product``), with no temporary of J's size.  The certificate below
+runs on the assembled J, so a fault in the assembly fails the same check
+as a fault in a walk.  A circuit of one group with every input is walked
+whole, as ``schedule(c)``.
+
+Each walk (``_kraus_walk_choi``) carries a stack of r Kraus operators of
+shape (r, 2^live, 2^n_in), starting from the identity; decohere and trace
+split each operator in two, and the halves that are exactly zero are
+dropped.
 The first time r exceeds D = 2^live * 2^n_in, the stack is folded into
 the D x D matrix sum_k vec(K_k) vec(K_k)^dagger, and the remaining gates
 walk its blocks at the input matrix units |i><j| with i <= j only; the
@@ -42,7 +56,8 @@ refused by arithmetic on the ``replay_liveness`` counts before it starts.
 
 The walk returns J exactly Hermitian: the fold's i > j blocks are exact
 adjoints, and its diagonal blocks, like an unfolded stack's product, are
-replaced by their Hermitian parts.  So no Hermiticity is checked on it;
+replaced by their Hermitian parts.  A product of exactly Hermitian factors
+is exactly Hermitian too.  So no Hermiticity is checked on it;
 ``channel_from_choi`` checks a matrix given from outside.  Complete
 positivity is certified once per Choi matrix: by the channel's pivoted
 Cholesky factor where it stops within half of J's side in columns and
@@ -63,6 +78,7 @@ one contiguous matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, replay_liveness, schedule
+from .circuits import Circuit, replay_liveness, schedule, schedule_groups
 from .linalg import (
     TOL_HERM,
     TOL_PSD,
@@ -387,6 +403,9 @@ def _fold(k: np.ndarray, gates, n_in: int, live: int) -> np.ndarray:
 def _kraus_walk_choi(c: Circuit) -> np.ndarray:
     """Choi matrix from one walk of a Kraus stack, folded when it outgrows one.
 
+    ``c`` is walked as one piece: a wire group of a circuit, or a whole
+    circuit of one group (``_choi_matrix``), scheduled.
+
     The stack K has shape (r, 2^live, 2^n_in), starts as the identity and
     takes each gate in turn (``_kraus_step``).  Once r exceeds
     D = 2^live * 2^n_in the stack outweighs the D x D matrix
@@ -414,17 +433,81 @@ def _kraus_walk_choi(c: Circuit) -> np.ndarray:
     return choi
 
 
+def _product(factors, width: int) -> np.ndarray:
+    """The Choi matrix whose factor on each set of row bits is given.
+
+    ``factors`` are (matrix, bits): a Choi matrix and the positions among
+    J's ``width`` row bits (outputs, then inputs) of its own row bits, in
+    its order; together they cover every position once.  Bits that are
+    consecutive in J and in one factor merge into one axis, so J is viewed
+    as a few axes of rows and the same of columns, and each factor as a
+    transposed view with length-1 axes at the others'.  J is written by
+    one broadcast product into that view; the factors but the largest are
+    multiplied first, into at most J's size over the largest factor's, so
+    no temporary is J's size beside the ufunc's fixed buffers.  A product
+    of exactly Hermitian factors is exactly Hermitian: the entry at (c, r)
+    multiplies the conjugates of the factors at (r, c), in the same order.
+    """
+    owner = [None] * width  # (factor, its own bit) at each of J's row bits
+    for f, (_, bits) in enumerate(factors):
+        for at, p in enumerate(bits):
+            owner[p] = (f, at)
+    # an axis starts where the next bit of J is not the next bit of the same factor
+    starts = [p for p in range(width)
+              if p == 0 or owner[p] != (owner[p - 1][0], owner[p - 1][1] + 1)]
+    ends = starts[1:] + [width]
+    sizes = [2 ** (e - s) for s, e in zip(starts, ends)]
+    terms = []
+    for f, (j, _) in enumerate(factors):
+        mine = [k for k, s in enumerate(starts) if owner[s][0] == f]  # J's order
+        own = sorted(mine, key=lambda k: owner[starts[k]][1])  # the factor's order
+        perm = [own.index(k) for k in mine]
+        t = j.reshape([sizes[k] for k in own] * 2).transpose(perm + [len(own) + x for x in perm])
+        full = [sizes[k] if k in mine else 1 for k in range(len(starts))]
+        terms.append(t.reshape(full * 2))
+    terms.sort(key=lambda t: t.size)  # the largest last, the others' product first
+    choi = np.empty((2**width, 2**width), dtype=np.complex128)
+    out = choi.reshape(sizes * 2)
+    if len(terms) == 1:
+        out[...] = terms[0]
+    else:
+        np.multiply(functools.reduce(np.multiply, terms[:-1]), terms[-1], out=out)
+    return choi
+
+
+def _choi_matrix(c: Circuit) -> np.ndarray:
+    """J of ``c``, one walk per wire group (``circuits.schedule_groups``).
+
+    A circuit of one group with every input is walked whole, as
+    ``schedule(c)``: J is ``_kraus_walk_choi``'s.  Otherwise each group is
+    walked on its own, the discarded inputs give the factor I with no walk,
+    and J is their product (``_product``).  Exactly Hermitian either way.
+    """
+    groups, discarded = schedule_groups(c)
+    if len(groups) == 1 and not discarded:
+        return _kraus_walk_choi(groups[0].circuit)
+    m = sum(len(g.outputs) for g in groups)
+    factors = [(_kraus_walk_choi(g.circuit), g.outputs + tuple([m + i for i in g.inputs]))
+               for g in groups]
+    if discarded:
+        factors.append((np.eye(2 ** len(discarded), dtype=np.complex128),
+                        tuple([m + i for i in discarded])))
+    return _product(factors, m + c.n_in)
+
+
 def choi_of(c: Circuit) -> Channel:
     """Extract the circuit's channel as a Choi matrix.
 
-    One walk of a Kraus stack from the identity, folded into a density walk
-    of its upper blocks once the stack outgrows them (module docstring).
-    ``replay_liveness`` refuses a width over the cap on ``c`` as written,
-    and the walk runs ``schedule(c)``.  It returns J exactly Hermitian, so
-    nothing symmetrizes it here.  Complete positivity is certified by the
+    One walk per independent wire group, each of a Kraus stack from the
+    identity, folded into a density walk of its upper blocks once the stack
+    outgrows them, and J their tensor product with I on the discarded
+    inputs (``_choi_matrix``, module docstring).  ``replay_liveness`` and
+    the cap on J's side refuse a circuit over the cap on ``c`` as written,
+    before any walk.  J is exactly Hermitian, so nothing symmetrizes it
+    here.  Complete positivity is certified on the assembled J by the
     channel's pivoted factor, or where that is cut at half the side, by a
-    Cholesky factor of J + TOL_CHANNEL * I (``_check_channel``); the factor
-    stays on the Channel for ``kraus_of`` and the diamond norm.
+    Cholesky factor of J + TOL_CHANNEL * I (``_check_channel``); the
+    factor stays on the Channel for ``kraus_of`` and the diamond norm.
     Trace preservation is checked too.  A failure beyond tolerance is a
     simulator bug, not a property of the circuit, and raises
     InternalConsistencyError.
@@ -433,7 +516,7 @@ def choi_of(c: Circuit) -> Channel:
     n = c.n_in
     m = counts[-1]
     linalg.check_cap(2 ** (m + n), "Choi matrix")
-    ch = Channel(n, m, _kraus_walk_choi(schedule(c)))
+    ch = Channel(n, m, _choi_matrix(c))
     problems = _check_channel(ch)
     if problems:
         raise InternalConsistencyError(

@@ -72,7 +72,7 @@ def test_validate_non_cp_channel_is_a_violation(workdir, capsys, monkeypatch):
     choi = np.zeros((4, 4), dtype=complex)
     choi[0, 0] = choi[3, 3] = 1.0
     choi[0, 3] = choi[3, 0] = 1.5
-    monkeypatch.setattr(simulate, "_kraus_walk_choi", lambda c: choi)
+    monkeypatch.setattr(simulate, "_choi_matrix", lambda c: choi)
     code, out = run_cli(capsys, "validate", workdir / "id.circ")
     assert code == 1
     assert out["valid"] is False
@@ -710,7 +710,7 @@ def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, ki
     # choi_of certifies J by its pivoted factor, and the diamond norm and
     # kraus_of read that factor off the channel instead of forming another
     walked, factored = [], []
-    walk, factor = simulate._kraus_walk_choi, linalg.psd_factor
+    walk, factor = simulate._choi_matrix, linalg.psd_factor
 
     def walk_spy(c):
         walked.append(walk(c))
@@ -720,7 +720,7 @@ def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, ki
         factored.append(a)
         return factor(a, *args)
 
-    monkeypatch.setattr(simulate, "_kraus_walk_choi", walk_spy)
+    monkeypatch.setattr(simulate, "_choi_matrix", walk_spy)
     monkeypatch.setattr(linalg, "psd_factor", factor_spy)
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
         code, _ = run_cli(capsys, "distance", kind, workdir / "id.circ", workdir / "dec.circ")

@@ -247,6 +247,22 @@ def test_psd_factor_residual_peak_memory():
     assert peak < l.nbytes + 2 * 64 * n * 16 + 32 * n * 16
 
 
+def test_psd_factor_row_growth_peak_memory():
+    # a factor cut at rank 128, as Channel.factor cuts a full-rank J: its rows
+    # double from 64 to 128 into one new array, beside the 64 old ones, and no
+    # residual is formed; a concatenation with an empty block would hold twice 128
+    n, m = 512, 128
+    a = _low_rank_psd(np.random.default_rng(53), n, 2 * m)
+    tracemalloc.start()
+    try:
+        l, residual = psd_factor(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert l.shape == (n, m) and residual == np.inf
+    assert peak < 1.5 * m * n * 16 + 32 * n * 16
+
+
 def test_psd_factor_is_deterministic():
     rng = np.random.default_rng(43)
     a = _low_rank_psd(rng, 32, 7)

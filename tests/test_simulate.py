@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import tracemalloc
 from unittest import mock
 
@@ -10,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from qcdist import linalg, simulate as simulate_mod
 from qcdist.circuits import (
     Circuit,
+    Gate,
     ancilla_gate,
     decohere_gate,
+    named_gate,
     parse_circuit,
     replay_liveness,
     schedule,
+    schedule_groups,
     trace_gate,
     unitary_gate,
 )
@@ -34,10 +38,12 @@ from qcdist.simulate import (
     simulate,
 )
 from qcdist.linalg import SizeCapError, partial_trace
+from qcdist.reductions import PolarizationParams, polarize, tensor_power
 
 from helpers import (
     decohere_circuit,
     identity_circuit,
+    random_11_circuit,
     random_circuit,
     random_density,
     random_hermitian,
@@ -584,17 +590,20 @@ def test_switched_walk_matches_oracle_property(c):
     din = 2**c.n_in
     omega = np.eye(din).reshape(din * din)  # sum_i |i>|i>
     ref = density_walk_oracle(c, np.outer(omega, omega), c.n_in)
+    # the whole circuit's walk: choi_of may split c into wire groups and walk each
     with mock.patch.object(simulate_mod, "_run_gates", wraps=simulate_mod._run_gates) as walk:
-        choi = choi_of(c).choi
+        choi = simulate_mod._kraus_walk_choi(schedule(c))
     assert np.abs(choi - ref).max() < 1e-12
     assert np.array_equal(choi, choi.conj().T)
+    assert np.abs(choi_of(c).choi - ref).max() < 1e-12
     assert walk.call_count == 1
     assert walk.call_args.args[0].shape[-1] == din * (din + 1) // 2
 
 
 def _choi_and_walked_blocks(c, cap):
-    """choi_of(c).choi under DIM_CAP = cap, and the blocks its fold walked,
-    (P, 2^m, 2^m) in walk order."""
+    """The whole circuit's Choi walk of ``schedule(c)`` under DIM_CAP = cap,
+    and the blocks its fold walked, (P, 2^m, 2^m) in walk order.  The walk,
+    not ``choi_of``, which may split c into wire groups and walk each."""
     outs, run_gates = [], simulate_mod._run_gates
 
     def walk(t, gates, live):
@@ -604,7 +613,7 @@ def _choi_and_walked_blocks(c, cap):
 
     with mock.patch.object(linalg, "DIM_CAP", cap), \
             mock.patch.object(simulate_mod, "_run_gates", walk):
-        choi = choi_of(c).choi
+        choi = simulate_mod._kraus_walk_choi(schedule(c))
     return choi, np.concatenate(outs) if outs else None
 
 
@@ -810,7 +819,7 @@ def test_choi_of_certifies_complete_positivity_at_its_tolerance(monkeypatch, thi
         j = (_thin_choi_with_least_eigenvalue(n, lam) if thin
              else _choi_with_least_eigenvalue(rng, n, n, lam))
         assert abs(np.linalg.eigvalsh(j)[0] - lam) < 1e-14
-        monkeypatch.setattr(simulate_mod, "_kraus_walk_choi", lambda _, j=j: j.copy())
+        monkeypatch.setattr(simulate_mod, "_choi_matrix", lambda _, j=j: j.copy())
         with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
             if ok:
                 ch = choi_of(c)
@@ -866,3 +875,176 @@ def test_contraction_matches_kraus_sum_property(c, ref_dim, seed):
     assert np.abs(phi_x - _kraus_sum(ops, x, ref_dim)).max() < 1e-12
     assert np.abs(adj_m - _kraus_sum(ops, m, ref_dim, adjoint=True)).max() < 1e-12
     assert abs(np.trace(m @ phi_x) - np.trace(adj_m @ x)) < 1e-12
+
+
+# ---------------------------------------------------------------- wire groups
+
+
+@st.composite
+def _product_circuits(draw):
+    """Two ``small_circuits`` on disjoint wires, with their inputs and their
+    gates interleaved at random, and up to two more inputs that are traced
+    at random points and never used.  No gate couples the two parts, so
+    their outputs come out interleaved wherever the merged liveness leaves
+    them."""
+    parts = [draw(small_circuits(max_in=2, max_live=3)), draw(small_circuits(max_in=1, max_live=2))]
+    unused = [("unused", i) for i in range(draw(st.integers(0, 2)))]
+    live = draw(st.permutations(
+        [(p, i) for p, part in enumerate(parts) for i in range(part.n_in)] + unused))
+    n_in = len(live)
+    # each part's live handles, by the part's own wire index
+    own = [[(p, i) for i in range(part.n_in)] for p, part in enumerate(parts)]
+    # which part's next gate, or which unused input's trace, comes at each step
+    events = draw(st.permutations([p for p, part in enumerate(parts) for _ in part.gates] + unused))
+    todo = [iter(part.gates) for part in parts]
+    gates = []
+    for e in events:
+        if e in unused:
+            gates.append(trace_gate(live.index(e)))
+            live.remove(e)
+            continue
+        p, g = e, next(todo[e])
+        if g.kind == "ancilla":
+            own[p].append((p, "ancilla", len(gates)))
+            live.append(own[p][-1])
+            gates.append(g)
+        elif g.kind == "trace":
+            h = own[p].pop(g.wires[0])
+            gates.append(trace_gate(live.index(h)))
+            live.remove(h)
+        else:
+            gates.append(Gate(g.kind, tuple(live.index(own[p][w]) for w in g.wires), g.matrix))
+    return Circuit("product", n_in, gates)
+
+
+def _coupled_widths(c):
+    """The widest point of each set of ``c``'s wires that its gates, as
+    written, couple: ('in', i) and ('out', o) -> the width of the set that
+    holds input i or output o.  A wire group is one such set or part of one."""
+    parent, live, snapshots = {}, list(range(c.n_in)), []
+
+    def root(h):
+        while h in parent:
+            h = parent[h]
+        return h
+
+    for idx, g in enumerate(c.gates):
+        if g.kind == "ancilla":
+            live.append(c.n_in + idx)
+        else:
+            handles = [root(live[w]) for w in g.wires]
+            for h in handles[1:]:
+                if h != handles[0]:
+                    parent[h] = handles[0]
+            if g.kind == "trace":
+                del live[g.wires[0]]
+        snapshots.append(list(live))
+    counts = [Counter(root(h) for h in snap) for snap in [list(range(c.n_in))] + snapshots]
+    width = lambda h: max(count[root(h)] for count in counts)
+    return {**{("in", i): width(i) for i in range(c.n_in)},
+            **{("out", o): width(h) for o, h in enumerate(live)}}
+
+
+def _assert_walks_each_group_once(c):
+    """choi_of(c) against one walk of the whole schedule: within 1e-14, exactly
+    Hermitian, bitwise where c is one group with every input; each group walked
+    once, never wider than the wires it is part of."""
+    whole = simulate_mod._kraus_walk_choi(schedule(c))
+    groups, discarded = schedule_groups(c)
+    assert sorted(o for g in groups for o in g.outputs) == list(range(c.n_out))
+    assert sorted([i for g in groups for i in g.inputs] + list(discarded)) == list(range(c.n_in))
+    walked, walk = [], simulate_mod._kraus_walk_choi
+
+    def spy(s):
+        walked.append(s)
+        return walk(s)
+
+    with mock.patch.object(simulate_mod, "_kraus_walk_choi", spy):
+        choi = choi_of(c).choi
+    assert np.array_equal(choi, choi.conj().T)
+    assert np.abs(choi - whole).max() < 1e-14
+    if len(groups) == 1 and not discarded:
+        assert np.array_equal(choi, whole)
+    assert [_layout(s) for s in walked] == [_layout(g.circuit) for g in groups]
+    widths = _coupled_widths(c)
+    for s, g in zip(walked, groups):
+        bound = min([widths["out", o] for o in g.outputs] + [widths["in", i] for i in g.inputs],
+                    default=0)  # a group of no wires: the circuit on none
+        assert max(replay_liveness(s)) <= bound
+
+
+def _layout(c):
+    return [(g.kind, g.wires) for g in c.gates]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_circuits())
+def test_choi_of_walks_each_wire_group_once_property(c):
+    _assert_walks_each_group_once(c)
+
+
+def _groups_cases():
+    rng = np.random.default_rng(24)
+    q = [random_11_circuit(rng, "q0"), random_11_circuit(rng, "q1")]
+    polarized = polarize(identity_circuit(), decohere_circuit(), PolarizationParams(1, 1.0, 0.25),
+                         override=(2, 2, 1))
+    named = lambda name, c: Circuit(name, c.n_in, c.gates)
+    return [
+        Circuit("none", 0, []),
+        Circuit("gone", 2, [trace_gate(1), trace_gate(0)]),  # n_out = 0: I, with no walk
+        Circuit("idle", 2, []),
+        Circuit("reset", 1, [trace_gate(0), ancilla_gate(), named_gate("H", (0,))]),
+        Circuit("spare", 1, [ancilla_gate(), named_gate("H", (0,))]),
+        # the second ancilla is used first, so its group holds its outputs in another order
+        parse_circuit("circuit swapped inputs 2\nancilla\nancilla\ngate H 3\ngate CNOT 2 3\n"
+                      "gate CNOT 0 2\ngate X 1\nend\n"),
+        *map(named, ("t0", "t1"), tensor_power(identity_circuit(), decohere_circuit(), 3)),
+        *map(named, ("q0q0", "q1q1"), tensor_power(*q, 2)),
+        *polarized[:2],
+    ]
+
+
+@pytest.mark.parametrize("c", _groups_cases(), ids=lambda c: c.name)
+def test_choi_of_walks_each_wire_group_once(c):
+    _assert_walks_each_group_once(c)
+
+
+def test_choi_of_product_circuits_split_as_built():
+    # a k-fold tensor power is k groups, a polarized pair two parity-2 blocks; the
+    # discarded factor of a reset input is I, and a circuit of no wires one empty group
+    circuits = {c.name: c for c in _groups_cases()}
+    cases = {name: schedule_groups(c) for name, c in circuits.items()}
+    assert [len(cases[k][0]) for k in ("t0", "t1", "s0", "s1")] == [3, 3, 2, 2]
+    assert all(len(cases[k][0]) >= 2 for k in ("q0q0", "q1q1"))
+    assert [cases[k][1] for k in ("gone", "reset", "spare", "idle")] == [(0, 1), (0,), (), ()]
+    assert [len(cases[k][0]) for k in ("gone", "reset", "spare", "idle", "none")] == [0, 1, 2, 2, 1]
+    assert [(g.inputs, g.outputs) for g in cases["swapped"][0]] == [((0,), (0, 3, 2)), ((1,), (1,))]
+    reset = choi_of(circuits["reset"]).choi
+    assert np.abs(reset - np.kron(np.full((2, 2), 0.5), np.eye(2))).max() < 1e-15
+
+
+def test_choi_of_a_product_holds_one_side_squared_array():
+    # two groups, 2 inputs -> 3 outputs and 2 -> 2, outputs interleaved: J has side
+    # 2^9 = 512 (4 MiB), the groups' Choi matrices sides 32 and 16.  J is written in
+    # place from them, through the product's ufunc buffers of np.getbufsize() entries
+    # per operand; the certificate adds its factor's first 16 rows and its two panels
+    # of 64 columns (psd_factor)
+    rng = np.random.default_rng(25)
+    u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
+    c = Circuit("pair", 4, [ancilla_gate(), u(0, 1, 4), decohere_gate(4), u(2, 3), decohere_gate(3),
+                            u(4, 1), u(3, 2)])
+    groups, discarded = schedule_groups(c)
+    assert [(g.inputs, g.outputs) for g in groups] == [((0, 1), (0, 1, 4)), ((2, 3), (2, 3))]
+    side = 2**9
+    # the groups' matrices, 64 KiB of walk, three operands' buffers
+    extra = (32**2 + 16**2) * 16 + 2**16 + 3 * np.getbufsize() * 16
+    for extract, beyond in ((simulate_mod._choi_matrix, extra),
+                            (lambda c: choi_of(c).choi, extra + (16 + 2 * 64) * side * 16)):
+        tracemalloc.start()
+        try:
+            choi = extract(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert choi.shape == (side, side)
+        assert peak < choi.nbytes + beyond
