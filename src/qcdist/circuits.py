@@ -18,9 +18,11 @@ Text format (one construct per line, '#' starts a comment):
     decohere <wire>
     end
 
-Each check has one place: :class:`Gate` decides a gate's form;
-:func:`unitary_gate`, the parser and :func:`validate` check unitarity, the
-last two batched over many gates; the ``STANDARD_GATES`` table, its test.
+Each check has one place: :class:`Gate` decides a gate's form, and
+:class:`Circuit` its wires' liveness and the cap, in one walk when it is
+built; :func:`unitary_gate`, the parser and :func:`validate` check
+unitarity, the last two batched over many gates; the ``STANDARD_GATES``
+table, its test.
 
 The parser scans the lines once for structure and reads the numbers of all
 ``unitary`` lines in one pass: one float64 array, of which every matrix is
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SizeCapError, as_matrix, check_wires
+from .linalg import as_matrix, check_wires
 from .jsonutil import format_floats
 
 TOL_UNITARY = 1e-9
@@ -83,11 +85,14 @@ class CircuitParseError(CircuitError):
 
 
 class LivenessError(CircuitError):
-    """A gate referenced a wire that is not live at that point."""
+    """Gate ``gate`` (an index into the gate list) referenced ``wire`` while
+    only ``live`` wires were live."""
 
-    def __init__(self, message: str, wire: int | None = None, line: int | None = None):
-        self.wire = wire
-        super().__init__(message, line)
+    def __init__(self, gate: int, wire: int, live: int, line: int | None = None):
+        self.gate, self.wire, self.live = gate, wire, live
+        where = f"gate {gate + 1}" if line is None else "gate"
+        super().__init__(f"{where} references wire {wire} but only wires 0..{live - 1} are live",
+                         line)
 
 
 class UnitarityError(CircuitError):
@@ -103,7 +108,8 @@ class Gate:
     matrix, takes 1..UNITARY_ARITY_CAP distinct wires and a (2^a, 2^a) one.
     ``label`` is None or names the ``STANDARD_GATES`` matrix held, so
     serialization can round-trip the readable form.  Unitarity is left to
-    :func:`unitary_gate`, the parser and :func:`validate`.
+    :func:`unitary_gate`, the parser and :func:`validate`, and whether the
+    wires are live to the :class:`Circuit` that holds the gate.
     """
 
     kind: str
@@ -188,52 +194,41 @@ def unitarity_defect(m: np.ndarray):
         return np.sqrt((flat.real**2 + flat.imag**2).sum(axis=1)).reshape(m.shape[:-2])[()]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """A named gate sequence on ``n_in`` input wires."""
+    """A named gate sequence on ``n_in`` input wires, valid by construction.
+
+    Building one walks the gate list once, tracking the live wire count: a
+    wire out of range raises LivenessError, and the inputs or an ancilla
+    past the cap raise SizeCapError.  The walk keeps ``n_out``, the live
+    count after the last gate, and ``width``, the largest live count.
+    """
 
     name: str
     n_in: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: tuple[Gate, ...] = ()
+    n_out: int = field(init=False)
+    width: int = field(init=False)
 
     def __post_init__(self):
-        self.gates = tuple(self.gates)
+        gates = tuple(self.gates)
         if self.n_in < 0:
             raise CircuitError(f"n_in must be nonnegative, got {self.n_in}")
-
-    @property
-    def n_out(self) -> int:
-        """Output wire count; raises LivenessError if the gate list is invalid."""
-        return replay_liveness(self)[-1]
-
-
-def replay_liveness(c: Circuit, lines: list[int] | None = None) -> list[int]:
-    """Walk the gate list tracking the live wire count.
-
-    Returns the live count after each gate (ending with n_out), raising
-    LivenessError on the first out-of-range wire reference.  ``lines``
-    optionally maps gate index -> source line for error messages.
-    """
-    live = c.n_in
-    counts = [live]
-    check_wires(live, "input wires")
-    for idx, g in enumerate(c.gates):
-        line = lines[idx] if lines is not None else None
-        where = f"gate {idx + 1}" if line is None else "gate"
-        for w in g.wires:
-            if w < 0 or w >= live:
-                raise LivenessError(
-                    f"{where} references wire {w} but only wires 0..{live - 1} are live",
-                    wire=w,
-                    line=line,
-                )
-        if g.kind == "ancilla":
-            live += 1
-            check_wires(live)
-        elif g.kind == "trace":
-            live -= 1
-        counts.append(live)
-    return counts
+        live = width = self.n_in
+        check_wires(live, "input wires")
+        for idx, g in enumerate(gates):
+            for w in g.wires:
+                if w < 0 or w >= live:
+                    raise LivenessError(idx, w, live)
+            if g.kind == "ancilla":
+                live += 1
+                check_wires(live)
+                width = max(width, live)
+            elif g.kind == "trace":
+                live -= 1
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "n_out", live)
+        object.__setattr__(self, "width", width)
 
 
 class _WireTracker:
@@ -241,18 +236,16 @@ class _WireTracker:
 
     Handles are stable names for wires; ``order`` lists them by live index,
     so an ancilla appends at the top and a trace shifts the higher indices
-    down, the IR's liveness rules.  Each ancilla is checked against the
-    cap before its gate is emitted: this is the composition's own liveness
-    walk, since nothing computes its peak width by arithmetic.
+    down, the IR's liveness rules.  The cap is checked by the
+    :class:`Circuit` built from ``gates``, whose walk refuses the first
+    ancilla past it.
     """
 
     def __init__(self, handles):
         self.order = list(handles)
-        check_wires(len(self.order), "input wires")
         self.gates: list[Gate] = []
 
     def ancilla(self, handle) -> None:
-        check_wires(len(self.order) + 1)
         self.gates.append(ancilla_gate())
         self.order.append(handle)
 
@@ -317,9 +310,8 @@ def schedule(c: Circuit) -> Circuit:
     * SWAPs route the outputs back into ``c``'s order.
 
     A wire is live here only where it is live in ``c``, so no step is wider
-    than ``c`` at the same gate.  ``c``'s wires must pass
-    :func:`replay_liveness`; the callers check them, and the caps, on
-    ``c`` as written.  This is the one-tracker emission of the passes that
+    than ``c`` at the same gate, and ``c`` passed the liveness and cap walk
+    when it was built.  This is the one-tracker emission of the passes that
     :func:`schedule_groups` also splits.
     """
     return _emit(c, _passes(c), split=False)[0].circuit
@@ -475,14 +467,13 @@ def _emit(c: Circuit, plan: tuple, split: bool) -> list[WireGroup]:
 
 
 def validate(c: Circuit) -> list[str]:
-    """Validation report; empty iff the circuit is valid.
+    """Unitarity report; empty iff every unitary gate of ``c`` is unitary.
 
-    Every :class:`Gate` has a valid form by construction, so what is left
-    is unitarity, by one :func:`unitarity_defect` per arity over the
-    stacked matrices, then liveness and the dimension cap through
-    :func:`replay_liveness`.  The report lists the unitarity findings in
-    gate order, then the liveness finding.  Never raises; admissibility of
-    the realized channel is checked downstream via the Choi matrix.
+    Every :class:`Gate` has a valid form and every :class:`Circuit` live
+    wires within the cap by construction, so what is left is unitarity, by
+    one :func:`unitarity_defect` per arity over the stacked matrices.  The
+    report lists the findings in gate order.  Never raises; admissibility
+    of the realized channel is checked downstream via the Choi matrix.
     """
     stacks: dict[int, list[tuple[int, np.ndarray]]] = {}  # arity -> (gate index, matrix)
     for idx, g in enumerate(c.gates):
@@ -492,15 +483,10 @@ def validate(c: Circuit) -> list[str]:
     for entries in stacks.values():
         defects = unitarity_defect(np.stack([m for _, m in entries])).tolist()
         findings += [(idx, d) for (idx, _), d in zip(entries, defects) if not d <= TOL_UNITARY]
-    report = [
+    return [
         f"gate {idx + 1} (unitary): unitarity defect {d:.3e} > {TOL_UNITARY:.1e}"
         for idx, d in sorted(findings)
     ]
-    try:
-        replay_liveness(c)
-    except (LivenessError, SizeCapError) as exc:
-        report.append(str(exc))
-    return report
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -550,9 +536,10 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError("empty circuit text", None)
     if not ended:
         raise CircuitParseError("missing 'end'", None)
-    c = Circuit(header[0], header[1], tuple(gates))
-    replay_liveness(c, lines=lines)
-    return c
+    try:
+        return Circuit(header[0], header[1], tuple(gates))
+    except LivenessError as exc:
+        raise LivenessError(exc.gate, exc.wire, exc.live, lines[exc.gate]) from None
 
 
 def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:

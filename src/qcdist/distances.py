@@ -292,18 +292,19 @@ def fidelity_via_purification(psi, phi, dims) -> float:
 def helstrom(delta) -> tuple[np.ndarray, float]:
     """Optimal projective measurement for a Hermitian difference operator.
 
-    Returns (M, value) with M the projector onto the strictly positive
-    eigenspace of delta (eigenvalues within TOL_PSD of zero are excluded,
-    keeping M minimal; ``_seesaw``'s slack assumes it) and value =
-    2 tr(M delta) - tr(delta), which equals the trace norm of delta.
+    Returns (M, value) with M the projector onto the positive eigenspace of
+    delta (``_projector_value``) and value = 2 tr(M delta) - tr(delta),
+    which equals the trace norm of delta.
     """
-    w, v = spectral(delta)
-    return _projector_value(delta, v[:, w > TOL_PSD])
+    return _projector_value(delta, *spectral(delta))
 
 
-def _projector_value(delta: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M, 2 tr(M delta) - tr delta) for M = cols cols^dagger; tr(M delta) is
-    one elementwise product, sum_ij conj(delta_ij) M_ij for Hermitian delta."""
+def _projector_value(delta: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, 2 tr(M delta) - tr delta), M projecting onto the columns of ``v``
+    whose eigenvalue in ``w`` is above side eps_mach max|w|, the rounding
+    floor of ``linalg.psd_factor``; tr(M delta) is one elementwise product."""
+    floor = len(delta) * np.finfo(float).eps * float(np.abs(w).max(initial=0.0))
+    cols = v[:, w > floor]
     m = cols @ dag(cols)
     return m, float(2 * np.vdot(delta, m).real - np.trace(delta).real)
 
@@ -316,8 +317,7 @@ def _witness_at(ch0: Channel, ch1: Channel, j, x: np.ndarray) -> tuple[np.ndarra
     delta = _output_of(ch0, x) - _output_of(ch1, x)
     delta = (delta + dag(delta)) / 2
     if isinstance(j, _Factored):
-        w, v = range_spectral(_on_input(x.T, j.f), j.signs)
-        return _projector_value(delta, v[:, w > TOL_PSD])
+        return _projector_value(delta, *range_spectral(_on_input(x.T, j.f), j.signs))
     return helstrom(delta)
 
 
@@ -331,9 +331,11 @@ def _seesaw(ch0: Channel, ch1: Channel, j, x: np.ndarray, rel_tol: float):
     """
     din, ref_dim = x.shape
     difference = Channel(ch0.n_in, ch0.n_out, ch0.choi - ch1.choi)
-    # the measurement leaves eigenvalues within TOL_PSD of zero out of M, and
-    # each lowers 2 tr(M Delta) - tr Delta by up to 2 TOL_PSD: on Delta of
-    # this side, a drop of up to 2 side TOL_PSD is rounding, not a fault of
+    # the objective is monotone in exact arithmetic; computed, each value
+    # carries the rounding of Delta's eigenpairs and of the trace, and the
+    # measurement leaves out the eigenvalues at its rounding floor, each
+    # lowering the value by up to twice itself.  A drop of up to
+    # 2 side TOL_PSD on Delta of this side is that rounding, not a fault of
     # the channel algebra
     slack = 2 * ch0.dim_out * ref_dim * TOL_PSD
     prev = -np.inf

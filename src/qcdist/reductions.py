@@ -29,13 +29,13 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
+    UnitarityError,
     _WireTracker,
     ancilla_gate,
     decohere_gate,
     named_gate,
-    replay_liveness,
     trace_gate,
-    unitary_gate,
+    validate,
 )
 from .dilation import DilatedCircuit, dilate
 from .linalg import SizeCapError, check_wires
@@ -112,7 +112,7 @@ def _controlled_2q_gates(u: np.ndarray, branch: int, wires: tuple[int, int, int]
         raise ConstructionError("multiplexor split failed to reconstruct the gate")
     gates: list[Gate] = []
     if not _identity_like(t_mat):
-        gates.append(unitary_gate(t_mat, (t1, t2)))
+        gates.append(Gate("unitary", (t1, t2), t_mat))
     # Diagonal of Delta over basis (control, t1, t2): d on the 0-branch,
     # conj(d) on the 1-branch.  Interpolate the phase exponents.
     theta = np.angle(np.concatenate([d, d.conj()]))
@@ -129,21 +129,21 @@ def _controlled_2q_gates(u: np.ndarray, branch: int, wires: tuple[int, int, int]
     }
     omega = th(1, 1, 1) - alpha - sum(beta.values()) - sum(gamma.values())
     if alpha != 0.0:
-        gates.append(unitary_gate(_global_phase(alpha), (c,)))
+        gates.append(Gate("unitary", (c,), _global_phase(alpha)))
     for wire, angle in beta.items():
         if angle != 0.0:
-            gates.append(unitary_gate(_phase(angle), (wire,)))
+            gates.append(Gate("unitary", (wire,), _phase(angle)))
     for (wa, wb), angle in gamma.items():
         if angle != 0.0:
-            gates.append(unitary_gate(_cphase(angle), (wa, wb)))
+            gates.append(Gate("unitary", (wa, wb), _cphase(angle)))
     if omega != 0.0:
         gates.append(named_gate("CNOT", (t1, t2)))
-        gates.append(unitary_gate(_cphase(-omega / 2), (c, t2)))
+        gates.append(Gate("unitary", (c, t2), _cphase(-omega / 2)))
         gates.append(named_gate("CNOT", (t1, t2)))
-        gates.append(unitary_gate(_cphase(omega / 2), (c, t2)))
-        gates.append(unitary_gate(_cphase(omega / 2), (c, t1)))
+        gates.append(Gate("unitary", (c, t2), _cphase(omega / 2)))
+        gates.append(Gate("unitary", (c, t1), _cphase(omega / 2)))
     if not _identity_like(w_mat):
-        gates.append(unitary_gate(w_mat, (t1, t2)))
+        gates.append(Gate("unitary", (t1, t2), w_mat))
     return gates
 
 
@@ -151,7 +151,7 @@ def _controlled_gates(g: Gate, branch: int) -> list[Gate]:
     """Controlled version of one dilation gate (control = wire 0)."""
     shifted = tuple(w + 1 for w in g.wires)
     if g.arity == 1:
-        return [unitary_gate(_controlled(g.matrix, branch), (0,) + shifted)]
+        return [Gate("unitary", (0,) + shifted, _controlled(g.matrix, branch))]
     if g.arity == 2:
         return _controlled_2q_gates(g.matrix, branch, (0,) + shifted)
     raise ConstructionError(
@@ -168,7 +168,9 @@ def controlled_join(p0: DilatedCircuit, p1: DilatedCircuit) -> DilatedCircuit:
     joined circuits can be dilated and joined again; a 3-qubit source gate
     would need a 4-qubit controlled gate and is refused.  The narrower
     dilation is padded with untouched trailing wires, initialized |0> and
-    classified as garbage.
+    classified as garbage.  The emitted gates are checked for unitarity
+    once, by :func:`validate` on the joined circuit, and the first finding
+    raises UnitarityError.
     """
     if p0.n_in != p1.n_in or p0.n_out != p1.n_out:
         raise ConstructionError(
@@ -180,6 +182,8 @@ def controlled_join(p0: DilatedCircuit, p1: DilatedCircuit) -> DilatedCircuit:
         for g in p.unitary_circuit.gates:
             gates.extend(_controlled_gates(g, branch))
     joined = Circuit("joined", 1 + n_wires, tuple(gates))
+    if report := validate(joined):
+        raise UnitarityError(report[0])
     # the control is output wire 0, the dilations' outputs follow it
     return DilatedCircuit(joined, k=n_wires - p0.n_in, l=n_wires - p0.n_out)
 
@@ -195,22 +199,26 @@ def ci_to_qcd(q0: Circuit, q1: Circuit) -> tuple[Circuit, Circuit]:
     """
     if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
         raise ConstructionError("circuits disagree on type")
-    joined = controlled_join(dilate(q0), dilate(q1))
-    r0 = _joined_circuit(joined, range(q0.n_out), "r0")
+    r0 = _joined_circuit(q0, q1, "r0", garbage=False)
     r1 = Circuit("r1", r0.n_in, r0.gates + (decohere_gate(0),))
     return r0, r1
 
 
-def _joined_circuit(joined: DilatedCircuit, traced: range, name: str) -> Circuit:
-    """A controlled join as a mixed-state circuit on control + inputs.
+def _joined_circuit(q0: Circuit, q1: Circuit, name: str, garbage: bool) -> Circuit:
+    """The controlled join of ``q0``'s and ``q1``'s dilations as a mixed-state
+    circuit on control + inputs.
 
     Its k ancillas come first, then the joined gates, then traces of the
-    dilation wires in ``traced`` (canonical layout: channel output on
-    0..m-1, garbage on m..).  The control stays wire 0, and the untraced
-    wires keep their order after it.  Its width, the joined dilation's,
-    is refused by arithmetic first.
+    dilation wires that hold the channel output (on 0..m-1), or with
+    ``garbage`` of the rest.  The control stays wire 0, and the untraced
+    wires keep their order after it.  Its width is refused by arithmetic
+    before the join is built.
     """
-    check_wires(joined.n_wires, f"wires of the joined circuit {name}")
+    p0, p1 = dilate(q0), dilate(q1)
+    check_wires(1 + max(p0.n_wires, p1.n_wires), f"wires of the joined circuit {name}")
+    joined = controlled_join(p0, p1)
+    m = joined.n_out - 1
+    traced = range(m, joined.n_wires - 1) if garbage else range(m)
     gates = [ancilla_gate() for _ in range(joined.k)]
     gates.extend(joined.unitary_circuit.gates)
     # each trace shifts the next traced wire down onto the same index
@@ -244,9 +252,7 @@ def mix_with_parity(pairs, odd: bool, name: str) -> Circuit:
             raise ConstructionError("each pair must agree on type")
         key = (id(a), id(b))
         if key not in block_by_pair:
-            joined = controlled_join(dilate(a), dilate(b))
-            garbage = range(joined.n_out - 1, joined.n_wires - 1)
-            block_by_pair[key] = _joined_circuit(joined, garbage, "block")
+            block_by_pair[key] = _joined_circuit(a, b, "block", garbage=True)
         blocks.append(block_by_pair[key])
     # a fair classical coin on a fresh wire, its value added into wire 0
     coin = Circuit(
@@ -276,7 +282,7 @@ def mix_with_parity(pairs, odd: bool, name: str) -> Circuit:
 
 def _end_width(q0: Circuit, q1: Circuit) -> int:
     """Widest end of either circuit: a k-fold composition holds k times this."""
-    return max(max(q.n_in, replay_liveness(q)[-1]) for q in (q0, q1))
+    return max(q0.n_in, q0.n_out, q1.n_in, q1.n_out)
 
 
 def _parity_width(width: int, r: int) -> int:

@@ -52,7 +52,8 @@ has live + n_in > log2(DIM_CAP).  The stack also folds before an ancilla
 or decohere would double it past 2 * DIM_CAP^2 entries.  Both bounds
 follow from DIM_CAP, and neither can bind on a circuit whose widest
 point plus n_in fits the cap.  A walk that would exceed the cap is
-refused by arithmetic on the ``replay_liveness`` counts before it starts.
+refused by arithmetic on the counts that ``Circuit`` keeps from its one
+liveness walk (``n_out``, ``width``), before it starts.
 
 The walk returns J exactly Hermitian: the fold's i > j blocks are exact
 adjoints, and its diagonal blocks, like an unfolded stack's product, are
@@ -86,7 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, replay_liveness, schedule, schedule_groups
+from .circuits import Circuit, schedule, schedule_groups
 from .linalg import (
     TOL_HERM,
     TOL_PSD,
@@ -147,7 +148,7 @@ def simulate(c: Circuit, rho: np.ndarray, ref_qubits: int = 0) -> np.ndarray:
     reference blocks, the batch, and lays them out again from the walk's
     batch-first copy: the one reshape that copies at the end.
     """
-    check_wires(max(replay_liveness(c)) + ref_qubits, "qubits mid-circuit")
+    check_wires(c.width + ref_qubits, "qubits mid-circuit")
     rho = as_matrix(rho)
     n, r = 2**c.n_in, 2**ref_qubits
     if rho.shape != (n * r, n * r):
@@ -501,20 +502,19 @@ def choi_of(c: Circuit) -> Channel:
     One walk per independent wire group, each of a Kraus stack from the
     identity, folded into a density walk of its upper blocks once the stack
     outgrows them, and J their tensor product with I on the discarded
-    inputs (``_choi_matrix``, module docstring).  ``replay_liveness`` and
-    the cap on J's side refuse a circuit over the cap on ``c`` as written,
-    before any walk.  J is exactly Hermitian, so nothing symmetrizes it
-    here.  Complete positivity is certified on the assembled J by the
-    channel's pivoted factor, or where that is cut at half the side, by a
-    Cholesky factor of J + TOL_CHANNEL * I (``_check_channel``); the
-    factor stays on the Channel for ``kraus_of`` and the diamond norm.
+    inputs (``_choi_matrix``, module docstring).  ``c`` met the cap on its
+    live wires when it was built, and the cap on J's side, from its
+    ``n_out``, is checked here before any walk.  J is exactly Hermitian,
+    so nothing symmetrizes it here.  Complete positivity is certified on
+    the assembled J by the channel's pivoted factor, or where that is cut
+    at half the side, by a Cholesky factor of J + TOL_CHANNEL * I
+    (``_check_channel``); the factor stays on the Channel for ``kraus_of``
+    and the diamond norm.
     Trace preservation is checked too.  A failure beyond tolerance is a
     simulator bug, not a property of the circuit, and raises
     InternalConsistencyError.
     """
-    counts = replay_liveness(c)
-    n = c.n_in
-    m = counts[-1]
+    n, m = c.n_in, c.n_out
     linalg.check_cap(2 ** (m + n), "Choi matrix")
     ch = Channel(n, m, _choi_matrix(c))
     problems = _check_channel(ch)

@@ -8,11 +8,11 @@ every gate: two half-actions per unitary, a bit mask for decohere, a kron
 for ancilla and ``linalg.partial_trace`` for trace, and the fold's index
 assignments against the two scatters they replaced.  Circuit text is
 checked against the line-at-a-time reader the one-pass parser replaced,
-and JSON text against a writer that formats one value at a time.  Pairs
-of classical channels have an exact diamond-norm distance to check the
-certified interval against.  Tensor products and mixtures of channels are
-formed on their Choi matrices, for the constructions' circuits to be
-checked against.
+which walks liveness on its own (``live_counts``), and JSON text against
+a writer that formats one value at a time.  Pairs of classical channels
+have an exact diamond-norm distance to check the certified interval
+against.  Tensor products and mixtures of channels are formed on their
+Choi matrices, for the constructions' circuits to be checked against.
 """
 
 import itertools
@@ -26,15 +26,15 @@ from qcdist.circuits import (
     UNITARY_ARITY_CAP,
     Circuit,
     CircuitParseError,
+    LivenessError,
     UnitarityError,
     ancilla_gate,
     decohere_gate,
     named_gate,
-    replay_liveness,
     trace_gate,
     unitary_gate,
 )
-from qcdist.linalg import TOL_TRACE, check_cap, partial_trace
+from qcdist.linalg import TOL_TRACE, check_cap, check_wires, partial_trace
 from qcdist.simulate import Channel, channel_from_choi, kraus_of
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -258,9 +258,29 @@ def line_parse_circuit(text):
         raise CircuitParseError("empty circuit text", None)
     if not ended:
         raise CircuitParseError("missing 'end'", None)
-    c = Circuit(header[0], header[1], tuple(gates))
-    replay_liveness(c, lines=lines)
-    return c
+    live_counts(header[1], gates, lines)
+    return Circuit(header[0], header[1], tuple(gates))
+
+
+def live_counts(n_in, gates, lines=None):
+    """The live wire count before the first gate and after each, walked one
+    gate at a time; LivenessError names the first out-of-range wire (with
+    its line, given ``lines``), and SizeCapError the first count over the cap."""
+    live = n_in
+    counts = [live]
+    check_wires(live, "input wires")
+    for idx, g in enumerate(gates):
+        line = lines[idx] if lines is not None else None
+        for w in g.wires:
+            if w < 0 or w >= live:
+                raise LivenessError(idx, w, live, line)
+        if g.kind == "ancilla":
+            live += 1
+            check_wires(live)
+        elif g.kind == "trace":
+            live -= 1
+        counts.append(live)
+    return counts
 
 
 def _line_gate(tokens, lineno):

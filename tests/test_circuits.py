@@ -13,11 +13,12 @@ from qcdist.circuits import (
     TOL_UNITARY,
     UnitarityError,
     instance_from_json,
+    ancilla_gate,
     named_gate,
     parse_circuit,
-    replay_liveness,
     schedule,
     serialize_circuit,
+    trace_gate,
     unitarity_defect,
     unitary_gate,
     validate,
@@ -33,8 +34,9 @@ from helpers import (
     mutated_circuit_texts,
     random_circuit,
     random_unitary,
+    small_circuits,
 )
-from oracles import density_walk_oracle, line_parse_circuit
+from oracles import density_walk_oracle, line_parse_circuit, live_counts
 
 
 def test_parse_trivial_identity():
@@ -248,11 +250,37 @@ def test_validate_clean_circuit():
     assert validate(identity_circuit()) == []
 
 
-def test_validate_out_of_range_wire():
-    c = Circuit("bad", 1, (named_gate("H", (1,)),))
-    report = validate(c)
-    assert len(report) == 1
-    assert "wire 1" in report[0]
+def test_circuit_refuses_an_out_of_range_wire():
+    with pytest.raises(LivenessError) as info:
+        Circuit("bad", 2, (named_gate("H", (0,)), trace_gate(0), named_gate("H", (1,))))
+    assert (info.value.gate, info.value.wire, info.value.live) == (2, 1, 1)
+    assert info.value.line is None
+    assert str(info.value) == "gate 3 references wire 1 but only wires 0..0 are live"
+
+
+def test_circuit_refuses_an_ancilla_past_the_cap():
+    with pytest.raises(SizeCapError, match="^13 live wires exceed the cap of 12 wires"):
+        Circuit("wide", 11, (ancilla_gate(), trace_gate(0), ancilla_gate(), ancilla_gate()))
+    with pytest.raises(SizeCapError, match="^13 input wires exceed the cap of 12 wires"):
+        Circuit("wide", 13)
+    # the cap itself is admitted, and a trace makes room for the next ancilla
+    c = Circuit("edge", 11, (ancilla_gate(), trace_gate(0), ancilla_gate()))
+    assert (c.n_out, c.width) == (12, 12)
+
+
+def test_circuit_fields_are_frozen():
+    c = identity_circuit()
+    with pytest.raises(AttributeError):
+        c.n_out = 2
+    with pytest.raises(AttributeError):
+        c.gates = ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_circuits())
+def test_circuit_width_and_n_out_match_the_oracle_walk(c):
+    counts = live_counts(c.n_in, c.gates)
+    assert (c.width, c.n_out) == (max(counts), counts[-1])
 
 
 def test_validate_flags_unitarity_violation():
@@ -280,23 +308,22 @@ def test_gate_refuses_a_malformed_form(args, message):
 
 
 def test_validate_reports_every_finding_in_gate_order():
-    # unitarity across two arities, in gate order, then liveness; Gate refuses
-    # every malformed form before validate could see it
+    # unitarity across three arities, in gate order; Gate refuses every
+    # malformed form, and Circuit every dead wire, before validate could see it
     eye = np.eye
-    c = Circuit("bad", 2, (
+    c = Circuit("bad", 3, (
         Gate("unitary", (0,), np.diag([1.0, 1.5]).astype(complex)),
         Gate("unitary", (1, 0), 2.0 * eye(4, dtype=complex)),
         Gate("unitary", (1,), np.array([[1, 1], [0, 1]], dtype=complex)),
         Gate("unitary", (0, 1), eye(4, dtype=complex)),
         Gate("unitary", (0, 1, 2), 0.5 * eye(8, dtype=complex)),
-        Gate("decohere", (5,)),
+        Gate("decohere", (2,)),
     ))
     assert validate(c) == [
         "gate 1 (unitary): unitarity defect 1.250e+00 > 1.0e-09",
         "gate 2 (unitary): unitarity defect 6.000e+00 > 1.0e-09",
         "gate 3 (unitary): unitarity defect 1.732e+00 > 1.0e-09",
         "gate 5 (unitary): unitarity defect 2.121e+00 > 1.0e-09",
-        "gate 5 references wire 2 but only wires 0..1 are live",
     ]
 
 
@@ -357,7 +384,7 @@ def test_schedule_moves_each_ancilla_to_its_first_use():
     s = schedule(c)
     assert _layout(s) == [("unitary", (0,)), ("unitary", (0,)), ("ancilla", ()),
                           ("unitary", (0, 1))]
-    assert replay_liveness(s) == [1, 1, 1, 2, 2]
+    assert live_counts(s.n_in, s.gates) == [1, 1, 1, 2, 2]
     _assert_same_channel(c, s)
 
 

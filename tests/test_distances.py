@@ -143,6 +143,16 @@ def test_helstrom_reproduces_trace_norm():
         assert abs(value - trace_norm(h)) < 1e-9
 
 
+def test_helstrom_keeps_an_eigenvalue_below_tol_psd():
+    # an eigenvalue of 5e-10 is well above the rounding floor, so M keeps it:
+    # leaving it out would lower the value by 1e-9
+    h = np.eye(4) - 0.5 * np.ones((4, 4))  # a reflection with exact entries
+    delta = (h @ np.diag([0.5, 5e-10, -0.2, -0.3]) @ h).astype(complex)
+    m, value = helstrom(delta)
+    assert abs(value - trace_norm(delta)) <= 1e-15
+    assert abs(np.trace(m).real - 2.0) < 1e-12
+
+
 def test_diamond_norm_closed_forms():
     ch_i = choi_of(identity_circuit())
     w = diamond_norm(ch_i, ch_i, CFG)
@@ -297,8 +307,8 @@ def test_seesaw_monotone_objective():
 
 @pytest.mark.parametrize("seed", [13, 39])
 def test_seesaw_rounding_drop_is_not_a_fault(seed):
-    # on these pairs the objective falls by ~1e-9 from one iterate to the
-    # next: helstrom leaves eigenvalues within TOL_PSD of zero out of M
+    # a backward step of the objective within the seesaw's slack is
+    # rounding, not a fault
     rng = np.random.default_rng(seed)
     ch0, ch1 = choi_of(random_11_circuit(rng, "a")), choi_of(random_11_circuit(rng, "b"))
     upper = diamond_norm(ch0, ch1).upper

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from qcdist import reductions
 from qcdist.circuits import (
     Circuit,
+    UnitarityError,
     ancilla_gate,
     decohere_gate,
     parse_circuit,
@@ -87,6 +88,24 @@ def test_controlled_join_two_qubit_gate_decomposition():
     expect[:4, :4] = u0_full
     expect[4:, 4:] = u1_full
     assert np.abs(got - expect).max() < 1e-12
+
+
+def test_controlled_join_refuses_a_non_unitary_gate_at_its_one_check(monkeypatch):
+    rng = np.random.default_rng(1)
+    c0 = Circuit("c0", 2, (unitary_gate(random_unitary(rng, 4), (0, 1)),))
+    c1 = Circuit("c1", 2, (unitary_gate(random_unitary(rng, 4), (1, 0)),))
+    p0, p1 = dilate(c0), dilate(c1)
+    bad = 2.0 * np.eye(4, dtype=complex)  # defect ||3 I||_F = 6
+    monkeypatch.setattr(reductions, "_cphase", lambda theta: bad)
+    emitted = [g for branch, p in ((0, p0), (1, p1)) for source in p.unitary_circuit.gates
+               for g in reductions._controlled_gates(source, branch)]
+    first = next(k for k, g in enumerate(emitted) if g.matrix is bad)
+    checks = []
+    monkeypatch.setattr(reductions, "validate", lambda c: checks.append(c) or validate(c))
+    with pytest.raises(UnitarityError) as info:
+        controlled_join(p0, p1)
+    assert str(info.value) == f"gate {first + 1} (unitary): unitarity defect 6.000e+00 > 1.0e-09"
+    assert len(checks) == 1 and len(checks[0].gates) == len(emitted)
 
 
 def test_controlled_join_refuses_three_qubit_gates():

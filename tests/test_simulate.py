@@ -16,7 +16,6 @@ from qcdist.circuits import (
     decohere_gate,
     named_gate,
     parse_circuit,
-    replay_liveness,
     schedule,
     schedule_groups,
     trace_gate,
@@ -52,7 +51,7 @@ from helpers import (
     small_circuits,
     z_circuit,
 )
-from oracles import channel_mix, density_walk_oracle, fold_assembly_oracle
+from oracles import channel_mix, density_walk_oracle, fold_assembly_oracle, live_counts
 
 PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1 / np.sqrt(2)
@@ -476,7 +475,7 @@ def _over_cap_circuits(draw):
 @settings(max_examples=40, deadline=None)
 @given(_over_cap_circuits())
 def test_over_cap_walk_matches_oracle_property(c):
-    assert max(replay_liveness(c)) + c.n_in > 5
+    assert c.width + c.n_in > 5
     choi, _ = _choi_under_cap_32(c)
     assert np.abs(choi - _oracle_choi(c)).max() < 1e-12
     assert np.array_equal(choi, choi.conj().T)
@@ -690,7 +689,7 @@ def _dead_gate_circuits(draw):
 def test_schedule_keeps_the_channel_and_never_widens_property(c, ref_qubits, seed):
     s = schedule(c)
     assert (s.n_in, s.n_out) == (c.n_in, c.n_out)
-    assert max(replay_liveness(s)) <= max(replay_liveness(c))
+    assert s.width <= c.width
     x = _random_operator(np.random.default_rng(seed), 2 ** (c.n_in + ref_qubits))
     ref = density_walk_oracle(c, x, ref_qubits)
     assert np.abs(density_walk_oracle(s, x, ref_qubits) - ref).max() < 1e-12
@@ -726,7 +725,7 @@ def test_walk_reuses_its_buffers_across_widths():
     gates = [u(1), decohere_gate(0), u(0, 1)] + climb + fall
     gates += [decohere_gate(1), u(1, 0), u(0)] + climb
     c = Circuit("zigzag", 2, gates)
-    widths = replay_liveness(c)
+    widths = live_counts(c.n_in, c.gates)
     assert widths[len(climb) + 3] == 5 and widths[len(climb) + len(fall) + 3] == 2
     assert widths[-1] == 5
     for ref_qubits in (0, 2):
@@ -970,7 +969,7 @@ def _assert_walks_each_group_once(c):
     for s, g in zip(walked, groups):
         bound = min([widths["out", o] for o in g.outputs] + [widths["in", i] for i in g.inputs],
                     default=0)  # a group of no wires: the circuit on none
-        assert max(replay_liveness(s)) <= bound
+        assert s.width <= bound
 
 
 def _layout(c):
