@@ -20,9 +20,10 @@ Text format (one construct per line, '#' starts a comment):
 
 Each check has one place: :class:`Gate` decides a gate's form, and
 :class:`Circuit` its wires' liveness and the cap, in one walk when it is
-built; :func:`unitary_gate`, the parser and :func:`validate` check
-unitarity, the last two batched over many gates; the ``STANDARD_GATES``
-table, its test.
+built, whose step the parser also takes line by line (``_live_after``)
+to keep its errors in file order; :func:`unitary_gate`, the parser and
+:func:`validate` check unitarity, the last two batched over many gates;
+the ``STANDARD_GATES`` table, its test.
 
 The parser scans the lines once for structure and reads the numbers of all
 ``unitary`` lines in one pass: one float64 array, of which every matrix is
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, check_wires
+from .linalg import SizeCapError, as_matrix, check_wires
 from .jsonutil import format_floats
 
 TOL_UNITARY = 1e-9
@@ -217,18 +218,25 @@ class Circuit:
         live = width = self.n_in
         check_wires(live, "input wires")
         for idx, g in enumerate(gates):
-            for w in g.wires:
-                if w < 0 or w >= live:
-                    raise LivenessError(idx, w, live)
-            if g.kind == "ancilla":
-                live += 1
-                check_wires(live)
-                width = max(width, live)
-            elif g.kind == "trace":
-                live -= 1
+            live = _live_after(g.kind, g.wires, live, idx)
+            if live > width:
+                width = live
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "n_out", live)
         object.__setattr__(self, "width", width)
+
+
+def _live_after(kind: str, wires, live: int, idx: int, line: int | None = None) -> int:
+    """The live count after gate ``idx``, of ``kind`` on ``wires``, with ``live``
+    wires live before it: LivenessError at its first wire out of range, and
+    SizeCapError where an ancilla takes the count past the cap."""
+    for w in wires:
+        if w < 0 or w >= live:
+            raise LivenessError(idx, w, live, line)
+    if kind == "ancilla":
+        check_wires(live + 1)
+        return live + 1
+    return live - 1 if kind == "trace" else live
 
 
 class _WireTracker:
@@ -495,16 +503,19 @@ def parse_circuit(text: str) -> Circuit:
     One scan over the lines reads the structure and sets the entry tokens
     of each ``unitary`` line aside.  :func:`_read_unitaries` then reads
     the numbers of all of them in one pass, checks finiteness once and
-    unitarity once per arity, on the stacked matrices.  The error raised
-    is the first one in file order, so a non-unitary gate on line 5 wins
-    over a syntax error on line 9.
+    unitarity once per arity, on the stacked matrices.  The scan walks the
+    live wire count as it goes (``_live_after``, as :class:`Circuit` does),
+    so a dead wire or an ancilla past the cap fails on its own line.  The
+    error raised is the first one in file order, so a non-unitary gate on
+    line 5 wins over a syntax error on line 9, and a dead wire on line 2
+    over both.  Within one ``unitary`` line its entries, form and
+    unitarity come before its wires' liveness.
     """
     header: tuple[str, int] | None = None
     gates: list[Gate | None] = []  # None marks a unitary line until it is read
-    lines: list[int] = []
     unitaries: list[tuple] = []  # (gate index, line, arity, wires, entry tokens)
     ended = False
-    failure: CircuitError | None = None
+    failure: CircuitError | SizeCapError | None = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].strip()
@@ -515,6 +526,8 @@ def parse_circuit(text: str) -> Circuit:
             tokens = stripped.split()
             if header is None:
                 header = _parse_header(tokens, lineno)
+                live = header[1]
+                check_wires(live, "input wires")
                 continue
             if tokens[0] == "end":
                 if len(tokens) != 1:
@@ -522,13 +535,16 @@ def parse_circuit(text: str) -> Circuit:
                 ended = True
                 continue
             if tokens[0] == "unitary":
-                unitaries.append((len(gates), lineno, *_unitary_line(tokens, lineno)))
+                arity, wires, entries = _unitary_line(tokens, lineno)
+                unitaries.append((len(gates), lineno, arity, wires, entries))
                 gates.append(None)
+                kind = "unitary"
             else:
                 gates.append(_parse_gate_line(tokens, lineno))
-            lines.append(lineno)
-    except CircuitError as exc:
-        failure = exc  # the unitary lines set aside all come before it
+                kind, wires = gates[-1].kind, gates[-1].wires
+            live = _live_after(kind, wires, live, len(gates) - 1, lineno)
+    except (CircuitError, SizeCapError) as exc:
+        failure = exc  # the unitary lines set aside all come before it, or on its line
     _read_unitaries(gates, unitaries)
     if failure is not None:
         raise failure
@@ -536,10 +552,7 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError("empty circuit text", None)
     if not ended:
         raise CircuitParseError("missing 'end'", None)
-    try:
-        return Circuit(header[0], header[1], tuple(gates))
-    except LivenessError as exc:
-        raise LivenessError(exc.gate, exc.wire, exc.live, lines[exc.gate]) from None
+    return Circuit(header[0], header[1], tuple(gates))
 
 
 def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:

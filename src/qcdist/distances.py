@@ -37,7 +37,8 @@ The one-state path runs on the range of J.  Where J = J_0 - J_1 with PSD
 J_i, as for the diamond norm, pivoted Cholesky factors J_i ~ L_i L_i^dagger
 give J = F S F^dagger + E with F = [L_0, L_1], S = diag(+-1) and ||E||_F
 bounded by the factors' residuals.  They are the channels' own, formed
-once per Choi matrix when ``choi_of`` certifies it.  Every spectral step then
+once per Choi matrix (``Channel.factor``), by ``choi_of``'s certificate or
+by their first reader.  Every spectral step then
 decomposes a small core instead of a matrix of J's side:
   - K: a thin QR of (I (x) s) F and the eigendecomposition of its core;
   - T, the polar factor and Y stay thin: Y = A D^dagger, each factor with

@@ -27,10 +27,13 @@ rather than one of k times both.  Inputs traced before any kept gate form
 the discarded factor, whose Choi matrix is I and takes no walk.  Each
 group is scheduled on its own wires, with no SWAPs between groups, and J
 is written from the factors by one broadcast product into its own buffer
-(``_product``), with no temporary of J's size.  The certificate below
-runs on the assembled J, so a fault in the assembly fails the same check
-as a fault in a walk.  A circuit of one group with every input is walked
-whole, as ``schedule(c)``.
+(``_product``), with no temporary of J's size.  Complete positivity is
+then certified one group at a time, never at J's side: each group's Choi
+matrix at a tolerance that keeps J >= -TOL_CHANNEL through the product
+and its rounding (``_check_groups``).  Trace preservation is checked on
+the assembled J, one read of it that also checks the assembly at run
+time.  A circuit of one group with every input is walked whole, as
+``schedule(c)``, and certified on J itself.
 
 Each walk (``_kraus_walk_choi``) carries a stack of r Kraus operators of
 shape (r, 2^live, 2^n_in), starting from the identity; decohere and trace
@@ -60,12 +63,13 @@ adjoints, and its diagonal blocks, like an unfolded stack's product, are
 replaced by their Hermitian parts.  A product of exactly Hermitian factors
 is exactly Hermitian too.  So no Hermiticity is checked on it;
 ``channel_from_choi`` checks a matrix given from outside.  Complete
-positivity is certified once per Choi matrix: by the channel's pivoted
-Cholesky factor where it stops within half of J's side in columns and
-its residual is within TOL_CHANNEL, and by a Cholesky factor of
-J + TOL_CHANNEL * I otherwise (``_check_channel``).  The factor stays on the Channel
-(``Channel.factor``), so ``kraus_of`` and the diamond norm do not factor
-J again.
+positivity is certified once per walked Choi matrix, J or a group's, at
+a tolerance t: by its pivoted Cholesky factor where that stops within
+half of its side in columns and its residual is within t, and by a
+Cholesky factor of it + t * I otherwise (``_check_channel``).  J's
+factor stays on the Channel (``Channel.factor``), so ``kraus_of`` and the
+diamond norm do not factor J again; a product's J is factored only when
+one of them first asks.
 
 The density walk (``_run_gates``, also behind ``simulate``) holds a batch
 of B operators on the live wires as one [2] * (2 * live) + [B] tensor,
@@ -253,13 +257,16 @@ class Channel:
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, float]:
-        """``linalg.psd_factor`` of J with at most half its side in columns.
+        """``linalg.psd_factor`` of J with at most half its side in columns,
+        formed on first use.
 
         Where it stops on its own, its residual certifies complete
         positivity (``_check_channel``); where it is also thin, with fewer
         columns than that, ``kraus_of`` and the diamond norm decompose on
         its range.  A factor cut at half the side has an infinite
-        residual, and they all work on J itself instead.
+        residual, and they all work on J itself instead.  ``choi_of``
+        forms it while it certifies a circuit walked whole; a product's is
+        left to its first reader, as its groups are certified instead.
         """
         l, residual = linalg.psd_factor(self.choi, self.choi.shape[0] // 2)
         l.flags.writeable = False  # every reader of the channel gets this one array
@@ -273,29 +280,62 @@ def _choi_from_kraus(kraus, n_in: int, n_out: int) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _check_channel(ch: Channel) -> list[str]:
-    """Complete positivity and trace preservation of an exactly Hermitian Choi
-    matrix, within tol = TOL_CHANNEL.  The channel's pivoted factor decides
-    first (``Channel.factor``): its residual r bounds ||J - L L^dagger||_F,
-    and L L^dagger >= 0, so r <= tol certifies J >= -tol, as in ``kraus_of``.
-    A PSD J whose factor stops within half its side passes there; a factor
-    cut at half the side has r = inf.  Otherwise J >= -tol holds when
-    J + tol * I has a Cholesky factor; eigvalsh runs only if not, on
-    J + tol * I, for the message."""
-    problems = []
-    if ch.factor[1] > TOL_CHANNEL:
-        h = ch.choi.copy()
-        h.flat[:: h.shape[0] + 1] += TOL_CHANNEL  # in place: h + tol * I costs another side^2 array
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh(h).min()) - TOL_CHANNEL
-            if wmin < -TOL_CHANNEL:
-                problems.append(f"Choi eigenvalue {wmin:.3e}: not completely positive")
+def _check_channel(ch: Channel, tol: float = TOL_CHANNEL) -> list[str]:
+    """Complete positivity of an exactly Hermitian Choi matrix, J >= -tol.
+    The channel's pivoted factor decides first (``Channel.factor``): its
+    residual r bounds ||J - L L^dagger||_F, and L L^dagger >= 0, so
+    r <= tol certifies J >= -tol, as in ``kraus_of``.  A PSD J whose factor
+    stops within half its side passes there; a factor cut at half the side
+    has r = inf.  Otherwise J >= -tol holds when J + tol * I has a Cholesky
+    factor; eigvalsh runs only if not, on J + tol * I, for the message."""
+    if ch.factor[1] <= tol:
+        return []
+    h = ch.choi.copy()
+    h.flat[:: h.shape[0] + 1] += tol  # in place: h + tol * I costs another side^2 array
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        wmin = float(np.linalg.eigvalsh(h).min()) - tol
+        if wmin < -tol:
+            return [f"Choi eigenvalue {wmin:.3e}: not completely positive"]
+    return []
+
+
+def _check_trace(ch: Channel) -> list[str]:
+    """Trace preservation, tr_out J = I_in within TOL_CHANNEL: one read of J."""
     tp = partial_trace(ch.choi, [ch.dim_out, ch.dim_in], [1])
     tp_defect = float(np.abs(tp - np.eye(ch.dim_in)).max())
     if tp_defect > TOL_CHANNEL:
-        problems.append(f"not trace preserving: tr_out(choi) deviates by {tp_defect:.3e}")
+        return [f"not trace preserving: tr_out(choi) deviates by {tp_defect:.3e}"]
+    return []
+
+
+def _check_groups(groups: list[Channel]) -> list[str]:
+    """Complete positivity of J, the wire groups' tensor product with I on
+    the discarded inputs as ``_product`` computes it, J >= -TOL_CHANNEL,
+    by ``_check_channel`` on each group's Choi matrix J_g at its own t_g.
+
+    The eigenvalues of a Kronecker product are the products of its factors'
+    (Horn and Johnson, Topics in Matrix Analysis, Thm 4.2.12), and I's are
+    1.  A negative product has a negative factor, at least -t_g where
+    J_g >= -t_g, and every eigenvalue of J_h is within ||J_h||_F of zero.
+    So lambda_min(P) >= -sum_g t_g prod_{h != g} ||J_h||_F for the exact
+    product P.  ``_product`` rounds each entry of J by at most k - 1
+    complex multiplies for k groups, each within sqrt(2) gamma_2 < 1.5 eps
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.6; a multiply by I's 0 or 1 is exact), so |J - P| <=
+    2 (k - 1) eps |P| entrywise, and ||J - P||_2 <= 2 (k - 1) eps ||P||_F
+    = 2 (k - 1) eps prod_g ||J_g||_F.  Each group takes an equal share of
+    what that rounding leaves of TOL_CHANNEL.  The norms are floored at
+    TOL_CHANNEL, which only loosens the bound, so no share divides by zero.
+    """
+    norms = [max(float(np.linalg.norm(g.choi)), TOL_CHANNEL) for g in groups]
+    k = len(norms)
+    budget = TOL_CHANNEL - 2 * (k - 1) * np.finfo(float).eps * math.prod(norms)
+    problems = []
+    for g, part in enumerate(groups):
+        tol = budget / (k * math.prod(norms[:g] + norms[g + 1 :]))
+        problems += [f"wire group {g + 1} of {k}: {p}" for p in _check_channel(part, tol)]
     return problems
 
 
@@ -304,7 +344,8 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
 
     The one Hermiticity check on a Choi matrix: the program's own are
     exactly Hermitian (``choi_of``), a given one may not be.  The Channel
-    holds (J + J^dagger) / 2, which ``_check_channel`` then reads."""
+    holds (J + J^dagger) / 2, which ``_check_channel`` and ``_check_trace``
+    then read."""
     choi = as_matrix(choi)
     d = 2 ** (n_in + n_out)
     if choi.shape != (d, d):
@@ -312,7 +353,7 @@ def channel_from_choi(n_in: int, n_out: int, choi) -> Channel:
     defect = herm_defect(choi)
     ch = Channel(n_in, n_out, (choi + dag(choi)) / 2)
     problems = [f"Choi not Hermitian: defect {defect:.3e}"] if defect > TOL_CHANNEL else []
-    problems += _check_channel(ch)
+    problems += _check_channel(ch) + _check_trace(ch)
     if problems:
         raise ValueError("not an admissible channel: " + "; ".join(problems))
     return ch
@@ -476,24 +517,27 @@ def _product(factors, width: int) -> np.ndarray:
     return choi
 
 
-def _choi_matrix(c: Circuit) -> np.ndarray:
-    """J of ``c``, one walk per wire group (``circuits.schedule_groups``).
+def _choi_matrix(c: Circuit) -> tuple[np.ndarray, list[Channel] | None]:
+    """J of ``c``, one walk per wire group (``circuits.schedule_groups``),
+    and the groups' own channels, or None where ``c`` is walked whole.
 
     A circuit of one group with every input is walked whole, as
     ``schedule(c)``: J is ``_kraus_walk_choi``'s.  Otherwise each group is
     walked on its own, the discarded inputs give the factor I with no walk,
-    and J is their product (``_product``).  Exactly Hermitian either way.
+    and J is their product (``_product``); each group's Choi matrix comes
+    back as a Channel on the group's wires, for ``choi_of`` to certify.
+    Exactly Hermitian either way.
     """
     groups, discarded = schedule_groups(c)
     if len(groups) == 1 and not discarded:
-        return _kraus_walk_choi(groups[0].circuit)
+        return _kraus_walk_choi(groups[0].circuit), None
     m = sum(len(g.outputs) for g in groups)
-    factors = [(_kraus_walk_choi(g.circuit), g.outputs + tuple([m + i for i in g.inputs]))
-               for g in groups]
+    parts = [Channel(g.circuit.n_in, g.circuit.n_out, _kraus_walk_choi(g.circuit)) for g in groups]
+    factors = [(p.choi, g.outputs + tuple([m + i for i in g.inputs])) for p, g in zip(parts, groups)]
     if discarded:
         factors.append((np.eye(2 ** len(discarded), dtype=np.complex128),
                         tuple([m + i for i in discarded])))
-    return _product(factors, m + c.n_in)
+    return _product(factors, m + c.n_in), parts
 
 
 def choi_of(c: Circuit) -> Channel:
@@ -505,19 +549,28 @@ def choi_of(c: Circuit) -> Channel:
     inputs (``_choi_matrix``, module docstring).  ``c`` met the cap on its
     live wires when it was built, and the cap on J's side, from its
     ``n_out``, is checked here before any walk.  J is exactly Hermitian,
-    so nothing symmetrizes it here.  Complete positivity is certified on
-    the assembled J by the channel's pivoted factor, or where that is cut
-    at half the side, by a Cholesky factor of J + TOL_CHANNEL * I
-    (``_check_channel``); the factor stays on the Channel for ``kraus_of``
-    and the diamond norm.
-    Trace preservation is checked too.  A failure beyond tolerance is a
-    simulator bug, not a property of the circuit, and raises
-    InternalConsistencyError.
+    so nothing symmetrizes it here.
+
+    Complete positivity, J >= -TOL_CHANNEL, is certified by
+    ``_check_channel``: the pivoted factor's residual, or where that is cut
+    at half the side, a Cholesky factor of J + t * I.  A circuit walked
+    whole is certified on J at t = TOL_CHANNEL, and the factor stays on the
+    Channel for ``kraus_of`` and the diamond norm.  A product is certified
+    one group at a time, each J_g at its own t_g, and never at J's side:
+    if lambda_min(J_g) >= -t_g, then
+    lambda_min(J) >= -sum_g t_g prod_{h != g} ||J_h||_F - rounding,
+    and the t_g keep that within TOL_CHANNEL (``_check_groups``); the
+    discarded factor I is exact.  J's own factor is then formed only by
+    its first reader.  Trace preservation is checked on the assembled J,
+    one read of it that also checks the assembly.  A failure beyond
+    tolerance is a simulator bug, not a property of the circuit, and
+    raises InternalConsistencyError.
     """
     n, m = c.n_in, c.n_out
     linalg.check_cap(2 ** (m + n), "Choi matrix")
-    ch = Channel(n, m, _choi_matrix(c))
-    problems = _check_channel(ch)
+    choi, groups = _choi_matrix(c)
+    ch = Channel(n, m, choi)
+    problems = (_check_channel(ch) if groups is None else _check_groups(groups)) + _check_trace(ch)
     if problems:
         raise InternalConsistencyError(
             f"circuit {c.name!r} produced an inadmissible channel: " + "; ".join(problems)

@@ -225,7 +225,8 @@ def fold_assembly_oracle(blocks, din):
 
 
 def line_parse_circuit(text):
-    """Circuit text read one line at a time, each matrix checked on its own line."""
+    """Circuit text read one line at a time, each matrix and each line's
+    liveness checked on its own line."""
     header = None
     gates, lines = [], []
     ended = False
@@ -246,6 +247,7 @@ def line_parse_circuit(text):
             if n_in < 0:
                 raise CircuitParseError(f"negative input count {n_in}", lineno)
             header = (tokens[1], n_in)
+            live_counts(n_in, gates)
             continue
         if tokens[0] == "end":
             if len(tokens) != 1:
@@ -254,11 +256,11 @@ def line_parse_circuit(text):
             continue
         gates.append(_line_gate(tokens, lineno))
         lines.append(lineno)
+        live_counts(header[1], gates, lines)  # walked again from the start: a dead wire fails here
     if header is None:
         raise CircuitParseError("empty circuit text", None)
     if not ended:
         raise CircuitParseError("missing 'end'", None)
-    live_counts(header[1], gates, lines)
     return Circuit(header[0], header[1], tuple(gates))
 
 

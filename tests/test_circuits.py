@@ -116,6 +116,25 @@ def test_parse_raises_the_first_error_in_file_order():
         parse_circuit(text.replace(bad, ok))
 
 
+def test_parse_raises_a_dead_wire_at_its_own_line():
+    # liveness is walked line by line, in the parser and in the line reader alike: a
+    # dead wire on line 2 wins over the syntax error on line 3, and on line 3 over
+    # the non-unitary gate on line 4
+    bad = "unitary 1 0 1.0,0.0 0.1,0.0 0.0,0.0 1.0,0.0"
+    cases = [("circuit c inputs 1\ngate H 1\nfrobnicate\nend\n", 2, 1, 1),
+             (f"circuit c inputs 1\ntrace 0\ngate H 0\n{bad}\nend\n", 3, 0, 0)]
+    for text, line, wire, live in cases:
+        for parse in (parse_circuit, line_parse_circuit):
+            with pytest.raises(LivenessError) as info:
+                parse(text)
+            assert (info.value.line, info.value.wire, info.value.live) == (line, wire, live)
+            assert str(info.value).startswith(f"line {line}: gate references wire {wire} ")
+    # an ancilla past the cap fails where it stands too, before a later syntax error
+    for parse in (parse_circuit, line_parse_circuit):
+        with pytest.raises(SizeCapError, match="^13 live wires exceed"):
+            parse("circuit c inputs 12\nancilla\nfrobnicate\nend\n")
+
+
 def test_parse_orders_the_failures_of_one_line():
     text = "circuit c inputs 2\nunitary 2 1 1 {}\nend\n"
     entries = ["1,0", "0,0", "0,0", "0,0"] * 3 + ["0,0", "0,0", "0,0", "2,0"]

@@ -72,7 +72,7 @@ def test_validate_non_cp_channel_is_a_violation(workdir, capsys, monkeypatch):
     choi = np.zeros((4, 4), dtype=complex)
     choi[0, 0] = choi[3, 3] = 1.0
     choi[0, 3] = choi[3, 0] = 1.5
-    monkeypatch.setattr(simulate, "_choi_matrix", lambda c: choi)
+    monkeypatch.setattr(simulate, "_choi_matrix", lambda c: (choi, None))
     code, out = run_cli(capsys, "validate", workdir / "id.circ")
     assert code == 1
     assert out["valid"] is False
@@ -705,16 +705,16 @@ def test_emitting_a_side_256_witness_holds_little_beyond_its_text(monkeypatch):
     assert peak < 1.5 * sink.chars
 
 
-@pytest.mark.parametrize("kind", ["dnorm", "maxfid"])
-def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, kind):
-    # choi_of certifies J by its pivoted factor, and the diamond norm and
-    # kraus_of read that factor off the channel instead of forming another
+def _distance_factors(capsys, monkeypatch, kind, path0, path1):
+    """Run ``distance kind`` on two circuit files; return each channel's J,
+    every matrix ``psd_factor`` was given, and the Cholesky call count."""
     walked, factored = [], []
     walk, factor = simulate._choi_matrix, linalg.psd_factor
 
     def walk_spy(c):
-        walked.append(walk(c))
-        return walked[-1]
+        out = walk(c)
+        walked.append(out[0])
+        return out
 
     def factor_spy(a, *args):
         factored.append(a)
@@ -723,8 +723,57 @@ def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, ki
     monkeypatch.setattr(simulate, "_choi_matrix", walk_spy)
     monkeypatch.setattr(linalg, "psd_factor", factor_spy)
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
-        code, _ = run_cli(capsys, "distance", kind, workdir / "id.circ", workdir / "dec.circ")
+        code, _ = run_cli(capsys, "distance", kind, path0, path1)
     assert code == 0 and len(walked) == 2
+    return walked, factored, chol.call_count
+
+
+@pytest.mark.parametrize("kind", ["dnorm", "maxfid"])
+def test_distance_factors_each_choi_matrix_once(workdir, capsys, monkeypatch, kind):
+    # choi_of certifies J by its pivoted factor, and the diamond norm and
+    # kraus_of read that factor off the channel instead of forming another
+    walked, factored, chol_calls = _distance_factors(
+        capsys, monkeypatch, kind, workdir / "id.circ", workdir / "dec.circ")
     assert [id(a) for a in factored] == [id(j) for j in walked]
     # both factors have at most half the side in columns and certify J >= 0
-    assert chol.call_count == 0
+    assert chol_calls == 0
+
+
+@pytest.mark.parametrize("kind", ["dnorm", "maxfid"])
+def test_distance_on_a_product_factors_each_full_choi_matrix_once(workdir, capsys, monkeypatch,
+                                                                  kind):
+    # three copies of id and of decohere, three wire groups each: choi_of certifies
+    # the groups' side-4 Choi matrices, and the distance forms each side-64 J's
+    # factor once, on the same matrix choi_of returned
+    for name, c in zip(("t0", "t1"), reductions.tensor_power(identity_circuit(),
+                                                             decohere_circuit(), 3)):
+        (workdir / f"{name}.circ").write_text(serialize_circuit(c))
+    walked, factored, chol_calls = _distance_factors(
+        capsys, monkeypatch, kind, workdir / "t0.circ", workdir / "t1.circ")
+    assert [j.shape[0] for j in walked] == [64, 64]
+    assert [id(a) for a in factored if a.shape[0] == 64] == [id(j) for j in walked]
+    assert sorted({a.shape[0] for a in factored}) == [4, 64]
+    assert sum(a.shape[0] == 4 for a in factored) == 6
+    assert chol_calls == 0
+
+
+def test_validate_of_a_product_factors_only_its_wire_groups(workdir, capsys, monkeypatch):
+    # validate certifies a product one wire group at a time and factors nothing of
+    # J's side: three copies of id or of decohere are three side-4 groups of a
+    # side-64 J, and a replacement channel, |+> prepared once both inputs are
+    # traced, is one side-2 group beside the discarded I, of a side-8 J
+    t0, t1 = reductions.tensor_power(identity_circuit(), decohere_circuit(), 3)
+    r = parse_circuit("circuit r inputs 2\ntrace 1\ntrace 0\nancilla\ngate H 0\nend\n")
+    factor = linalg.psd_factor
+    for c, side, group_side in ((t0, 64, 4), (t1, 64, 4), (r, 8, 2)):
+        path = workdir / f"{c.name}.circ"
+        path.write_text(serialize_circuit(c))
+        factored = []
+        monkeypatch.setattr(linalg, "psd_factor", lambda a, *args: factored.append(a.shape[0])
+                            or factor(a, *args))
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+            code, out = run_cli(capsys, "validate", path)
+        assert code == 0 and out["valid"] is True
+        assert 2 ** (c.n_in + c.n_out) == side
+        assert factored == [group_side] * (1 if c is r else 3)
+        assert all(a.args[0].shape[0] == group_side for a in chol.call_args_list)

@@ -818,7 +818,7 @@ def test_choi_of_certifies_complete_positivity_at_its_tolerance(monkeypatch, thi
         j = (_thin_choi_with_least_eigenvalue(n, lam) if thin
              else _choi_with_least_eigenvalue(rng, n, n, lam))
         assert abs(np.linalg.eigvalsh(j)[0] - lam) < 1e-14
-        monkeypatch.setattr(simulate_mod, "_choi_matrix", lambda _, j=j: j.copy())
+        monkeypatch.setattr(simulate_mod, "_choi_matrix", lambda _, j=j: (j.copy(), None))
         with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
             if ok:
                 ch = choi_of(c)
@@ -1026,8 +1026,7 @@ def test_choi_of_a_product_holds_one_side_squared_array():
     # two groups, 2 inputs -> 3 outputs and 2 -> 2, outputs interleaved: J has side
     # 2^9 = 512 (4 MiB), the groups' Choi matrices sides 32 and 16.  J is written in
     # place from them, through the product's ufunc buffers of np.getbufsize() entries
-    # per operand; the certificate adds its factor's first 16 rows and its two panels
-    # of 64 columns (psd_factor)
+    # per operand; the certificate runs on the groups and adds nothing of J's side
     rng = np.random.default_rng(25)
     u = lambda *w: unitary_gate(random_unitary(rng, 2 ** len(w)), w)
     c = Circuit("pair", 4, [ancilla_gate(), u(0, 1, 4), decohere_gate(4), u(2, 3), decohere_gate(3),
@@ -1037,8 +1036,7 @@ def test_choi_of_a_product_holds_one_side_squared_array():
     side = 2**9
     # the groups' matrices, 64 KiB of walk, three operands' buffers
     extra = (32**2 + 16**2) * 16 + 2**16 + 3 * np.getbufsize() * 16
-    for extract, beyond in ((simulate_mod._choi_matrix, extra),
-                            (lambda c: choi_of(c).choi, extra + (16 + 2 * 64) * side * 16)):
+    for extract in (lambda c: simulate_mod._choi_matrix(c)[0], lambda c: choi_of(c).choi):
         tracemalloc.start()
         try:
             choi = extract(c)
@@ -1046,4 +1044,93 @@ def test_choi_of_a_product_holds_one_side_squared_array():
         finally:
             tracemalloc.stop()
         assert choi.shape == (side, side)
-        assert peak < choi.nbytes + beyond
+        assert peak < choi.nbytes + extra
+
+
+def _plant(walk, at, j):
+    """``_kraus_walk_choi`` with its call number ``at`` (0-based) answered by ``j``."""
+    calls = itertools.count()
+    return lambda s: j.copy() if next(calls) == at else walk(s)
+
+
+@pytest.mark.parametrize("thin", [True, False])
+def test_choi_of_certifies_each_wire_group_at_its_tolerance(monkeypatch, thin):
+    # two CNOTs on wires (0, 1) and (2, 3): two groups of side 16, J of side 256.  The
+    # first group's walk returns J_g with lambda_min = -2 t_g, which is refused, or
+    # -t_g / 2, which passes; t_g = (TOL_CHANNEL - 2 eps ||J_0||_F ||J_1||_F) / (2 ||J_1||_F),
+    # and both norms are 4.  Nothing of J's side is factored, and J's factor is left unformed
+    tol = simulate_mod.TOL_CHANNEL
+    rng = np.random.default_rng(26)
+    c = Circuit("pair", 4, [named_gate("CNOT", (0, 1)), named_gate("CNOT", (2, 3))])
+    assert [(g.inputs, g.outputs) for g in schedule_groups(c)[0]] == [((0, 1), (0, 1)),
+                                                                      ((2, 3), (2, 3))]
+    checks = _spy(monkeypatch, "_check_channel")
+    choi_of(c)
+    t = checks[0][1]
+    eps = np.finfo(float).eps
+    assert [a[1] for a in checks] == [t, t] and abs(t - (tol - 2 * eps * 16) / 8) < 1e-24
+    walk = simulate_mod._kraus_walk_choi
+    for lam, ok in ((-2 * t, False), (-t / 2, True)):
+        j = (_thin_choi_with_least_eigenvalue(2, lam) if thin
+             else _choi_with_least_eigenvalue(rng, 2, 2, lam))
+        assert abs(np.linalg.eigvalsh(j)[0] - lam) < 1e-14
+        monkeypatch.setattr(simulate_mod, "_kraus_walk_choi", _plant(walk, 0, j))
+        checks.clear()
+        with mock.patch.object(linalg, "psd_factor", wraps=linalg.psd_factor) as factor, \
+                mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+            if ok:
+                ch = choi_of(c)
+                assert "factor" not in vars(ch)  # J's own factor waits for its first reader
+            else:
+                with pytest.raises(simulate_mod.InternalConsistencyError,
+                                   match=f"wire group 1 of 2: Choi eigenvalue {lam:.3e}: "
+                                         "not completely positive$"):
+                    choi_of(c)
+        assert [a[0].choi.shape for a in checks] == [(16, 16)] * 2
+        assert [a.args[0].shape for a in factor.call_args_list] == [(16, 16)] * 2
+        assert chol.call_count == (0 if thin and ok else 1)
+        assert all(a.args[0].shape == (16, 16) for a in chol.call_args_list)
+
+
+def _group_verdict(groups):
+    """``_check_groups``' verdict on the groups, and the tolerance it gave each."""
+    tols, check = [], simulate_mod._check_channel
+    with mock.patch.object(simulate_mod, "_check_channel",
+                           lambda ch, t: tols.append(t) or check(ch, t)):
+        return simulate_mod._check_groups(groups) == [], tols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_circuits(), st.sampled_from([None, 0.5, 2.0]), st.data())
+def test_composed_certificate_never_accepts_what_the_assembled_check_refuses(c, scale, data):
+    # one group's Choi matrix as walked, or lowered to lambda_min = -scale * t_g.  The
+    # groups' verdict accepts it at 0.5 and refuses it at 2; it never accepts what
+    # _check_channel on the assembled J refuses; and the composed bound, from the
+    # groups' least eigenvalues, is never below -lambda_min(J), nor above
+    # TOL_CHANNEL at the groups' tolerances
+    _, groups = simulate_mod._choi_matrix(c)
+    if not groups:  # walked whole, or the discarded I alone: nothing composed
+        return
+    eps, walk = np.finfo(float).eps, simulate_mod._kraus_walk_choi
+    accepted, tols = _group_verdict(groups)
+    assert accepted
+    at = data.draw(st.integers(0, len(groups) - 1))
+    if scale is not None:
+        w, v = np.linalg.eigh(groups[at].choi)
+        j = groups[at].choi - (w[0] + scale * tols[at]) * np.outer(v[:, 0], v[:, 0].conj())
+        walk = _plant(walk, at, (j + j.conj().T) / 2)
+    with mock.patch.object(simulate_mod, "_kraus_walk_choi", walk):
+        choi, groups = simulate_mod._choi_matrix(c)
+    composed, tols = _group_verdict(groups)
+    assert composed == (scale != 2.0)
+    assembled = simulate_mod._check_channel(Channel(c.n_in, c.n_out, choi)) == []
+    assert assembled or not composed
+    norms = [np.linalg.norm(g.choi) for g in groups]
+    others = [np.prod(norms[:g] + norms[g + 1:]) for g in range(len(groups))]
+    rounding = 2 * (len(groups) - 1) * eps * np.prod(norms)
+    budget = sum(t * o for t, o in zip(tols, others)) + rounding
+    assert budget <= simulate_mod.TOL_CHANNEL * (1 + 1e-12)  # within the rounding of these sums
+    lows = [max(0.0, -np.linalg.eigvalsh(g.choi)[0]) for g in groups]
+    bound = sum(e * o for e, o in zip(lows, others)) + rounding
+    # eigvalsh's own rounding, on J and on the groups, is within side * eps * ||J||_F
+    assert -np.linalg.eigvalsh(choi)[0] <= bound + 2 * choi.shape[0] * eps * np.linalg.norm(choi)
