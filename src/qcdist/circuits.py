@@ -20,15 +20,21 @@ Text format (one construct per line, '#' starts a comment):
 
 Each check has one place: :class:`Gate` decides a gate's form, and
 :class:`Circuit` its wires' liveness and the cap, in one walk when it is
-built, whose step the parser also takes line by line (``_live_after``)
-to keep its errors in file order; :func:`unitary_gate`, the parser and
+built, whose step the parser also takes inline, line by line, to keep
+its errors in file order; :func:`unitary_gate`, the parser and
 :func:`validate` check unitarity, the last two batched over many gates;
-the ``STANDARD_GATES`` table, its test.
+the ``STANDARD_GATES`` table, its test.  A :class:`Gate` is an immutable
+tuple, so the gates without a matrix are shared: one ``ancilla`` gate,
+and one ``trace`` and one ``decohere`` gate per wire below the wire cap.
 
-The parser scans the lines once for structure and reads the numbers of all
-``unitary`` lines in one pass: one float64 array, of which every matrix is
-a view, checked for finiteness once and for unitarity once per arity by one
-batched product.  It raises the first error in file order, with its line.
+The parser scans the lines once, with no helper call per line, and sets
+the entry tokens of every ``unitary`` line aside.  All of them are then
+converted by one ``np.array(..., dtype=np.float64)``, which reads each
+as ``float()`` does, and whose complex view holds every matrix as a view
+of one array; it is checked for finiteness once and for unitarity once
+per arity by one batched product.  It raises the first error in file
+order, with its line.  :func:`serialize_circuit` writes a circuit by one
+``%`` format: one template over all of its unitary entries.
 
 Instances pair two circuits of equal type with promise constants, and are
 stored as JSON: {"q0": <text>, "q1": <text>, "kind": "CI"|"QCD", "a": .., "b": ..}.
@@ -37,7 +43,6 @@ stored as JSON: {"q0": <text>, "q1": <text>, "kind": "CI"|"QCD", "a": .., "b": .
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import contains, itemgetter
@@ -46,7 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import SizeCapError, as_matrix, check_wires
-from .jsonutil import format_floats
 
 TOL_UNITARY = 1e-9
 UNITARY_ARITY_CAP = 3
@@ -100,8 +104,7 @@ class UnitarityError(CircuitError):
     """A unitary gate's matrix fails U^dagger U = I within tolerance."""
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
+class Gate(tuple):
     """One circuit construct; the one place where a gate's form is checked.
 
     kind is "unitary", "ancilla", "trace" or "decohere".  An ancilla takes
@@ -111,37 +114,53 @@ class Gate:
     serialization can round-trip the readable form.  Unitarity is left to
     :func:`unitary_gate`, the parser and :func:`validate`, and whether the
     wires are live to the :class:`Circuit` that holds the gate.
+
+    A gate is the immutable tuple (kind, wires, matrix, label), read by
+    name: assigning to a field raises AttributeError.  It compares and
+    hashes by identity, so one object can stand for every gate of its
+    form, as :func:`ancilla_gate`, :func:`trace_gate`,
+    :func:`decohere_gate` and the parser share the gates without a matrix.
     """
 
-    kind: str
-    wires: tuple[int, ...] = ()
-    matrix: np.ndarray | None = None
-    label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        kind, wires, m = self.kind, self.wires, self.matrix
+    def __new__(cls, kind: str, wires: tuple[int, ...] = (), matrix: np.ndarray | None = None,
+                label: str | None = None):
         if kind == "unitary":
             a = len(wires)
             if a < 1 or a > UNITARY_ARITY_CAP:
                 raise CircuitError(f"unitary arity {a} outside 1..{UNITARY_ARITY_CAP}")
-            shape = getattr(m, "shape", None)
+            shape = getattr(matrix, "shape", None)
             if shape != (2**a, 2**a):
                 raise CircuitError(f"unitary on {a} wires must be {2**a}x{2**a}, got {shape}")
             if len(set(wires)) != a:
                 raise CircuitError(f"unitary wires must be distinct, got {wires}")
         elif kind not in ("ancilla", "trace", "decohere"):
             raise CircuitError(f"unknown gate kind {kind!r}")
-        elif m is not None:
+        elif matrix is not None:
             raise CircuitError(f"{kind} carries no matrix")
         elif kind == "ancilla":
             if wires:
                 raise CircuitError(f"ancilla takes no wires, got {wires}")
         elif len(wires) != 1:
             raise CircuitError(f"{kind} takes exactly one wire, got {wires}")
-        if self.label is not None:
-            named = STANDARD_GATES.get(self.label)
-            if named is None or not (m is named or np.array_equal(m, named)):
-                raise CircuitError(f"label {self.label!r} does not name the gate's matrix")
+        if label is not None:
+            named = STANDARD_GATES.get(label)
+            if named is None or not (matrix is named or np.array_equal(matrix, named)):
+                raise CircuitError(f"label {label!r} does not name the gate's matrix")
+        return tuple.__new__(cls, (kind, wires, matrix, label))
+
+    kind = property(itemgetter(0))
+    wires = property(itemgetter(1))
+    matrix = property(itemgetter(2))
+    label = property(itemgetter(3))
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __getnewargs__(self):  # copy and pickle rebuild a gate through its checks
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Gate(kind={!r}, wires={!r}, matrix={!r}, label={!r})".format(*self)
 
     @property
     def arity(self) -> int:
@@ -166,16 +185,28 @@ def named_gate(name: str, wires) -> Gate:
     return Gate("unitary", tuple(int(w) for w in wires), STANDARD_GATES[name], name)
 
 
+_ANCILLA = Gate("ancilla")
+#: The shared ``trace`` and ``decohere`` gates, by wire, below the wire cap.
+_ON_WIRE = {kind: tuple([Gate(kind, (w,)) for w in range(check_wires(0))])
+            for kind in ("trace", "decohere")}
+
+
 def ancilla_gate() -> Gate:
-    return Gate("ancilla")
+    return _ANCILLA
 
 
 def trace_gate(wire: int) -> Gate:
-    return Gate("trace", (int(wire),))
+    return _on_wire("trace", int(wire))
 
 
 def decohere_gate(wire: int) -> Gate:
-    return Gate("decohere", (int(wire),))
+    return _on_wire("decohere", int(wire))
+
+
+def _on_wire(kind: str, wire: int) -> Gate:
+    """The shared ``kind`` gate on ``wire``, or a new one past the shared wires."""
+    shared = _ON_WIRE[kind]
+    return shared[wire] if 0 <= wire < len(shared) else Gate(kind, (wire,))
 
 
 def unitarity_defect(m: np.ndarray):
@@ -217,26 +248,20 @@ class Circuit:
             raise CircuitError(f"n_in must be nonnegative, got {self.n_in}")
         live = width = self.n_in
         check_wires(live, "input wires")
-        for idx, g in enumerate(gates):
-            live = _live_after(g.kind, g.wires, live, idx)
-            if live > width:
-                width = live
+        for idx, (kind, wires, _, _) in enumerate(gates):
+            for w in wires:
+                if w < 0 or w >= live:
+                    raise LivenessError(idx, w, live)
+            if kind == "ancilla":
+                live += 1
+                if live > width:  # every count up to width has passed the cap
+                    check_wires(live)
+                    width = live
+            elif kind == "trace":
+                live -= 1
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "n_out", live)
         object.__setattr__(self, "width", width)
-
-
-def _live_after(kind: str, wires, live: int, idx: int, line: int | None = None) -> int:
-    """The live count after gate ``idx``, of ``kind`` on ``wires``, with ``live``
-    wires live before it: LivenessError at its first wire out of range, and
-    SizeCapError where an ancilla takes the count past the cap."""
-    for w in wires:
-        if w < 0 or w >= live:
-            raise LivenessError(idx, w, live, line)
-    if kind == "ancilla":
-        check_wires(live + 1)
-        return live + 1
-    return live - 1 if kind == "trace" else live
 
 
 class _WireTracker:
@@ -501,132 +526,126 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the line-based circuit format; errors carry line numbers.
 
     One scan over the lines reads the structure and sets the entry tokens
-    of each ``unitary`` line aside.  :func:`_read_unitaries` then reads
-    the numbers of all of them in one pass, checks finiteness once and
-    unitarity once per arity, on the stacked matrices.  The scan walks the
-    live wire count as it goes (``_live_after``, as :class:`Circuit` does),
-    so a dead wire or an ancilla past the cap fails on its own line.  The
-    error raised is the first one in file order, so a non-unitary gate on
-    line 5 wins over a syntax error on line 9, and a dead wire on line 2
-    over both.  Within one ``unitary`` line its entries, form and
-    unitarity come before its wires' liveness.
+    of each ``unitary`` line aside; :func:`_read_unitaries` then converts
+    all of them at once and checks finiteness once and unitarity once per
+    arity, on the stacked matrices.  The scan takes :class:`Circuit`'s
+    live-wire step inline, so a dead wire or an ancilla past the cap fails
+    on its own line, and appends the shared gates without a matrix
+    (:func:`trace_gate`).  The error raised is the first one in file
+    order, so a non-unitary gate on line 5 wins over a syntax error on
+    line 9, and a dead wire on line 2 over both.  Within one ``unitary``
+    line its entries, form and unitarity come before its wires' liveness.
     """
-    header: tuple[str, int] | None = None
-    gates: list[Gate | None] = []  # None marks a unitary line until it is read
-    unitaries: list[tuple] = []  # (gate index, line, arity, wires, entry tokens)
-    ended = False
-    failure: CircuitError | SizeCapError | None = None
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if ended:
-                raise CircuitParseError("content after 'end'", lineno)
-            tokens = stripped.split()
-            if header is None:
-                header = _parse_header(tokens, lineno)
-                live = header[1]
-                check_wires(live, "input wires")
-                continue
-            if tokens[0] == "end":
-                if len(tokens) != 1:
-                    raise CircuitParseError("unexpected tokens after 'end'", lineno)
-                ended = True
-                continue
-            if tokens[0] == "unitary":
-                arity, wires, entries = _unitary_line(tokens, lineno)
-                unitaries.append((len(gates), lineno, arity, wires, entries))
-                gates.append(None)
-                kind = "unitary"
-            else:
-                gates.append(_parse_gate_line(tokens, lineno))
-                kind, wires = gates[-1].kind, gates[-1].wires
-            live = _live_after(kind, wires, live, len(gates) - 1, lineno)
-    except (CircuitError, SizeCapError) as exc:
-        failure = exc  # the unitary lines set aside all come before it, or on its line
-    _read_unitaries(gates, unitaries)
-    if failure is not None:
-        raise failure
-    if header is None:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:  # the header is the first line with a token
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            break
+    else:
         raise CircuitParseError("empty circuit text", None)
-    if not ended:
-        raise CircuitParseError("missing 'end'", None)
-    return Circuit(header[0], header[1], tuple(gates))
-
-
-def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:
-    try:
-        return tuple([int(t) for t in tokens])
-    except ValueError as exc:
-        raise CircuitParseError(str(exc), lineno) from None
-
-
-def _parse_header(tokens: list[str], lineno: int) -> tuple[str, int]:
     if len(tokens) != 4 or tokens[0] != "circuit" or tokens[2] != "inputs":
         raise CircuitParseError("expected 'circuit <name> inputs <n>'", lineno)
+    name = tokens[1]
     try:
         n_in = int(tokens[3])
     except ValueError:
         raise CircuitParseError(f"bad input count {tokens[3]!r}", lineno) from None
     if n_in < 0:
         raise CircuitParseError(f"negative input count {n_in}", lineno)
-    return tokens[1], n_in
+    live = n_in
+    cap = check_wires(live, "input wires")
 
-
-def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:
-    """Any construct but ``unitary``, which :func:`_unitary_line` takes."""
-    op = tokens[0]
-    if op == "gate":
-        if len(tokens) < 3:
-            raise CircuitParseError("expected 'gate <name> <wire...>'", lineno)
-        name = tokens[1]
-        if name not in STANDARD_GATES:
-            raise CircuitParseError(f"unknown standard gate {name!r}", lineno)
-        wires = _ints(tokens[2:], lineno)
-        try:
-            return Gate("unitary", wires, STANDARD_GATES[name], name)
-        except CircuitError as exc:
-            raise CircuitParseError(str(exc), lineno) from None
-    if op == "ancilla":
-        if len(tokens) != 1:
-            raise CircuitParseError("'ancilla' takes no arguments", lineno)
-        return ancilla_gate()
-    if op in ("trace", "decohere"):
-        if len(tokens) != 2:
-            raise CircuitParseError(f"expected '{op} <wire>'", lineno)
-        return Gate(op, _ints(tokens[1:], lineno))
-    raise CircuitParseError(f"unknown construct {op!r}", lineno)
-
-
-def _unitary_line(tokens: list[str], lineno: int) -> tuple[int, tuple[int, ...], list[str]]:
-    """Arity, wires and entry tokens of a ``unitary`` line; the entries are read later."""
-    if len(tokens) < 2:
-        raise CircuitParseError("expected 'unitary <arity> <wire...> <entries>'", lineno)
-    (arity,) = _ints(tokens[1:2], lineno)
-    if arity < 1 or arity > UNITARY_ARITY_CAP:
-        raise CircuitParseError(f"unitary arity {arity} outside 1..{UNITARY_ARITY_CAP}", lineno)
-    wires = _ints(tokens[2 : 2 + arity], lineno)
-    if len(wires) != arity:
-        raise CircuitParseError("fewer wires than arity", lineno)
-    entries = tokens[2 + arity :]
-    if len(entries) != 4**arity:
-        raise CircuitParseError(f"expected {4**arity} matrix entries, got {len(entries)}", lineno)
-    return arity, wires, entries
+    gates: list[Gate | None] = []  # None marks a unitary line until it is read
+    unitaries: list[tuple] = []  # (gate index, line, arity, wires, entry tokens)
+    ended = False
+    failure: CircuitError | SizeCapError | None = None
+    try:
+        for lineno, raw in lines:
+            tokens = raw.partition("#")[0].split()
+            if not tokens:
+                continue
+            op = tokens[0]
+            if op == "unitary" or op == "gate":
+                if op == "unitary":
+                    if len(tokens) < 2:
+                        raise CircuitParseError("expected 'unitary <arity> <wire...> <entries>'",
+                                                lineno)
+                    arity = int(tokens[1])
+                    if arity < 1 or arity > UNITARY_ARITY_CAP:
+                        raise CircuitParseError(
+                            f"unitary arity {arity} outside 1..{UNITARY_ARITY_CAP}", lineno)
+                    wires = tuple(map(int, tokens[2 : 2 + arity]))
+                    if len(wires) != arity:
+                        raise CircuitParseError("fewer wires than arity", lineno)
+                    if len(tokens) - 2 - arity != 4**arity:
+                        raise CircuitParseError(
+                            f"expected {4**arity} matrix entries, got {len(tokens) - 2 - arity}",
+                            lineno)
+                    unitaries.append((len(gates), lineno, arity, wires, tokens[2 + arity :]))
+                    gates.append(None)
+                else:
+                    if len(tokens) < 3:
+                        raise CircuitParseError("expected 'gate <name> <wire...>'", lineno)
+                    m = STANDARD_GATES.get(tokens[1])
+                    if m is None:
+                        raise CircuitParseError(f"unknown standard gate {tokens[1]!r}", lineno)
+                    wires = tuple(map(int, tokens[2:]))
+                    gates.append(Gate("unitary", wires, m, tokens[1]))
+                for w in wires:
+                    if w < 0 or w >= live:
+                        raise LivenessError(len(gates) - 1, w, live, lineno)
+            elif op == "trace" or op == "decohere":
+                if len(tokens) != 2:
+                    raise CircuitParseError(f"expected '{op} <wire>'", lineno)
+                w = int(tokens[1])
+                if w < 0 or w >= live:
+                    raise LivenessError(len(gates), w, live, lineno)
+                on_wire = _ON_WIRE[op]
+                gates.append(on_wire[w] if w < len(on_wire) else Gate(op, (w,)))
+                if op == "trace":
+                    live -= 1
+            elif op == "ancilla":
+                if len(tokens) != 1:
+                    raise CircuitParseError("'ancilla' takes no arguments", lineno)
+                if live >= cap:
+                    check_wires(live + 1)  # raises
+                live += 1
+                gates.append(_ANCILLA)
+            elif op == "end":
+                if len(tokens) != 1:
+                    raise CircuitParseError("unexpected tokens after 'end'", lineno)
+                ended = True
+                break
+            else:
+                raise CircuitParseError(f"unknown construct {op!r}", lineno)
+        for lineno, raw in lines:
+            if raw.partition("#")[0].split():
+                raise CircuitParseError("content after 'end'", lineno)
+    except (CircuitParseError, LivenessError, SizeCapError) as exc:
+        failure = exc  # the unitary lines set aside all come before it, or on its line
+    except ValueError as exc:  # int() refused a token, or Gate a named gate's form
+        failure = CircuitParseError(str(exc), lineno)
+    _read_unitaries(gates, unitaries)
+    if failure is not None:
+        raise failure
+    if not ended:
+        raise CircuitParseError("missing 'end'", None)
+    return Circuit(name, n_in, tuple(gates))
 
 
 def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
     """Make the set-aside ``unitary`` lines gates, or raise the first failing line's error.
 
     All entry tokens, ordered by arity, are split at their commas and
-    converted by one ``map(float, ...)`` into one float64 array.  Its
-    complex view holds each arity's matrices as one stack, and each
-    gate's matrix is a view of it.  Finiteness is checked once over the
-    array and unitarity once per stack.  A line fails on its first bad
-    entry, else on a non-finite entry, else on its form as :class:`Gate`
-    decides it (repeated wires), else on its unitarity defect.  A bad or
-    non-finite entry spoils the array: the lines before the first such
-    line are read again without it.
+    converted by one ``np.array(..., dtype=np.float64)``, which reads
+    each number as ``float()`` does.  Its complex view holds each arity's
+    matrices as one stack, and each gate's matrix is a view of it.
+    Finiteness is checked once over the array and unitarity once per
+    stack.  A line fails on its first bad entry, else on a non-finite
+    entry, else on its form as :class:`Gate` decides it (repeated wires),
+    else on its unitarity defect.  A bad or non-finite entry spoils the
+    array: the lines before the first such line are read again without
+    it.
     """
     if not unitaries:
         return
@@ -636,7 +655,7 @@ def _read_unitaries(gates: list, unitaries: list[tuple]) -> None:
     spoiled = len(numbers) != 2 * len(tokens) or not all(map(contains, tokens, repeat(",")))
     if not spoiled:
         try:
-            values = np.frombuffer(array("d", map(float, numbers)))
+            values = np.array(numbers, dtype=np.float64)
             spoiled = not np.isfinite(values).all()
         except ValueError:
             spoiled = True
@@ -681,29 +700,42 @@ def _entry_error(tokens: list[str]) -> str | None:
     return None
 
 
+#: The entries of a unitary line of each arity, as ``%`` fields.
+_ENTRIES = {a: " ".join(["%.17g,%.17g"] * 4**a) for a in range(1, UNITARY_ARITY_CAP + 1)}
+
+
 def serialize_circuit(c: Circuit) -> str:
     """Emit circuit text; parse(serialize(c)) is structurally equal to c.
 
-    Unitary entries print with 17 significant digits, which round-trips
-    doubles exactly.
+    The name must be one token without ``#``, which would start a comment.
+    The text is one ``%`` format of one template, whose fields are every
+    unitary entry of the circuit in gate order (a ``%`` in the name is
+    escaped).  Entries print with 17 significant digits, which round-trips
+    doubles exactly; the first non-finite one raises ValueError.
     """
-    if not c.name or any(ch.isspace() for ch in c.name):
+    if not c.name or "#" in c.name or any(ch.isspace() for ch in c.name):
         raise CircuitError(f"circuit name {c.name!r} is not a single token")
-    out = [f"circuit {c.name} inputs {c.n_in}"]
-    for g in c.gates:
-        if g.kind == "unitary":
-            if g.label is not None:
-                out.append(f"gate {g.label} {' '.join(map(str, g.wires))}")
+    out = [f"circuit {c.name.replace('%', '%%')} inputs {c.n_in}"]
+    matrices = []
+    for kind, wires, m, label in c.gates:
+        if kind == "unitary":
+            on = " ".join(map(str, wires))
+            if label is not None:
+                out.append(f"gate {label} {on}")
             else:
-                parts = np.ascontiguousarray(g.matrix, dtype=np.complex128).view(np.float64)
-                entries = "".join(format_floats(parts, "%.17g,%.17g", " "))
-                out.append(f"unitary {g.arity} {' '.join(map(str, g.wires))} {entries}")
-        elif g.kind == "ancilla":
+                out.append(f"unitary {len(wires)} {on} {_ENTRIES[len(wires)]}")
+                matrices.append(m.reshape(-1))
+        elif kind == "ancilla":
             out.append("ancilla")
         else:
-            out.append(f"{g.kind} {g.wires[0]}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+            out.append(f"{kind} {wires[0]}")
+    out.append("end\n")
+    parts = np.concatenate(matrices or [np.empty(0)], dtype=np.complex128).view(np.float64)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        first = float(parts[np.argmin(finite)])
+        raise ValueError(f"non-finite float {first!r} cannot be serialized")
+    return "\n".join(out) % tuple(parts.tolist())
 
 
 @dataclass(eq=False)

@@ -5,9 +5,9 @@ repeated runs with the same seed produce byte-identical output.  Floats are
 printed as ``"%.17g" % x`` prints them: 17 significant digits, which
 round-trips IEEE doubles exactly.  A complex ndarray is a value too: it is
 written row-major as a flat list of [re, im] pairs, straight from the array
-by :func:`format_floats`, which is also how circuit text writes its matrix
-entries.  No Python list of pairs is built, and :func:`dump_parts` hands the
-pieces over unjoined, so a matrix is never held as text more than once.
+by :func:`format_floats`.  No Python list of pairs is built, and
+:func:`dump_parts` hands the pieces over unjoined, so a matrix is never held
+as text more than once.
 
 An array of ``VECTOR_MIN`` values or more is formatted in numpy, with the
 same bytes as ``%``.  Its 17 digits are N = round-half-even(|x| 10**(16-E))

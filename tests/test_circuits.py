@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from qcdist.circuits import (
     UnitarityError,
     instance_from_json,
     ancilla_gate,
+    decohere_gate,
     named_gate,
     parse_circuit,
     schedule,
@@ -24,6 +27,7 @@ from qcdist.circuits import (
     validate,
     ProblemInstance,
 )
+from qcdist import jsonutil
 from qcdist.linalg import SizeCapError
 
 from helpers import (
@@ -247,6 +251,27 @@ def test_serialized_entries_read_like_the_per_entry_format():
     assert text == f"circuit e inputs 2\nunitary 2 1 0 {entries}\nend\n"
     back = [float(x) for tok in entries.split() for x in tok.split(",")]
     assert np.array(back).tobytes() == parts.tobytes()
+    # a circuit of every arity, labelled and matrix-free gates, and more values than
+    # jsonutil formats in numpy, is one % format: it reads as the per-entry text
+    rng = np.random.default_rng(41)
+    gates = [Gate("unitary", (1, 0), m), named_gate("CNOT", (2, 0)), ancilla_gate()]
+    for a in (3, 1, 2, 3, 1, 3):
+        gates.append(unitary_gate(random_unitary(rng, 2**a), tuple(range(a))))
+        gates += [decohere_gate(a), named_gate("H", (a,)), trace_gate(3), ancilla_gate()]
+    c = Circuit("many", 3, tuple(gates))
+    lines = ["circuit many inputs 3"]
+    for g in c.gates:
+        wires = " ".join(map(str, g.wires))
+        if g.label is not None:
+            lines.append(f"gate {g.label} {wires}")
+        elif g.kind == "unitary":
+            entries = " ".join("%.17g,%.17g" % (z.real, z.imag) for z in g.matrix.reshape(-1))
+            lines.append(f"unitary {g.arity} {wires} {entries}")
+        else:
+            lines.append(f"{g.kind} {wires}".rstrip())
+    values = sum(2 * g.matrix.size for g in c.gates if g.kind == "unitary" and g.label is None)
+    assert values > jsonutil.VECTOR_MIN
+    assert serialize_circuit(c) == "\n".join(lines + ["end"]) + "\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -255,6 +280,27 @@ def test_serialize_refuses_non_finite_entries(bad):
     m[1, 0] = complex(0.0, bad)
     with pytest.raises(ValueError, match="non-finite"):
         serialize_circuit(Circuit("n", 1, (Gate("unitary", (0,), m),)))
+    # in a later gate, after finite ones, and before another non-finite entry
+    later = np.eye(4, dtype=complex)
+    later[3, 2] = complex(-bad, 0.0) if bad == bad else float("inf")
+    c = Circuit("n", 2, (named_gate("H", (0,)), Gate("unitary", (1, 0), np.eye(4, dtype=complex)),
+                         ancilla_gate(), Gate("unitary", (2,), m), Gate("unitary", (0, 2), later)))
+    with pytest.raises(ValueError, match=f"^non-finite float {bad!r} cannot be serialized$"):
+        serialize_circuit(c)
+
+
+def test_serialize_refuses_a_name_that_does_not_parse_back():
+    # '#' starts a comment, so the header would not parse; whitespace splits the name
+    for name in ("a#b", "#", "a b", ""):
+        with pytest.raises(CircuitError, match="is not a single token$"):
+            serialize_circuit(Circuit(name, 1))
+    # '%' is escaped in the one format of the text, and round-trips byte for byte
+    c = Circuit("a%s%%b%", 1, (unitary_gate(STANDARD_GATES["T"], (0,)), named_gate("X", (0,))))
+    text = serialize_circuit(c)
+    assert text.startswith("circuit a%s%%b% inputs 1\nunitary 1 0 1,0 0,0 0,0 ")
+    back = parse_circuit(text)
+    assert back.name == "a%s%%b%"
+    assert serialize_circuit(back) == text
 
 
 def test_roundtrip_reduction_output():
@@ -589,6 +635,54 @@ def test_parse_agrees_with_the_line_reader(text):
         if g.kind == "unitary":
             assert g.matrix.dtype == w.matrix.dtype and g.matrix.shape == w.matrix.shape
             assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+def test_parse_converts_numbers_as_the_line_reader_does():
+    # one numpy conversion reads the entries as float() does, one at a time: edge doubles
+    # in both 17-digit forms, an overflow to infinity and digit separators
+    def phases(fmt):  # diag(x + i sqrt(1 - x^2), 1) is unitary for each |x| <= 1
+        return "".join(f"unitary 1 0 {fmt(x)},{fmt(math.sqrt(1 - x * x))} 0,0 0,0 1,0\n"
+                       for x in EDGE_DOUBLES if abs(x) <= 1)
+
+    def edges(fmt):  # every edge double, which no unitary can hold
+        parts = EDGE_DOUBLES + [float(i) for i in range(32 - len(EDGE_DOUBLES))]
+        return "unitary 2 0 1 " + " ".join(f"{fmt(re)},{fmt(im)}" for re, im in
+                                           zip(parts[::2], parts[1::2])) + "\n"
+
+    cases = [(phases(fmt), None) for fmt in ("%.17g".__mod__, repr)]
+    cases += [(edges(fmt), "line 3: matrix is not unitary: defect nan")
+              for fmt in ("%.17g".__mod__, repr)]
+    cases += [("unitary 1 0 1_0e-1,0 0,0 0,0 1,0_0\n", None),
+              ("unitary 1 0 1_0,0 0,0 0,0 1,0\n", "line 3: matrix is not unitary: defect 9.900e+01"),
+              ("unitary 1 0 1,0 1e400,0 0,0 1,0\n", "line 3: matrix contains non-finite entries")]
+    for body, message in cases:
+        text = f"circuit e inputs 2\ngate H 1\n{body}end\n"
+        got, err = _outcome(parse_circuit, text)
+        want, want_err = _outcome(line_parse_circuit, text)
+        assert str(err) == str(want_err) == str(message)
+        if message is not None:
+            assert type(err) is type(want_err) and err.line == want_err.line == 3
+            continue
+        assert len(got.gates) == len(want.gates) > 1
+        for g, w in zip(got.gates, want.gates):
+            assert (g.kind, g.wires, g.label) == (w.kind, w.wires, w.label)
+            assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+def test_shared_gates_are_immutable():
+    # one trace gate per wire and one ancilla gate serve every circuit, so none may change
+    c = parse_circuit("circuit s inputs 2\nancilla\ntrace 0\ndecohere 1\nend\n")
+    assert c.gates[0] is ancilla_gate() and c.gates[1] is trace_gate(0)
+    assert c.gates[2] is decohere_gate(1)
+    for g in (c.gates[1], ancilla_gate(), named_gate("H", (0,))):
+        for name, value in [("kind", "decohere"), ("wires", (1,)), ("matrix", np.eye(2)),
+                            ("label", "X"), ("arity", 2), ("extra", 0)]:
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+    assert (trace_gate(0).kind, trace_gate(0).wires, ancilla_gate().wires) == ("trace", (0,), ())
+    # past the shared wires, a matrix-free gate is made, and checked, anew
+    far = trace_gate(40)
+    assert far.wires == (40,) and far is not trace_gate(40)
 
 
 @settings(max_examples=300, deadline=None)
