@@ -13,13 +13,15 @@ import numpy as np
 from qcdist import (
     ProverStrategy,
     acceptance_probability,
+    choi_of,
     optimal_prover_witness,
     parse_circuit,
     run_protocol,
 )
 
-identity = parse_circuit("circuit id inputs 1\nend")
-dephase = parse_circuit("circuit dephase inputs 1\ndecohere 0\nend")
+# the protocol reads each circuit's channel, formed once
+identity = choi_of(parse_circuit("circuit id inputs 1\nend"))
+dephase = choi_of(parse_circuit("circuit dephase inputs 1\ndecohere 0\nend"))
 
 strategy, witness = optimal_prover_witness(identity, dephase)
 exact = acceptance_probability(identity, dephase, strategy)

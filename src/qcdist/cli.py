@@ -26,6 +26,7 @@ from .circuits import (
 from .distances import (
     OptimizerConfig,
     _interval_json,
+    _state_pair,
     diamond_norm,
     fidelity,
     max_image_fidelity,
@@ -47,7 +48,6 @@ from .simulate import (
     choi_of,
     density_from_json,
     density_to_json,
-    require_density,
 )
 
 EXIT_OK = 0
@@ -117,8 +117,9 @@ def cmd_distance(args) -> int:
         if len(args.inputs) != 2:
             raise ValueError(f"{args.kind} distance needs two state files")
         rho0, rho1 = (density_from_json(_load_json(path)) for path in args.inputs)
-        if args.kind == "trace":  # fidelity refuses a matrix that is not a state itself
-            value = trace_norm(require_density(rho0) - require_density(rho1))
+        if args.kind == "trace":  # fidelity refuses what is not two states of one size itself
+            rho0, rho1 = _state_pair(rho0, rho1)
+            value = trace_norm(rho0 - rho1)
         else:
             value = fidelity(rho0, rho1)
         _emit({"kind": args.kind, "value": value})
@@ -189,10 +190,9 @@ def cmd_protocol(args) -> int:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     inst = instance_from_json(_load_json(args.instance))
     cfg = _config(args)
-    strat, witness = optimal_prover_witness(inst.q0, inst.q1, cfg)
-    result = run_protocol(
-        inst.q0, inst.q1, strat, args.trials, args.seed, dnorm_upper=witness.upper
-    )
+    ch0, ch1 = choi_of(inst.q0), choi_of(inst.q1)
+    strat, witness = optimal_prover_witness(ch0, ch1, cfg)
+    result = run_protocol(ch0, ch1, strat, args.trials, args.seed, dnorm_upper=witness.upper)
     _emit(result_to_json(result))
     return EXIT_OK if witness.converged else EXIT_NOT_CONVERGED
 

@@ -252,6 +252,14 @@ def trace_norm(x) -> float:
     return float(singular_values(x).sum())
 
 
+def _state_pair(rho, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Both as density matrices, refused unless they are states of one size."""
+    rho, xi = require_density(rho), require_density(xi)
+    if rho.shape != xi.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {xi.shape}")
+    return rho, xi
+
+
 def fidelity(rho, xi) -> float:
     """F(rho, xi) = tr sqrt(sqrt(rho) xi sqrt(rho)), clamped into [0, 1].
 
@@ -259,10 +267,7 @@ def fidelity(rho, xi) -> float:
     side eps_mach lambda_max, are dropped before the root: on a pure pair
     a rounding eigenvalue of 1e-17 would otherwise add about 3e-9.
     """
-    rho = require_density(rho)
-    xi = require_density(xi)
-    if rho.shape != xi.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {xi.shape}")
+    rho, xi = _state_pair(rho, xi)
     s = psd_sqrt(rho)
     inner = s @ xi @ s
     w = np.linalg.eigvalsh((inner + dag(inner)) / 2)

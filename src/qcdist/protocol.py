@@ -5,31 +5,30 @@ to the verifier; the verifier applies Q_i for a uniform i in {0, 1} and
 returns the output; the prover measures output + private space with a
 binary projector and answers j; the verifier accepts iff i = j.
 
-Acceptance probabilities are computed exactly on density matrices (the
-protocol's final message is a single classical bit, so intermediate
-collapse is unobservable); Monte Carlo sampling exists to exercise the
-operational reading.  Trials run in blocks of ``_BLOCK``: block b draws
-from the PCG64 stream SeedSequence(seed, spawn_key=(b,)), first its
-verifier coins, then its prover uniforms, one per trial each.  Blocks are
-independent, so the tally is reproducible for a fixed seed and the same
-for any order in which blocks run, and memory stays O(_BLOCK) for any
-trial count.
-
-The optimal prover's diamond norm takes Channels, as the max image fidelity
-does; ``optimal_prover_witness`` forms them with ``choi_of``.
+Every function takes the pair as two Channels of one type, as ``choi_of``
+returns them and as the distances take them, and none walks a circuit.
+Acceptance probabilities are computed exactly from the two outputs at the
+prover's state, each a sandwich of a Choi matrix, the one the diamond norm
+evaluates its witness on (``distances._output_of``); the protocol's final
+message is a single classical bit, so intermediate collapse is
+unobservable.  Monte Carlo sampling exists to exercise the operational
+reading.  Trials run in blocks of ``_BLOCK``: block b draws from the PCG64
+stream SeedSequence(seed, spawn_key=(b,)), first its verifier coins, then
+its prover uniforms, one per trial each.  Blocks are independent, so the
+tally is reproducible for a fixed seed and the same for any order in which
+blocks run, and memory stays O(_BLOCK) for any trial count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import log2
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circuits import Circuit
 from .distances import DiamondWitness, OptimizerConfig, diamond_norm, trace_norm
+from .distances import _output_of, _same_type
 from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, as_state, herm_defect
-from .simulate import InternalConsistencyError, choi_of, simulate
+from .simulate import Channel, InternalConsistencyError
 
 #: Trials per random stream; block b of a run uses spawn key (b,).
 _BLOCK = 1 << 16
@@ -59,35 +58,33 @@ class ProverStrategy:
 
 @dataclass(eq=False)
 class ProtocolResult:
+    """One run of ``run_protocol``, its fields in the order the CLI prints them."""
+
     p_accept_exact: float
-    trials: int | None
-    accepts: int | None
-    estimate: float | None
+    trials: int
+    accepts: int
+    estimate: float
     dnorm_witness_value: float
-    seed: int | None = None
-    dnorm_upper: float = 2.0
+    dnorm_upper: float
+    seed: int
 
 
-def _private_qubits(strat: ProverStrategy, c: Circuit) -> int:
-    total = int(log2(strat.psi.size))
-    if 2**total != strat.psi.size:
-        raise ValueError(f"prover state dimension {strat.psi.size} is not a power of 2")
-    priv = total - c.n_in
-    if priv < 0:
+def _private_qubits(strat: ProverStrategy, ch: Channel) -> int:
+    priv = strat.psi.size.bit_length() - 1 - ch.n_in
+    if priv < 0 or strat.psi.size != 2 ** (ch.n_in + priv):
         raise ValueError(
-            f"prover state on {total} qubits is too small for {c.n_in} circuit inputs"
-        )
-    dout = 2 ** (c.n_out + priv)
+            f"prover state dimension {strat.psi.size} is not 2^{ch.n_in} times a power of 2")
+    dout = 2 ** (ch.n_out + priv)
     if strat.measurement.shape != (dout, dout):
         raise ValueError(
             f"measurement is {strat.measurement.shape}, expected side {dout} "
-            f"(output {c.n_out} + private {priv} qubits)"
+            f"(output {ch.n_out} + private {priv} qubits)"
         )
     return priv
 
 
 def optimal_prover_witness(
-    q0: Circuit, q1: Circuit, cfg: OptimizerConfig | None = None
+    ch0: Channel, ch1: Channel, cfg: OptimizerConfig | None = None
 ) -> tuple[ProverStrategy, DiamondWitness]:
     """The strategy built from the diamond-norm witness, and the witness.
 
@@ -95,27 +92,37 @@ def optimal_prover_witness(
     projector for the two possible outputs, attaining acceptance
     1/2 + 1/4 ||Q0 - Q1||_diamond.
     """
-    witness = diamond_norm(choi_of(q0), choi_of(q1), cfg)
+    witness = diamond_norm(ch0, ch1, cfg)
     return ProverStrategy(psi=witness.psi, measurement=witness.measurement), witness
 
 
-def _answer0(q0: Circuit, q1: Circuit, strat: ProverStrategy):
-    """((tr M rho_0, tr M rho_1), rho_0 - rho_1) for the outputs rho_i of Q_i
-    on the strategy's input: the probabilities that the prover answers 0."""
-    if (q0.n_in, q0.n_out) != (q1.n_in, q1.n_out):
-        raise ValueError("circuits disagree on type")
-    priv = _private_qubits(strat, q0)
-    rho_in = np.outer(strat.psi, strat.psi.conj())
-    rho0 = simulate(q0, rho_in, priv)
-    rho1 = simulate(q1, rho_in, priv)
+def _answer0(ch0: Channel, ch1: Channel, strat: ProverStrategy):
+    """((tr M rho_0, tr M rho_1), rho_0 - rho_1): the probabilities that the
+    prover answers 0, from the channels' outputs rho_i at psi = vec(x), x of
+    shape (d_in, 2^private)."""
+    _same_type(ch0, ch1)
+    x = strat.psi.reshape(ch0.dim_in, 2 ** _private_qubits(strat, ch0))
+    rho0, rho1 = _output_of(ch0, x), _output_of(ch1, x)
     m = strat.measurement
     return (float(np.real(np.trace(m @ rho0))), float(np.real(np.trace(m @ rho1)))), rho0 - rho1
 
 
-def acceptance_probability(q0: Circuit, q1: Circuit, strat: ProverStrategy) -> float:
+def _accept(p_answer0: tuple[float, float], dnorm_upper: float = 2.0) -> float:
+    """1/2 tr(M rho_0) + 1/2 (1 - tr(M rho_1)), clamped into [0, 1].  No
+    strategy accepts above 1/2 + dnorm_upper/4 for a certified upper bound
+    on ||Q0 - Q1||_diamond (2 holds for any pair): a value above it raises
+    InternalConsistencyError."""
+    p = 0.5 * p_answer0[0] + 0.5 * (1.0 - p_answer0[1])
+    if p > 0.5 + dnorm_upper / 4 + 1e-12:
+        raise InternalConsistencyError(
+            f"acceptance probability {p!r} exceeds the soundness bound 1/2 + {dnorm_upper!r}/4"
+        )
+    return float(min(max(p, 0.0), 1.0))
+
+
+def acceptance_probability(ch0: Channel, ch1: Channel, strat: ProverStrategy) -> float:
     """Exact acceptance probability of the strategy in one protocol round."""
-    (p0, p1), _ = _answer0(q0, q1, strat)
-    return float(min(max(0.5 * p0 + 0.5 * (1.0 - p1), 0.0), 1.0))
+    return _accept(_answer0(ch0, ch1, strat)[0])
 
 
 def _block_accepts(seed: int, block: int, n: int, p_answer0: tuple[float, float]) -> int:
@@ -127,8 +134,8 @@ def _block_accepts(seed: int, block: int, n: int, p_answer0: tuple[float, float]
 
 
 def run_protocol(
-    q0: Circuit,
-    q1: Circuit,
+    ch0: Channel,
+    ch1: Channel,
     strat: ProverStrategy,
     trials: int,
     seed: int,
@@ -137,11 +144,7 @@ def run_protocol(
 ) -> ProtocolResult:
     """Exact acceptance probability plus a Monte Carlo tally.
 
-    ``dnorm_upper`` is a certified upper bound on ||Q0 - Q1||_diamond (the
-    default 2 holds for any pair).  No strategy accepts with probability
-    above 1/2 + dnorm_upper/4, so an exact acceptance probability above it
-    raises InternalConsistencyError.
-
+    The exact probability is checked against ``dnorm_upper`` (``_accept``).
     Trials run in blocks of ``_BLOCK`` (the last one shorter).  Block b
     draws from its own stream, SeedSequence(seed, spawn_key=(b,)): the
     verifier's coins i with ``integers(0, 2, n)``, then the prover's
@@ -152,35 +155,22 @@ def run_protocol(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_answer0, difference = _answer0(q0, q1, strat)
-    p_exact = 0.5 * p_answer0[0] + 0.5 * (1.0 - p_answer0[1])
-    if p_exact > 0.5 + dnorm_upper / 4 + 1e-12:
-        raise InternalConsistencyError(
-            f"acceptance probability {p_exact!r} exceeds the soundness bound "
-            f"1/2 + {dnorm_upper!r}/4"
-        )
+    p_answer0, difference = _answer0(ch0, ch1, strat)
+    p_exact = _accept(p_answer0, dnorm_upper)
     accepts = sum(
         _block_accepts(seed, b, min(_BLOCK, trials - start), p_answer0)
         for b, start in enumerate(range(0, trials, _BLOCK))
     )
     return ProtocolResult(
-        p_accept_exact=float(min(max(p_exact, 0.0), 1.0)),
+        p_accept_exact=p_exact,
         trials=trials,
         accepts=accepts,
         estimate=accepts / trials,
         dnorm_witness_value=trace_norm(difference),
+        dnorm_upper=float(dnorm_upper),
         seed=seed,
-        dnorm_upper=dnorm_upper,
     )
 
 
 def result_to_json(res: ProtocolResult) -> dict:
-    return {
-        "p_accept_exact": float(res.p_accept_exact),
-        "trials": res.trials,
-        "accepts": res.accepts,
-        "estimate": None if res.estimate is None else float(res.estimate),
-        "dnorm_witness_value": float(res.dnorm_witness_value),
-        "dnorm_upper": float(res.dnorm_upper),
-        "seed": res.seed,
-    }
+    return asdict(res)

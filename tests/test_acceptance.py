@@ -264,8 +264,9 @@ def test_criterion_7_protocol():
         (random_11_circuit(rng, "qa"), random_11_circuit(rng, "qb")),
     ]
     for q0, q1 in instances:
-        strat, witness = optimal_prover_witness(q0, q1, cfg)
-        p = acceptance_probability(q0, q1, strat)
+        ch0, ch1 = choi_of(q0), choi_of(q1)
+        strat, witness = optimal_prover_witness(ch0, ch1, cfg)
+        p = acceptance_probability(ch0, ch1, strat)
         if abs(p - (0.5 + witness.value / 4)) > 1e-8:
             problems.append(f"optimal acceptance identity off for {q0.name}/{q1.name}")
         bound = 0.5 + witness.value / 4 + 1e-4
@@ -277,12 +278,13 @@ def test_criterion_7_protocol():
             u = random_unitary(rng, dim_out)
             rank = int(rng.integers(1, dim_out))
             m = u[:, :rank] @ u[:, :rank].conj().T
-            p_rand = acceptance_probability(q0, q1, ProverStrategy(psi, m))
+            p_rand = acceptance_probability(ch0, ch1, ProverStrategy(psi, m))
             if p_rand > bound:
                 problems.append(f"random strategy beat bound: {p_rand} > {bound}")
                 break
-    strat, _ = optimal_prover_witness(identity_circuit(), decohere_circuit(), cfg)
-    res = run_protocol(identity_circuit(), decohere_circuit(), strat, 100000, seed=777)
+    ch0, ch1 = choi_of(identity_circuit()), choi_of(decohere_circuit())
+    strat, _ = optimal_prover_witness(ch0, ch1, cfg)
+    res = run_protocol(ch0, ch1, strat, 100000, seed=777)
     sigma = np.sqrt(res.p_accept_exact * (1 - res.p_accept_exact) / res.trials)
     if abs(res.estimate - res.p_accept_exact) > 4 * sigma:
         problems.append(f"Monte Carlo {res.estimate} vs exact {res.p_accept_exact}")

@@ -166,6 +166,18 @@ def test_distance_dimension_mismatch_exit_2(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["trace", "fidelity"])
+def test_distance_states_of_different_sizes_refused_alike(workdir, capsys, kind):
+    # the trace distance once let numpy's broadcast error through
+    four = workdir / "four.json"
+    four.write_text(dumps(density_to_json(np.eye(4, dtype=complex) / 4)))
+    code = main(["distance", kind, str(workdir / "zero.json"), str(four)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: dimension mismatch: (2, 2) vs (4, 4)\n"
+
+
 def test_distance_dnorm_instance(workdir, capsys):
     code, out = run_cli(
         capsys, "distance", "dnorm", workdir / "inst.json", "--restarts", 8, "--seed", 5
@@ -375,6 +387,7 @@ def test_protocol_bad_trials_exit_2_before_seesaw(workdir, capsys, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("the trial count must be checked before the seesaw")
 
+    monkeypatch.setattr(cli, "choi_of", refuse)
     monkeypatch.setattr(cli, "optimal_prover_witness", refuse)
     code = main(["protocol", str(workdir / "inst.json"), "--trials", str(trials)])
     captured = capsys.readouterr()
@@ -387,12 +400,30 @@ def test_protocol_negative_seed_exits_2_before_seesaw(workdir, capsys, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("the seed must be checked before the seesaw")
 
+    monkeypatch.setattr(cli, "choi_of", refuse)
     monkeypatch.setattr(cli, "optimal_prover_witness", refuse)
     code = main(["protocol", str(workdir / "inst.json"), "--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+def test_protocol_forms_each_channel_once_and_walks_no_density(workdir, capsys, monkeypatch):
+    # the protocol reads the outputs at the prover's state off the two Choi matrices
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol must not walk a circuit's density")
+
+    walk = simulate.simulate
+    for module in [m for name, m in sys.modules.items() if name.startswith("qcdist")]:
+        if getattr(module, "simulate", None) is walk:
+            monkeypatch.setattr(module, "simulate", refuse)
+    formed = []
+    monkeypatch.setattr(cli, "choi_of", lambda c: formed.append(c.name) or choi_of(c))
+    code, out = run_cli(capsys, "protocol", workdir / "inst.json", "--trials", 1000)
+    assert code == 0
+    assert formed == ["id", "dec"]
+    assert abs(out["p_accept_exact"] - 0.75) < 1e-9
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])

@@ -12,6 +12,7 @@ from qcdist.protocol import (
 )
 from qcdist.simulate import InternalConsistencyError, apply_extended, choi_of
 
+from oracles import density_walk_oracle
 from helpers import (
     decohere_circuit,
     identity_circuit,
@@ -22,6 +23,8 @@ from helpers import (
 )
 
 CFG = OptimizerConfig()
+ID, ID2, DEC, Z = (choi_of(c) for c in (identity_circuit(), identity_circuit("id2"),
+                                          decohere_circuit(), z_circuit()))
 
 
 def random_projector(rng, dim):
@@ -45,88 +48,122 @@ def test_prover_state_norm_is_decided_at_construction():
     with pytest.raises(ValueError, match="squared norm"):
         ProverStrategy(np.array([1 + 9e-10, 0.0]), m)
     strat = ProverStrategy(np.array([1 + 4e-10, 0.0]), m)
-    assert abs(acceptance_probability(identity_circuit(), z_circuit(), strat) - 0.5) < 1e-9
+    assert abs(acceptance_probability(ID, Z, strat) - 0.5) < 1e-9
 
 
 def test_equal_circuits_give_half():
-    strat = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
-    p = acceptance_probability(identity_circuit(), identity_circuit("id2"), strat)
-    assert abs(p - 0.5) < 1e-9
+    strat = optimal_prover_witness(ID, ID2, CFG)[0]
+    assert abs(acceptance_probability(ID, ID2, strat) - 0.5) < 1e-9
 
 
 def test_perfectly_distinguishable_gives_one():
-    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
-    assert abs(acceptance_probability(identity_circuit(), z_circuit(), strat) - 1.0) < 1e-9
+    strat = optimal_prover_witness(ID, Z, CFG)[0]
+    assert abs(acceptance_probability(ID, Z, strat) - 1.0) < 1e-9
 
 
 def test_decohere_pair_gives_three_quarters():
-    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
-    p = acceptance_probability(identity_circuit(), decohere_circuit(), strat)
-    assert abs(p - 0.75) < 1e-6
+    strat = optimal_prover_witness(ID, DEC, CFG)[0]
+    assert abs(acceptance_probability(ID, DEC, strat) - 0.75) < 1e-6
 
 
 def test_optimal_strategy_attains_witness_identity():
-    for other in (decohere_circuit(), z_circuit(), random_11_circuit(np.random.default_rng(0), "r")):
-        strat, witness = optimal_prover_witness(identity_circuit(), other, CFG)
-        p = acceptance_probability(identity_circuit(), other, strat)
+    for other in (DEC, Z, choi_of(random_11_circuit(np.random.default_rng(0), "r"))):
+        strat, witness = optimal_prover_witness(ID, other, CFG)
+        p = acceptance_probability(ID, other, strat)
         assert abs(p - (0.5 + witness.value / 4)) < 1e-8
 
 
 def test_random_strategies_respect_soundness_bound():
     rng = np.random.default_rng(1)
-    q0, q1 = identity_circuit(), decohere_circuit()
-    bound = diamond_norm(choi_of(q0), choi_of(q1), CFG).value
+    bound = diamond_norm(ID, DEC, CFG).value
     for _ in range(25):
         psi = random_state(rng, 4)  # 1 input qubit + 1 private qubit
         m = random_projector(rng, 4)
-        p = acceptance_probability(q0, q1, ProverStrategy(psi, m))
+        p = acceptance_probability(ID, DEC, ProverStrategy(psi, m))
         assert p <= 0.5 + bound / 4 + 1e-4
 
 
+@pytest.mark.parametrize("private", [0, 1, 2])
+def test_acceptance_from_channels_matches_density_walk(private):
+    # the Choi sandwich at the prover's state against a gate-by-gate walk of both circuits
+    rng = np.random.default_rng(40 + private)
+    side = 2 ** (1 + private)
+    for k in range(8):
+        q0, q1 = random_11_circuit(rng, "a"), random_11_circuit(rng, "b")
+        strat = ProverStrategy(random_state(rng, side), random_projector(rng, side))
+        rho_in = np.outer(strat.psi, strat.psi.conj())
+        outs = [density_walk_oracle(q, rho_in, private) for q in (q0, q1)]
+        p0, p1 = (float(np.real(np.trace(strat.measurement @ rho))) for rho in outs)
+        p = acceptance_probability(choi_of(q0), choi_of(q1), strat)
+        assert abs(p - (0.5 * p0 + 0.5 * (1.0 - p1))) <= 1e-12, (private, k)
+
+
+@pytest.mark.parametrize("psi, side, match", [
+    (np.array([1.0, 0.0, 0.0]), 2, "dimension 3 is not 2\\^1 times a power of 2"),
+    (np.array([1.0]), 1, "dimension 1 is not 2\\^1 times a power of 2"),
+    (np.array([1.0, 0.0, 0.0, 0.0]), 2, "expected side 4 \\(output 1 \\+ private 1 qubits\\)"),
+])
+def test_acceptance_refuses_a_strategy_of_the_wrong_size(psi, side, match):
+    m = np.zeros((side, side))
+    m[0, 0] = 1.0
+    with pytest.raises(ValueError, match=match):
+        acceptance_probability(ID, DEC, ProverStrategy(psi, m))
+
+
+def test_acceptance_refuses_channels_of_different_types():
+    strat = ProverStrategy(np.array([1.0, 0.0]), np.diag([1.0, 0.0]))
+    wide = choi_of(identity_circuit("id_2", 2))
+    with pytest.raises(ValueError, match="channels disagree on type"):
+        acceptance_probability(ID, wide, strat)
+    with pytest.raises(ValueError, match="channels disagree on type"):
+        run_protocol(ID, wide, strat, 10, seed=0)
+
+
 def test_run_protocol_statistics_equal_circuits():
-    strat = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
-    res = run_protocol(identity_circuit(), identity_circuit("id2"), strat, 10000, seed=7)
+    strat = optimal_prover_witness(ID, ID2, CFG)[0]
+    res = run_protocol(ID, ID2, strat, 10000, seed=7)
     assert abs(res.estimate - 0.5) < 0.02
     assert abs(res.p_accept_exact - 0.5) < 1e-12
 
 
 def test_run_protocol_perfect_case_always_accepts():
-    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
-    res = run_protocol(identity_circuit(), z_circuit(), strat, 10000, seed=11)
+    strat = optimal_prover_witness(ID, Z, CFG)[0]
+    res = run_protocol(ID, Z, strat, 10000, seed=11)
     assert res.accepts == res.trials
 
 
 def test_run_protocol_concentrates():
-    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
-    res = run_protocol(identity_circuit(), decohere_circuit(), strat, 100000, seed=13)
+    strat = optimal_prover_witness(ID, DEC, CFG)[0]
+    res = run_protocol(ID, DEC, strat, 100000, seed=13)
     assert abs(res.estimate - 0.75) < 0.006
     assert abs(res.dnorm_witness_value - 1.0) < 1e-6
 
 
 def test_run_protocol_reproducible():
-    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
-    a = run_protocol(identity_circuit(), decohere_circuit(), strat, 2000, seed=3)
-    b = run_protocol(identity_circuit(), decohere_circuit(), strat, 2000, seed=3)
+    strat = optimal_prover_witness(ID, DEC, CFG)[0]
+    a = run_protocol(ID, DEC, strat, 2000, seed=3)
+    b = run_protocol(ID, DEC, strat, 2000, seed=3)
     assert a.accepts == b.accepts
 
 
 def test_completeness_and_soundness_thresholds():
     # yes instance for a = 2 - eps: identity vs Z; no instance for b = eps:
     # identical circuits.
-    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
-    p_yes = acceptance_probability(identity_circuit(), z_circuit(), strat)
+    strat = optimal_prover_witness(ID, Z, CFG)[0]
+    p_yes = acceptance_probability(ID, Z, strat)
     a = 2 - 1e-6
     assert p_yes >= 0.5 + a / 4
-    strat0 = optimal_prover_witness(identity_circuit(), identity_circuit("id2"), CFG)[0]
-    p_no = acceptance_probability(identity_circuit(), identity_circuit("id2"), strat0)
+    strat0 = optimal_prover_witness(ID, ID2, CFG)[0]
+    p_no = acceptance_probability(ID, ID2, strat0)
     assert p_no <= 0.5 + 1e-6 / 4 + 1e-9
 
 
 def test_result_json_fields():
-    strat = optimal_prover_witness(identity_circuit(), decohere_circuit(), CFG)[0]
-    res = run_protocol(identity_circuit(), decohere_circuit(), strat, 100, seed=1)
+    strat = optimal_prover_witness(ID, DEC, CFG)[0]
+    res = run_protocol(ID, DEC, strat, 100, seed=1)
     blob = result_to_json(res)
-    assert set(blob) == {
+    # the printed order, too
+    assert list(blob) == [
         "p_accept_exact",
         "trials",
         "accepts",
@@ -134,25 +171,26 @@ def test_result_json_fields():
         "dnorm_witness_value",
         "dnorm_upper",
         "seed",
-    }
+    ]
+    assert [type(v) for v in blob.values()] == [float, int, int, float, float, float, int]
     assert blob["dnorm_upper"] == 2.0  # the trivial bound when none is given
+    res = run_protocol(ID, DEC, strat, 100, seed=1, dnorm_upper=2)
+    assert type(result_to_json(res)["dnorm_upper"]) is float
 
 
 def test_run_protocol_checks_soundness_against_upper_bound():
-    q0, q1 = identity_circuit(), decohere_circuit()
-    strat, witness = optimal_prover_witness(q0, q1, CFG)
-    res = run_protocol(q0, q1, strat, 100, seed=1, dnorm_upper=witness.upper)
+    strat, witness = optimal_prover_witness(ID, DEC, CFG)
+    res = run_protocol(ID, DEC, strat, 100, seed=1, dnorm_upper=witness.upper)
     assert res.p_accept_exact <= 0.5 + witness.upper / 4 + 1e-12
     assert result_to_json(res)["dnorm_upper"] == witness.upper
     # the optimal strategy accepts with 3/4, which no pair at distance 0.9 allows
     with pytest.raises(InternalConsistencyError, match="soundness bound"):
-        run_protocol(q0, q1, strat, 100, seed=1, dnorm_upper=0.9)
+        run_protocol(ID, DEC, strat, 100, seed=1, dnorm_upper=0.9)
 
 
 @pytest.fixture(scope="module")
 def decohere_prover():
-    q0, q1 = identity_circuit(), decohere_circuit()
-    return q0, q1, optimal_prover_witness(q0, q1, CFG)[0]
+    return identity_circuit(), decohere_circuit(), optimal_prover_witness(ID, DEC, CFG)[0]
 
 
 def reference_accepts(q0, q1, strat, trials, seed):
@@ -176,9 +214,9 @@ def reference_accepts(q0, q1, strat, trials, seed):
 
 @pytest.mark.parametrize("trials", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
 def test_block_streams_reproducible_and_in_range(decohere_prover, trials):
-    q0, q1, strat = decohere_prover
-    a = run_protocol(q0, q1, strat, trials, seed=17)
-    b = run_protocol(q0, q1, strat, trials, seed=17)
+    _, _, strat = decohere_prover
+    a = run_protocol(ID, DEC, strat, trials, seed=17)
+    b = run_protocol(ID, DEC, strat, trials, seed=17)
     assert 0 <= a.accepts <= trials
     assert a.accepts == b.accepts
     assert a.estimate == a.accepts / trials
@@ -187,19 +225,19 @@ def test_block_streams_reproducible_and_in_range(decohere_prover, trials):
 @pytest.mark.parametrize("trials", [_BLOCK + 1, 3 * _BLOCK + 5])
 def test_tally_is_sum_of_blocks_in_any_order(decohere_prover, trials):
     q0, q1, strat = decohere_prover
-    res = run_protocol(q0, q1, strat, trials, seed=23)
+    res = run_protocol(ID, DEC, strat, trials, seed=23)
     assert res.accepts == reference_accepts(q0, q1, strat, trials, seed=23)
 
 
 def test_perfect_case_accepts_across_block_boundary():
-    strat = optimal_prover_witness(identity_circuit(), z_circuit(), CFG)[0]
-    res = run_protocol(identity_circuit(), z_circuit(), strat, 2 * _BLOCK + 3, seed=5)
+    strat = optimal_prover_witness(ID, Z, CFG)[0]
+    res = run_protocol(ID, Z, strat, 2 * _BLOCK + 3, seed=5)
     assert res.accepts == res.trials
 
 
 def test_million_trials_within_five_sigma(decohere_prover):
-    q0, q1, strat = decohere_prover
+    _, _, strat = decohere_prover
     n = 10**6
-    res = run_protocol(q0, q1, strat, n, seed=29)
+    res = run_protocol(ID, DEC, strat, n, seed=29)
     p = res.p_accept_exact
     assert abs(res.accepts - n * p) <= 5 * np.sqrt(n * p * (1 - p))
